@@ -31,7 +31,8 @@ def _require(block: dict, path: str, key: str, types, default=None, required=Fal
     value = block[key]
     if value is None and not required:
         return default
-    if not isinstance(value, types):
+    # JSON true/false load as bool, a subclass of int: never a number here
+    if not isinstance(value, types) or isinstance(value, bool):
         raise ConfigError(f"{path}.{key}: expected {types}, got {type(value).__name__}")
     return value
 

@@ -128,15 +128,22 @@ class DelayProfile:
 
     def delays_at(self, t: float) -> np.ndarray:
         """All component delays at time t as a vector."""
-        if t < 0.0:
-            raise ValueError(f"delay queried at negative time t={t}")
+        return self.delay_table([t])[0]
+
+    def delay_table(self, ts) -> np.ndarray:
+        """Component delays at every time in ts, one row per time."""
+        ts = np.asarray(ts, dtype=float)
+        if ts.size and ts.min() < 0.0:
+            raise ValueError(f"delay queried at negative time t={ts.min()}")
+        shape = (ts.size, self.n_components)
         if self.kind == "proportional":
-            return np.full(self.n_components, self.envelope_param * t)
+            return np.broadcast_to((self.envelope_param * ts)[:, None], shape).copy()
         if self.kind == "constant":
-            return np.full(self.n_components, self.envelope_param)
+            return np.full(shape, self.envelope_param)
         if self.kind == "per_component":
-            return self.coefficients * t
-        return np.array([self.delay(i, t) for i in range(self.n_components)])
+            return ts[:, None] * self.coefficients
+        return np.array([[self.delay(i, t) for i in range(self.n_components)]
+                         for t in ts]).reshape(shape)
 
 
 @dataclass(frozen=True)

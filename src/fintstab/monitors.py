@@ -249,9 +249,10 @@ def detect_phases(traj: HistoryTrajectory, profile: DelayProfile, norm: str,
     t1_idx = None
     for k, v in enumerate(series):
         tracker.push(float(v))
-        if t1_idx is None and times[k] >= start_time and tracker.sup(k) <= 1.0:
+        if times[k] >= start_time and tracker.sup(k) <= 1.0:
             t1_idx = k
             T1 = float(times[k])
+            break
 
     above = np.nonzero(norms > zero_tol)[0]
     if above.size == 0:

@@ -18,7 +18,7 @@ from .conditions import _validate_coupling_matrix, left_eigenvector
 from .control import (NetworkAdaptiveHook, NetworkControlSpec,
                       full_node_control, pinning_control)
 from .delays import DelayProfile
-from .integrate import HistoryTrajectory, IntegratorConfig, integrate
+from .integrate import HistoryTrajectory, IntegratorConfig, PlanGather, integrate
 
 
 @dataclass
@@ -92,42 +92,29 @@ class SyncResult:
     inner_residual: Optional[dict] = None  # row/col residuals of the inner-sync constraint
 
 
-def _delayed_nodes(traj: HistoryTrajectory, tq: np.ndarray, N: int, n: int) -> np.ndarray:
-    """x_j(tq[i, j]) for every pair, as an (N, N, n) array.
+def _node_cols(N: int, n: int) -> np.ndarray:
+    """Pair (i, j) reads node j's n columns of an (N*n)-dim network state."""
+    return np.tile(np.arange(N * n).reshape(N, n), (N, 1))
 
-    Queries are clamped to the recorded range; proportional delays never look
-    past the current step.
-    """
-    S = traj._states[:traj._filled + 1].reshape(-1, N, n)
-    u = (tq - traj.t0) / traj.h
-    np.clip(u, 0.0, traj._filled, out=u)
-    k = np.floor(u).astype(int)
-    np.minimum(k, traj._filled, out=k)
-    frac = (u - k)[..., None]
-    kp1 = np.minimum(k + 1, traj._filled)
-    jj = np.broadcast_to(np.arange(N)[None, :], (N, N))
-    return (1.0 - frac) * S[k, jj] + frac * S[kp1, jj]
+
+def _reference_cols(N: int, n: int) -> np.ndarray:
+    """Pair (i, j) reads the whole n-dim reference state."""
+    return np.tile(np.arange(n), (N * N, 1))
 
 
 def _delayed_reference(traj: HistoryTrajectory, tq: np.ndarray, N: int, n: int) -> np.ndarray:
     """phi(tq[i, j]) tiled over j, as an (N, N, n) array (inner mode)."""
-    S = traj._states[:traj._filled + 1]
-    u = (tq - traj.t0) / traj.h
-    np.clip(u, 0.0, traj._filled, out=u)
-    k = np.floor(u).astype(int)
-    np.minimum(k, traj._filled, out=k)
-    frac = (u - k)[..., None]
-    kp1 = np.minimum(k + 1, traj._filled)
-    return (1.0 - frac) * S[k] + frac * S[kp1]
+    return traj.interpolate(np.ravel(tq), _reference_cols(N, n)).reshape(N, N, n)
 
 
 def _drive_rhs(model: NetworkModel):
     N, n = model.N, model.n
+    nodes = PlanGather(_node_cols(N, n), N * n)
 
     def rhs(t, X, traj):
         Xn = X.reshape(N, n)
         out = model.f(Xn) + model.theta1 * (model.A @ Xn)
-        xd = _delayed_nodes(traj, model.pair_delay_times(t), N, n)
+        xd = nodes(traj, traj._filled).reshape(N, N, n)
         out += model.theta2 * np.einsum("ij,ijk->ik", model.B, model.g(xd))
         return out.ravel()
 
@@ -141,24 +128,27 @@ def _reference_rhs(model: NetworkModel):
     return rhs
 
 
-def _error_rhs(model: NetworkModel, base_traj: HistoryTrajectory, mode: str,
-               control: NetworkControlSpec, hook: Optional[NetworkAdaptiveHook]):
+def _error_rhs(model: NetworkModel, base_traj: HistoryTrajectory,
+               mode: str, control: NetworkControlSpec,
+               hook: Optional[NetworkAdaptiveHook]):
+    """Error dynamics at step k: the base's row k is its state at t_k, and
+    both delayed lookups read row k of the error integration's plan (the base
+    was integrated on the same grid)."""
     N, n = model.N, model.n
-    lookup = _delayed_reference if mode == "inner" else _delayed_nodes
+    nodes = PlanGather(_node_cols(N, n), N * n)
+    base_gather = PlanGather(_reference_cols(N, n), n) if mode == "inner" else nodes
 
     def rhs(t, E, etraj):
+        k = etraj._filled
         En = E.reshape(N, n)
-        if mode == "inner":
-            x_now = base_traj.query(t)  # (n,) reference
-            f_term = model.f(x_now + En) - model.f(x_now)
-        else:
-            x_now = base_traj.query(t).reshape(N, n)
-            f_term = model.f(x_now + En) - model.f(x_now)
+        x_now = base_traj._states[k]
+        if mode != "inner":
+            x_now = x_now.reshape(N, n)
+        f_term = model.f(x_now + En) - model.f(x_now)
         out = f_term + model.theta1 * (model.A @ En)
 
-        tq = model.pair_delay_times(t)
-        xd = lookup(base_traj, tq, N, n)
-        ed = _delayed_nodes(etraj, tq, N, n)
+        xd = base_gather(base_traj, k, etraj.plan).reshape(N, N, n)
+        ed = nodes(etraj, k).reshape(N, N, n)
         g_tilde = model.g(xd + ed) - model.g(xd)
         out += model.theta2 * np.einsum("ij,ijk->ik", model.B, g_tilde)
 
@@ -217,12 +207,13 @@ def simulate_response_directly(exp: SyncExperiment, drive: HistoryTrajectory) ->
     model = exp.model
     N, n = model.N, model.n
     control = exp.control
+    cfg = exp.integrator
+    nodes = PlanGather(_node_cols(N, n), N * n)
 
     def rhs(t, Y, ytraj):
         Yn = Y.reshape(N, n)
         out = model.f(Yn) + model.theta1 * (model.A @ Yn)
-        tq = model.pair_delay_times(t)
-        yd = _delayed_nodes(ytraj, tq, N, n)
+        yd = nodes(ytraj, ytraj._filled).reshape(N, N, n)
         out += model.theta2 * np.einsum("ij,ijk->ik", model.B, model.g(yd))
         e = Yn - drive.query(t).reshape(N, n)
         if control.kind == "pinning":
@@ -231,7 +222,6 @@ def simulate_response_directly(exp: SyncExperiment, drive: HistoryTrajectory) ->
             out += full_node_control(e, control.theta3, control.theta4)
         return out.ravel()
 
-    cfg = exp.integrator
     cfg_plain = IntegratorConfig(horizon=cfg.horizon, h=cfg.h, method=cfg.method,
                                  zero_band=0.0, zero_tol=cfg.zero_tol)
     return integrate(rhs, exp.response_init.ravel(), model.delays, cfg_plain)

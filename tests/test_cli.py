@@ -56,6 +56,16 @@ def test_config_rejects_bad_types_and_versions():
         load_config(doc)
 
 
+def test_config_rejects_booleans_for_numbers():
+    for block, key in (("integrator", "horizon"), ("integrator", "h"),
+                       ("system", "c1"), ("system", "dimension")):
+        for flag in (True, False):
+            doc = _scalar_doc()
+            doc[block][key] = flag
+            with pytest.raises(ConfigError, match=rf"{block}\.{key}: .* got bool"):
+                load_config(doc)
+
+
 def test_config_delay_kinds():
     doc = _scalar_doc()
     doc["delay"] = {"kind": "constant", "pi": 2.0}

@@ -66,6 +66,15 @@ def test_query_exact_at_grid_points():
         assert (traj.query(t) == traj.states[k]).all()
 
 
+def test_from_arrays_gains_need_names():
+    states = np.zeros((3, 1))
+    with pytest.raises(ValueError, match="gain_names"):
+        HistoryTrajectory.from_arrays(0.0, 0.1, states, gains=np.ones((3, 2)))
+    traj = HistoryTrajectory.from_arrays(0.0, 0.1, states, gain_names=["a", "b"],
+                                         gains=np.ones((3, 2)))
+    assert traj.gains.shape == (3, 2)
+
+
 def test_query_interpolates_between_grid_points():
     traj = HistoryTrajectory.from_arrays(0.0, 1.0, np.array([[0.0], [2.0]]))
     assert traj.query(0.25)[0] == pytest.approx(0.5)
