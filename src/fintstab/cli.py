@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -192,14 +192,16 @@ def run_example2(variant: str = "nocontrol", horizon: float = 20.0,
     """Three coupled Lorenz nodes: uncontrolled baseline or adaptive feedback."""
     hook = None
     if variant == "adaptive":
-        rate = _scalar_preset_rate()
-        profile = DelayProfile.pairwise_sin(3)
         hook = NetworkAdaptiveHook(d1=d_theta4, d2=d_theta4, d3=d_theta3,
-                                   rate=rate, profile=profile,
+                                   rate=_scalar_preset_rate(),
+                                   profile=DelayProfile.pairwise_sin(3),
                                    variant="theta3_theta4")
     elif variant != "nocontrol":
         raise ValueError(f"unknown variant {variant!r}")
-    exp = lorenz_preset(horizon=horizon, h=h, adaptive_hook=hook)
+    return _network_result(lorenz_preset(horizon=horizon, h=h, adaptive_hook=hook))
+
+
+def _network_result(exp) -> NetworkRunResult:
     sync = simulate_sync(exp)
     e1, e2, outer = error_index_series(sync.drive, sync.response, 3, 3)
     return NetworkRunResult(sync=sync, times=sync.error.times, e1=e1, e2=e2,
@@ -240,7 +242,7 @@ def _scalar_run_from_config(cfg: ExperimentConfig) -> ScalarRunResult:
     if cfg.adaptive.get("enabled"):
         hook = ScalarAdaptiveHook(float(cfg.adaptive["d1"]), float(cfg.adaptive["d2"]),
                                   float(cfg.adaptive["d3"]), cfg.rate, cfg.delay,
-                                  norm=norm)
+                                  norm=norm, zero_tol=cfg.integrator.zero_tol)
         rhs = delayed_linear_rhs(c1, c2, cfg.delay, control=hook.control)
         traj = integrate(rhs, p0, cfg.delay, cfg.integrator, gain_hook=hook)
         margin = float(traj.gains[-1, 0]) - abs(c2)
@@ -254,14 +256,14 @@ def _scalar_run_from_config(cfg: ExperimentConfig) -> ScalarRunResult:
                                  control=lambda t, p: static_scalar_control(p, g))
         icfg = cfg.integrator
         if icfg.zero_band is None:
-            icfg = IntegratorConfig(horizon=icfg.horizon, h=icfg.h, method=icfg.method,
-                                    zero_band=g.c3 * icfg.h, zero_tol=icfg.zero_tol)
+            icfg = replace(icfg, zero_band=g.c3 * icfg.h)
         traj = integrate(rhs, p0, cfg.delay, icfg)
         eps2 = (kappa * report.epsilon2_max
                 if report is not None and report.epsilon2_max > 0.0 else kappa)
 
     start = monitor.get("start_time")
     phases = detect_phases(traj, cfg.delay, norm, eps2,
+                           zero_tol=cfg.integrator.zero_tol,
                            start_time=cfg.rate.default_monitor_start
                            if start is None else float(start))
     bound = None
@@ -273,26 +275,28 @@ def _scalar_run_from_config(cfg: ExperimentConfig) -> ScalarRunResult:
 
 
 def _network_run_from_config(cfg: ExperimentConfig) -> NetworkRunResult:
+    """The Lorenz preset with the config's control, rate and integrator.
+
+    An enabled adaptive block drives the gains (d2 defaults to d1); sigma
+    still scales the pinned node in the theta1_theta3 variant.
+    """
     control = cfg.control
     adaptive = control.get("adaptive") or {}
+    hook = None
     if adaptive.get("enabled"):
-        variant = "adaptive"
-        return run_example2(variant=variant, horizon=cfg.integrator.horizon,
-                            h=cfg.integrator.h,
-                            d_theta3=float(adaptive.get("d3", 0.02)),
-                            d_theta4=float(adaptive.get("d1", 0.05)))
-    kind = control.get("kind", "none")
-    spec = NetworkControlSpec(kind=kind,
+        d1 = float(adaptive.get("d1", 0.05))
+        hook = NetworkAdaptiveHook(d1=d1, d2=float(adaptive.get("d2", d1)),
+                                   d3=float(adaptive.get("d3", 0.02)),
+                                   rate=cfg.rate, profile=DelayProfile.pairwise_sin(3),
+                                   variant=adaptive.get("variant", "theta3_theta4"),
+                                   zero_tol=cfg.integrator.zero_tol)
+    spec = NetworkControlSpec(kind=control.get("kind", "none"),
                               theta3=float(control.get("theta3", 0.0)),
                               theta4=float(control.get("theta4", 0.0)),
                               sigma=float(control.get("sigma", 1.0)))
-    exp = lorenz_preset(horizon=cfg.integrator.horizon, h=cfg.integrator.h,
-                        control=spec)
-    sync = simulate_sync(exp)
-    e1, e2, outer = error_index_series(sync.drive, sync.response, 3, 3)
-    return NetworkRunResult(sync=sync, times=sync.error.times, e1=e1, e2=e2,
-                            outer=outer, gains=sync.error.gains,
-                            gain_names=sync.error.gain_names)
+    exp = lorenz_preset(control=spec, adaptive_hook=hook)
+    exp.integrator = cfg.integrator
+    return _network_result(exp)
 
 
 def _reports_for_config(cfg: ExperimentConfig) -> List[ConditionReport]:
@@ -410,7 +414,7 @@ def _cmd_monitor(args) -> int:
                 eps2 = kappa * reports[0].epsilon2_max
         except (NoClosedFormError, ValueError):
             pass
-    phases = detect_phases(traj, profile, norm, eps2,
+    phases = detect_phases(traj, profile, norm, eps2, zero_tol=cfg.integrator.zero_tol,
                            start_time=cfg.rate.default_monitor_start)
     trace = trace_functional(traj, functional, cfg.rate, profile, xi=xi)
     contacts = contact_point_decrease(trace, traj)

@@ -21,6 +21,7 @@ import numpy as np
 from .delays import DelayProfile
 
 _GRID_SNAP = 1e-9  # fraction of h below which a query snaps to the grid point
+_STEP_RATIO_TOL = 1e-9  # (horizon - t0)/h must be this close to a whole number
 
 
 class DivergenceError(RuntimeError):
@@ -159,28 +160,51 @@ class PlanGather:
     Component p of the plan reads the state columns cols[p]; cols has one row
     per component, or one row per output row when a single shared delay
     component is broadcast.  Flat indices and weights are rebuilt whenever
-    the plan hands out another block.
+    the plan hands out another block, or the gather is asked for another
+    trajectory.
+
+    Block path: when a block is loaded and every row it reads is already
+    recorded (blk.hi.max() <= traj._filled), the whole block's values are
+    computed at once, pre-history rows are applied then, and each step
+    returns its read-only row of that array.  Recorded rows never change, so
+    this equals the per-step gather bitwise.  Otherwise (the block reads rows
+    still to be integrated) each step gathers its own row.
     """
 
     def __init__(self, cols, stride: int):
         self.cols = np.asarray(cols, dtype=np.intp)
         self.stride = stride
         self._blk: Optional[_PlanBlock] = None
+        self._traj: Optional["HistoryTrajectory"] = None
+        self._vals: Optional[np.ndarray] = None
 
-    def _load(self, blk: _PlanBlock):
-        self._blk = blk
-        self._lo = blk.lo[:, :, None] * self.stride + self.cols
-        self._hi = blk.hi[:, :, None] * self.stride + self.cols
-        self._wh = blk.w[:, :, None]
-        self._wl = 1.0 - self._wh
+    def _load(self, blk: _PlanBlock, traj: "HistoryTrajectory"):
+        self._blk, self._traj = blk, traj
+        lo = blk.lo[:, :, None] * self.stride + self.cols
+        hi = blk.hi[:, :, None] * self.stride + self.cols
+        wh = blk.w[:, :, None]
+        wl = 1.0 - wh
+        if blk.hi.max() > traj._filled:
+            self._vals = None
+            self._lo, self._hi, self._wl, self._wh = lo, hi, wl, wh
+            return
+        flat = traj._flat
+        vals = wl * flat[lo] + wh * flat[hi]
+        if traj.initial_history is not None:
+            for r in np.nonzero(blk.pre)[0]:
+                traj._pre_history_into(vals[r], blk.times[r], self.cols)
+        vals.flags.writeable = False
+        self._vals = vals
 
     def __call__(self, traj: "HistoryTrajectory", k: int,
                  plan: Optional[DelayPlan] = None) -> np.ndarray:
         """Values at step k from row k of `plan` (default traj.plan),
         shape (rows of cols, columns per row)."""
         blk, r = (traj.plan if plan is None else plan).row(k)
-        if blk is not self._blk:
-            self._load(blk)
+        if blk is not self._blk or traj is not self._traj:
+            self._load(blk, traj)
+        if self._vals is not None:
+            return self._vals[r]
         flat = traj._flat
         out = self._wl[r] * flat[self._lo[r]] + self._wh[r] * flat[self._hi[r]]
         if blk.pre[r] and traj.initial_history is not None:
@@ -388,7 +412,14 @@ class RunningWindowSup:
 # -- integration -----------------------------------------------------------
 
 def _project_zero_band(x_old: np.ndarray, x_new: np.ndarray, band: float) -> np.ndarray:
-    if band <= 0.0:
+    """x_new with every component that flipped sign (or left 0) during the
+    step and stays within `band` of 0 set to exactly 0.
+
+    Returns x_new itself when nothing is hit: a step with no nonzero
+    component, or none inside the band, skips the flip mask (a NaN makes
+    the min NaN, so such a step takes the full test).
+    """
+    if band <= 0.0 or not x_new.any() or np.abs(x_new).min() > band:
         return x_new
     flipped = (x_old * x_new < 0.0) | ((x_old == 0.0) & (x_new != 0.0))
     hit = flipped & (np.abs(x_new) <= band)
@@ -403,6 +434,11 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
               initial_history: Optional[Callable[[float], np.ndarray]] = None
               ) -> HistoryTrajectory:
     """Integrate x' = rhs(t, x, traj) on [t0, horizon] with fixed step h.
+
+    (horizon - t0)/h must be a whole number (within 1e-9); otherwise a
+    ValueError names both values instead of silently rounding the horizon.
+    A step whose new state has a NaN, an infinite or a component above
+    `divergence_limit` in magnitude raises DivergenceError at that step's end.
 
     `rhs` resolves delayed states from `traj`, which covers the history up to
     the current step start.  The step k call sees traj._filled == k, so it
@@ -420,7 +456,11 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     """
     x = np.atleast_1d(np.asarray(initial_state, dtype=float)).copy()
     h = config.h
-    n_steps = int(round((config.horizon - t0) / h))
+    ratio = (config.horizon - t0) / h
+    n_steps = int(round(ratio))
+    if abs(ratio - n_steps) > _STEP_RATIO_TOL:
+        raise ValueError(f"horizon {config.horizon:g} is not a whole number of steps "
+                         f"h = {h:g} from t0 = {t0:g}")
     if n_steps <= 0:
         raise ValueError("horizon must exceed start time by at least one step")
     gain_names = gain_hook.names if gain_hook is not None else None
@@ -451,7 +491,8 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
             band = 0.0
         x_new = _project_zero_band(x, x_new, band)
 
-        if not np.isfinite(x_new).all() or np.abs(x_new).max() > limit:
+        # one reduction: NaN and +-inf fail the comparison as well
+        if not np.abs(x_new).max() <= limit:
             raise DivergenceError(t + h)
 
         gains = None

@@ -133,10 +133,21 @@ def _error_rhs(model: NetworkModel, base_traj: HistoryTrajectory,
                hook: Optional[NetworkAdaptiveHook]):
     """Error dynamics at step k: the base's row k is its state at t_k, and
     both delayed lookups read row k of the error integration's plan (the base
-    was integrated on the same grid)."""
+    was integrated on the same grid).
+
+    f and g are elementwise, so each is called once on a stacked buffer,
+    [x + e, x] and [xd + ed, xd], and the two halves subtracted.  The base
+    has its own PlanGather, since a gather caches one trajectory's block;
+    the base is fully recorded, so its blocks take the block path.
+    """
     N, n = model.N, model.n
     nodes = PlanGather(_node_cols(N, n), N * n)
-    base_gather = PlanGather(_reference_cols(N, n), n) if mode == "inner" else nodes
+    if mode == "inner":
+        base_gather = PlanGather(_reference_cols(N, n), n)
+    else:
+        base_gather = PlanGather(_node_cols(N, n), N * n)
+    fbuf = np.empty((2, N, n))
+    gbuf = np.empty((2, N, N, n))
 
     def rhs(t, E, etraj):
         k = etraj._filled
@@ -144,13 +155,16 @@ def _error_rhs(model: NetworkModel, base_traj: HistoryTrajectory,
         x_now = base_traj._states[k]
         if mode != "inner":
             x_now = x_now.reshape(N, n)
-        f_term = model.f(x_now + En) - model.f(x_now)
-        out = f_term + model.theta1 * (model.A @ En)
+        np.add(x_now, En, out=fbuf[0])
+        fbuf[1] = x_now
+        fx = model.f(fbuf)
+        out = (fx[0] - fx[1]) + model.theta1 * (model.A @ En)
 
         xd = base_gather(base_traj, k, etraj.plan).reshape(N, N, n)
-        ed = nodes(etraj, k).reshape(N, N, n)
-        g_tilde = model.g(xd + ed) - model.g(xd)
-        out += model.theta2 * np.einsum("ij,ijk->ik", model.B, g_tilde)
+        np.add(xd, nodes(etraj, k).reshape(N, N, n), out=gbuf[0])
+        gbuf[1] = xd
+        gx = model.g(gbuf)
+        out += model.theta2 * np.einsum("ij,ijk->ik", model.B, gx[0] - gx[1])
 
         if hook is not None:
             g = hook.state.gains

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from fintstab.cli import (main, read_trajectory_csv, run_example1,
+from fintstab.cli import (_network_run_from_config, _scalar_run_from_config,
+                          main, read_trajectory_csv, run_example1,
                           run_example1_adaptive, run_example1_sweep,
                           run_example2, write_trajectory_csv)
 from fintstab.config import ConfigError, load_config
@@ -209,3 +210,59 @@ def test_example2_runner_variants():
     assert base.gains is None
     with pytest.raises(ValueError):
         run_example2("bangbang")
+
+
+def _network_doc(control, **over):
+    doc = {"schema_version": 1, "kind": "network", "system": {"preset": "lorenz3"},
+           "control": control, "rate": {"kind": "power", "exponent": 0.1},
+           "integrator": {"horizon": 1.0, "h": 1e-3}}
+    doc.update(over)
+    return doc
+
+
+def _network_outputs(doc):
+    res = _network_run_from_config(load_config(doc))
+    return res.sync.error.states.tolist(), res.gain_names, res.gains.tolist()
+
+
+def test_network_config_fields_change_the_run():
+    # d1 = 5 reaches the unit ball within the horizon, where d2 acts
+    adaptive = {"enabled": True, "d1": 5.0, "d3": 0.02}
+    base = _network_outputs(_network_doc({"adaptive": adaptive}))
+    assert _network_outputs(_network_doc({"adaptive": dict(adaptive, d2=5.0)})) == base
+    integ = {"horizon": 1.0, "h": 1e-3}
+    changed = {
+        "rate": _network_doc({"adaptive": adaptive}, rate={"kind": "power", "exponent": 0.3}),
+        "variant": _network_doc({"adaptive": dict(adaptive, variant="theta1_theta3")}),
+        "d2": _network_doc({"adaptive": dict(adaptive, d2=0.5)}),
+        "method": _network_doc({"adaptive": adaptive},
+                               integrator=dict(integ, method="rk4_frozen")),
+        "zero_band": _network_doc({"adaptive": adaptive},
+                                  integrator=dict(integ, zero_band=0.05)),
+        # the hook freezes once the windowed squared error is <= zero_tol**2
+        "zero_tol": _network_doc({"adaptive": adaptive},
+                                 integrator=dict(integ, zero_tol=0.5)),
+    }
+    for field, doc in changed.items():
+        assert _network_outputs(doc) != base, field
+    assert _network_outputs(changed["variant"])[1] == ("theta1", "theta3")
+
+
+def test_network_config_matches_the_preset_runner():
+    doc = _network_doc({"adaptive": {"enabled": True, "d1": 0.05, "d3": 0.02}},
+                       integrator={"horizon": 0.5, "h": 1e-3})
+    res = _network_run_from_config(load_config(doc))
+    ref = run_example2("adaptive", horizon=0.5, h=1e-3)
+    assert res.sync.error.states.tolist() == ref.sync.error.states.tolist()
+    assert res.gains.tolist() == ref.gains.tolist()
+
+
+def test_zero_tol_sets_the_detected_settling_time():
+    doc = _scalar_doc()
+    default = _scalar_run_from_config(load_config(doc))
+    doc["integrator"]["zero_tol"] = 1e-9
+    assert _scalar_run_from_config(load_config(doc)).T_settle == default.T_settle
+    doc["integrator"]["zero_tol"] = 1e-2
+    coarse = _scalar_run_from_config(load_config(doc))
+    assert math.isfinite(default.T_settle)
+    assert coarse.T_settle < default.T_settle

@@ -1,13 +1,18 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fintstab.delays import DelayProfile
 from fintstab.integrate import (DivergenceError, HistoryTrajectory,
                                 IntegratorConfig, RunningWindowSup,
                                 delayed_linear_rhs, integrate, norm1,
                                 norm_inf, sq_norm2, window_sup)
+
+# the package re-exports the function integrate, which shadows the submodule
+integ = importlib.import_module("fintstab.integrate")
 
 
 def sign_rhs(t, p, traj):
@@ -175,3 +180,55 @@ def test_config_validation():
         IntegratorConfig(horizon=1.0, h=1e-3, zero_band=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(horizon=1.0, h=1e-3, method="heun")
+
+
+def test_integrate_rejects_horizon_off_the_step_grid():
+    profile = DelayProfile.proportional(0.5)
+    rhs = delayed_linear_rhs(-1.0, 0.5, profile)
+    with pytest.raises(ValueError, match=r"horizon 1 .* h = 0\.3"):
+        integrate(rhs, [1.0], profile, IntegratorConfig(horizon=1.0, h=0.3))
+    traj = integrate(rhs, [1.0], profile, IntegratorConfig(horizon=0.9, h=0.3))
+    assert traj.states.shape[0] == 4
+
+
+@pytest.mark.parametrize("zero_band", [None, 0.5])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_step_raises_at_its_end(bad, zero_band):
+    # the first component flips into the band in the same step
+    prof = DelayProfile.constant(0.0)
+    cfg = IntegratorConfig(horizon=1.0, h=0.1, zero_band=zero_band)
+    with pytest.raises(DivergenceError) as exc:
+        integrate(lambda t, x, traj: np.array([-0.2, bad]), [0.01, 1.0], prof, cfg)
+    assert exc.value.blow_up_time == 0.1
+
+
+def _reference_zero_band(x_old, x_new, band):
+    # the projection as first written: flip mask, then band test
+    if band <= 0.0:
+        return x_new
+    flipped = (x_old * x_new < 0.0) | ((x_old == 0.0) & (x_new != 0.0))
+    hit = flipped & (np.abs(x_new) <= band)
+    if hit.any():
+        x_new = x_new.copy()
+        x_new[hit] = 0.0
+    return x_new
+
+
+BAND = 0.25
+_special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, BAND, -BAND,
+                            math.nextafter(BAND, 1.0), math.nan, 0.1, -0.1, 3.0, -3.0])
+_entries = st.one_of(_special, st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(
+           lambda m: st.tuples(st.lists(_entries, min_size=m, max_size=m),
+                               st.lists(_entries, min_size=m, max_size=m))),
+       st.sampled_from([0.0, BAND, 1e-300]))
+def test_project_zero_band_matches_reference_bitwise(pair, band):
+    x_old, x_new = (np.array(v) for v in pair)
+    want = _reference_zero_band(x_old, x_new.copy(), band)
+    got = integ._project_zero_band(x_old, x_new, band)
+    assert got.tobytes() == want.tobytes()
+    if not ((got == 0.0) & (x_new != 0.0)).any():   # nothing hit: same object
+        assert got is x_new

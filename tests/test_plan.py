@@ -166,18 +166,46 @@ def test_lookahead_raises_in_integrate_and_queries():
     assert traj.query(0.4 + 1e-12)[0] == 4.0   # within the snap band
 
 
-@settings(max_examples=40, deadline=None)
-@given(profiles(), grids, st.integers(0, 100))
-def test_plan_gather_matches_interpolate(profile, grid, k):
-    h, t0 = grid
+def _history(dim):
+    return lambda t: np.array([math.sin(3.0 * t + i) for i in range(dim)])
+
+
+def _gathers_agree(profile, t0, h, n, history):
+    """Gather every step of an n-step trajectory three ways: from a fully
+    recorded copy (every block complete), while the rows are appended one
+    step at a time (the integrator's view), and through interpolate.
+    Returns the set of paths the growing gather took."""
     dim = profile.n_components
-    rng = np.random.default_rng(k)
-    traj = HistoryTrajectory.from_arrays(t0, h, rng.normal(size=(k + 2, dim)))
+    # the recorded copy covers every block the n steps touch
+    states = np.random.default_rng(n).normal(size=((n // integ.PLAN_BLOCK + 1)
+                                                    * integ.PLAN_BLOCK, dim))
+    full = HistoryTrajectory.from_arrays(t0, h, states)
+    growing = HistoryTrajectory(t0, h, states[0], n)
+    for traj in (full, growing):
+        traj.initial_history = history
+        traj.plan = DelayPlan(profile, t0, h)
     cols = diag_cols(dim, dim)
-    traj.plan = DelayPlan(profile, t0, h)
-    t = t0 + k * h
-    times = t - profile.delays_at(t)
-    assert PlanGather(cols, dim)(traj, k).tolist() == traj.interpolate(times, cols).tolist()
+    on_full, on_growing = PlanGather(cols, dim), PlanGather(cols, dim)
+    paths = set()
+    for k in range(n + 1):
+        got = on_full(full, k)
+        assert on_full._vals is not None and not got.flags.writeable
+        step = on_growing(growing, k)
+        paths.add("block" if on_growing._vals is not None else "step")
+        t = t0 + k * h
+        want = growing.interpolate(t - profile.delays_at(t), cols)
+        assert got.tobytes() == want.tobytes() == step.tobytes()
+        if k < n:
+            growing.append(states[k + 1])
+    return paths
+
+
+@settings(max_examples=40, deadline=None)
+@given(profiles(), grids, st.integers(0, 3 * integ.PLAN_BLOCK), st.booleans())
+def test_plan_gather_matches_interpolate(profile, grid, n, with_history):
+    # block rows (recorded copy) == per-step rows (growing) == interpolate
+    h, t0 = grid
+    _gathers_agree(profile, t0, h, n, _history(profile.n_components) if with_history else None)
 
 
 def test_running_window_sup_boundary_uses_plan_rows():
@@ -214,6 +242,38 @@ def test_delayed_linear_rhs_accepts_an_equal_profile_object():
     assert other.states.tolist() == ref.states.tolist()
 
 
+@pytest.mark.parametrize("steps, paths", [
+    (10, {"step"}),
+    (integ.PLAN_BLOCK - 2, {"step"}),    # a block's last step reads the row after its first
+    (integ.PLAN_BLOCK - 1, {"block"}),   # ... reads exactly the block's first row
+    (integ.PLAN_BLOCK + 40, {"block"}),
+])
+@pytest.mark.parametrize("with_history", [False, True])
+def test_constant_delay_block_paths(steps, paths, with_history):
+    # a delay shorter than a block reads rows the block itself records; a
+    # longer one reads only rows recorded before the block starts
+    h, dim = 0.01, 2
+    profile = DelayProfile.constant(steps * h + 0.3 * h, n_components=dim)
+    history = _history(dim) if with_history else None
+    assert _gathers_agree(profile, 0.5, h, 3 * integ.PLAN_BLOCK + 7, history) == paths
+
+
+def test_one_gather_alternating_between_trajectories():
+    # the cache is per (block, trajectory): the drive and error gathers of a
+    # network step may share one plan row
+    profile = DelayProfile.proportional(0.5)
+    plan = DelayPlan(profile, 0.0, 0.01)
+    rng = np.random.default_rng(7)
+    a, b = (HistoryTrajectory.from_arrays(0.0, 0.01, rng.normal(size=(600, 1)))
+            for _ in range(2))
+    gather = PlanGather(diag_cols(1, 1), 1)
+    for k in (300, 301, 302):
+        t = k * 0.01
+        for traj in (a, b, a):
+            want = traj.interpolate(t - profile.delays_at(t), diag_cols(1, 1))
+            assert gather(traj, k, plan).tobytes() == want.tobytes()
+
+
 # -- exact-solution oracle ----------------------------------------------------
 
 def pantograph(c1, c2, q, p0, t):
@@ -241,3 +301,4 @@ def test_pantograph_oracle_first_order(method, err_1e3):
     orders = [math.log2(errs[h] / errs[h / 2]) for h in (4e-3, 2e-3, 1e-3)]
     assert all(0.9 <= p <= 1.1 for p in orders), orders
     assert 0.75 * err_1e3 <= errs[1e-3] <= 1.25 * err_1e3
+
