@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -31,35 +32,41 @@ from .network import (LORENZ_A, error_index_series, lorenz_preset,
                       simulate_sync)
 
 _FMT = "%.17g"
+_CHUNK = 4096  # CSV rows formatted per % operation
 
 
 # -- CSV ---------------------------------------------------------------------
+
+def _write_rows(path, header, columns, fmts):
+    """Header via csv.writer (it quotes names); then the columns (1-d or 2-d
+    arrays, one row per line), _CHUNK rows per % operation, since numbers
+    never need quoting."""
+    row_fmt = ",".join(fmts) + "\r\n"
+    n = len(columns[0])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for lo in range(0, n, _CHUNK):
+            block = np.column_stack([c[lo:lo + _CHUNK] for c in columns])
+            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+
 
 def write_trajectory_csv(path, traj: HistoryTrajectory, stride: int = 1):
     """Columns t, x_1..x_d and one column per recorded gain, %.17g."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    times = traj.times[::stride]
-    states = traj.states[::stride]
-    gains = traj.gains[::stride] if traj.gains is not None else None
     header = ["t"] + [f"x_{i + 1}" for i in range(traj.dim)] + list(traj.gain_names)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(times.shape[0]):
-            row = [_FMT % times[k]] + [_FMT % v for v in states[k]]
-            if gains is not None:
-                row += [_FMT % v for v in gains[k]]
-            writer.writerow(row)
+    columns = [c[::stride] for c in (traj.times, traj.states, traj.gains) if c is not None]
+    _write_rows(path, header, columns, [_FMT] * len(header))
 
 
 def read_trajectory_csv(path) -> HistoryTrajectory:
     """Rebuild a trajectory from a CSV written by write_trajectory_csv."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
-    data = np.asarray(rows)
+        header = next(csv.reader(fh), [])
+        with warnings.catch_warnings():
+            # a header-only file is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, delimiter=",", quotechar='"', ndmin=2)
     if data.shape[0] < 2:
         raise ValueError("trajectory CSV needs at least two rows")
     n_state = sum(1 for name in header if name.startswith("x_"))
@@ -210,16 +217,12 @@ def _network_result(exp) -> NetworkRunResult:
 
 
 def write_error_index_csv(path, result: NetworkRunResult, stride: int = 1):
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     header = ["t", "E1", "E2", "E_outer"] + list(result.gain_names)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(0, result.times.shape[0], stride):
-            row = [_FMT % result.times[k], _FMT % result.e1[k],
-                   _FMT % result.e2[k], _FMT % result.outer[k]]
-            if result.gains is not None:
-                row += [_FMT % v for v in result.gains[k]]
-            writer.writerow(row)
+    columns = [c[::stride] for c in (result.times, result.e1, result.e2, result.outer,
+                                     result.gains) if c is not None]
+    _write_rows(path, header, columns, [_FMT] * len(header))
 
 
 # -- config-driven runs -------------------------------------------------------
@@ -361,7 +364,7 @@ def _cmd_simulate(args) -> int:
     cfg = load_config_file(args.config)
     require = bool(cfg.monitor.get("require_feasible"))
     out = cfg.output.get("csv", "trajectory.csv")
-    stride = int(cfg.output.get("stride", 1))
+    stride = cfg.output.get("stride", 1)
     if cfg.kind == "scalar":
         res = _scalar_run_from_config(cfg)
         if require and (res.report is None or not res.report.feasible):
@@ -419,13 +422,9 @@ def _cmd_monitor(args) -> int:
     trace = trace_functional(traj, functional, cfg.rate, profile, xi=xi)
     contacts = contact_point_decrease(trace, traj)
     bad = [c for c in contacts if not c.ok]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "V", "W", "contact"])
-        for k in range(trace.times.shape[0]):
-            writer.writerow([_FMT % trace.times[k], _FMT % trace.values[k],
-                             _FMT % trace.window_sups[k],
-                             int(trace.contact_mask[k])])
+    _write_rows(args.out, ["t", "V", "W", "contact"],
+                [trace.times, trace.values, trace.window_sups, trace.contact_mask],
+                [_FMT, _FMT, _FMT, "%d"])
     t2 = phases.T1 + 1.0 / eps2 if math.isfinite(phases.T1) else math.inf
     print(f"T1={phases.T1:.6g}, T_settle={phases.T_settle:.6g}, "
           f"T2_bound={t2:.6g}, violations={phases.envelope_violations}")
@@ -453,12 +452,8 @@ def _cmd_example1(args) -> int:
         values = [float(v) for v in args.values.split(",")]
         points = run_example1_sweep(param, values, c3=args.c3, c4=args.c4,
                                     horizon=args.horizon, h=args.h)
-        with open(out_dir / f"example1_sweep_{param}.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([param, "T_settle"])
-            for v, ts in points:
-                writer.writerow([_FMT % v, _FMT % ts])
+        _write_rows(out_dir / f"example1_sweep_{param}.csv", [param, "T_settle"],
+                    [np.array(points)], [_FMT, _FMT])
         for v, ts in points:
             print(f"{param} = {v:g}: T_settle = {ts:.6g}")
     return 0
@@ -508,11 +503,8 @@ def _cmd_sweep(args) -> int:
         rows.append((v, res.T_settle))
         print(f"{args.param} = {v:g}: T_settle = {res.T_settle:.6g}")
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([args.param, "T_settle"])
-            for v, ts in rows:
-                writer.writerow([_FMT % v, _FMT % ts])
+        _write_rows(args.out, [args.param, "T_settle"],
+                    [np.array(rows)], [_FMT, _FMT])
         print(f"wrote {args.out}")
     return 0
 

@@ -188,6 +188,10 @@ def load_config(doc: Dict[str, Any]) -> ExperimentConfig:
     _check_keys(monitor, "monitor", {"kappa", "start_time", "eps1", "require_feasible"})
     output = _require(doc, "config", "output", dict, default={})
     _check_keys(output, "output", {"csv", "stride"})
+    if not isinstance(output.get("csv", ""), str):
+        raise ConfigError(f"output.csv: expected a path string, got {output['csv']!r}")
+    if type(output.get("stride", 1)) is not int or output.get("stride", 1) < 1:
+        raise ConfigError(f"output.stride: expected an int >= 1, got {output['stride']!r}")
 
     return ExperimentConfig(raw=doc, kind=kind, delay=delay, rate=rate,
                             integrator=integrator)

@@ -166,9 +166,12 @@ class RateFunction:
         return cls(kind="exponential", param=varpi)
 
     def mu(self, t):
-        if self.kind == "power":
-            return np.power(t, self.param) if np.ndim(t) else float(t) ** self.param
-        return np.exp(self.param * np.asarray(t)) if np.ndim(t) else math.exp(self.param * t)
+        # The adaptive hooks pass one Python float per step: skip np.ndim for
+        # it, and keep libm pow, since NumPy's SIMD np.power differs from it in
+        # the last bit at some grid times (mu filled per block would move gains).
+        if type(t) is not float and np.ndim(t):
+            return np.power(t, self.param) if self.kind == "power" else np.exp(self.param * np.asarray(t))
+        return float(t) ** self.param if self.kind == "power" else math.exp(self.param * t)
 
     def mu_dot(self, t):
         if self.kind == "power":

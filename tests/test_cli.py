@@ -67,6 +67,35 @@ def test_config_rejects_booleans_for_numbers():
                 load_config(doc)
 
 
+def test_config_rejects_bad_output_fields():
+    for stride in (0, -1, 2.5, "2", True, None):
+        doc = _scalar_doc(output={"csv": "traj.csv", "stride": stride})
+        with pytest.raises(ConfigError, match=r"output\.stride"):
+            load_config(doc)
+    for path in (3, ["traj.csv"], None, False):
+        with pytest.raises(ConfigError, match=r"output\.csv"):
+            load_config(_scalar_doc(output={"csv": path}))
+    assert load_config(_scalar_doc(output={"csv": "t.csv", "stride": 5})).output["stride"] == 5
+
+
+def test_cli_rejects_bad_strides(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    doc = {"schema_version": 1, "kind": "network", "system": {"preset": "lorenz3"},
+           "rate": {"kind": "power", "exponent": 0.1},
+           "integrator": {"horizon": 0.01, "h": 5e-4},
+           "output": {"csv": "net.csv", "stride": -1}}
+    cfgp = tmp_path / "net.json"
+    cfgp.write_text(json.dumps(doc))
+    assert main(["simulate", str(cfgp)]) == 1
+    assert not (tmp_path / "net.csv").exists()
+    for stride in ("0", "-1"):
+        assert main(["example2", "--horizon", "0.01", "--stride", stride,
+                     "--out-dir", "ex"]) == 1
+    assert main(["example2", "--horizon", "0.01", "--stride", "2",
+                 "--out-dir", "ex"]) == 0
+    assert len((tmp_path / "ex" / "example2_nocontrol.csv").read_text().splitlines()) == 12
+
+
 def test_config_delay_kinds():
     doc = _scalar_doc()
     doc["delay"] = {"kind": "constant", "pi": 2.0}
