@@ -13,8 +13,7 @@ from .conditions import (ConditionReport, InfeasibleError,
 from .config import ConfigError, ExperimentConfig, load_config, load_config_file
 from .control import (AdaptiveGainState, NetworkAdaptiveHook,
                       NetworkControlSpec, ScalarAdaptiveHook,
-                      StaticScalarGains, adaptive_network_update,
-                      adaptive_scalar_update, full_node_control,
+                      StaticScalarGains, full_node_control,
                       network_gain_rates, pinning_control, scalar_gain_rates,
                       static_scalar_control)
 from .delays import (DelayProfile, NoClosedFormError, RateFunction,
@@ -22,7 +21,7 @@ from .delays import (DelayProfile, NoClosedFormError, RateFunction,
 from .integrate import (DivergenceError, HistoryTrajectory,
                         HistoryWindowError, IntegratorConfig,
                         RunningWindowSup, delayed_linear_rhs, integrate,
-                        norm1, norm_inf, sq_norm2, weighted_sq, window_sup)
+                        norm1, norm_inf, sq_norm2, window_sup)
 from .monitors import (ContactPoint, LyapunovTrace, PhaseReport,
                        contact_point_decrease, detect_phases,
                        functional_series, trace_functional)

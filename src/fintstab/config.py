@@ -7,11 +7,8 @@ losslessly and typos fail loudly.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
-
-import numpy as np
 
 from .delays import DelayProfile, RateFunction
 from .integrate import IntegratorConfig
@@ -44,6 +41,25 @@ def _check_keys(block: dict, path: str, allowed):
 
 
 _NUM = (int, float)
+
+
+def _check_fields(block: dict, path: str, fields: dict):
+    """Only the keys of `fields`, each set to a value of its type (a number
+    is never a bool) or to one of its listed strings.  Null is never valid:
+    an absent field takes its default."""
+    _check_keys(block, path, fields)
+    for key, value in block.items():
+        want = fields[key]
+        if isinstance(want, list):
+            ok = value in want
+        else:
+            ok = isinstance(value, want) and (want is bool or not isinstance(value, bool))
+        if not ok:
+            raise ConfigError(f"{path}.{key}: expected {want}, got {type(value).__name__} "
+                              f"{value!r}")
+
+
+_RATES = {"d1": _NUM, "d2": _NUM, "d3": _NUM}
 
 
 def parse_delay(block: dict, path: str = "delay") -> DelayProfile:
@@ -160,9 +176,13 @@ def load_config(doc: Dict[str, Any]) -> ExperimentConfig:
         if len(init) != dim:
             raise ConfigError("system.initial_state: length does not match dimension")
         gains = _require(doc, "config", "gains", dict, default={})
-        _check_keys(gains, "gains", {"c3", "c4"})
+        _check_fields(gains, "gains", {"c3": _NUM, "c4": _NUM})
         adaptive = _require(doc, "config", "adaptive", dict, default={})
-        _check_keys(adaptive, "adaptive", {"enabled", "d1", "d2", "d3", "norm"})
+        _check_fields(adaptive, "adaptive",
+                      dict(_RATES, enabled=bool, norm=["two", "one", "inf"]))
+        if adaptive.get("enabled"):
+            for key in _RATES:
+                _require(adaptive, "adaptive", key, _NUM, required=True)
         delay = parse_delay(_require(doc, "config", "delay", dict, required=True))
         if delay.n_components not in (1, dim):
             raise ConfigError("delay: component count does not match system dimension")
@@ -174,10 +194,11 @@ def load_config(doc: Dict[str, Any]) -> ExperimentConfig:
         if preset != "lorenz3":
             raise ConfigError(f"system.preset: unknown preset {preset!r}")
         control = _require(doc, "config", "control", dict, default={})
-        _check_keys(control, "control", {"kind", "theta3", "theta4", "sigma", "adaptive"})
+        _check_fields(control, "control", {"kind": ["none", "pinning", "full"], "theta3": _NUM,
+                                           "theta4": _NUM, "sigma": _NUM, "adaptive": dict})
         adaptive = _require(control, "control", "adaptive", dict, default={})
-        _check_keys(adaptive, "control.adaptive",
-                    {"enabled", "variant", "d1", "d2", "d3"})
+        _check_fields(adaptive, "control.adaptive",
+                      dict(_RATES, enabled=bool, variant=["theta3_theta4", "theta1_theta3"]))
         delay = None  # the preset fixes its own pairwise profile
     else:
         raise ConfigError(f"config.kind: unknown experiment kind {kind!r}")
@@ -185,7 +206,8 @@ def load_config(doc: Dict[str, Any]) -> ExperimentConfig:
     rate = parse_rate(_require(doc, "config", "rate", dict, required=True))
     integrator = parse_integrator(_require(doc, "config", "integrator", dict, required=True))
     monitor = _require(doc, "config", "monitor", dict, default={})
-    _check_keys(monitor, "monitor", {"kappa", "start_time", "eps1", "require_feasible"})
+    _check_fields(monitor, "monitor", {"kappa": _NUM, "start_time": _NUM, "eps1": _NUM,
+                                       "require_feasible": bool})
     output = _require(doc, "config", "output", dict, default={})
     _check_keys(output, "output", {"csv", "stride"})
     if not isinstance(output.get("csv", ""), str):

@@ -13,14 +13,14 @@ integrator step, coupled with the state at O(h).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
 from .delays import DelayProfile, RateFunction
 from .integrate import (HistoryTrajectory, RunningWindowSup, norm1, norm_inf,
-                        sq_norm2, window_sup)
+                        sq_norm2)
 
 MODE_ABOVE_ONE = "above_one"
 MODE_IN_UNIT_BALL = "in_unit_ball"
@@ -94,24 +94,6 @@ def scalar_gain_rates(p: np.ndarray, mu_t: float, wsup: float,
     return d1, d3 * p_norm, mode
 
 
-def adaptive_scalar_update(state: AdaptiveGainState, traj: HistoryTrajectory,
-                           t: float, rate: RateFunction, profile: DelayProfile,
-                           norm: str = "two", h: Optional[float] = None,
-                           zero_tol: float = 1e-9) -> AdaptiveGainState:
-    """One explicit Euler step of the scalar adaptive rules at time t."""
-    h = traj.h if h is None else h
-    wsup = window_sup(traj, t, profile, _NORM_FUNCS[norm])
-    p = traj.query(t)
-    dc3, dc4, mode = scalar_gain_rates(p, rate.mu(t), wsup,
-                                       state.d1, state.d2, state.d3,
-                                       norm=norm, zero_tol=zero_tol)
-    gains = dict(state.gains)
-    gains["c3"] += h * dc3
-    gains["c4"] += h * dc4
-    return AdaptiveGainState(gains=gains, d1=state.d1, d2=state.d2,
-                             d3=state.d3, mode=mode)
-
-
 def network_gain_rates(sum_sq: float, mu_t: float, wsup: float,
                        d1: float, d2: float, d3: float,
                        zero_tol: float = 1e-9):
@@ -129,32 +111,6 @@ def network_gain_rates(sum_sq: float, mu_t: float, wsup: float,
     return d2 * math.sqrt(sum_sq), d3, mode
 
 
-def adaptive_network_update(state: AdaptiveGainState, error_traj: HistoryTrajectory,
-                            t: float, rate: RateFunction, profile: DelayProfile,
-                            variant: str = "theta3_theta4",
-                            h: Optional[float] = None,
-                            zero_tol: float = 1e-9) -> AdaptiveGainState:
-    """One Euler step of the network adaptive rules at time t.
-
-    variant "theta1_theta3" adapts the coupling strength, "theta3_theta4"
-    adapts the per-node linear feedback.
-    """
-    if variant not in ("theta1_theta3", "theta3_theta4"):
-        raise ValueError(f"unknown adaptive variant {variant!r}")
-    h = error_traj.h if h is None else h
-    wsup = window_sup(error_traj, t, profile, sq_norm2)
-    sum_sq = sq_norm2(error_traj.query(t))
-    d_lin, d_th3, mode = network_gain_rates(sum_sq, rate.mu(t), wsup,
-                                            state.d1, state.d2, state.d3,
-                                            zero_tol=zero_tol)
-    lin_name = "theta1" if variant == "theta1_theta3" else "theta4"
-    gains = dict(state.gains)
-    gains[lin_name] += h * d_lin
-    gains["theta3"] += h * d_th3
-    return AdaptiveGainState(gains=gains, d1=state.d1, d2=state.d2,
-                             d3=state.d3, mode=mode)
-
-
 @dataclass
 class NetworkControlSpec:
     """Network controller: single-node pinning or full per-node feedback."""
@@ -163,7 +119,6 @@ class NetworkControlSpec:
     theta3: float = 0.0
     theta4: float = 0.0  # full-node only
     sigma: float = 1.0  # pinning strength on node 1
-    adaptive: Optional[AdaptiveGainState] = None
 
     def __post_init__(self):
         if self.kind not in ("pinning", "full", "none"):

@@ -173,11 +173,6 @@ class RateFunction:
             return np.power(t, self.param) if self.kind == "power" else np.exp(self.param * np.asarray(t))
         return float(t) ** self.param if self.kind == "power" else math.exp(self.param * t)
 
-    def mu_dot(self, t):
-        if self.kind == "power":
-            return self.param * np.power(t, self.param - 1.0)
-        return self.param * self.mu(t)
-
     @property
     def default_monitor_start(self) -> float:
         # t**rho vanishes at t=0, so mu-weighted functionals start at t=1

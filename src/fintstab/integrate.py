@@ -196,16 +196,25 @@ class PlanGather:
         vals.flags.writeable = False
         self._vals = vals
 
+    def block(self, traj: "HistoryTrajectory", k: int,
+              plan: Optional[DelayPlan] = None):
+        """(vals, r): the read-only values of the block of `plan` (default
+        traj.plan) holding step k, shape (steps, rows of cols, columns per
+        row), and k's row in it; vals is None when the block reads rows not
+        yet integrated."""
+        blk, r = (traj.plan if plan is None else plan).row(k)
+        if blk is not self._blk or traj is not self._traj:
+            self._load(blk, traj)
+        return self._vals, r
+
     def __call__(self, traj: "HistoryTrajectory", k: int,
                  plan: Optional[DelayPlan] = None) -> np.ndarray:
         """Values at step k from row k of `plan` (default traj.plan),
         shape (rows of cols, columns per row)."""
-        blk, r = (traj.plan if plan is None else plan).row(k)
-        if blk is not self._blk or traj is not self._traj:
-            self._load(blk, traj)
-        if self._vals is not None:
-            return self._vals[r]
-        flat = traj._flat
+        vals, r = self.block(traj, k, plan)
+        if vals is not None:
+            return vals[r]
+        blk, flat = self._blk, traj._flat
         out = self._wl[r] * flat[self._lo[r]] + self._wh[r] * flat[self._hi[r]]
         if blk.pre[r] and traj.initial_history is not None:
             traj._pre_history_into(out, blk.times[r], self.cols)
@@ -332,17 +341,6 @@ def norm1(x) -> float:
 
 def norm_inf(x) -> float:
     return float(np.abs(x).max())
-
-
-def weighted_sq(weights) -> Callable[[np.ndarray], float]:
-    """Sum_k w_k x_k**2; use np.repeat(xi, n) for node-weighted errors."""
-    w = np.asarray(weights, dtype=float)
-
-    def fn(x) -> float:
-        x = np.asarray(x).ravel()
-        return float(np.dot(w, x * x))
-
-    return fn
 
 
 def window_sup(traj: HistoryTrajectory, t: float, profile: DelayProfile,

@@ -38,10 +38,6 @@ class LyapunovTrace:
     start_index: int
     norms: np.ndarray  # plain 2-norm of the state, for settled-region masks
 
-    @property
-    def contact_times(self) -> np.ndarray:
-        return self.times[self.contact_mask]
-
 
 @dataclass
 class ContactPoint:

@@ -5,6 +5,11 @@ integrating the error system directly against the drive's dense history (the
 controllers depend only on the error, so this is equivalent to integrating
 the response and subtracting, up to discretisation).  A Lorenz three-node
 preset reproduces the reference configuration exactly.
+
+The delayed coupling theta2 * sum_j b_ij g(x_j(t - pi_ij(t))) has one
+formula over a step axis, `_coupling`.  Once a plan block reads only recorded
+rows (unbounded delays soon do), the right-hand sides evaluate it for the
+whole block at once; before that, and for short delays, it runs per step.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .conditions import _validate_coupling_matrix, left_eigenvector
+from .conditions import _validate_coupling_matrix
 from .control import (NetworkAdaptiveHook, NetworkControlSpec,
                       full_node_control, pinning_control)
 from .delays import DelayProfile
@@ -107,15 +112,52 @@ def _delayed_reference(traj: HistoryTrajectory, tq: np.ndarray, N: int, n: int) 
     return traj.interpolate(np.ravel(tq), _reference_cols(N, n)).reshape(N, N, n)
 
 
+def _coupling(model: NetworkModel, XD: np.ndarray, ED: Optional[np.ndarray] = None):
+    """theta2 * sum_j b_ij g(XD[s, i, j]), or with the error's values ED
+    theta2 * sum_j b_ij (g(XD + ED) - g(XD)), for gathered blocks (steps, N*N, n)
+    or one step's rows (N*N, n); the result is (steps, N, n).  g is
+    elementwise: the error's two terms are one call on [XD + ED, XD]."""
+    XD = XD.reshape(-1, model.N, model.N, model.n)
+    if ED is None:
+        G = model.g(XD)
+    else:
+        gx = model.g(np.stack((XD + ED.reshape(XD.shape), XD)))
+        G = gx[0] - gx[1]
+    return model.theta2 * np.einsum("ij,sijk->sik", model.B, G)
+
+
+def _block_coupling(model: NetworkModel, xgather: PlanGather,
+                    egather: Optional[PlanGather] = None):
+    """coupling(k, plan, xtraj, etraj=None) -> (N, n): `_coupling` of xtraj's
+    delayed values XD (and etraj's ED) at step k, once per plan block when
+    every gather is on its block path, cached until a gather hands out another
+    block array (compared by identity; the cache holds the arrays, so an
+    identity is never reused), and on step k's rows alone otherwise."""
+    key = (None, None)
+    cached = None
+
+    def coupling(k, plan, xtraj, etraj=None):
+        nonlocal key, cached
+        xv, r = xgather.block(xtraj, k, plan)
+        ev = xv if egather is None else egather.block(etraj, k, plan)[0]
+        if xv is None or ev is None:
+            ed = None if egather is None else egather(etraj, k, plan)
+            return _coupling(model, xgather(xtraj, k, plan), ed)[0]
+        if xv is not key[0] or ev is not key[1]:
+            key, cached = (xv, ev), _coupling(model, xv, None if egather is None else ev)
+        return cached[r]
+
+    return coupling
+
+
 def _drive_rhs(model: NetworkModel):
     N, n = model.N, model.n
-    nodes = PlanGather(_node_cols(N, n), N * n)
+    coupling = _block_coupling(model, PlanGather(_node_cols(N, n), N * n))
 
     def rhs(t, X, traj):
         Xn = X.reshape(N, n)
         out = model.f(Xn) + model.theta1 * (model.A @ Xn)
-        xd = nodes(traj, traj._filled).reshape(N, N, n)
-        out += model.theta2 * np.einsum("ij,ijk->ik", model.B, model.g(xd))
+        out += coupling(traj._filled, traj.plan, traj)
         return out.ravel()
 
     return rhs
@@ -135,10 +177,11 @@ def _error_rhs(model: NetworkModel, base_traj: HistoryTrajectory,
     both delayed lookups read row k of the error integration's plan (the base
     was integrated on the same grid).
 
-    f and g are elementwise, so each is called once on a stacked buffer,
-    [x + e, x] and [xd + ed, xd], and the two halves subtracted.  The base
-    has its own PlanGather, since a gather caches one trajectory's block;
-    the base is fully recorded, so its blocks take the block path.
+    f is elementwise, so it is called once on the stacked buffer [x + e, x]
+    and the two halves subtracted; so is g in `_coupling`, for a whole plan
+    block at a time once the error's block reads only recorded rows.  The
+    base has its own PlanGather, since a gather caches one trajectory's
+    block; the base is fully recorded, so its blocks take the block path.
     """
     N, n = model.N, model.n
     nodes = PlanGather(_node_cols(N, n), N * n)
@@ -146,8 +189,8 @@ def _error_rhs(model: NetworkModel, base_traj: HistoryTrajectory,
         base_gather = PlanGather(_reference_cols(N, n), n)
     else:
         base_gather = PlanGather(_node_cols(N, n), N * n)
+    coupling = _block_coupling(model, base_gather, nodes)
     fbuf = np.empty((2, N, n))
-    gbuf = np.empty((2, N, N, n))
 
     def rhs(t, E, etraj):
         k = etraj._filled
@@ -159,12 +202,7 @@ def _error_rhs(model: NetworkModel, base_traj: HistoryTrajectory,
         fbuf[1] = x_now
         fx = model.f(fbuf)
         out = (fx[0] - fx[1]) + model.theta1 * (model.A @ En)
-
-        xd = base_gather(base_traj, k, etraj.plan).reshape(N, N, n)
-        np.add(xd, nodes(etraj, k).reshape(N, N, n), out=gbuf[0])
-        gbuf[1] = xd
-        gx = model.g(gbuf)
-        out += model.theta2 * np.einsum("ij,ijk->ik", model.B, gx[0] - gx[1])
+        out += coupling(k, etraj.plan, base_traj, etraj)
 
         if hook is not None:
             g = hook.state.gains
@@ -222,14 +260,11 @@ def simulate_response_directly(exp: SyncExperiment, drive: HistoryTrajectory) ->
     N, n = model.N, model.n
     control = exp.control
     cfg = exp.integrator
-    nodes = PlanGather(_node_cols(N, n), N * n)
+    network_rhs = _drive_rhs(model)
 
     def rhs(t, Y, ytraj):
-        Yn = Y.reshape(N, n)
-        out = model.f(Yn) + model.theta1 * (model.A @ Yn)
-        yd = nodes(ytraj, ytraj._filled).reshape(N, N, n)
-        out += model.theta2 * np.einsum("ij,ijk->ik", model.B, model.g(yd))
-        e = Yn - drive.query(t).reshape(N, n)
+        out = network_rhs(t, Y, ytraj).reshape(N, n)
+        e = Y.reshape(N, n) - drive._states[ytraj._filled].reshape(N, n)
         if control.kind == "pinning":
             out += pinning_control(e, control.sigma, model.theta1, control.theta3)
         elif control.kind == "full":

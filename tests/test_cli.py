@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -295,3 +296,48 @@ def test_zero_tol_sets_the_detected_settling_time():
     coarse = _scalar_run_from_config(load_config(doc))
     assert math.isfinite(default.T_settle)
     assert coarse.T_settle < default.T_settle
+
+
+_SCALAR_ADAPTIVE = {"enabled": True, "d1": 0.1, "d2": 0.1, "d3": 0.1}
+
+
+@pytest.mark.parametrize("block, patch, field", [
+    ("gains", {"c3": "2.1"}, "gains.c3"),
+    ("gains", {"c3": True}, "gains.c3"),
+    ("gains", {"c4": None}, "gains.c4"),
+    ("adaptive", {"enabled": "no"}, "adaptive.enabled"),
+    ("adaptive", dict(_SCALAR_ADAPTIVE, norm="foo"), "adaptive.norm"),
+    ("adaptive", dict(_SCALAR_ADAPTIVE, d1="0.1"), "adaptive.d1"),
+    ("adaptive", {"enabled": True, "d1": 0.1, "d3": 0.1}, "adaptive.d2"),
+    ("monitor", {"kappa": None}, "monitor.kappa"),
+    ("monitor", {"start_time": "1"}, "monitor.start_time"),
+    ("monitor", {"eps1": False}, "monitor.eps1"),
+    ("monitor", {"require_feasible": "yes"}, "monitor.require_feasible"),
+    ("control", {"kind": "full", "theta3": "1"}, "control.theta3"),
+    ("control", {"kind": "sideways"}, "control.kind"),
+    ("control", {"sigma": None}, "control.sigma"),
+    ("control", {"adaptive": None}, "control.adaptive"),
+    ("control", {"adaptive": {"enabled": 1}}, "control.adaptive.enabled"),
+    ("control", {"adaptive": {"enabled": True, "variant": "theta2"}},
+     "control.adaptive.variant"),
+])
+def test_config_rejects_mistyped_block_fields(tmp_path, block, patch, field):
+    # every field of gains, adaptive, control and monitor is type-checked, and
+    # `fintstab simulate` reports the field instead of running or crashing
+    doc = _network_doc(patch) if block == "control" else _scalar_doc(**{block: patch})
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: "):
+        load_config(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 1
+
+
+def test_config_accepts_well_typed_block_fields():
+    doc = _scalar_doc(adaptive=dict(_SCALAR_ADAPTIVE, norm="inf"),
+                      monitor={"kappa": 0.9, "start_time": 1, "eps1": 0.5,
+                               "require_feasible": False})
+    assert load_config(doc).adaptive["norm"] == "inf"
+    # disabled adaptation needs no rates; the network block defaults d1..d3
+    load_config(_scalar_doc(adaptive={"enabled": False}))
+    load_config(_network_doc({"kind": "pinning", "theta3": 1, "sigma": 2.0,
+                              "adaptive": {"enabled": True, "variant": "theta1_theta3"}}))
