@@ -11,23 +11,20 @@ from .conditions import (ConditionReport, InfeasibleError,
                          check_scalar_theorem, lambda_max_sym,
                          left_eigenvector, optimal_eps1, settling_bound)
 from .config import ConfigError, ExperimentConfig, load_config, load_config_file
-from .control import (AdaptiveGainState, NetworkAdaptiveHook,
-                      NetworkControlSpec, ScalarAdaptiveHook,
-                      StaticScalarGains, full_node_control,
-                      network_gain_rates, pinning_control, scalar_gain_rates,
-                      static_scalar_control)
+from .control import (NetworkAdaptiveHook, NetworkControlSpec,
+                      ScalarAdaptiveHook, StaticScalarGains, full_node_control,
+                      gain_rates, pinning_control, static_scalar_control)
 from .delays import (DelayProfile, NoClosedFormError, RateFunction,
                      asymptotics)
 from .integrate import (DivergenceError, HistoryTrajectory,
                         HistoryWindowError, IntegratorConfig,
-                        RunningWindowSup, delayed_linear_rhs, integrate,
-                        norm1, norm_inf, sq_norm2, window_sup)
+                        RunningWindowSup, delayed_linear_rhs, norm1,
+                        norm_inf, sq_norm2, window_sup)
 from .monitors import (ContactPoint, LyapunovTrace, PhaseReport,
                        contact_point_decrease, detect_phases,
                        functional_series, trace_functional)
 from .network import (NetworkModel, SyncExperiment, SyncResult,
-                      error_index_series, error_indices,
-                      estimate_lipschitz, inner_sync_residual,
+                      error_index_series, inner_sync_residual,
                       lorenz_lipschitz_bound, lorenz_preset, lorenz_rhs,
                       simulate_response_directly, simulate_sync,
                       sin_plus_linear)

@@ -21,15 +21,14 @@ import numpy as np
 from .conditions import (ConditionReport, NetworkConditionParams,
                          check_scalar_theorem, left_eigenvector,
                          check_network_theorem, settling_bound)
-from .config import ConfigError, ExperimentConfig, load_config_file
-from .control import ScalarAdaptiveHook, StaticScalarGains, static_scalar_control
-from .control import NetworkAdaptiveHook, NetworkControlSpec
+from .config import ConfigError, ExperimentConfig, load_config, load_config_file
+from .control import (NetworkAdaptiveHook, NetworkControlSpec, ScalarAdaptiveHook,
+                      StaticScalarGains, static_scalar_control)
 from .delays import DelayProfile, NoClosedFormError, RateFunction, asymptotics
-from .integrate import (DivergenceError, HistoryTrajectory, IntegratorConfig,
-                        delayed_linear_rhs, integrate)
+from .integrate import (DivergenceError, HistoryTrajectory, delayed_linear_rhs,
+                        integrate)
 from .monitors import contact_point_decrease, detect_phases, trace_functional
-from .network import (LORENZ_A, error_index_series, lorenz_preset,
-                      simulate_sync)
+from .network import error_index_series, lorenz_preset, simulate_sync
 
 _FMT = "%.17g"
 _CHUNK = 4096  # CSV rows formatted per % operation
@@ -80,22 +79,7 @@ def read_trajectory_csv(path) -> HistoryTrajectory:
                                          gains=gains)
 
 
-# -- scalar preset (a single delayed scalar equation) -------------------------
-
-SCALAR_PRESET_C1 = 1.0
-SCALAR_PRESET_C2 = 2.0
-SCALAR_PRESET_P0 = 2.0
-SCALAR_PRESET_Q = 0.5
-SCALAR_PRESET_RHO = 0.1
-
-
-def _scalar_preset_profile() -> DelayProfile:
-    return DelayProfile.proportional(SCALAR_PRESET_Q)
-
-
-def _scalar_preset_rate() -> RateFunction:
-    return RateFunction.power(SCALAR_PRESET_RHO)
-
+# -- the run pipeline and the two presets --------------------------------------
 
 @dataclass
 class ScalarRunResult:
@@ -117,53 +101,133 @@ class ScalarRunResult:
         return self.phases.T_settle
 
 
-def run_example1(c3: float = 2.1, c4: float = 3.5, p0: float = SCALAR_PRESET_P0,
+@dataclass
+class NetworkRunResult:
+    sync: object                 # SyncResult
+    times: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+    outer: np.ndarray
+    gains: Optional[np.ndarray]
+    gain_names: tuple
+
+
+def run(cfg: ExperimentConfig):
+    """Run an experiment config: a ScalarRunResult for a scalar config, a
+    NetworkRunResult for a network one.  The presets are configs run here.
+
+    Scalar: static gains are checked against the theorem when (beta, eta)
+    have a closed form, and their zero band defaults to c3*h.  Network: the
+    Lorenz preset with the config's control, rate and integrator; an enabled
+    adaptive block drives the gains (d2 defaults to d1), and sigma still
+    scales the pinned node in the theta1_theta3 variant.
+    """
+    zero_tol = cfg.integrator.zero_tol
+    if cfg.kind == "network":
+        control = cfg.control
+        exp = lorenz_preset(control=NetworkControlSpec(
+            kind=control.get("kind", "none"), theta3=float(control.get("theta3", 0.0)),
+            theta4=float(control.get("theta4", 0.0)), sigma=float(control.get("sigma", 1.0))))
+        exp.integrator = cfg.integrator
+        adaptive = control.get("adaptive", {})
+        if adaptive.get("enabled"):
+            d1 = float(adaptive.get("d1", 0.05))
+            exp.adaptive_hook = NetworkAdaptiveHook(
+                d1=d1, d2=float(adaptive.get("d2", d1)), d3=float(adaptive.get("d3", 0.02)),
+                rate=cfg.rate, profile=exp.model.delays,
+                variant=adaptive.get("variant", "theta3_theta4"), zero_tol=zero_tol)
+        sync = simulate_sync(exp)
+        e1, e2, outer = error_index_series(sync.drive, sync.response,
+                                           exp.model.N, exp.model.n)
+        return NetworkRunResult(sync=sync, times=sync.error.times, e1=e1, e2=e2,
+                                outer=outer, gains=sync.error.gains,
+                                gain_names=sync.error.gain_names)
+
+    sysb, monitor, adaptive = cfg.system, cfg.monitor, cfg.adaptive
+    c1, c2 = float(sysb["c1"]), float(sysb["c2"])
+    p0 = np.asarray(sysb["initial_state"], dtype=float)
+    kappa = float(monitor.get("kappa", 0.9))
+    norm = adaptive.get("norm", "two")
+    report = None
+    if adaptive.get("enabled"):
+        hook = ScalarAdaptiveHook(float(adaptive["d1"]), float(adaptive["d2"]),
+                                  float(adaptive["d3"]), cfg.rate, cfg.delay,
+                                  norm=norm, zero_tol=zero_tol)
+        rhs = delayed_linear_rhs(c1, c2, cfg.delay, control=hook.control)
+        traj = integrate(rhs, p0, cfg.delay, cfg.integrator, gain_hook=hook)
+        margin = float(traj.gains[-1, 0]) - abs(c2)
+        eps2 = kappa * margin if margin > 0.0 else kappa * 0.01
+    else:
+        g = StaticScalarGains(c1, c2, float(cfg.gains.get("c3", 0.0)),
+                              float(cfg.gains.get("c4", 0.0)))
+        try:
+            beta, eta = asymptotics(cfg.rate, cfg.delay)
+        except NoClosedFormError:
+            pass
+        else:
+            report = check_scalar_theorem(g, p0.size, beta, eta, norm=norm,
+                                          eps1=monitor.get("eps1"))
+        rhs = delayed_linear_rhs(c1, c2, cfg.delay,
+                                 control=lambda t, p: static_scalar_control(p, g))
+        icfg = cfg.integrator
+        if icfg.zero_band is None:
+            icfg = replace(icfg, zero_band=g.c3 * icfg.h)
+        traj = integrate(rhs, p0, cfg.delay, icfg)
+        eps2 = (kappa * report.epsilon2_max
+                if report is not None and report.epsilon2_max > 0.0 else kappa)
+
+    start = monitor.get("start_time")
+    phases = detect_phases(traj, cfg.delay, norm, eps2, zero_tol=zero_tol,
+                           start_time=cfg.rate.default_monitor_start
+                           if start is None else float(start))
+    bound = None
+    if report is not None and report.feasible and math.isfinite(phases.T1):
+        bound = settling_bound(report, phases.T1, kappa)
+    return ScalarRunResult(traj=traj, profile=cfg.delay, rate=cfg.rate,
+                           report=report, phases=phases, eps2=eps2,
+                           settle_bound=bound, norm=norm)
+
+
+# Example 1: p' = p + 2 p(t/2) - sgn(p)(c3 + c4 |p|), mu(t) = t**0.1
+EXAMPLE1 = {"schema_version": 1, "kind": "scalar",
+            "system": {"c1": 1.0, "c2": 2.0, "initial_state": [2.0]},
+            "gains": {"c3": 2.1, "c4": 3.5},
+            "delay": {"kind": "proportional", "q": 0.5},
+            "rate": {"kind": "power", "exponent": 0.1},
+            "integrator": {"horizon": 30.0, "h": 1e-3}}
+# Example 2: three delay-coupled Lorenz nodes, drive and response
+EXAMPLE2 = {"schema_version": 1, "kind": "network", "system": {"preset": "lorenz3"},
+            "rate": {"kind": "power", "exponent": 0.1},
+            "integrator": {"horizon": 20.0, "h": 5e-4}}
+
+
+def _preset(doc: dict, **blocks) -> ExperimentConfig:
+    """The preset document with the given top-level blocks replaced, loaded."""
+    return load_config(dict(json.loads(json.dumps(doc)), **blocks))
+
+
+def run_example1(c3: float = 2.1, c4: float = 3.5, p0: float = 2.0,
                  horizon: float = 30.0, h: float = 1e-3, kappa: float = 0.9,
                  eps1: Optional[float] = None, norm: str = "two",
                  divergence_limit: float = 1e12) -> ScalarRunResult:
     """Static-gain run of p' = p + 2 p(0.5t) - c3 sgn(p) - c4 p."""
-    profile = _scalar_preset_profile()
-    rate = _scalar_preset_rate()
-    gains = StaticScalarGains(SCALAR_PRESET_C1, SCALAR_PRESET_C2, c3, c4)
-    beta, eta = asymptotics(rate, profile)
-    report = check_scalar_theorem(gains, 1, beta, eta, norm=norm, eps1=eps1)
-
-    rhs = delayed_linear_rhs(SCALAR_PRESET_C1, SCALAR_PRESET_C2, profile,
-                             control=lambda t, p: static_scalar_control(p, gains))
-    cfg = IntegratorConfig(horizon=horizon, h=h, zero_band=c3 * h,
-                           divergence_limit=divergence_limit)
-    traj = integrate(rhs, [p0], profile, cfg)
-
-    eps2 = kappa * report.epsilon2_max if report.epsilon2_max > 0.0 else kappa
-    phases = detect_phases(traj, profile, norm, eps2,
-                           start_time=rate.default_monitor_start)
-    bound = None
-    if report.feasible and math.isfinite(phases.T1):
-        bound = settling_bound(report, phases.T1, kappa)
-    return ScalarRunResult(traj=traj, profile=profile, rate=rate, report=report,
-                           phases=phases, eps2=eps2, settle_bound=bound, norm=norm)
+    monitor = {"kappa": kappa} if eps1 is None else {"kappa": kappa, "eps1": eps1}
+    cfg = _preset(EXAMPLE1, system=dict(EXAMPLE1["system"], initial_state=[p0]),
+                  gains={"c3": float(c3), "c4": float(c4)}, adaptive={"norm": norm},
+                  integrator={"horizon": horizon, "h": h}, monitor=monitor)
+    cfg.integrator = replace(cfg.integrator, divergence_limit=divergence_limit)
+    return run(cfg)
 
 
 def run_example1_adaptive(d1: float = 0.1, d2: float = 0.1, d3: float = 0.1,
-                          p0: float = SCALAR_PRESET_P0, horizon: float = 40.0,
+                          p0: float = 2.0, horizon: float = 40.0,
                           h: float = 1e-3, kappa: float = 0.9,
                           norm: str = "two") -> ScalarRunResult:
     """Adaptive run with c3' and c4' driven by the windowed sup switch."""
-    profile = _scalar_preset_profile()
-    rate = _scalar_preset_rate()
-    hook = ScalarAdaptiveHook(d1, d2, d3, rate, profile, norm=norm)
-    rhs = delayed_linear_rhs(SCALAR_PRESET_C1, SCALAR_PRESET_C2, profile,
-                             control=hook.control)
-    cfg = IntegratorConfig(horizon=horizon, h=h)
-    traj = integrate(rhs, [p0], profile, cfg, gain_hook=hook)
-
-    c3_final = float(traj.gains[-1, 0])
-    margin = c3_final - abs(SCALAR_PRESET_C2)
-    eps2 = kappa * margin if margin > 0.0 else kappa * 0.01
-    phases = detect_phases(traj, profile, norm, eps2,
-                           start_time=rate.default_monitor_start)
-    return ScalarRunResult(traj=traj, profile=profile, rate=rate, report=None,
-                           phases=phases, eps2=eps2, settle_bound=None, norm=norm)
+    return run(_preset(EXAMPLE1, system=dict(EXAMPLE1["system"], initial_state=[p0]),
+                       adaptive={"enabled": True, "d1": d1, "d2": d2, "d3": d3,
+                                 "norm": norm},
+                       integrator={"horizon": horizon, "h": h}, monitor={"kappa": kappa}))
 
 
 def run_example1_sweep(param: str, values: Sequence[float], c3: float = 2.1,
@@ -180,40 +244,17 @@ def run_example1_sweep(param: str, values: Sequence[float], c3: float = 2.1,
     return out
 
 
-# -- network preset -----------------------------------------------------------
-
-@dataclass
-class NetworkRunResult:
-    sync: object                 # SyncResult
-    times: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    outer: np.ndarray
-    gains: Optional[np.ndarray]
-    gain_names: tuple
-
-
 def run_example2(variant: str = "nocontrol", horizon: float = 20.0,
                  h: float = 5e-4, d_theta3: float = 0.02,
                  d_theta4: float = 0.05) -> NetworkRunResult:
     """Three coupled Lorenz nodes: uncontrolled baseline or adaptive feedback."""
-    hook = None
+    control = {}
     if variant == "adaptive":
-        hook = NetworkAdaptiveHook(d1=d_theta4, d2=d_theta4, d3=d_theta3,
-                                   rate=_scalar_preset_rate(),
-                                   profile=DelayProfile.pairwise_sin(3),
-                                   variant="theta3_theta4")
+        control = {"adaptive": {"enabled": True, "d1": d_theta4, "d2": d_theta4,
+                                "d3": d_theta3, "variant": "theta3_theta4"}}
     elif variant != "nocontrol":
         raise ValueError(f"unknown variant {variant!r}")
-    return _network_result(lorenz_preset(horizon=horizon, h=h, adaptive_hook=hook))
-
-
-def _network_result(exp) -> NetworkRunResult:
-    sync = simulate_sync(exp)
-    e1, e2, outer = error_index_series(sync.drive, sync.response, 3, 3)
-    return NetworkRunResult(sync=sync, times=sync.error.times, e1=e1, e2=e2,
-                            outer=outer, gains=sync.error.gains,
-                            gain_names=sync.error.gain_names)
+    return run(_preset(EXAMPLE2, control=control, integrator={"horizon": horizon, "h": h}))
 
 
 def write_error_index_csv(path, result: NetworkRunResult, stride: int = 1):
@@ -223,83 +264,6 @@ def write_error_index_csv(path, result: NetworkRunResult, stride: int = 1):
     columns = [c[::stride] for c in (result.times, result.e1, result.e2, result.outer,
                                      result.gains) if c is not None]
     _write_rows(path, header, columns, [_FMT] * len(header))
-
-
-# -- config-driven runs -------------------------------------------------------
-
-def _scalar_run_from_config(cfg: ExperimentConfig) -> ScalarRunResult:
-    sysb = cfg.system
-    c1, c2 = float(sysb["c1"]), float(sysb["c2"])
-    p0 = np.asarray(sysb["initial_state"], dtype=float)
-    monitor = cfg.monitor
-    kappa = float(monitor.get("kappa", 0.9))
-    eps1 = monitor.get("eps1")
-    norm = cfg.adaptive.get("norm", "two")
-
-    report = None
-    try:
-        beta, eta = asymptotics(cfg.rate, cfg.delay)
-    except NoClosedFormError:
-        beta = eta = None
-
-    if cfg.adaptive.get("enabled"):
-        hook = ScalarAdaptiveHook(float(cfg.adaptive["d1"]), float(cfg.adaptive["d2"]),
-                                  float(cfg.adaptive["d3"]), cfg.rate, cfg.delay,
-                                  norm=norm, zero_tol=cfg.integrator.zero_tol)
-        rhs = delayed_linear_rhs(c1, c2, cfg.delay, control=hook.control)
-        traj = integrate(rhs, p0, cfg.delay, cfg.integrator, gain_hook=hook)
-        margin = float(traj.gains[-1, 0]) - abs(c2)
-        eps2 = kappa * margin if margin > 0.0 else kappa * 0.01
-    else:
-        g = StaticScalarGains(c1, c2, float(cfg.gains.get("c3", 0.0)),
-                              float(cfg.gains.get("c4", 0.0)))
-        if beta is not None:
-            report = check_scalar_theorem(g, p0.size, beta, eta, norm=norm, eps1=eps1)
-        rhs = delayed_linear_rhs(c1, c2, cfg.delay,
-                                 control=lambda t, p: static_scalar_control(p, g))
-        icfg = cfg.integrator
-        if icfg.zero_band is None:
-            icfg = replace(icfg, zero_band=g.c3 * icfg.h)
-        traj = integrate(rhs, p0, cfg.delay, icfg)
-        eps2 = (kappa * report.epsilon2_max
-                if report is not None and report.epsilon2_max > 0.0 else kappa)
-
-    start = monitor.get("start_time")
-    phases = detect_phases(traj, cfg.delay, norm, eps2,
-                           zero_tol=cfg.integrator.zero_tol,
-                           start_time=cfg.rate.default_monitor_start
-                           if start is None else float(start))
-    bound = None
-    if report is not None and report.feasible and math.isfinite(phases.T1):
-        bound = settling_bound(report, phases.T1, kappa)
-    return ScalarRunResult(traj=traj, profile=cfg.delay, rate=cfg.rate,
-                           report=report, phases=phases, eps2=eps2,
-                           settle_bound=bound, norm=norm)
-
-
-def _network_run_from_config(cfg: ExperimentConfig) -> NetworkRunResult:
-    """The Lorenz preset with the config's control, rate and integrator.
-
-    An enabled adaptive block drives the gains (d2 defaults to d1); sigma
-    still scales the pinned node in the theta1_theta3 variant.
-    """
-    control = cfg.control
-    adaptive = control.get("adaptive") or {}
-    hook = None
-    if adaptive.get("enabled"):
-        d1 = float(adaptive.get("d1", 0.05))
-        hook = NetworkAdaptiveHook(d1=d1, d2=float(adaptive.get("d2", d1)),
-                                   d3=float(adaptive.get("d3", 0.02)),
-                                   rate=cfg.rate, profile=DelayProfile.pairwise_sin(3),
-                                   variant=adaptive.get("variant", "theta3_theta4"),
-                                   zero_tol=cfg.integrator.zero_tol)
-    spec = NetworkControlSpec(kind=control.get("kind", "none"),
-                              theta3=float(control.get("theta3", 0.0)),
-                              theta4=float(control.get("theta4", 0.0)),
-                              sigma=float(control.get("sigma", 1.0)))
-    exp = lorenz_preset(control=spec, adaptive_hook=hook)
-    exp.integrator = cfg.integrator
-    return _network_result(exp)
 
 
 def _reports_for_config(cfg: ExperimentConfig) -> List[ConditionReport]:
@@ -314,10 +278,9 @@ def _reports_for_config(cfg: ExperimentConfig) -> List[ConditionReport]:
         return [check_scalar_theorem(g, m, beta, eta, norm=n, eps1=eps1)
                 for n in ("two", "one", "inf")]
     # network: the preset's full-node condition with the configured gains
-    exp = lorenz_preset()
-    model = exp.model
+    model = lorenz_preset().model
     xi = left_eigenvector(model.A)
-    beta, eta = asymptotics(cfg.rate, DelayProfile.proportional(0.5))
+    beta, eta = asymptotics(cfg.rate, model.delays)
     control = cfg.control
     params = NetworkConditionParams(
         L_f=model.L_f, L_g=model.L_g, theta1=model.theta1, theta2=model.theta2,
@@ -353,11 +316,13 @@ def _summary_lines(res: ScalarRunResult) -> List[str]:
              f"eps2 = {res.eps2:.6g}"]
     if res.settle_bound is not None:
         lines.append(f"settling_bound = {res.settle_bound:.6g}")
-    if res.traj.gains is not None:
-        finals = ", ".join(f"{n} = {v:.6g}" for n, v in
-                           zip(res.traj.gain_names, res.traj.gains[-1]))
-        lines.append(f"final gains: {finals}")
-    return lines
+    return lines + _final_gains(res.traj.gain_names, res.traj.gains)
+
+
+def _final_gains(names, gains) -> List[str]:
+    if gains is None:
+        return []
+    return ["final gains: " + ", ".join(f"{n} = {v:.6g}" for n, v in zip(names, gains[-1]))]
 
 
 def _cmd_simulate(args) -> int:
@@ -365,23 +330,18 @@ def _cmd_simulate(args) -> int:
     require = bool(cfg.monitor.get("require_feasible"))
     out = cfg.output.get("csv", "trajectory.csv")
     stride = cfg.output.get("stride", 1)
+    res = run(cfg)
     if cfg.kind == "scalar":
-        res = _scalar_run_from_config(cfg)
         if require and (res.report is None or not res.report.feasible):
             print("requested feasibility guarantee, but the condition is infeasible")
             return 2
         write_trajectory_csv(out, res.traj, stride=stride)
-        for line in _summary_lines(res):
-            print(line)
+        lines = _summary_lines(res)
     else:
-        res = _network_run_from_config(cfg)
         write_error_index_csv(out, res, stride=stride)
-        print(f"final outer error = {res.outer[-1]:.6g}")
-        if res.gains is not None:
-            finals = ", ".join(f"{n} = {v:.6g}" for n, v in
-                               zip(res.gain_names, res.gains[-1]))
-            print(f"final gains: {finals}")
-    print(f"wrote {out}")
+        lines = [f"final outer error = {res.outer[-1]:.6g}"]
+        lines += _final_gains(res.gain_names, res.gains)
+    print("\n".join(lines + [f"wrote {out}"]))
     return 0
 
 
@@ -404,10 +364,11 @@ def _cmd_monitor(args) -> int:
         functional = "v1"
         xi = None
     else:
-        profile = DelayProfile.pairwise_sin(3)
+        model = lorenz_preset().model
+        profile = model.delays
         norm = "two"
         functional = "vbar1"
-        xi = left_eigenvector(LORENZ_A)
+        xi = left_eigenvector(model.A)
     kappa = float(cfg.monitor.get("kappa", 0.9))
     eps2 = kappa  # conservative default when no condition report is available
     if cfg.kind == "scalar":
@@ -435,18 +396,15 @@ def _cmd_monitor(args) -> int:
 def _cmd_example1(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.variant == "static":
-        res = run_example1(c3=args.c3, c4=args.c4, horizon=args.horizon, h=args.h)
-        write_trajectory_csv(out_dir / "example1_static.csv", res.traj)
+    if args.variant in ("static", "adaptive"):
+        if args.variant == "static":
+            res = run_example1(c3=args.c3, c4=args.c4, horizon=args.horizon, h=args.h)
+        else:
+            res = run_example1_adaptive(horizon=args.horizon, h=args.h)
+        write_trajectory_csv(out_dir / f"example1_{args.variant}.csv", res.traj)
         if res.report is not None:
             print(format_report_table([res.report]))
-        for line in _summary_lines(res):
-            print(line)
-    elif args.variant == "adaptive":
-        res = run_example1_adaptive(horizon=args.horizon, h=args.h)
-        write_trajectory_csv(out_dir / "example1_adaptive.csv", res.traj)
-        for line in _summary_lines(res):
-            print(line)
+        print("\n".join(_summary_lines(res)))
     else:
         param = "c3" if args.variant == "sweep-c3" else "c4"
         values = [float(v) for v in args.values.split(",")]
@@ -466,12 +424,9 @@ def _cmd_example2(args) -> int:
     res = run_example2(variant=variant, horizon=args.horizon, h=args.h)
     write_error_index_csv(out_dir / f"example2_{variant}.csv", res,
                           stride=args.stride)
-    print(f"min outer error = {res.outer.min():.6g}")
-    print(f"final outer error = {res.outer[-1]:.6g}")
-    if res.gains is not None:
-        finals = ", ".join(f"{n} = {v:.6g}" for n, v in
-                           zip(res.gain_names, res.gains[-1]))
-        print(f"final gains: {finals}")
+    print("\n".join([f"min outer error = {res.outer.min():.6g}",
+                     f"final outer error = {res.outer[-1]:.6g}"]
+                    + _final_gains(res.gain_names, res.gains)))
     return 0
 
 
@@ -495,11 +450,10 @@ def _cmd_sweep(args) -> int:
     for v in values:
         doc = json.loads(json.dumps(base))
         _set_by_path(doc, args.param, v)
-        from .config import load_config
         cfg = load_config(doc)
         if cfg.kind != "scalar":
             raise ConfigError("sweep supports scalar configs only")
-        res = _scalar_run_from_config(cfg)
+        res = run(cfg)
         rows.append((v, res.T_settle))
         print(f"{args.param} = {v:g}: T_settle = {res.T_settle:.6g}")
     if args.out:

@@ -21,13 +21,13 @@ class ConfigError(ValueError):
 
 
 def _require(block: dict, path: str, key: str, types, default=None, required=False):
+    """block[key] checked against `types`; an absent field takes `default`,
+    and null is rejected like any other mistyped value."""
     if key not in block:
         if required:
             raise ConfigError(f"{path}.{key}: required field missing")
         return default
     value = block[key]
-    if value is None and not required:
-        return default
     # JSON true/false load as bool, a subclass of int: never a number here
     if not isinstance(value, types) or isinstance(value, bool):
         raise ConfigError(f"{path}.{key}: expected {types}, got {type(value).__name__}")
@@ -103,15 +103,13 @@ def parse_rate(block: dict, path: str = "rate") -> RateFunction:
 
 def parse_integrator(block: dict, path: str = "integrator") -> IntegratorConfig:
     _check_keys(block, path, {"h", "horizon", "method", "zero_band", "zero_tol"})
-    horizon = _require(block, path, "horizon", _NUM, required=True)
+    fields = dict(horizon=float(_require(block, path, "horizon", _NUM, required=True)),
+                  h=float(_require(block, path, "h", _NUM, default=1e-3)),
+                  method=_require(block, path, "method", str, default="euler"),
+                  zero_band=_require(block, path, "zero_band", _NUM),
+                  zero_tol=float(_require(block, path, "zero_tol", _NUM, default=1e-9)))
     try:
-        return IntegratorConfig(
-            horizon=float(horizon),
-            h=float(_require(block, path, "h", _NUM, default=1e-3)),
-            method=_require(block, path, "method", str, default="euler"),
-            zero_band=_require(block, path, "zero_band", _NUM),
-            zero_tol=float(_require(block, path, "zero_tol", _NUM, default=1e-9)),
-        )
+        return IntegratorConfig(**fields)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

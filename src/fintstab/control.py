@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -50,65 +50,21 @@ def static_scalar_control(p: np.ndarray, gains: StaticScalarGains) -> np.ndarray
     return -np.sign(p) * (gains.c3 + gains.c4 * np.abs(p))
 
 
-@dataclass
-class AdaptiveGainState:
-    """Time-varying gains plus the window-sup switching mode."""
+def gain_rates(value: float, mu: float, wsup: float, rates, squared: bool,
+               zero_tol: float = 1e-9):
+    """(d(linear gain)/dt, d(sign gain)/dt, mode): the three-way switch.
 
-    gains: Dict[str, float]
-    d1: float
-    d2: float
-    d3: float
-    mode: str = MODE_ABOVE_ONE
-
-    def __post_init__(self):
-        if min(self.d1, self.d2, self.d3) <= 0.0:
-            raise ValueError("adaptive rates d1, d2, d3 must be positive")
-
-
-def _switch_mode(wsup: float, zero_threshold: float) -> str:
-    if wsup <= zero_threshold:
-        return MODE_AT_ORIGIN
+    `value` is the switching functional at the step (the squared 2-norm when
+    `squared`, else the plain 1- or inf-norm), `wsup` its window sup, and
+    `rates` = (linear rate above one, linear rate in the ball, sign rate in
+    the ball).  The origin's threshold is zero_tol on the norm, so zero_tol**2
+    on a squared functional; the boundary sup == 1 belongs to the unit ball.
+    """
+    if wsup <= (zero_tol ** 2 if squared else zero_tol):
+        return 0.0, 0.0, MODE_AT_ORIGIN
     if wsup > 1.0:
-        return MODE_ABOVE_ONE
-    return MODE_IN_UNIT_BALL
-
-
-def scalar_gain_rates(p: np.ndarray, mu_t: float, wsup: float,
-                      d1: float, d2: float, d3: float, norm: str = "two",
-                      zero_tol: float = 1e-9):
-    """(dc3/dt, dc4/dt, mode) for the scalar adaptive rules.
-
-    The switching functional is p^T p for the 2-norm variant and the plain
-    norm for the 1-/inf-norm variants; the boundary sup == 1 belongs to the
-    unit-ball branch.
-    """
-    func = _NORM_FUNCS[norm]
-    zero_threshold = zero_tol ** 2 if _NORM_SQUARED[norm] else zero_tol
-    mode = _switch_mode(wsup, zero_threshold)
-    if mode == MODE_AT_ORIGIN:
-        return 0.0, 0.0, mode
-    value = func(p)
-    if mode == MODE_ABOVE_ONE:
-        return 0.0, d2 * mu_t * value, mode
-    p_norm = math.sqrt(value) if _NORM_SQUARED[norm] else value
-    return d1, d3 * p_norm, mode
-
-
-def network_gain_rates(sum_sq: float, mu_t: float, wsup: float,
-                       d1: float, d2: float, d3: float,
-                       zero_tol: float = 1e-9):
-    """(d(linear gain)/dt, d(theta3)/dt, mode) for the network rules.
-
-    The switching functional is sum_i e_i^T e_i; the "linear" gain is theta1
-    in the coupling-adaptation variant and theta4 in the node-feedback
-    variant, both following the same rule shape.
-    """
-    mode = _switch_mode(wsup, zero_tol ** 2)
-    if mode == MODE_AT_ORIGIN:
-        return 0.0, 0.0, mode
-    if mode == MODE_ABOVE_ONE:
-        return d1 * mu_t * sum_sq, 0.0, mode
-    return d2 * math.sqrt(sum_sq), d3, mode
+        return rates[0] * mu * value, 0.0, MODE_ABOVE_ONE
+    return rates[1] * (math.sqrt(value) if squared else value), rates[2], MODE_IN_UNIT_BALL
 
 
 @dataclass
@@ -144,56 +100,78 @@ def full_node_control(e: np.ndarray, theta3: float, theta4: float) -> np.ndarray
     return -theta3 * np.sign(e) - theta4 * e
 
 
-class ScalarAdaptiveHook:
-    """Per-step gain updater for the scalar adaptive rules.
+class AdaptiveHook:
+    """Per-step gain updater: one linear and one sign gain under `gain_rates`.
 
-    Owns (c3, c4), tracks the switching window sup incrementally and exposes
+    Tracks the switching functional's window sup incrementally and exposes
     the protocol `integrate` expects (names / gains / sign_gain / step).
+    `gains` is one float array in `names` order, updated in place: the
+    integrator records it and the control laws read it.  Gains start at 0.
     """
 
-    names = ("c3", "c4")
-
-    def __init__(self, d1: float, d2: float, d3: float, rate: RateFunction,
-                 profile: DelayProfile, norm: str = "two", zero_tol: float = 1e-9,
-                 c3: float = 0.0, c4: float = 0.0):
-        self.state = AdaptiveGainState(gains={"c3": c3, "c4": c4},
-                                       d1=d1, d2=d2, d3=d3)
+    def __init__(self, names, lin: int, rates, rate: RateFunction,
+                 profile: DelayProfile, norm: str = "two", zero_tol: float = 1e-9):
+        if min(rates) <= 0.0:
+            raise ValueError("adaptive rates d1, d2, d3 must be positive")
+        self.names = tuple(names)
+        self._lin, self._sign = lin, 1 - lin
+        self.rates = tuple(rates)
         self.rate = rate
         self.profile = profile
-        self.norm = norm
         self.zero_tol = zero_tol
+        self.gains = np.zeros(2)
+        self.mode = MODE_ABOVE_ONE
         self._functional = _NORM_FUNCS[norm]
+        self._squared = _NORM_SQUARED[norm]
         self._tracker: Optional[RunningWindowSup] = None
 
     @property
-    def gains(self) -> np.ndarray:
-        return np.array([self.state.gains["c3"], self.state.gains["c4"]])
+    def state(self):
+        """The hook itself, so the switch mode reads as `hook.state.mode`."""
+        return self
 
     @property
     def sign_gain(self) -> float:
-        return self.state.gains["c3"]
-
-    def control(self, t, p):
-        g = self.state.gains
-        return -np.sign(p) * (g["c3"] + g["c4"] * np.abs(p))
+        return self.gains.item(self._sign)
 
     def step(self, t: float, x: np.ndarray, traj: HistoryTrajectory):
         if self._tracker is None:
             self._tracker = RunningWindowSup(traj.t0, traj.h, self.profile)
         k = len(self._tracker.values)
-        self._tracker.push(self._functional(x))
-        wsup = self._tracker.sup(k)
-        dc3, dc4, mode = scalar_gain_rates(x, self.rate.mu(t), wsup,
-                                           self.state.d1, self.state.d2,
-                                           self.state.d3, norm=self.norm,
-                                           zero_tol=self.zero_tol)
-        self.state.gains["c3"] += traj.h * dc3
-        self.state.gains["c4"] += traj.h * dc4
-        self.state.mode = mode
+        value = self._functional(x)
+        self._tracker.push(value)
+        d_lin, d_sign, self.mode = gain_rates(value, self.rate.mu(t), self._tracker.sup(k),
+                                              self.rates, self._squared, self.zero_tol)
+        g = self.gains
+        g[self._lin] += traj.h * d_lin
+        g[self._sign] += traj.h * d_sign
 
 
-class NetworkAdaptiveHook:
-    """Per-step gain updater for the adaptive network rules."""
+# The subclasses bind `step` in their own bodies: the bench's tracer looks the
+# hook methods up in each class's __dict__.
+
+class ScalarAdaptiveHook(AdaptiveHook):
+    """Scalar rules on (c3, c4): d1 grows c3 in the unit ball, d2 grows c4
+    above one and d3 grows c4 in the ball."""
+
+    step = AdaptiveHook.step
+
+    def __init__(self, d1: float, d2: float, d3: float, rate: RateFunction,
+                 profile: DelayProfile, norm: str = "two", zero_tol: float = 1e-9):
+        super().__init__(("c3", "c4"), 1, (d2, d3, d1), rate, profile, norm, zero_tol)
+
+    def control(self, t, p):
+        c3, c4 = self.gains.tolist()
+        return -np.sign(p) * (c3 + c4 * np.abs(p))
+
+
+class NetworkAdaptiveHook(AdaptiveHook):
+    """Network rules on (linear gain, theta3) over sum_i e_i^T e_i: d1 grows
+    the linear gain above one, d2 grows it in the ball and d3 grows theta3
+    there.  The linear gain is theta1 in the coupling-adaptation variant and
+    theta4 in the node-feedback variant."""
+
+    step = AdaptiveHook.step
 
     def __init__(self, d1: float, d2: float, d3: float, rate: RateFunction,
                  profile: DelayProfile, variant: str = "theta3_theta4",
@@ -201,33 +179,6 @@ class NetworkAdaptiveHook:
         if variant not in ("theta1_theta3", "theta3_theta4"):
             raise ValueError(f"unknown adaptive variant {variant!r}")
         self.variant = variant
-        self.lin_name = "theta1" if variant == "theta1_theta3" else "theta4"
-        self.names = (self.lin_name, "theta3")
-        self.state = AdaptiveGainState(gains={self.lin_name: 0.0, "theta3": 0.0},
-                                       d1=d1, d2=d2, d3=d3)
-        self.rate = rate
-        self.profile = profile
-        self.zero_tol = zero_tol
-        self._tracker: Optional[RunningWindowSup] = None
-
-    @property
-    def gains(self) -> np.ndarray:
-        return np.array([self.state.gains[self.lin_name], self.state.gains["theta3"]])
-
-    @property
-    def sign_gain(self) -> float:
-        return self.state.gains["theta3"]
-
-    def step(self, t: float, x: np.ndarray, traj: HistoryTrajectory):
-        if self._tracker is None:
-            self._tracker = RunningWindowSup(traj.t0, traj.h, self.profile)
-        k = len(self._tracker.values)
-        sum_sq = sq_norm2(x)
-        self._tracker.push(sum_sq)
-        wsup = self._tracker.sup(k)
-        d_lin, d_th3, mode = network_gain_rates(sum_sq, self.rate.mu(t), wsup,
-                                                self.state.d1, self.state.d2,
-                                                self.state.d3, zero_tol=self.zero_tol)
-        self.state.gains[self.lin_name] += traj.h * d_lin
-        self.state.gains["theta3"] += traj.h * d_th3
-        self.state.mode = mode
+        lin_name = "theta1" if variant == "theta1_theta3" else "theta4"
+        super().__init__((lin_name, "theta3"), 0, (d1, d2, d3), rate, profile,
+                         zero_tol=zero_tol)

@@ -13,7 +13,6 @@ whole block at once; before that, and for short delays, it runs per step.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -205,14 +204,14 @@ def _error_rhs(model: NetworkModel, base_traj: HistoryTrajectory,
         out += coupling(k, etraj.plan, base_traj, etraj)
 
         if hook is not None:
-            g = hook.state.gains
+            lin, theta3 = hook.gains.tolist()
             if hook.variant == "theta1_theta3":
                 # coupling adaptation acts through the pinned matrix Atilde
-                out += (g["theta1"] - model.theta1) * (model.A @ En)
-                out[0] -= g["theta1"] * control.sigma * En[0]
-                out -= g["theta3"] * np.sign(En)
+                out += (lin - model.theta1) * (model.A @ En)
+                out[0] -= lin * control.sigma * En[0]
+                out -= theta3 * np.sign(En)
             else:
-                out += full_node_control(En, g["theta3"], g["theta4"])
+                out += full_node_control(En, theta3, lin)
         elif control.kind == "pinning":
             out += pinning_control(En, control.sigma, model.theta1, control.theta3)
         elif control.kind == "full":
@@ -297,21 +296,6 @@ def inner_sync_residual(model: NetworkModel, reference: HistoryTrajectory,
     return {"row_max": row_max, "col_max": col_max}
 
 
-def error_indices(drive: HistoryTrajectory, response: HistoryTrajectory,
-                  t: float, N: int, n: int):
-    """(E1, E2, ||E||_2): inner spreads of each network plus the outer error.
-
-    E1/E2 sum the node-to-node-1 distances (the 3-node indices generalise to
-    sum_{i>=2} ||x_i - x_1||_2).
-    """
-    x = drive.query(t).reshape(N, n)
-    y = response.query(t).reshape(N, n)
-    e1 = float(sum(np.linalg.norm(x[i] - x[0]) for i in range(1, N)))
-    e2 = float(sum(np.linalg.norm(y[i] - y[0]) for i in range(1, N)))
-    outer = float(math.sqrt(((y - x) ** 2).sum()))
-    return e1, e2, outer
-
-
 def error_index_series(drive: HistoryTrajectory, response: HistoryTrajectory,
                        N: int, n: int):
     """Vectorised (E1, E2, ||E||_2) series over the whole shared grid."""
@@ -373,20 +357,6 @@ def lorenz_lipschitz_bound(box: np.ndarray = LORENZ_BOX, grid: int = 9) -> float
             for c in axes[2]:
                 best = max(best, lorenz_jacobian_norm(np.array([a, b, c])))
     return best
-
-
-def estimate_lipschitz(fn: Callable[[np.ndarray], np.ndarray], lo, hi,
-                       n_samples: int = 2000, seed: int = 0) -> float:
-    """Sampled two-point Lipschitz estimate of fn on the box [lo, hi]."""
-    rng = np.random.default_rng(seed)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    xs = rng.uniform(lo, hi, size=(n_samples, lo.size))
-    ys = rng.uniform(lo, hi, size=(n_samples, lo.size))
-    num = np.linalg.norm(fn(xs) - fn(ys), axis=1)
-    den = np.linalg.norm(xs - ys, axis=1)
-    mask = den > 1e-12
-    return float((num[mask] / den[mask]).max())
 
 
 def lorenz_preset(horizon: float = 20.0, h: float = 5e-4,

@@ -5,10 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from fintstab.cli import (_network_run_from_config, _scalar_run_from_config,
-                          main, read_trajectory_csv, run_example1,
-                          run_example1_adaptive, run_example1_sweep,
-                          run_example2, write_trajectory_csv)
+from fintstab.cli import (EXAMPLE1, main, read_trajectory_csv, run,
+                          run_example1, run_example1_adaptive,
+                          run_example1_sweep, run_example2,
+                          write_trajectory_csv)
 from fintstab.config import ConfigError, load_config
 from fintstab.delays import DelayProfile
 from fintstab.integrate import HistoryTrajectory
@@ -251,7 +251,7 @@ def _network_doc(control, **over):
 
 
 def _network_outputs(doc):
-    res = _network_run_from_config(load_config(doc))
+    res = run(load_config(doc))
     return res.sync.error.states.tolist(), res.gain_names, res.gains.tolist()
 
 
@@ -281,19 +281,36 @@ def test_network_config_fields_change_the_run():
 def test_network_config_matches_the_preset_runner():
     doc = _network_doc({"adaptive": {"enabled": True, "d1": 0.05, "d3": 0.02}},
                        integrator={"horizon": 0.5, "h": 1e-3})
-    res = _network_run_from_config(load_config(doc))
+    res = run(load_config(doc))
     ref = run_example2("adaptive", horizon=0.5, h=1e-3)
     assert res.sync.error.states.tolist() == ref.sync.error.states.tolist()
     assert res.gains.tolist() == ref.gains.tolist()
 
 
+@pytest.mark.parametrize("variant, blocks", [
+    ("static", {}),
+    ("adaptive", {"adaptive": {"enabled": True, "d1": 0.1, "d2": 0.1, "d3": 0.1}}),
+])
+def test_scalar_config_matches_the_preset_runner(tmp_path, variant, blocks):
+    # the preset is a config document: simulate on it writes the example's CSV
+    doc = dict(EXAMPLE1, integrator={"horizon": 2.0, "h": 1e-3},
+               output={"csv": str(tmp_path / "sim.csv")}, **blocks)
+    path = tmp_path / "preset.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 0
+    assert main(["example1", "--variant", variant, "--horizon", "2",
+                 "--out-dir", str(tmp_path)]) == 0
+    example = (tmp_path / f"example1_{variant}.csv").read_bytes()
+    assert (tmp_path / "sim.csv").read_bytes() == example
+
+
 def test_zero_tol_sets_the_detected_settling_time():
     doc = _scalar_doc()
-    default = _scalar_run_from_config(load_config(doc))
+    default = run(load_config(doc))
     doc["integrator"]["zero_tol"] = 1e-9
-    assert _scalar_run_from_config(load_config(doc)).T_settle == default.T_settle
+    assert run(load_config(doc)).T_settle == default.T_settle
     doc["integrator"]["zero_tol"] = 1e-2
-    coarse = _scalar_run_from_config(load_config(doc))
+    coarse = run(load_config(doc))
     assert math.isfinite(default.T_settle)
     assert coarse.T_settle < default.T_settle
 
@@ -320,10 +337,21 @@ _SCALAR_ADAPTIVE = {"enabled": True, "d1": 0.1, "d2": 0.1, "d3": 0.1}
     ("control", {"adaptive": {"enabled": 1}}, "control.adaptive.enabled"),
     ("control", {"adaptive": {"enabled": True, "variant": "theta2"}},
      "control.adaptive.variant"),
+    # null is rejected, never read as an absent field
+    ("gains", None, "config.gains"),
+    ("monitor", None, "config.monitor"),
+    ("system", {"c1": 1.0, "c2": 2.0, "initial_state": [2.0], "dimension": None},
+     "system.dimension"),
+    ("delay", {"kind": "proportional", "q": 0.5, "n_components": None},
+     "delay.n_components"),
+    ("integrator", {"horizon": 5.0, "h": None}, "integrator.h"),
+    ("integrator", {"horizon": 5.0, "method": None}, "integrator.method"),
+    ("integrator", {"horizon": 5.0, "zero_band": None}, "integrator.zero_band"),
+    ("integrator", {"horizon": 5.0, "zero_tol": None}, "integrator.zero_tol"),
 ])
 def test_config_rejects_mistyped_block_fields(tmp_path, block, patch, field):
-    # every field of gains, adaptive, control and monitor is type-checked, and
-    # `fintstab simulate` reports the field instead of running or crashing
+    # every field is type-checked, null included, and `fintstab simulate`
+    # reports the field instead of running or crashing
     doc = _network_doc(patch) if block == "control" else _scalar_doc(**{block: patch})
     with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: "):
         load_config(doc)

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from fintstab.control import (AdaptiveGainState, NetworkAdaptiveHook,
-                              NetworkControlSpec, ScalarAdaptiveHook,
-                              StaticScalarGains, full_node_control,
-                              network_gain_rates, pinning_control,
-                              scalar_gain_rates, static_scalar_control,
-                              MODE_ABOVE_ONE, MODE_AT_ORIGIN,
-                              MODE_IN_UNIT_BALL)
+from fintstab.control import (NetworkAdaptiveHook, NetworkControlSpec,
+                              ScalarAdaptiveHook, StaticScalarGains,
+                              full_node_control, gain_rates, pinning_control,
+                              static_scalar_control, MODE_ABOVE_ONE,
+                              MODE_AT_ORIGIN, MODE_IN_UNIT_BALL)
 from fintstab.delays import DelayProfile, RateFunction
 from fintstab.integrate import IntegratorConfig, delayed_linear_rhs, integrate
 
@@ -27,49 +25,80 @@ def test_static_gains_validation():
         StaticScalarGains(0.0, 0.0, 1.0, -1.0)
 
 
+PROFILE = DelayProfile.proportional(0.5)
+RATE = RateFunction.power(0.1)
+
+
+def _scalar_rates(d1=0.1, d2=0.1, d3=0.1, norm="two"):
+    return ScalarAdaptiveHook(d1, d2, d3, RATE, PROFILE, norm=norm).rates
+
+
+def _network_rates(d1=0.05, d2=0.05, d3=0.02):
+    return NetworkAdaptiveHook(d1, d2, d3, RATE, PROFILE).rates
+
+
+def test_hooks_map_d1_to_d3_onto_the_switch_roles():
+    # (linear rate above one, linear rate in the ball, sign rate in the ball)
+    assert _scalar_rates(1.0, 2.0, 3.0) == (2.0, 3.0, 1.0)
+    assert _network_rates(1.0, 2.0, 3.0) == (1.0, 2.0, 3.0)
+
+
 def test_scalar_rates_above_one_branch():
-    p = np.array([2.0])
-    dc3, dc4, mode = scalar_gain_rates(p, 2.0, 4.0, 0.1, 0.1, 0.1)
+    # the 2-norm variant switches on p^T p = 4 for p = [2]
+    dc4, dc3, mode = gain_rates(4.0, 2.0, 4.0, _scalar_rates(), True)
     assert mode == MODE_ABOVE_ONE
     assert dc3 == 0.0
     assert dc4 == pytest.approx(0.8)  # d2 * mu * p^T p = 0.1*2*4
 
 
 def test_scalar_rates_unit_ball_branch():
-    p = np.array([0.5])
-    dc3, dc4, mode = scalar_gain_rates(p, 1.0, 0.25, 0.1, 0.1, 0.1)
+    dc4, dc3, mode = gain_rates(0.25, 1.0, 0.25, _scalar_rates(), True)  # p = [0.5]
     assert mode == MODE_IN_UNIT_BALL
     assert dc3 == pytest.approx(0.1)
     assert dc4 == pytest.approx(0.05)  # d3 * ||p||_2
 
 
 def test_scalar_rates_boundary_and_origin():
-    p = np.array([1.0])
     # window sup exactly 1 belongs to the unit-ball branch
-    dc3, _, mode = scalar_gain_rates(p, 1.0, 1.0, 0.1, 0.1, 0.1)
+    _, dc3, mode = gain_rates(1.0, 1.0, 1.0, _scalar_rates(), True)
     assert mode == MODE_IN_UNIT_BALL and dc3 == 0.1
-    dc3, dc4, mode = scalar_gain_rates(np.zeros(1), 1.0, 0.0, 0.1, 0.1, 0.1)
+    dc4, dc3, mode = gain_rates(0.0, 1.0, 0.0, _scalar_rates(), True)
     assert mode == MODE_AT_ORIGIN
     assert dc3 == dc4 == 0.0
 
 
+def test_unsquared_switch_of_the_one_and_inf_norms():
+    rates = _scalar_rates(d3=0.3, norm="one")
+    # the ball's linear rate is d3 * ||p||, the norm itself, not its root
+    dc4, dc3, mode = gain_rates(0.25, 1.0, 0.25, rates, False)
+    assert mode == MODE_IN_UNIT_BALL
+    assert dc4 == 0.3 * 0.25 and dc3 == 0.1
+    # the origin threshold is zero_tol on the norm, not zero_tol**2
+    assert gain_rates(1e-3, 1.0, 1e-3, rates, False, zero_tol=1e-3)[2] == MODE_AT_ORIGIN
+    assert gain_rates(1e-5, 1.0, 1e-5, rates, False, zero_tol=1e-3)[2] == MODE_AT_ORIGIN
+    assert gain_rates(2e-3, 1.0, 2e-3, rates, False, zero_tol=1e-3)[2] == MODE_IN_UNIT_BALL
+    assert gain_rates(1e-5, 1.0, 1e-5, rates, True, zero_tol=1e-3)[2] == MODE_IN_UNIT_BALL
+
+
 def test_network_rates_branches():
-    d_lin, d_th3, mode = network_gain_rates(4.0, 1.5, 2.0, 0.05, 0.05, 0.02)
+    d_lin, d_th3, mode = gain_rates(4.0, 1.5, 2.0, _network_rates(), True)
     assert mode == MODE_ABOVE_ONE
     assert d_lin == pytest.approx(0.3)  # 0.05 * 1.5 * 4
     assert d_th3 == 0.0
-    d_lin, d_th3, mode = network_gain_rates(0.25, 1.0, 0.25, 0.05, 0.05, 0.02)
+    d_lin, d_th3, mode = gain_rates(0.25, 1.0, 0.25, _network_rates(), True)
     assert mode == MODE_IN_UNIT_BALL
     assert d_lin == pytest.approx(0.025)  # 0.05 * sqrt(0.25)
     assert d_th3 == pytest.approx(0.02)
-    d_lin, d_th3, mode = network_gain_rates(0.0, 1.0, 0.0, 0.05, 0.05, 0.02)
+    d_lin, d_th3, mode = gain_rates(0.0, 1.0, 0.0, _network_rates(), True)
     assert d_lin == d_th3 == 0.0
     assert mode == MODE_AT_ORIGIN
 
 
 def test_adaptive_state_validation():
     with pytest.raises(ValueError):
-        AdaptiveGainState(gains={"c3": 0.0, "c4": 0.0}, d1=0.0, d2=0.1, d3=0.1)
+        _scalar_rates(d1=0.0)
+    with pytest.raises(ValueError):
+        _network_rates(d3=-0.02)
 
 
 def test_pinning_control_values():
@@ -109,6 +138,17 @@ def test_adaptive_gains_start_at_zero_and_monotone():
     gains = traj.gains
     assert (gains[0] == 0.0).all()
     assert (np.diff(gains, axis=0) >= 0.0).all()
+
+
+def test_hook_gains_are_one_array_updated_in_place():
+    hook = ScalarAdaptiveHook(0.1, 0.1, 0.1, RATE, PROFILE)
+    gains = hook.gains
+    rhs = delayed_linear_rhs(1.0, 2.0, PROFILE, control=hook.control)
+    traj = integrate(rhs, [2.0], PROFILE, IntegratorConfig(horizon=2.0, h=1e-3),
+                     gain_hook=hook)
+    assert hook.gains is gains
+    assert traj.gains[-1].tolist() == gains.tolist()
+    assert hook.sign_gain == gains[0] and gains[1] > 0.0
 
 
 def test_adaptive_gains_freeze_after_window_clears():

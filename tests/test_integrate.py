@@ -232,3 +232,12 @@ def test_project_zero_band_matches_reference_bitwise(pair, band):
     assert got.tobytes() == want.tobytes()
     if not ((got == 0.0) & (x_new != 0.0)).any():   # nothing hit: same object
         assert got is x_new
+
+
+def test_package_attribute_is_the_integrate_module():
+    # the package does not re-export the function over its submodule
+    import types
+
+    import fintstab
+    assert isinstance(fintstab.integrate, types.ModuleType)
+    assert callable(fintstab.integrate.integrate)

@@ -3,11 +3,10 @@ import pytest
 
 from fintstab.control import NetworkControlSpec
 from fintstab.delays import DelayProfile
-from fintstab.integrate import IntegratorConfig
+from fintstab.integrate import HistoryTrajectory, IntegratorConfig
 from fintstab.network import (LORENZ_A, LORENZ_B, LORENZ_DRIVE_INIT,
                               LORENZ_RESPONSE_INIT, NetworkModel,
                               SyncExperiment, error_index_series,
-                              error_indices, estimate_lipschitz,
                               inner_sync_residual, lorenz_lipschitz_bound,
                               lorenz_preset, lorenz_rhs,
                               simulate_response_directly, simulate_sync,
@@ -34,6 +33,19 @@ def test_lorenz_rhs_vectorised():
     batch = lorenz_rhs(np.stack([x, x]))
     assert batch.shape == (2, 3)
     assert np.allclose(batch[0], out)
+
+
+def estimate_lipschitz(fn, lo, hi, n_samples: int = 2000, seed: int = 0) -> float:
+    """Sampled two-point Lipschitz estimate of fn on the box [lo, hi]."""
+    rng = np.random.default_rng(seed)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    xs = rng.uniform(lo, hi, size=(n_samples, lo.size))
+    ys = rng.uniform(lo, hi, size=(n_samples, lo.size))
+    num = np.linalg.norm(fn(xs) - fn(ys), axis=1)
+    den = np.linalg.norm(xs - ys, axis=1)
+    mask = den > 1e-12
+    return float((num[mask] / den[mask]).max())
 
 
 def test_g_lipschitz_constant():
@@ -78,18 +90,13 @@ def test_zero_input_swap_symmetry():
 def test_error_indices_values():
     x = np.zeros((1, 9))
     x[0, 3:6] = [3.0, 4.0, 0.0]
-    drive = type("T", (), {})()
-    # use the vectorised series on raw arrays via a tiny trajectory
-    from fintstab.integrate import HistoryTrajectory
     drive = HistoryTrajectory.from_arrays(0.0, 1.0, np.vstack([x, x]))
     resp_states = np.vstack([x, x]) + 1.0  # shift every component by 1
     resp = HistoryTrajectory.from_arrays(0.0, 1.0, resp_states)
-    e1, e2, outer = error_indices(drive, resp, 0.0, 3, 3)
-    assert e1 == pytest.approx(5.0)
-    assert e2 == pytest.approx(5.0)
-    assert outer == pytest.approx(3.0)  # 9 unit offsets: sqrt(9)
-    s1, s2, so = error_index_series(drive, resp, 3, 3)
-    assert s1[0] == pytest.approx(e1) and so[0] == pytest.approx(outer)
+    e1, e2, outer = error_index_series(drive, resp, 3, 3)
+    assert e1 == pytest.approx([5.0, 5.0])
+    assert e2 == pytest.approx([5.0, 5.0])
+    assert outer == pytest.approx([3.0, 3.0])  # 9 unit offsets: sqrt(9)
 
 
 def test_index_consistency_zero_outer_error():
