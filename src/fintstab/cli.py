@@ -27,8 +27,8 @@ from .control import (NetworkAdaptiveHook, NetworkControlSpec, ScalarAdaptiveHoo
 from .delays import DelayProfile, NoClosedFormError, RateFunction, asymptotics
 from .integrate import (DivergenceError, HistoryTrajectory, delayed_linear_rhs,
                         integrate)
-from .monitors import contact_point_decrease, detect_phases, trace_functional
-from .network import error_index_series, lorenz_preset, simulate_sync
+from .monitors import _gain_series, contact_point_decrease, detect_phases, trace_functional
+from .network import LORENZ_A, error_index_series, lorenz_preset, simulate_sync
 
 _FMT = "%.17g"
 _CHUNK = 4096  # CSV rows formatted per % operation
@@ -83,6 +83,7 @@ def read_trajectory_csv(path) -> HistoryTrajectory:
 
 @dataclass
 class ScalarRunResult:
+    """A trajectory with its certificate (see `certify`)."""
     traj: HistoryTrajectory
     profile: DelayProfile
     rate: RateFunction
@@ -112,15 +113,81 @@ class NetworkRunResult:
     gain_names: tuple
 
 
+def _static_gains(cfg: ExperimentConfig) -> StaticScalarGains:
+    sysb, gains = cfg.system, cfg.gains
+    return StaticScalarGains(float(sysb["c1"]), float(sysb["c2"]),
+                             float(gains.get("c3", 0.0)), float(gains.get("c4", 0.0)))
+
+
+def condition_reports(cfg: ExperimentConfig,
+                      norms: Sequence[str] = ("two", "one", "inf")) -> List[ConditionReport]:
+    """One condition report per norm for a scalar config's static gains, or
+    the Lorenz preset's full-node (or pinning) condition with the configured
+    control.  Raises NoClosedFormError when (beta, eta) have no closed form."""
+    eps1 = cfg.monitor.get("eps1")
+    if cfg.kind == "scalar":
+        beta, eta = asymptotics(cfg.rate, cfg.delay)
+        g, m = _static_gains(cfg), len(cfg.system["initial_state"])
+        return [check_scalar_theorem(g, m, beta, eta, norm=n, eps1=eps1) for n in norms]
+    model = lorenz_preset().model
+    beta, eta = asymptotics(cfg.rate, model.delays)
+    control = cfg.control
+    params = NetworkConditionParams(
+        L_f=model.L_f, L_g=model.L_g, theta1=model.theta1, theta2=model.theta2,
+        theta3=float(control.get("theta3", 0.0)), N=model.N, n=model.n,
+        B=model.B, xi=left_eigenvector(model.A), beta=beta, eta=eta,
+        theta4=float(control.get("theta4", 0.0)),
+        sigma=float(control.get("sigma", 1.0)), A=model.A)
+    variant = "pinning" if control.get("kind") == "pinning" else "full"
+    return [check_network_theorem(params, variant=variant, eps1=eps1)]
+
+
+def certify(cfg: ExperimentConfig, traj: HistoryTrajectory) -> ScalarRunResult:
+    """The two-phase certificate of a trajectory of `cfg`: condition report,
+    eps2, phases (T1, T_settle, envelope violations) and settling bound.
+
+    eps2 has one rule.  Static gains: kappa * eps2_max of the configured
+    norm's report (kappa when there is no report or no margin).  Adaptive
+    gains: kappa * (final c3 - |c2|), or kappa * 0.01 when that is <= 0.
+    Network: kappa, on the two-norm of the error.  The settling bound needs
+    a feasible report and a finite T1.
+    """
+    kappa = float(cfg.monitor.get("kappa", 0.9))
+    report = None
+    if cfg.kind == "network":
+        profile, norm, eps2 = lorenz_preset().model.delays, "two", kappa
+    else:
+        profile, norm = cfg.delay, cfg.adaptive.get("norm", "two")
+        if cfg.adaptive.get("enabled"):
+            margin = float(_gain_series(traj, "c3")[-1]) - abs(float(cfg.system["c2"]))
+            eps2 = kappa * margin if margin > 0.0 else kappa * 0.01
+        else:
+            try:
+                report = condition_reports(cfg, (norm,))[0]
+            except NoClosedFormError:
+                pass
+            eps2 = (kappa * report.epsilon2_max
+                    if report is not None and report.epsilon2_max > 0.0 else kappa)
+    start = cfg.monitor.get("start_time")
+    phases = detect_phases(traj, profile, norm, eps2, zero_tol=cfg.integrator.zero_tol,
+                           start_time=cfg.rate.default_monitor_start
+                           if start is None else float(start))
+    bound = None
+    if report is not None and report.feasible and math.isfinite(phases.T1):
+        bound = settling_bound(report, phases.T1, kappa)
+    return ScalarRunResult(traj=traj, profile=profile, rate=cfg.rate, report=report,
+                           phases=phases, eps2=eps2, settle_bound=bound, norm=norm)
+
+
 def run(cfg: ExperimentConfig):
     """Run an experiment config: a ScalarRunResult for a scalar config, a
     NetworkRunResult for a network one.  The presets are configs run here.
 
-    Scalar: static gains are checked against the theorem when (beta, eta)
-    have a closed form, and their zero band defaults to c3*h.  Network: the
-    Lorenz preset with the config's control, rate and integrator; an enabled
-    adaptive block drives the gains (d2 defaults to d1), and sigma still
-    scales the pinned node in the theta1_theta3 variant.
+    Scalar: integrate with static gains, whose zero band defaults to c3*h, or
+    with the adaptive hook, then `certify`.  Network: the Lorenz preset with
+    the config's control, rate and integrator; an enabled adaptive block
+    drives the gains (d2 defaults to d1), and sigma still scales the pinned
+    node in the theta1_theta3 variant.
     """
     zero_tol = cfg.integrator.zero_tol
     if cfg.kind == "network":
@@ -143,49 +210,22 @@ def run(cfg: ExperimentConfig):
                                 outer=outer, gains=sync.error.gains,
                                 gain_names=sync.error.gain_names)
 
-    sysb, monitor, adaptive = cfg.system, cfg.monitor, cfg.adaptive
-    c1, c2 = float(sysb["c1"]), float(sysb["c2"])
-    p0 = np.asarray(sysb["initial_state"], dtype=float)
-    kappa = float(monitor.get("kappa", 0.9))
-    norm = adaptive.get("norm", "two")
-    report = None
+    sysb, adaptive, icfg = cfg.system, cfg.adaptive, cfg.integrator
+    hook = None
     if adaptive.get("enabled"):
         hook = ScalarAdaptiveHook(float(adaptive["d1"]), float(adaptive["d2"]),
                                   float(adaptive["d3"]), cfg.rate, cfg.delay,
-                                  norm=norm, zero_tol=zero_tol)
-        rhs = delayed_linear_rhs(c1, c2, cfg.delay, control=hook.control)
-        traj = integrate(rhs, p0, cfg.delay, cfg.integrator, gain_hook=hook)
-        margin = float(traj.gains[-1, 0]) - abs(c2)
-        eps2 = kappa * margin if margin > 0.0 else kappa * 0.01
+                                  norm=adaptive.get("norm", "two"), zero_tol=zero_tol)
+        control = hook.control
     else:
-        g = StaticScalarGains(c1, c2, float(cfg.gains.get("c3", 0.0)),
-                              float(cfg.gains.get("c4", 0.0)))
-        try:
-            beta, eta = asymptotics(cfg.rate, cfg.delay)
-        except NoClosedFormError:
-            pass
-        else:
-            report = check_scalar_theorem(g, p0.size, beta, eta, norm=norm,
-                                          eps1=monitor.get("eps1"))
-        rhs = delayed_linear_rhs(c1, c2, cfg.delay,
-                                 control=lambda t, p: static_scalar_control(p, g))
-        icfg = cfg.integrator
+        g = _static_gains(cfg)
+        control = lambda t, p: static_scalar_control(p, g)  # noqa: E731
         if icfg.zero_band is None:
             icfg = replace(icfg, zero_band=g.c3 * icfg.h)
-        traj = integrate(rhs, p0, cfg.delay, icfg)
-        eps2 = (kappa * report.epsilon2_max
-                if report is not None and report.epsilon2_max > 0.0 else kappa)
-
-    start = monitor.get("start_time")
-    phases = detect_phases(traj, cfg.delay, norm, eps2, zero_tol=zero_tol,
-                           start_time=cfg.rate.default_monitor_start
-                           if start is None else float(start))
-    bound = None
-    if report is not None and report.feasible and math.isfinite(phases.T1):
-        bound = settling_bound(report, phases.T1, kappa)
-    return ScalarRunResult(traj=traj, profile=cfg.delay, rate=cfg.rate,
-                           report=report, phases=phases, eps2=eps2,
-                           settle_bound=bound, norm=norm)
+    rhs = delayed_linear_rhs(float(sysb["c1"]), float(sysb["c2"]), cfg.delay, control=control)
+    traj = integrate(rhs, np.asarray(sysb["initial_state"], dtype=float), cfg.delay, icfg,
+                     gain_hook=hook)
+    return certify(cfg, traj)
 
 
 # Example 1: p' = p + 2 p(t/2) - sgn(p)(c3 + c4 |p|), mu(t) = t**0.1
@@ -236,12 +276,9 @@ def run_example1_sweep(param: str, values: Sequence[float], c3: float = 2.1,
     """(value, T_settle) per sweep point, in the given parameter order."""
     if param not in ("c3", "c4"):
         raise ValueError(f"sweep parameter must be c3 or c4, got {param!r}")
-    out = []
-    for v in values:
-        kw = {"c3": v, "c4": c4} if param == "c3" else {"c3": c3, "c4": v}
-        res = run_example1(horizon=horizon, h=h, **kw)
-        out.append((float(v), res.T_settle))
-    return out
+    doc = dict(EXAMPLE1, gains={"c3": float(c3), "c4": float(c4)},
+               integrator={"horizon": horizon, "h": h})
+    return list(sweep(doc, f"gains.{param}", values))
 
 
 def run_example2(variant: str = "nocontrol", horizon: float = 20.0,
@@ -264,33 +301,6 @@ def write_error_index_csv(path, result: NetworkRunResult, stride: int = 1):
     columns = [c[::stride] for c in (result.times, result.e1, result.e2, result.outer,
                                      result.gains) if c is not None]
     _write_rows(path, header, columns, [_FMT] * len(header))
-
-
-def _reports_for_config(cfg: ExperimentConfig) -> List[ConditionReport]:
-    if cfg.kind == "scalar":
-        sysb = cfg.system
-        g = StaticScalarGains(float(sysb["c1"]), float(sysb["c2"]),
-                              float(cfg.gains.get("c3", 0.0)),
-                              float(cfg.gains.get("c4", 0.0)))
-        m = len(sysb["initial_state"])
-        beta, eta = asymptotics(cfg.rate, cfg.delay)
-        eps1 = cfg.monitor.get("eps1")
-        return [check_scalar_theorem(g, m, beta, eta, norm=n, eps1=eps1)
-                for n in ("two", "one", "inf")]
-    # network: the preset's full-node condition with the configured gains
-    model = lorenz_preset().model
-    xi = left_eigenvector(model.A)
-    beta, eta = asymptotics(cfg.rate, model.delays)
-    control = cfg.control
-    params = NetworkConditionParams(
-        L_f=model.L_f, L_g=model.L_g, theta1=model.theta1, theta2=model.theta2,
-        theta3=float(control.get("theta3", 0.0)), N=model.N, n=model.n,
-        B=model.B, xi=xi, beta=beta, eta=eta,
-        theta4=float(control.get("theta4", 0.0)),
-        sigma=float(control.get("sigma", 1.0)), A=model.A)
-    variant = "pinning" if control.get("kind") == "pinning" else "full"
-    return [check_network_theorem(params, variant=variant,
-                                  eps1=cfg.monitor.get("eps1"))]
 
 
 def format_report_table(reports: Sequence[ConditionReport]) -> str:
@@ -347,7 +357,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = load_config_file(args.config)
-    reports = _reports_for_config(cfg)
+    reports = condition_reports(cfg)
     print(format_report_table(reports))
     require = bool(cfg.monitor.get("require_feasible")) or args.require_feasible
     if require and not any(r.feasible for r in reports):
@@ -357,36 +367,17 @@ def _cmd_check(args) -> int:
 
 def _cmd_monitor(args) -> int:
     cfg = load_config_file(args.config)
-    traj = read_trajectory_csv(args.trajectory)
-    if cfg.kind == "scalar":
-        profile = cfg.delay
-        norm = cfg.adaptive.get("norm", "two")
-        functional = "v1"
-        xi = None
-    else:
-        model = lorenz_preset().model
-        profile = model.delays
-        norm = "two"
-        functional = "vbar1"
-        xi = left_eigenvector(model.A)
-    kappa = float(cfg.monitor.get("kappa", 0.9))
-    eps2 = kappa  # conservative default when no condition report is available
-    if cfg.kind == "scalar":
-        try:
-            reports = _reports_for_config(cfg)
-            if reports[0].feasible and reports[0].epsilon2_max > 0.0:
-                eps2 = kappa * reports[0].epsilon2_max
-        except (NoClosedFormError, ValueError):
-            pass
-    phases = detect_phases(traj, profile, norm, eps2, zero_tol=cfg.integrator.zero_tol,
-                           start_time=cfg.rate.default_monitor_start)
-    trace = trace_functional(traj, functional, cfg.rate, profile, xi=xi)
-    contacts = contact_point_decrease(trace, traj)
+    cert = certify(cfg, read_trajectory_csv(args.trajectory))
+    functional, xi = (("v1", None) if cfg.kind == "scalar"
+                      else ("vbar1", left_eigenvector(LORENZ_A)))
+    trace = trace_functional(cert.traj, functional, cfg.rate, cert.profile, xi=xi)
+    contacts = contact_point_decrease(trace, cert.traj)
     bad = [c for c in contacts if not c.ok]
     _write_rows(args.out, ["t", "V", "W", "contact"],
                 [trace.times, trace.values, trace.window_sups, trace.contact_mask],
                 [_FMT, _FMT, _FMT, "%d"])
-    t2 = phases.T1 + 1.0 / eps2 if math.isfinite(phases.T1) else math.inf
+    phases = cert.phases
+    t2 = phases.T1 + 1.0 / cert.eps2 if math.isfinite(phases.T1) else math.inf
     print(f"T1={phases.T1:.6g}, T_settle={phases.T_settle:.6g}, "
           f"T2_bound={t2:.6g}, violations={phases.envelope_violations}")
     print(f"contact points checked = {len(contacts)}, failing = {len(bad)}")
@@ -442,20 +433,25 @@ def _set_by_path(doc: dict, dotted: str, value):
     node[parts[-1]] = value
 
 
+def sweep(doc: dict, param: str, values: Sequence[float]):
+    """Yield (value, T_settle) as each run of the scalar config document `doc`,
+    with its dotted field `param` set to one of `values`, ends."""
+    for v in values:
+        point = json.loads(json.dumps(doc))
+        _set_by_path(point, param, float(v))
+        cfg = load_config(point)
+        if cfg.kind != "scalar":
+            raise ConfigError("sweep supports scalar configs only")
+        yield float(v), run(cfg).T_settle
+
+
 def _cmd_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         base = json.load(fh)
-    values = [float(v) for v in args.values.split(",")]
     rows = []
-    for v in values:
-        doc = json.loads(json.dumps(base))
-        _set_by_path(doc, args.param, v)
-        cfg = load_config(doc)
-        if cfg.kind != "scalar":
-            raise ConfigError("sweep supports scalar configs only")
-        res = run(cfg)
-        rows.append((v, res.T_settle))
-        print(f"{args.param} = {v:g}: T_settle = {res.T_settle:.6g}")
+    for v, t_settle in sweep(base, args.param, [float(v) for v in args.values.split(",")]):
+        rows.append((v, t_settle))
+        print(f"{args.param} = {v:g}: T_settle = {t_settle:.6g}")
     if args.out:
         _write_rows(args.out, [args.param, "T_settle"],
                     [np.array(rows)], [_FMT, _FMT])

@@ -22,10 +22,34 @@ TRACE_TOL = 1e-9      # relative near-equality tolerance for contact detection
 DERIV_TOL = 1e-6      # absolute slack on the contact-point derivative
 ENVELOPE_TOL = 1e-6   # slack on the phase-II linear envelope
 
+# A gain penalty (gain, rate key, halved, lambda-weighted) adds
+# [lam_abs *] (gain - gain*)^2 / ([2 *] rates[key]).
+_C4_HALF = (("c4", "d2", True, False),)
+_C3_C4 = (("c3", "d1", True, False), ("c4", "d3", True, False))
+# functional id -> (state term, phase, gain penalties).  The state term is
+# the squared 2-norm ("two"), the xi-weighted squared 2-norm ("xi"), or the
+# 1-/inf-norm.  Phase 1 weights it by mu(t) (a squared term stays squared);
+# phase 2 takes the plain norm and adds eps2*t after the penalties.
+_FUNCTIONALS = {
+    "v1": ("two", 1, ()),
+    "v2": ("two", 2, ()),
+    "v3": ("two", 1, (("c4", "d2", False, False),)),
+    "v4": ("two", 2, _C3_C4),
+    "v5": ("one", 1, ()),
+    "v6": ("one", 2, ()),
+    "v7": ("inf", 1, ()),
+    "v8": ("inf", 2, ()),
+    "vbar1": ("xi", 1, ()),
+    "vbar2": ("xi", 2, ()),
+    "vbar3": ("xi", 1, (("theta1", "d1", False, True),)),
+    "vbar4": ("xi", 2, (("theta1", "d2", True, True), ("theta3", "d3", True, False))),
+    "vbar5": ("one", 1, _C4_HALF),
+    "vbar6": ("one", 2, _C3_C4),
+    "vbar7": ("inf", 1, _C4_HALF),
+    "vbar8": ("inf", 2, _C3_C4),
+}
 # functional ids that carry the +eps2*t term (phase-II functionals)
-_PHASE2_IDS = {"v2", "v4", "v6", "v8", "vbar2", "vbar4", "vbar6", "vbar8"}
-# functional ids that need adaptive-gain penalty terms
-_ADAPTIVE_IDS = {"v3", "v4", "vbar3", "vbar4", "vbar5", "vbar6", "vbar7", "vbar8"}
+_PHASE2_IDS = {fid for fid, (_, phase, _) in _FUNCTIONALS.items() if phase == 2}
 
 
 @dataclass
@@ -77,7 +101,8 @@ def functional_series(traj: HistoryTrajectory, functional_id: str,
                       gain_stars: Optional[dict] = None,
                       rates: Optional[dict] = None,
                       lam_abs: Optional[float] = None) -> np.ndarray:
-    """Evaluate the selected functional on the whole trajectory grid.
+    """Evaluate the selected functional (see `_FUNCTIONALS`) on the whole
+    trajectory grid.
 
     v1/v2 (2-norm), v5/v6 (1-norm), v7/v8 (inf-norm) are the static scalar
     pairs; v3/v4 add the adaptive-gain penalties.  vbar1..vbar4 are the
@@ -86,80 +111,39 @@ def functional_series(traj: HistoryTrajectory, functional_id: str,
     `rates` (the d1/d2/d3 used in the run); vbar3/vbar4 additionally need
     lam_abs = |lambda_max({Xi Atilde}^s)|.
     """
-    times = traj.times
-    states = traj.states
     fid = functional_id.lower()
-
-    if fid in _PHASE2_IDS and eps2 is None:
+    if fid not in _FUNCTIONALS:
+        raise ValueError(f"unknown functional id {functional_id!r}")
+    term, phase, penalties = _FUNCTIONALS[fid]
+    if phase == 2 and eps2 is None:
         raise ValueError(f"functional {fid!r} requires eps2")
-    if fid in _ADAPTIVE_IDS and (gain_stars is None or rates is None):
+    if penalties and (gain_stars is None or rates is None):
         raise ValueError(f"functional {fid!r} requires gain_stars and rates")
-    if fid.startswith("vbar") and fid in ("vbar1", "vbar2", "vbar3", "vbar4") and xi is None:
+    if term == "xi" and xi is None:
         raise ValueError(f"functional {fid!r} requires the left eigenvector xi")
+    if any(lam for *_, lam in penalties) and lam_abs is None:
+        raise ValueError(f"{fid} requires lam_abs")
 
-    mu = np.asarray(rate.mu(times), dtype=float)
-
-    def weighted_sq_series():
-        n = states.shape[1] // xi.shape[0]
-        w = np.repeat(np.asarray(xi, dtype=float), n)
-        return (states ** 2 * w).sum(axis=1)
-
-    if fid == "v1":
-        return mu * (states ** 2).sum(axis=1)
-    if fid == "v2":
-        return _norm_series(states, "two") + eps2 * times
-    if fid == "v3":
-        c4 = _gain_series(traj, "c4")
-        return (mu * (states ** 2).sum(axis=1)
-                + (c4 - gain_stars["c4"]) ** 2 / rates["d2"])
-    if fid == "v4":
-        c3 = _gain_series(traj, "c3")
-        c4 = _gain_series(traj, "c4")
-        return (_norm_series(states, "two")
-                + (c3 - gain_stars["c3"]) ** 2 / (2.0 * rates["d1"])
-                + (c4 - gain_stars["c4"]) ** 2 / (2.0 * rates["d3"])
-                + eps2 * times)
-    if fid == "v5":
-        return mu * _norm_series(states, "one")
-    if fid == "v6":
-        return _norm_series(states, "one") + eps2 * times
-    if fid == "v7":
-        return mu * _norm_series(states, "inf")
-    if fid == "v8":
-        return _norm_series(states, "inf") + eps2 * times
-    if fid == "vbar1":
-        return mu * weighted_sq_series()
-    if fid == "vbar2":
-        return np.sqrt(weighted_sq_series()) + eps2 * times
-    if fid == "vbar3":
-        if lam_abs is None:
-            raise ValueError("vbar3 requires lam_abs")
-        th1 = _gain_series(traj, "theta1")
-        return (mu * weighted_sq_series()
-                + lam_abs * (th1 - gain_stars["theta1"]) ** 2 / rates["d1"])
-    if fid == "vbar4":
-        if lam_abs is None:
-            raise ValueError("vbar4 requires lam_abs")
-        th1 = _gain_series(traj, "theta1")
-        th3 = _gain_series(traj, "theta3")
-        return (np.sqrt(weighted_sq_series())
-                + lam_abs * (th1 - gain_stars["theta1"]) ** 2 / (2.0 * rates["d2"])
-                + (th3 - gain_stars["theta3"]) ** 2 / (2.0 * rates["d3"])
-                + eps2 * times)
-    if fid in ("vbar5", "vbar7"):
-        norm = "one" if fid == "vbar5" else "inf"
-        c4 = _gain_series(traj, "c4")
-        return (mu * _norm_series(states, norm)
-                + (c4 - gain_stars["c4"]) ** 2 / (2.0 * rates["d2"]))
-    if fid in ("vbar6", "vbar8"):
-        norm = "one" if fid == "vbar6" else "inf"
-        c3 = _gain_series(traj, "c3")
-        c4 = _gain_series(traj, "c4")
-        return (_norm_series(states, norm)
-                + (c3 - gain_stars["c3"]) ** 2 / (2.0 * rates["d1"])
-                + (c4 - gain_stars["c4"]) ** 2 / (2.0 * rates["d3"])
-                + eps2 * times)
-    raise ValueError(f"unknown functional id {functional_id!r}")
+    times, states = traj.times, traj.states
+    if term == "two":
+        value = (states ** 2).sum(axis=1)
+    elif term == "xi":
+        w = np.repeat(np.asarray(xi, dtype=float), states.shape[1] // xi.shape[0])
+        value = (states ** 2 * w).sum(axis=1)
+    else:
+        value = _norm_series(states, term)
+    if phase == 1:
+        value = np.asarray(rate.mu(times), dtype=float) * value
+    elif term in ("two", "xi"):
+        value = np.sqrt(value)
+    for name, key, halved, lam in penalties:
+        pen = (_gain_series(traj, name) - gain_stars[name]) ** 2
+        if lam:
+            pen = lam_abs * pen
+        value = value + pen / (2.0 * rates[key] if halved else rates[key])
+    if phase == 2:
+        value = value + eps2 * times
+    return value
 
 
 def trace_functional(traj: HistoryTrajectory, functional_id: str,

@@ -13,6 +13,7 @@ whole block at once; before that, and for short delays, it runs per step.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -359,6 +360,12 @@ def lorenz_lipschitz_bound(box: np.ndarray = LORENZ_BOX, grid: int = 9) -> float
     return best
 
 
+@functools.lru_cache(maxsize=None)
+def _lorenz_l_f() -> float:
+    """lorenz_lipschitz_bound() on the default box, computed on first use."""
+    return lorenz_lipschitz_bound()
+
+
 def lorenz_preset(horizon: float = 20.0, h: float = 5e-4,
                   control: Optional[NetworkControlSpec] = None,
                   adaptive_hook: Optional[NetworkAdaptiveHook] = None) -> SyncExperiment:
@@ -367,7 +374,7 @@ def lorenz_preset(horizon: float = 20.0, h: float = 5e-4,
     model = NetworkModel(N=3, n=3, A=LORENZ_A, B=LORENZ_B,
                          theta1=0.1, theta2=1.0,
                          f=lorenz_rhs, g=sin_plus_linear,
-                         L_f=lorenz_lipschitz_bound(), L_g=3.0,
+                         L_f=_lorenz_l_f(), L_g=3.0,
                          delays=delays)
     cfg = IntegratorConfig(horizon=horizon, h=h, zero_band=None, zero_tol=1e-9)
     return SyncExperiment(model=model, mode="outer",

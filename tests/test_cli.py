@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from fintstab.cli import (EXAMPLE1, main, read_trajectory_csv, run,
+from fintstab.cli import (EXAMPLE1, certify, condition_reports, main,
+                          read_trajectory_csv, run,
                           run_example1, run_example1_adaptive,
                           run_example1_sweep, run_example2,
                           write_trajectory_csv)
@@ -369,3 +370,59 @@ def test_config_accepts_well_typed_block_fields():
     load_config(_scalar_doc(adaptive={"enabled": False}))
     load_config(_network_doc({"kind": "pinning", "theta3": 1, "sigma": 2.0,
                               "adaptive": {"enabled": True, "variant": "theta1_theta3"}}))
+
+
+_DIM3 = {"c1": 1.0, "c2": 0.5, "initial_state": [1.0, -0.5, 0.25]}
+
+
+@pytest.mark.parametrize("blocks", [
+    {"integrator": {"horizon": 2.0, "h": 1e-3}},
+    {"system": _DIM3, "gains": {"c3": 2.0, "c4": 4.0}, "adaptive": {"norm": "one"},
+     "integrator": {"horizon": 2.0, "h": 1e-3}},
+    {"adaptive": {"enabled": True, "d1": 0.1, "d2": 0.1, "d3": 0.1},
+     "integrator": {"horizon": 10.0, "h": 1e-3}},
+    {"monitor": {"kappa": 0.8, "eps1": 0.5, "start_time": 1.5},
+     "integrator": {"horizon": 2.0, "h": 1e-3}},
+], ids=["static_two", "dim3_one", "adaptive", "eps1_start_time"])
+def test_monitor_agrees_with_simulate(tmp_path, capsys, blocks):
+    # monitor re-derives the certificate from the CSV by the same rule as
+    # simulate: eps2, and so T2_bound = T1 + 1/eps2, and the violations
+    doc = dict(EXAMPLE1, output={"csv": str(tmp_path / "traj.csv")}, **blocks)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    res = run(load_config(doc))
+    assert math.isfinite(res.T1)
+    assert main(["simulate", str(path)]) == 0
+    capsys.readouterr()
+    main(["monitor", str(path), str(tmp_path / "traj.csv"), "--out", str(tmp_path / "m.csv")])
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line == (f"T1={res.T1:.6g}, T_settle={res.T_settle:.6g}, "
+                    f"T2_bound={res.T1 + 1.0 / res.eps2:.6g}, "
+                    f"violations={res.phases.envelope_violations}")
+
+
+def test_monitor_needs_the_adaptive_gain_column(tmp_path, capsys):
+    doc = dict(EXAMPLE1, adaptive={"enabled": True, "d1": 0.1, "d2": 0.1, "d3": 0.1},
+               integrator={"horizon": 1.0, "h": 1e-3})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    write_trajectory_csv(tmp_path / "static.csv", run_example1(horizon=1.0).traj)
+    assert main(["monitor", str(path), str(tmp_path / "static.csv"),
+                 "--out", str(tmp_path / "m.csv")]) == 1
+    assert "no gain series named 'c3'" in capsys.readouterr().err
+
+
+def test_eps2_rule_per_config_kind():
+    static = load_config(dict(EXAMPLE1, system=_DIM3, gains={"c3": 2.0, "c4": 4.0},
+                              adaptive={"norm": "one"}, monitor={"kappa": 0.8},
+                              integrator={"horizon": 1.0, "h": 1e-3}))
+    two, one, _ = condition_reports(static)
+    res = run(static)
+    assert res.report == one and res.eps2 == 0.8 * one.epsilon2_max != 0.8 * two.epsilon2_max
+    adaptive = run_example1_adaptive(horizon=1.0)
+    assert adaptive.report is None and adaptive.settle_bound is None
+    margin = adaptive.traj.gains[-1, 0] - 2.0
+    assert adaptive.eps2 == 0.9 * (margin if margin > 0.0 else 0.01)
+    net = load_config(dict(_network_doc({}), monitor={"kappa": 0.7}))
+    traj = HistoryTrajectory.from_arrays(0.0, 1e-3, np.zeros((11, 9)))
+    assert certify(net, traj).eps2 == 0.7

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fintstab.delays import DelayProfile, RateFunction
 from fintstab.integrate import (HistoryTrajectory, IntegratorConfig,
                                 RunningWindowSup, delayed_linear_rhs,
                                 integrate)
-from fintstab.monitors import (contact_point_decrease, detect_phases,
-                               functional_series, trace_functional)
+from fintstab.monitors import (_FUNCTIONALS, _PHASE2_IDS, _gain_series,
+                               _norm_series, contact_point_decrease,
+                               detect_phases, functional_series,
+                               trace_functional)
 
 
 def _static_run(c3=2.1, c4=3.5, horizon=30.0):
@@ -151,3 +155,170 @@ def test_network_functional_weighting():
     v = functional_series(traj, "vbar1", RATE, xi=xi)
     # sum_i xi_i e_i^T e_i with every component 1: 3*(0.25 + 0.75) = 3
     assert np.allclose(v, RATE.mu(times) * 3.0)
+
+
+# The hand-written branches `functional_series` had before it became a table,
+# kept verbatim as the reference the table must reproduce bit for bit.
+_REF_PHASE2_IDS = {"v2", "v4", "v6", "v8", "vbar2", "vbar4", "vbar6", "vbar8"}
+_REF_ADAPTIVE_IDS = {"v3", "v4", "vbar3", "vbar4", "vbar5", "vbar6", "vbar7", "vbar8"}
+
+
+def _reference_functional_series(traj, functional_id, rate, xi=None, eps2=None,
+                                 gain_stars=None, rates=None, lam_abs=None):
+    times = traj.times
+    states = traj.states
+    fid = functional_id.lower()
+
+    if fid in _REF_PHASE2_IDS and eps2 is None:
+        raise ValueError(f"functional {fid!r} requires eps2")
+    if fid in _REF_ADAPTIVE_IDS and (gain_stars is None or rates is None):
+        raise ValueError(f"functional {fid!r} requires gain_stars and rates")
+    if fid.startswith("vbar") and fid in ("vbar1", "vbar2", "vbar3", "vbar4") and xi is None:
+        raise ValueError(f"functional {fid!r} requires the left eigenvector xi")
+
+    mu = np.asarray(rate.mu(times), dtype=float)
+
+    def weighted_sq_series():
+        n = states.shape[1] // xi.shape[0]
+        w = np.repeat(np.asarray(xi, dtype=float), n)
+        return (states ** 2 * w).sum(axis=1)
+
+    if fid == "v1":
+        return mu * (states ** 2).sum(axis=1)
+    if fid == "v2":
+        return _norm_series(states, "two") + eps2 * times
+    if fid == "v3":
+        c4 = _gain_series(traj, "c4")
+        return (mu * (states ** 2).sum(axis=1)
+                + (c4 - gain_stars["c4"]) ** 2 / rates["d2"])
+    if fid == "v4":
+        c3 = _gain_series(traj, "c3")
+        c4 = _gain_series(traj, "c4")
+        return (_norm_series(states, "two")
+                + (c3 - gain_stars["c3"]) ** 2 / (2.0 * rates["d1"])
+                + (c4 - gain_stars["c4"]) ** 2 / (2.0 * rates["d3"])
+                + eps2 * times)
+    if fid == "v5":
+        return mu * _norm_series(states, "one")
+    if fid == "v6":
+        return _norm_series(states, "one") + eps2 * times
+    if fid == "v7":
+        return mu * _norm_series(states, "inf")
+    if fid == "v8":
+        return _norm_series(states, "inf") + eps2 * times
+    if fid == "vbar1":
+        return mu * weighted_sq_series()
+    if fid == "vbar2":
+        return np.sqrt(weighted_sq_series()) + eps2 * times
+    if fid == "vbar3":
+        if lam_abs is None:
+            raise ValueError("vbar3 requires lam_abs")
+        th1 = _gain_series(traj, "theta1")
+        return (mu * weighted_sq_series()
+                + lam_abs * (th1 - gain_stars["theta1"]) ** 2 / rates["d1"])
+    if fid == "vbar4":
+        if lam_abs is None:
+            raise ValueError("vbar4 requires lam_abs")
+        th1 = _gain_series(traj, "theta1")
+        th3 = _gain_series(traj, "theta3")
+        return (np.sqrt(weighted_sq_series())
+                + lam_abs * (th1 - gain_stars["theta1"]) ** 2 / (2.0 * rates["d2"])
+                + (th3 - gain_stars["theta3"]) ** 2 / (2.0 * rates["d3"])
+                + eps2 * times)
+    if fid in ("vbar5", "vbar7"):
+        norm = "one" if fid == "vbar5" else "inf"
+        c4 = _gain_series(traj, "c4")
+        return (mu * _norm_series(states, norm)
+                + (c4 - gain_stars["c4"]) ** 2 / (2.0 * rates["d2"]))
+    if fid in ("vbar6", "vbar8"):
+        norm = "one" if fid == "vbar6" else "inf"
+        c3 = _gain_series(traj, "c3")
+        c4 = _gain_series(traj, "c4")
+        return (_norm_series(states, norm)
+                + (c3 - gain_stars["c3"]) ** 2 / (2.0 * rates["d1"])
+                + (c4 - gain_stars["c4"]) ** 2 / (2.0 * rates["d3"])
+                + eps2 * times)
+    raise ValueError(f"unknown functional id {functional_id!r}")
+
+
+_GAIN_NAMES = ("c3", "c4", "theta1", "theta3")
+_ALL_IDS = [f"v{i}" for i in range(1, 9)] + [f"vbar{i}" for i in range(1, 9)]
+_finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_positive = st.floats(1e-3, 1e2, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _functional_inputs(draw):
+    dim = draw(st.sampled_from([1, 3, 9]))
+    rows = draw(st.integers(2, 12))
+    # exact zeros (and -0.0) next to ordinary values
+    entry = st.one_of(st.just(0.0), st.just(-0.0), _finite)
+    states = np.array(draw(st.lists(entry, min_size=rows * dim, max_size=rows * dim)),
+                      dtype=float).reshape(rows, dim)
+    gains = np.array(draw(st.lists(st.one_of(st.just(0.0), _finite),
+                                   min_size=rows * 4, max_size=rows * 4)),
+                     dtype=float).reshape(rows, 4)
+    h = draw(st.sampled_from([1e-3, 0.01, 0.25]))
+    traj = HistoryTrajectory.from_arrays(draw(st.sampled_from([0.0, 1.5])), h, states,
+                                         gain_names=_GAIN_NAMES, gains=gains)
+    n_nodes = draw(st.sampled_from([k for k in (1, 3) if dim % k == 0]))
+    rate = draw(st.sampled_from([RateFunction.power(0.1), RateFunction.power(0.7),
+                                 RateFunction.exponential(0.1),
+                                 RateFunction.exponential(0.9)]))
+    kw = dict(xi=np.array(draw(st.lists(_positive, min_size=n_nodes, max_size=n_nodes))),
+              eps2=draw(_positive),
+              gain_stars={g: draw(_finite) for g in _GAIN_NAMES},
+              rates={d: draw(_positive) for d in ("d1", "d2", "d3")},
+              lam_abs=draw(_positive))
+    return traj, rate, kw
+
+
+@settings(max_examples=60, deadline=None)
+@given(_functional_inputs())
+def test_functional_table_matches_reference_bitwise(inputs):
+    traj, rate, kw = inputs
+    for fid in _ALL_IDS:
+        got = functional_series(traj, fid, rate, **kw)
+        want = _reference_functional_series(traj, fid, rate, **kw)
+        assert got.dtype == want.dtype and got.shape == want.shape, fid
+        assert got.tobytes() == want.tobytes(), fid
+    assert functional_series(traj, "V4", rate, **kw).tobytes() == \
+        _reference_functional_series(traj, "v4", rate, **kw).tobytes()
+
+
+def test_functional_table_covers_every_id():
+    assert sorted(_FUNCTIONALS) == sorted(_ALL_IDS)
+    assert _PHASE2_IDS == _REF_PHASE2_IDS
+    assert {f for f, (_, _, pens) in _FUNCTIONALS.items() if pens} == _REF_ADAPTIVE_IDS
+
+
+@pytest.mark.parametrize("fid", _ALL_IDS)
+def test_functional_missing_inputs_raise(fid):
+    times = np.arange(0.0, 0.1, 0.01)
+    traj = HistoryTrajectory.from_arrays(0.0, 0.01, np.ones((times.size, 3)),
+                                         gain_names=_GAIN_NAMES,
+                                         gains=np.ones((times.size, 4)))
+    full = dict(xi=np.array([0.2, 0.3, 0.5]), eps2=0.1,
+                gain_stars={g: 1.0 for g in _GAIN_NAMES},
+                rates={"d1": 0.1, "d2": 0.1, "d3": 0.1}, lam_abs=0.5)
+    functional_series(traj, fid, RATE, **full)
+    needs = []
+    if fid in _REF_PHASE2_IDS:
+        needs.append("eps2")
+    if fid in _REF_ADAPTIVE_IDS:
+        needs += ["gain_stars", "rates"]
+    if fid in ("vbar1", "vbar2", "vbar3", "vbar4"):
+        needs.append("xi")
+    if fid in ("vbar3", "vbar4"):
+        needs.append("lam_abs")
+    for missing in needs:
+        kw = dict(full, **{missing: None})
+        for impl in (functional_series, _reference_functional_series):
+            with pytest.raises(ValueError):
+                impl(traj, fid, RATE, **kw)
+    bare = HistoryTrajectory.from_arrays(0.0, 0.01, np.ones((times.size, 3)))
+    if fid in _REF_ADAPTIVE_IDS:  # no gain columns to penalise
+        with pytest.raises(ValueError, match="no gain series"):
+            functional_series(bare, fid, RATE, **full)
+    with pytest.raises(ValueError, match="unknown functional id"):
+        functional_series(traj, fid + "x", RATE, **full)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -176,3 +180,26 @@ def test_inner_mode_runs_and_reports_residual():
     assert res.inner_residual is not None
     # node 1 starts on the reference; with B=0 and linear f it stays close
     assert res.response.states.shape[1] == 4
+
+
+def test_lorenz_lipschitz_bound_computed_once(monkeypatch):
+    from fintstab import network
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return lorenz_lipschitz_bound(*args, **kw)
+
+    monkeypatch.setattr(network, "lorenz_lipschitz_bound", counted)
+    network._lorenz_l_f.cache_clear()
+    first, second = lorenz_preset().model.L_f, lorenz_preset().model.L_f
+    assert len(calls) == 1
+    # the grid maximum over LORENZ_BOX, as computed per call before caching
+    assert first == second == lorenz_lipschitz_bound() == float.fromhex("0x1.8c1d5adaf44dap+5")
+
+
+def test_lorenz_lipschitz_bound_not_computed_at_import():
+    code = ("import fintstab.cli, fintstab.network as n; "
+            "assert n._lorenz_l_f.cache_info().currsize == 0")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
