@@ -142,6 +142,12 @@ def condition_reports(cfg: ExperimentConfig,
     return [check_network_theorem(params, variant=variant, eps1=eps1)]
 
 
+def _monitor_start(cfg: ExperimentConfig) -> float:
+    """monitor.start_time, or the rate's default monitor start."""
+    start = cfg.monitor.get("start_time")
+    return cfg.rate.default_monitor_start if start is None else float(start)
+
+
 def certify(cfg: ExperimentConfig, traj: HistoryTrajectory) -> ScalarRunResult:
     """The two-phase certificate of a trajectory of `cfg`: condition report,
     eps2, phases (T1, T_settle, envelope violations) and settling bound.
@@ -168,10 +174,8 @@ def certify(cfg: ExperimentConfig, traj: HistoryTrajectory) -> ScalarRunResult:
                 pass
             eps2 = (kappa * report.epsilon2_max
                     if report is not None and report.epsilon2_max > 0.0 else kappa)
-    start = cfg.monitor.get("start_time")
     phases = detect_phases(traj, profile, norm, eps2, zero_tol=cfg.integrator.zero_tol,
-                           start_time=cfg.rate.default_monitor_start
-                           if start is None else float(start))
+                           start_time=_monitor_start(cfg))
     bound = None
     if report is not None and report.feasible and math.isfinite(phases.T1):
         bound = settling_bound(report, phases.T1, kappa)
@@ -359,6 +363,10 @@ def _cmd_check(args) -> int:
     cfg = load_config_file(args.config)
     reports = condition_reports(cfg)
     print(format_report_table(reports))
+    scalar = cfg.kind == "scalar"
+    if (cfg.adaptive if scalar else cfg.control.get("adaptive", {})).get("enabled"):
+        print(f"note: adaptive gains drive this run; the table checks the static "
+              f"{'gains' if scalar else 'control'} block, which it does not use")
     require = bool(cfg.monitor.get("require_feasible")) or args.require_feasible
     if require and not any(r.feasible for r in reports):
         return 2
@@ -367,10 +375,16 @@ def _cmd_check(args) -> int:
 
 def _cmd_monitor(args) -> int:
     cfg = load_config_file(args.config)
-    cert = certify(cfg, read_trajectory_csv(args.trajectory))
+    traj = read_trajectory_csv(args.trajectory)
+    h = cfg.integrator.h
+    if not math.isclose(traj.h, h, rel_tol=1e-9):
+        raise ValueError(f"trajectory grid step {traj.h!r} is not integrator.h = {h!r} "
+                         f"(was it written with output.stride > 1?)")
+    cert = certify(cfg, traj)
     functional, xi = (("v1", None) if cfg.kind == "scalar"
                       else ("vbar1", left_eigenvector(LORENZ_A)))
-    trace = trace_functional(cert.traj, functional, cfg.rate, cert.profile, xi=xi)
+    trace = trace_functional(cert.traj, functional, cfg.rate, cert.profile, xi=xi,
+                             start_time=_monitor_start(cfg))
     contacts = contact_point_decrease(trace, cert.traj)
     bad = [c for c in contacts if not c.ok]
     _write_rows(args.out, ["t", "V", "W", "contact"],

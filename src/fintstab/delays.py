@@ -28,17 +28,18 @@ class NoClosedFormError(ValueError):
 class DelayProfile:
     """Family of component delays pi_i(t) bounded by an envelope pi(t).
 
-    ``envelope_kind`` is one of "proportional" (pi(t) = q*t), "constant"
-    (pi(t) = pi) or "custom"; closed-form asymptotics exist only for the
-    first two.
+    Every closed form is affine: pi_i(t) = slopes[i]*t + lag under the
+    envelope pi(t) = q*t + lag, with lag = 0 for the proportional families
+    and q = slopes = 0 for a constant delay.  A custom profile supplies
+    callables instead (slopes is None) and has no closed-form asymptotics.
+    `kind` names the constructor.
     """
 
     kind: str
-    envelope_kind: str
-    envelope_param: Optional[float]
     n_components: int = 1
-    # per-component proportional coefficients, pi_i(t) = coefficients[i] * t
-    coefficients: Optional[np.ndarray] = None
+    slopes: Optional[np.ndarray] = None
+    q: float = 0.0
+    lag: float = 0.0
     _envelope_fn: Optional[Callable[[float], float]] = field(default=None, repr=False)
     _component_fn: Optional[Callable[[int, float], float]] = field(default=None, repr=False)
 
@@ -49,16 +50,16 @@ class DelayProfile:
         """pi_i(t) = q*t for every component, 0 < q < 1."""
         if not 0.0 < q < 1.0:
             raise ValueError(f"proportional ratio must lie in (0,1), got {q}")
-        return cls(kind="proportional", envelope_kind="proportional",
-                   envelope_param=q, n_components=n_components)
+        return cls(kind="proportional", n_components=n_components,
+                   slopes=np.full(n_components, float(q)), q=q)
 
     @classmethod
     def constant(cls, pi_value: float, n_components: int = 1) -> "DelayProfile":
         """pi_i(t) = pi for every component, pi >= 0."""
         if pi_value < 0.0:
             raise ValueError(f"constant delay must be >= 0, got {pi_value}")
-        return cls(kind="constant", envelope_kind="constant",
-                   envelope_param=pi_value, n_components=n_components)
+        return cls(kind="constant", n_components=n_components,
+                   slopes=np.zeros(n_components), lag=pi_value)
 
     @classmethod
     def per_component_proportional(cls, coefficients,
@@ -72,8 +73,7 @@ class DelayProfile:
             raise ValueError(f"envelope ratio must lie in (0,1), got {q}")
         if coeffs.min() < 0.0 or coeffs.max() > q:
             raise ValueError("component coefficients must lie in [0, envelope_q]")
-        return cls(kind="per_component", envelope_kind="proportional",
-                   envelope_param=q, n_components=coeffs.size, coefficients=coeffs)
+        return cls(kind="per_component", n_components=coeffs.size, slopes=coeffs, q=q)
 
     @classmethod
     def pairwise_sin(cls, n_nodes: int, base: float = 0.5,
@@ -93,38 +93,33 @@ class DelayProfile:
     def custom(cls, envelope: Callable[[float], float],
                component: Optional[Callable[[int, float], float]] = None,
                n_components: int = 1) -> "DelayProfile":
-        """Arbitrary callables; simulation only, no closed-form asymptotics."""
-        return cls(kind="custom", envelope_kind="custom", envelope_param=None,
-                   n_components=n_components, _envelope_fn=envelope,
-                   _component_fn=component)
+        """Arbitrary callables (every component follows the envelope when no
+        `component` is given); simulation only, no closed-form asymptotics."""
+        return cls(kind="custom", n_components=n_components, _envelope_fn=envelope,
+                   _component_fn=component or (lambda i, t: envelope(t)))
+
+    @property
+    def envelope_kind(self) -> str:
+        """"proportional" (pi(t) = q*t), "constant" (pi(t) = lag) or "custom"."""
+        if self.slopes is None:
+            return "custom"
+        return "proportional" if self.q else "constant"
 
     # -- evaluation --------------------------------------------------------
 
     def envelope(self, t):
         """Common envelope pi(t); accepts scalars or arrays."""
-        if self.envelope_kind == "proportional":
-            return self.envelope_param * np.asarray(t, dtype=float) if np.ndim(t) else self.envelope_param * float(t)
-        if self.envelope_kind == "constant":
-            if np.ndim(t):
-                return np.full(np.shape(t), self.envelope_param)
-            return self.envelope_param
-        return self._envelope_fn(t)
+        if self.slopes is None:
+            return self._envelope_fn(t)
+        if np.ndim(t):
+            return self.q * np.asarray(t, dtype=float) + self.lag
+        return self.q * float(t) + self.lag
 
     def delay(self, i: int, t: float) -> float:
         """Component delay pi_i(t)."""
-        if t < 0.0:
-            raise ValueError(f"delay queried at negative time t={t}")
         if not 0 <= i < self.n_components:
             raise IndexError(f"component index {i} out of range [0, {self.n_components})")
-        if self.kind == "proportional":
-            return self.envelope_param * t
-        if self.kind == "constant":
-            return self.envelope_param
-        if self.kind == "per_component":
-            return float(self.coefficients[i]) * t
-        if self._component_fn is not None:
-            return self._component_fn(i, t)
-        return self.envelope(t)
+        return float(self.delay_table([t])[0, i])
 
     def delays_at(self, t: float) -> np.ndarray:
         """All component delays at time t as a vector."""
@@ -135,15 +130,10 @@ class DelayProfile:
         ts = np.asarray(ts, dtype=float)
         if ts.size and ts.min() < 0.0:
             raise ValueError(f"delay queried at negative time t={ts.min()}")
-        shape = (ts.size, self.n_components)
-        if self.kind == "proportional":
-            return np.broadcast_to((self.envelope_param * ts)[:, None], shape).copy()
-        if self.kind == "constant":
-            return np.full(shape, self.envelope_param)
-        if self.kind == "per_component":
-            return ts[:, None] * self.coefficients
-        return np.array([[self.delay(i, t) for i in range(self.n_components)]
-                         for t in ts]).reshape(shape)
+        if self.slopes is not None:
+            return ts[:, None] * self.slopes + self.lag
+        return np.array([[self._component_fn(i, t) for i in range(self.n_components)]
+                         for t in ts]).reshape(ts.size, self.n_components)
 
 
 @dataclass(frozen=True)
@@ -188,11 +178,9 @@ def asymptotics(rate: RateFunction, profile: DelayProfile) -> tuple:
     form here and must be handled by the caller.
     """
     if rate.kind == "power" and profile.envelope_kind == "proportional":
-        q = profile.envelope_param
-        return 0.0, (1.0 - q) ** (-rate.param) - 1.0
+        return 0.0, (1.0 - profile.q) ** (-rate.param) - 1.0
     if rate.kind == "exponential" and profile.envelope_kind == "constant":
-        pi_value = profile.envelope_param
-        return rate.param, math.exp(rate.param * pi_value) - 1.0
+        return rate.param, math.exp(rate.param * profile.lag) - 1.0
     raise NoClosedFormError(
         f"no closed-form asymptotics for rate kind {rate.kind!r} with "
         f"envelope kind {profile.envelope_kind!r}; supply (beta, eta) manually")

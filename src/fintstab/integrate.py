@@ -33,8 +33,7 @@ class DivergenceError(RuntimeError):
 
 
 class HistoryWindowError(ValueError):
-    """Query outside the available history: past the current step, or a
-    window reaching before t0 where pre-history is not allowed."""
+    """Query past the recorded history: a time after the current step."""
 
 
 @dataclass
@@ -92,14 +91,16 @@ PLAN_BLOCK = 256  # grid steps per filled block; 512 raised peak RSS with no spe
 
 
 class _PlanBlock:
-    """Rows of steps start..start+len(lo)-1: lo, hi, w are (steps, components)."""
+    """Rows of steps start..start+len(lo)-1: lo, hi, w are (steps, components);
+    pre[r] says whether row r reads a time before t0, and reach[r] is the
+    highest history row it reads."""
 
-    def __init__(self, start, times, lo, hi, w, t0):
+    def __init__(self, start, times, lo, hi, w, pre, reach):
         self.start = start
         self.stop = start + lo.shape[0]
         self.times = times
         self.lo, self.hi, self.w = lo, hi, w
-        self.pre = (times < t0).any(axis=1).tolist()
+        self.pre, self.reach = pre, reach
 
 
 class DelayPlan:
@@ -107,11 +108,13 @@ class DelayPlan:
 
     Row k holds grid_rows of t_k - pi_p(t_k) for each delay component p (or of
     t_k - pi(t_k) for the envelope), looked up with last row k: the history
-    an integrator holds at step k.  Rows are filled on demand in aligned
-    blocks of PLAN_BLOCK steps, so memory stays O(PLAN_BLOCK * components)
-    whatever the horizon.  Custom profiles fill a block by evaluating the
-    profile once per time.  A row that looks past its own step raises
-    HistoryWindowError when it is read.
+    an integrator holds at step k.  Rows are computed on demand in aligned
+    runs of PLAN_BLOCK steps, so memory stays O(PLAN_BLOCK * components)
+    whatever the horizon; custom profiles evaluate the profile once per time.
+    `row` hands a run out in complete blocks: a block starting at step s
+    ends before its first row that reads past row s, so every row a block
+    reads is recorded once step s is reached.  A row that looks past its own
+    step raises HistoryWindowError when it is read.
     """
 
     def __init__(self, profile: DelayProfile, t0: float, h: float, envelope: bool = False):
@@ -119,6 +122,7 @@ class DelayPlan:
         self.t0 = float(t0)
         self.h = float(h)
         self.envelope = envelope
+        self._run: Optional[_PlanBlock] = None
         self._block: Optional[_PlanBlock] = None
 
     def _delays(self, ts: np.ndarray) -> np.ndarray:
@@ -139,36 +143,42 @@ class DelayPlan:
             bad = start + exc.index // times.shape[1]
             if bad == start:
                 raise
-            return self._fill(start, bad)  # the block ends before the bad row
-        return _PlanBlock(start, times, lo, hi, w, self.t0)
+            return self._fill(start, bad)  # the run ends before the bad row
+        return _PlanBlock(start, times, lo, hi, w, (times < self.t0).any(axis=1).tolist(),
+                          hi.max(axis=1))
 
     def row(self, k: int):
-        """The filled block holding step k, and k's row in it."""
+        """The complete block starting at or before step k that holds it, and
+        k's row in it."""
         blk = self._block
         if blk is None or not blk.start <= k < blk.stop:
-            start = k - k % PLAN_BLOCK
-            blk = self._fill(start, start + PLAN_BLOCK)
-            if k >= blk.stop:  # truncated before k: raises on its first bad row
-                blk = self._fill(blk.stop, start + PLAN_BLOCK)
-            self._block = blk
+            run = self._run
+            if run is None or not run.start <= k < run.stop:
+                start = k - k % PLAN_BLOCK
+                run = self._fill(start, start + PLAN_BLOCK)
+                if k >= run.stop:  # truncated before k: raises on its first bad row
+                    run = self._fill(run.stop, start + PLAN_BLOCK)
+                self._run = run
+            # rows from k up to, not including, the first that reads past row k
+            i = k - run.start
+            ahead = run.reach[i:] > k
+            j = i + int(ahead.argmax()) if ahead.any() else len(run.pre)
+            blk = self._block = _PlanBlock(k, run.times[i:j], run.lo[i:j], run.hi[i:j],
+                                           run.w[i:j], run.pre[i:j], run.reach[i:j])
         return blk, k - blk.start
 
 
 class PlanGather:
-    """A plan's delayed values of a trajectory, one grid step at a time.
+    """A plan's delayed values of a trajectory, one block at a time.
 
     Component p of the plan reads the state columns cols[p]; cols has one row
     per component, or one row per output row when a single shared delay
-    component is broadcast.  Flat indices and weights are rebuilt whenever
-    the plan hands out another block, or the gather is asked for another
-    trajectory.
-
-    Block path: when a block is loaded and every row it reads is already
-    recorded (blk.hi.max() <= traj._filled), the whole block's values are
-    computed at once, pre-history rows are applied then, and each step
-    returns its read-only row of that array.  Recorded rows never change, so
-    this equals the per-step gather bitwise.  Otherwise (the block reads rows
-    still to be integrated) each step gathers its own row.
+    component is broadcast.  When the plan hands out another block, or the
+    gather is asked for another trajectory, the whole block's values are
+    computed in one wl*x[lo] + wh*x[hi], pre-history rows are applied, and
+    each step returns its read-only row of that array.  A block reads only
+    rows recorded by its first step and recorded rows never change, so this
+    equals a per-step gather bitwise.
     """
 
     def __init__(self, cols, stride: int):
@@ -180,16 +190,10 @@ class PlanGather:
 
     def _load(self, blk: _PlanBlock, traj: "HistoryTrajectory"):
         self._blk, self._traj = blk, traj
-        lo = blk.lo[:, :, None] * self.stride + self.cols
-        hi = blk.hi[:, :, None] * self.stride + self.cols
         wh = blk.w[:, :, None]
-        wl = 1.0 - wh
-        if blk.hi.max() > traj._filled:
-            self._vals = None
-            self._lo, self._hi, self._wl, self._wh = lo, hi, wl, wh
-            return
         flat = traj._flat
-        vals = wl * flat[lo] + wh * flat[hi]
+        vals = ((1.0 - wh) * flat[blk.lo[:, :, None] * self.stride + self.cols]
+                + wh * flat[blk.hi[:, :, None] * self.stride + self.cols])
         if traj.initial_history is not None:
             for r in np.nonzero(blk.pre)[0]:
                 traj._pre_history_into(vals[r], blk.times[r], self.cols)
@@ -200,8 +204,7 @@ class PlanGather:
               plan: Optional[DelayPlan] = None):
         """(vals, r): the read-only values of the block of `plan` (default
         traj.plan) holding step k, shape (steps, rows of cols, columns per
-        row), and k's row in it; vals is None when the block reads rows not
-        yet integrated."""
+        row), and k's row in it."""
         blk, r = (traj.plan if plan is None else plan).row(k)
         if blk is not self._blk or traj is not self._traj:
             self._load(blk, traj)
@@ -212,13 +215,7 @@ class PlanGather:
         """Values at step k from row k of `plan` (default traj.plan),
         shape (rows of cols, columns per row)."""
         vals, r = self.block(traj, k, plan)
-        if vals is not None:
-            return vals[r]
-        blk, flat = self._blk, traj._flat
-        out = self._wl[r] * flat[self._lo[r]] + self._wh[r] * flat[self._hi[r]]
-        if blk.pre[r] and traj.initial_history is not None:
-            traj._pre_history_into(out, blk.times[r], self.cols)
-        return out
+        return vals[r]
 
 
 def diag_cols(n_components: int, dim: int) -> np.ndarray:
@@ -344,17 +341,14 @@ def norm_inf(x) -> float:
 
 
 def window_sup(traj: HistoryTrajectory, t: float, profile: DelayProfile,
-               functional: Callable[[np.ndarray], float],
-               allow_prehistory: bool = True) -> float:
+               functional: Callable[[np.ndarray], float]) -> float:
     """Supremum of `functional` over [t - pi(t), t].
 
     Grid points inside the window plus the two boundary interpolants.  A left
     boundary before t0 resolves through the trajectory's initial history
-    (constant extension by default) unless `allow_prehistory` is False.
+    (constant extension by default).
     """
     a = t - float(profile.envelope(t))
-    if a < traj.t0 - _GRID_SNAP * traj.h and not allow_prehistory:
-        raise HistoryWindowError(f"window [{a:.6g}, {t:.6g}] precedes history start {traj.t0}")
     lo, hi, _ = grid_rows([a, t], traj.t0, traj.h, traj._filled)
     # grid points in the window: from a's upper row to t's lower row
     best = max((functional(traj._states[k]) for k in range(hi[0], lo[1] + 1)),

@@ -181,15 +181,12 @@ def trace_functional(traj: HistoryTrajectory, functional_id: str,
 
 
 def contact_point_decrease(trace: LyapunovTrace, traj: HistoryTrajectory,
-                           report=None, deriv_tol: float = DERIV_TOL,
-                           zero_tol: float = 1e-9,
-                           t_max: Optional[float] = None):
+                           deriv_tol: float = DERIV_TOL, zero_tol: float = 1e-9):
     """Central-difference dV/dt at each contact point; pass iff < deriv_tol.
 
     Phase-II functionals (those carrying +eps2*t) are only meaningful while
-    the state is away from the origin, so settled contact points are skipped;
-    `t_max` truncates the scan (e.g. at the measured settling time).  An
-    empty list is a vacuous pass.
+    the state is away from the origin, so settled contact points are skipped.
+    An empty list is a vacuous pass.
     """
     h = traj.h
     values = trace.values
@@ -198,13 +195,10 @@ def contact_point_decrease(trace: LyapunovTrace, traj: HistoryTrajectory,
     for k in np.nonzero(trace.contact_mask)[0]:
         if k <= max(0, trace.start_index) or k >= len(values) - 1:
             continue
-        t = trace.times[k]
-        if t_max is not None and t > t_max:
-            continue
         if settled_excluded and trace.norms[k] <= zero_tol:
             continue
         dv = (values[k + 1] - values[k - 1]) / (2.0 * h)
-        out.append(ContactPoint(time=float(t), dV_dt=float(dv), ok=dv < deriv_tol))
+        out.append(ContactPoint(time=float(trace.times[k]), dV_dt=float(dv), ok=dv < deriv_tol))
     return out
 
 

@@ -7,14 +7,13 @@ the response and subtracting, up to discretisation).  A Lorenz three-node
 preset reproduces the reference configuration exactly.
 
 The delayed coupling theta2 * sum_j b_ij g(x_j(t - pi_ij(t))) has one
-formula over a step axis, `_coupling`.  Once a plan block reads only recorded
-rows (unbounded delays soon do), the right-hand sides evaluate it for the
-whole block at once; before that, and for short delays, it runs per step.
+formula over a step axis, `_coupling`, which the right-hand sides evaluate
+for a whole plan block at once.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -114,9 +113,9 @@ def _delayed_reference(traj: HistoryTrajectory, tq: np.ndarray, N: int, n: int) 
 
 def _coupling(model: NetworkModel, XD: np.ndarray, ED: Optional[np.ndarray] = None):
     """theta2 * sum_j b_ij g(XD[s, i, j]), or with the error's values ED
-    theta2 * sum_j b_ij (g(XD + ED) - g(XD)), for gathered blocks (steps, N*N, n)
-    or one step's rows (N*N, n); the result is (steps, N, n).  g is
-    elementwise: the error's two terms are one call on [XD + ED, XD]."""
+    theta2 * sum_j b_ij (g(XD + ED) - g(XD)), for gathered blocks
+    (steps, N*N, n); the result is (steps, N, n).  g is elementwise: the
+    error's two terms are one call on [XD + ED, XD]."""
     XD = XD.reshape(-1, model.N, model.N, model.n)
     if ED is None:
         G = model.g(XD)
@@ -129,22 +128,18 @@ def _coupling(model: NetworkModel, XD: np.ndarray, ED: Optional[np.ndarray] = No
 def _block_coupling(model: NetworkModel, xgather: PlanGather,
                     egather: Optional[PlanGather] = None):
     """coupling(k, plan, xtraj, etraj=None) -> (N, n): `_coupling` of xtraj's
-    delayed values XD (and etraj's ED) at step k, once per plan block when
-    every gather is on its block path, cached until a gather hands out another
-    block array (compared by identity; the cache holds the arrays, so an
-    identity is never reused), and on step k's rows alone otherwise."""
+    delayed values XD (and etraj's ED) at step k, once per plan block, cached
+    until a gather hands out another block array (compared by identity; the
+    cache holds the arrays, so an identity is never reused)."""
     key = (None, None)
     cached = None
 
     def coupling(k, plan, xtraj, etraj=None):
         nonlocal key, cached
         xv, r = xgather.block(xtraj, k, plan)
-        ev = xv if egather is None else egather.block(etraj, k, plan)[0]
-        if xv is None or ev is None:
-            ed = None if egather is None else egather(etraj, k, plan)
-            return _coupling(model, xgather(xtraj, k, plan), ed)[0]
+        ev = None if egather is None else egather.block(etraj, k, plan)[0]
         if xv is not key[0] or ev is not key[1]:
-            key, cached = (xv, ev), _coupling(model, xv, None if egather is None else ev)
+            key, cached = (xv, ev), _coupling(model, xv, ev)
         return cached[r]
 
     return coupling
@@ -179,9 +174,8 @@ def _error_rhs(model: NetworkModel, base_traj: HistoryTrajectory,
 
     f is elementwise, so it is called once on the stacked buffer [x + e, x]
     and the two halves subtracted; so is g in `_coupling`, for a whole plan
-    block at a time once the error's block reads only recorded rows.  The
-    base has its own PlanGather, since a gather caches one trajectory's
-    block; the base is fully recorded, so its blocks take the block path.
+    block at a time.  The base has its own PlanGather, since a gather caches
+    one trajectory's block.
     """
     N, n = model.N, model.n
     nodes = PlanGather(_node_cols(N, n), N * n)
@@ -223,7 +217,12 @@ def _error_rhs(model: NetworkModel, base_traj: HistoryTrajectory,
 
 
 def simulate_sync(exp: SyncExperiment) -> SyncResult:
-    """Co-integrate the drive (or reference) and the error system."""
+    """Co-integrate the drive (or reference) and the error system.
+
+    The error system's zero band, when the integrator config leaves it unset,
+    is the sign gain times h: the hook's theta3 under adaptive control, the
+    static theta3 under pinning or full control, and 0 without control.
+    """
     model = exp.model
     cfg = exp.integrator
     if exp.mode == "outer":
@@ -235,6 +234,8 @@ def simulate_sync(exp: SyncExperiment) -> SyncResult:
 
     hook = exp.adaptive_hook
     rhs = _error_rhs(model, base, exp.mode, exp.control, hook)
+    if cfg.zero_band is None and hook is None and exp.control.kind != "none":
+        cfg = replace(cfg, zero_band=exp.control.theta3 * cfg.h)
     error = integrate(rhs, e0, model.delays, cfg, gain_hook=hook)
 
     if exp.mode == "outer":

@@ -35,7 +35,7 @@ def test_config_roundtrip_lossless():
     cfg = load_config(doc)
     assert cfg.to_dict() == doc
     assert cfg.kind == "scalar"
-    assert cfg.delay.envelope_param == 0.5
+    assert cfg.delay.q == 0.5
     assert cfg.integrator.h == 0.001
 
 
@@ -279,6 +279,13 @@ def test_network_config_fields_change_the_run():
     assert _network_outputs(changed["variant"])[1] == ("theta1", "theta3")
 
 
+def test_static_network_control_settles_on_the_config_path():
+    # integrator.zero_band unset: the error system takes theta3 * h
+    doc = _network_doc({"kind": "full", "theta3": 40.0, "theta4": 30.0},
+                       integrator={"horizon": 0.1, "h": 5e-4})
+    assert run(load_config(doc)).outer[-1] == 0.0
+
+
 def test_network_config_matches_the_preset_runner():
     doc = _network_doc({"adaptive": {"enabled": True, "d1": 0.05, "d3": 0.02}},
                        integrator={"horizon": 0.5, "h": 1e-3})
@@ -410,6 +417,63 @@ def test_monitor_needs_the_adaptive_gain_column(tmp_path, capsys):
     assert main(["monitor", str(path), str(tmp_path / "static.csv"),
                  "--out", str(tmp_path / "m.csv")]) == 1
     assert "no gain series named 'c3'" in capsys.readouterr().err
+
+
+def _monitor(tmp_path, capsys, doc):
+    """simulate then monitor `doc`: (exit code, stdout, stderr) of monitor."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(doc, output=dict(doc.get("output", {}),
+                                                    csv=str(tmp_path / "traj.csv")))))
+    assert main(["simulate", str(path)]) == 0
+    capsys.readouterr()
+    code = main(["monitor", str(path), str(tmp_path / "traj.csv"),
+                 "--out", str(tmp_path / "m.csv")])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_monitor_checks_contact_points_from_start_time(tmp_path, capsys):
+    # static Example 1 settles at t = 1.294, so V = W = 0 from t = 2.588 on
+    doc = dict(EXAMPLE1, integrator={"horizon": 5.0, "h": 1e-3})
+    counts = {}
+    for start in (None, 3.0):
+        if start is not None:
+            doc["monitor"] = {"start_time": start}
+        code, out, _ = _monitor(tmp_path, capsys, doc)
+        assert code == 0
+        counts[start] = int(re.search(r"contact points checked = (\d+)", out).group(1))
+    assert out.startswith("T1=3,")
+    data = np.loadtxt(tmp_path / "m.csv", delimiter=",", skiprows=1)
+    contact_t = data[data[:, 3] == 1, 0]
+    assert contact_t.size and contact_t.min() >= 3.0
+    assert 0 < counts[3.0] < counts[None]
+
+
+def test_monitor_rejects_a_csv_on_another_grid_step(tmp_path, capsys):
+    doc = dict(EXAMPLE1, adaptive={"enabled": True, "d1": 0.1, "d2": 0.1, "d3": 0.1},
+               integrator={"horizon": 1.0, "h": 1e-3}, output={"stride": 10})
+    code, _, err = _monitor(tmp_path, capsys, doc)
+    assert code == 1
+    assert "0.01" in err and "integrator.h = 0.001" in err
+
+
+@pytest.mark.parametrize("doc, block", [
+    (dict(EXAMPLE1, adaptive={"enabled": True, "d1": 0.1, "d2": 0.1, "d3": 0.1}), "gains"),
+    (_network_doc({"adaptive": {"enabled": True, "d1": 0.05, "d3": 0.02}}), "control"),
+])
+def test_check_on_an_adaptive_config_names_the_unused_static_block(tmp_path, capsys,
+                                                                   doc, block):
+    static = dict(doc, adaptive={}) if "adaptive" in doc else dict(doc, control={})
+    outs = []
+    for d in (static, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        assert main(["check", str(path)]) == 0
+        outs.append(capsys.readouterr().out.splitlines())
+    # the table is unchanged; one line after it says what it is for
+    assert outs[1][:-1] == outs[0]
+    assert outs[1][-1].startswith("note: adaptive gains drive this run")
+    assert f"static {block} block" in outs[1][-1]
 
 
 def test_eps2_rule_per_config_kind():

@@ -183,16 +183,16 @@ def test_inner_mode_matches_per_step_coupling(delay, control):
     _assert_same_sync(delay, control, "euler", "inner")
 
 
-# -- which path runs --------------------------------------------------------------------
+# -- complete blocks ----------------------------------------------------------------------
 
-def _expected_g_calls(profile, n_steps):
-    """g calls of one integration: one per plan block whose rows are all
-    recorded when it is loaded (its first step), one per step otherwise."""
-    plan, calls = DelayPlan(profile, 0.0, H), 0
-    for start in range(0, n_steps, PLAN_BLOCK):
-        blk, _ = plan.row(start)
-        calls += 1 if blk.hi.max() <= start else min(blk.stop, n_steps) - start
-    return calls
+def _plan_blocks(profile, n_steps):
+    """The blocks one integration's plan hands out over n_steps steps."""
+    plan, blocks, k = DelayPlan(profile, 0.0, H), [], 0
+    while k < n_steps:
+        blk, _ = plan.row(k)
+        blocks.append(blk)
+        k = blk.stop
+    return blocks
 
 
 @pytest.mark.parametrize("delay", ("pairwise", "constant_short", "constant_long"))
@@ -207,14 +207,16 @@ def test_g_runs_once_per_recorded_block(delay):
     exp.model.g = counted
     simulate_sync(exp)
     n_steps = int(round(HORIZON / H))
-    # the drive and the error system each take the same path per block
-    assert len(calls) == 2 * _expected_g_calls(exp.model.delays, n_steps)
-    if delay == "constant_short":
-        assert len(calls) == 2 * n_steps
-        assert {shape[-4] for shape in calls} == {1}
-    else:
-        assert len(calls) < 2 * n_steps
-        assert max(shape[-4] for shape in calls) == PLAN_BLOCK
+    blocks = _plan_blocks(exp.model.delays, n_steps)
+    # every block reads only rows recorded at its first step, and the drive
+    # and the error system each call g once per block, on the whole block
+    assert all(blk.hi.max() <= blk.start for blk in blocks)
+    assert sorted(shape[-4] for shape in calls) == sorted(
+        2 * [blk.stop - blk.start for blk in blocks])
+    assert len(calls) < 2 * n_steps
+    # a 2.3-step delay lets a block hold 3 steps before it reads its own rows
+    assert max(shape[-4] for shape in calls) == (3 if delay == "constant_short"
+                                                 else PLAN_BLOCK)
 
 
 def test_block_coupling_follows_each_trajectory():
@@ -265,8 +267,7 @@ def test_plan_gather_block(kind, m, ratio, filled, data):
     vals, r = PlanGather(cols, m).block(traj, k)
     blk, r_plan = traj.plan.row(k)
     assert r == r_plan == k - blk.start
-    assert (vals is None) == (blk.hi.max() > traj._filled)
-    if vals is not None:
-        assert not vals.flags.writeable
-        assert vals.shape == (blk.stop - blk.start, m, 1)
-        assert vals[r].tobytes() == PlanGather(cols, m)(traj, k).tobytes()
+    assert blk.hi.max() <= blk.start
+    assert not vals.flags.writeable
+    assert vals.shape == (blk.stop - blk.start, m, 1)
+    assert vals[r].tobytes() == PlanGather(cols, m)(traj, k).tobytes()

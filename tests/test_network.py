@@ -123,6 +123,21 @@ def test_error_system_matches_direct_response():
     assert diff < 10.0 * 5e-4  # within 10 h per unit time (horizon 1)
 
 
+@pytest.mark.parametrize("kind", ["full", "pinning"])
+def test_static_control_takes_the_auto_zero_band(kind):
+    # zero_band unset: the error system projects with theta3 * h, as it does
+    # with the adaptive hook's sign gain, and settles to exactly 0; the drive
+    # has no sign feedback and keeps band 0; an explicit 0 keeps band 0
+    spec = NetworkControlSpec(kind=kind, theta3=40.0, theta4=30.0, sigma=2.0)
+    auto = simulate_sync(lorenz_preset(horizon=0.1, h=5e-4, control=spec))
+    assert (auto.error.states[-1] == 0.0).all()
+    plain = lorenz_preset(horizon=0.1, h=5e-4, control=spec)
+    plain.integrator = IntegratorConfig(horizon=0.1, h=5e-4, zero_band=0.0)
+    plain = simulate_sync(plain)
+    assert plain.drive.states.tobytes() == auto.drive.states.tobytes()
+    assert not (plain.error.states == 0.0).any()
+
+
 def test_inner_sync_residual_reports_both_sums():
     exp = lorenz_preset(horizon=0.2, h=1e-3)
     model = exp.model

@@ -15,7 +15,7 @@ from fintstab.delays import DelayProfile
 from fintstab.integrate import (DelayPlan, HistoryTrajectory, HistoryWindowError,
                                 IntegratorConfig, PlanGather, RunningWindowSup,
                                 delayed_linear_rhs, diag_cols, grid_rows,
-                                integrate)
+                                integrate, window_sup)
 
 # the package re-exports the function integrate, which shadows the submodule
 integ = importlib.import_module("fintstab.integrate")
@@ -166,15 +166,70 @@ def test_lookahead_raises_in_integrate_and_queries():
     assert traj.query(0.4 + 1e-12)[0] == 4.0   # within the snap band
 
 
+@settings(max_examples=60, deadline=None)
+@given(profiles(), grids, st.lists(st.integers(0, 3 * integ.PLAN_BLOCK), min_size=1,
+                                   max_size=8), st.booleans())
+def test_plan_blocks_are_complete(profile, grid, ks, envelope):
+    # a block never reads past its first step, and ends only at its aligned
+    # run's end or before the first row that would
+    h, t0 = grid
+    plan = DelayPlan(profile, t0, h, envelope=envelope)
+    for k in ks:
+        blk, r = plan.row(k)
+        assert blk.start == k - r <= k < blk.stop
+        assert blk.hi.max() <= blk.start
+        if blk.stop % integ.PLAN_BLOCK:
+            nxt = ref_rows(profile, t0, h, blk.stop, envelope)
+            assert max(hi for _, hi, _ in nxt) > blk.start
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(1e-3, 0.1), st.integers(0, 2 * integ.PLAN_BLOCK))
+def test_complete_blocks_stop_before_lookahead(h, bad):
+    plan = DelayPlan(_lookahead_profile(bad * h), 0.0, h)
+    k = 0
+    while k < bad:
+        blk, _ = plan.row(k)
+        assert blk.hi.max() <= blk.start and blk.stop <= bad
+        k = blk.stop
+    with pytest.raises(HistoryWindowError):
+        plan.row(bad)
+
+
+@st.composite
+def sin_envelopes(draw):
+    # pi(t) = c*t + shift*(1 + sin t)/2 with c + shift/2 <= 1: both window
+    # ends stay nondecreasing, as RunningWindowSup needs
+    c, shift = draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 1.0))
+    return DelayProfile.custom(envelope=lambda t: c * t + shift * 0.5 * (1.0 + math.sin(t)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(profiles(), sin_envelopes()), grids,
+       st.integers(1, 2 * integ.PLAN_BLOCK + 10))
+def test_running_window_sup_matches_window_sup(profile, grid, n):
+    # constant delays longer than t - t0 put the window's left end in the
+    # pre-history, which both read as the value at t0
+    h, t0 = grid
+    values = np.random.default_rng(n).normal(size=n + 1)
+    traj = HistoryTrajectory.from_arrays(t0, h, values[:, None])
+    tracker = RunningWindowSup(t0, h, profile)
+    for k, v in enumerate(values.tolist()):
+        tracker.push(v)
+        assert tracker.sup(k) == window_sup(traj, t0 + k * h, profile, lambda x: float(x[0]))
+
+
 def _history(dim):
     return lambda t: np.array([math.sin(3.0 * t + i) for i in range(dim)])
 
 
 def _gathers_agree(profile, t0, h, n, history):
     """Gather every step of an n-step trajectory three ways: from a fully
-    recorded copy (every block complete), while the rows are appended one
-    step at a time (the integrator's view), and through interpolate.
-    Returns the set of paths the growing gather took."""
+    recorded copy, while the rows are appended one step at a time (the
+    integrator's view), and through interpolate.  Every block the growing
+    trajectory's plan hands out must read only rows recorded at its first
+    step.  Returns how those blocks ended: "cut" before a row that reads past
+    the block's first step, or "run" at the end of the plan's aligned run."""
     dim = profile.n_components
     # the recorded copy covers every block the n steps touch
     states = np.random.default_rng(n).normal(size=((n // integ.PLAN_BLOCK + 1)
@@ -186,18 +241,21 @@ def _gathers_agree(profile, t0, h, n, history):
         traj.plan = DelayPlan(profile, t0, h)
     cols = diag_cols(dim, dim)
     on_full, on_growing = PlanGather(cols, dim), PlanGather(cols, dim)
-    paths = set()
+    ends = set()
     for k in range(n + 1):
         got = on_full(full, k)
-        assert on_full._vals is not None and not got.flags.writeable
+        assert not got.flags.writeable
         step = on_growing(growing, k)
-        paths.add("block" if on_growing._vals is not None else "step")
+        blk, r = growing.plan.row(k)
+        if r == 0:
+            assert blk.hi.max() <= growing._filled == k
+            ends.add("run" if blk.stop == growing.plan._run.stop else "cut")
         t = t0 + k * h
         want = growing.interpolate(t - profile.delays_at(t), cols)
         assert got.tobytes() == want.tobytes() == step.tobytes()
         if k < n:
             growing.append(states[k + 1])
-    return paths
+    return ends
 
 
 @settings(max_examples=40, deadline=None)
@@ -243,15 +301,16 @@ def test_delayed_linear_rhs_accepts_an_equal_profile_object():
 
 
 @pytest.mark.parametrize("steps, paths", [
-    (10, {"step"}),
-    (integ.PLAN_BLOCK - 2, {"step"}),    # a block's last step reads the row after its first
-    (integ.PLAN_BLOCK - 1, {"block"}),   # ... reads exactly the block's first row
-    (integ.PLAN_BLOCK + 40, {"block"}),
+    (10, {"cut", "run"}),
+    (integ.PLAN_BLOCK - 2, {"cut", "run"}),   # a run's last step reads the row after its first
+    (integ.PLAN_BLOCK - 1, {"run"}),          # ... reads exactly the run's first row
+    (integ.PLAN_BLOCK + 40, {"run"}),
 ])
 @pytest.mark.parametrize("with_history", [False, True])
 def test_constant_delay_block_paths(steps, paths, with_history):
-    # a delay shorter than a block reads rows the block itself records; a
-    # longer one reads only rows recorded before the block starts
+    # `paths`: how the plan's blocks end.  A delay shorter than a block cuts
+    # each block before its first row that reads a row the block itself
+    # records; a longer one lets every block fill its aligned run
     h, dim = 0.01, 2
     profile = DelayProfile.constant(steps * h + 0.3 * h, n_components=dim)
     history = _history(dim) if with_history else None
