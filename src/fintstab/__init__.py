@@ -19,7 +19,7 @@ from .delays import (DelayProfile, NoClosedFormError, RateFunction,
 from .integrate import (DivergenceError, HistoryTrajectory,
                         HistoryWindowError, IntegratorConfig,
                         RunningWindowSup, delayed_linear_rhs, norm1,
-                        norm_inf, sq_norm2, window_sup)
+                        norm_inf, sq_norm2)
 from .monitors import (ContactPoint, LyapunovTrace, PhaseReport,
                        contact_point_decrease, detect_phases,
                        functional_series, trace_functional)

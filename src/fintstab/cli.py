@@ -69,6 +69,9 @@ def read_trajectory_csv(path) -> HistoryTrajectory:
     if data.shape[0] < 2:
         raise ValueError("trajectory CSV needs at least two rows")
     n_state = sum(1 for name in header if name.startswith("x_"))
+    if n_state == 0:
+        raise ValueError(f"trajectory CSV has no state columns x_1, x_2, ... "
+                         f"(header: {','.join(header)})")
     gain_names = header[1 + n_state:]
     t0 = data[0, 0]
     h = data[1, 0] - data[0, 0]
@@ -115,8 +118,7 @@ class NetworkRunResult:
 
 def _static_gains(cfg: ExperimentConfig) -> StaticScalarGains:
     sysb, gains = cfg.system, cfg.gains
-    return StaticScalarGains(float(sysb["c1"]), float(sysb["c2"]),
-                             float(gains.get("c3", 0.0)), float(gains.get("c4", 0.0)))
+    return StaticScalarGains(sysb["c1"], sysb["c2"], gains["c3"], gains["c4"])
 
 
 def condition_reports(cfg: ExperimentConfig,
@@ -124,7 +126,7 @@ def condition_reports(cfg: ExperimentConfig,
     """One condition report per norm for a scalar config's static gains, or
     the Lorenz preset's full-node (or pinning) condition with the configured
     control.  Raises NoClosedFormError when (beta, eta) have no closed form."""
-    eps1 = cfg.monitor.get("eps1")
+    eps1 = cfg.monitor["eps1"]
     if cfg.kind == "scalar":
         beta, eta = asymptotics(cfg.rate, cfg.delay)
         g, m = _static_gains(cfg), len(cfg.system["initial_state"])
@@ -134,18 +136,17 @@ def condition_reports(cfg: ExperimentConfig,
     control = cfg.control
     params = NetworkConditionParams(
         L_f=model.L_f, L_g=model.L_g, theta1=model.theta1, theta2=model.theta2,
-        theta3=float(control.get("theta3", 0.0)), N=model.N, n=model.n,
+        theta3=control["theta3"], N=model.N, n=model.n,
         B=model.B, xi=left_eigenvector(model.A), beta=beta, eta=eta,
-        theta4=float(control.get("theta4", 0.0)),
-        sigma=float(control.get("sigma", 1.0)), A=model.A)
-    variant = "pinning" if control.get("kind") == "pinning" else "full"
+        theta4=control["theta4"], sigma=control["sigma"], A=model.A)
+    variant = "pinning" if control["kind"] == "pinning" else "full"
     return [check_network_theorem(params, variant=variant, eps1=eps1)]
 
 
 def _monitor_start(cfg: ExperimentConfig) -> float:
     """monitor.start_time, or the rate's default monitor start."""
-    start = cfg.monitor.get("start_time")
-    return cfg.rate.default_monitor_start if start is None else float(start)
+    start = cfg.monitor["start_time"]
+    return cfg.rate.default_monitor_start if start is None else start
 
 
 def certify(cfg: ExperimentConfig, traj: HistoryTrajectory) -> ScalarRunResult:
@@ -158,14 +159,14 @@ def certify(cfg: ExperimentConfig, traj: HistoryTrajectory) -> ScalarRunResult:
     Network: kappa, on the two-norm of the error.  The settling bound needs
     a feasible report and a finite T1.
     """
-    kappa = float(cfg.monitor.get("kappa", 0.9))
+    kappa = cfg.monitor["kappa"]
     report = None
     if cfg.kind == "network":
         profile, norm, eps2 = lorenz_preset().model.delays, "two", kappa
     else:
-        profile, norm = cfg.delay, cfg.adaptive.get("norm", "two")
-        if cfg.adaptive.get("enabled"):
-            margin = float(_gain_series(traj, "c3")[-1]) - abs(float(cfg.system["c2"]))
+        profile, norm = cfg.delay, cfg.adaptive["norm"]
+        if cfg.adaptive["enabled"]:
+            margin = float(_gain_series(traj, "c3")[-1]) - abs(cfg.system["c2"])
             eps2 = kappa * margin if margin > 0.0 else kappa * 0.01
         else:
             try:
@@ -190,23 +191,22 @@ def run(cfg: ExperimentConfig):
     Scalar: integrate with static gains, whose zero band defaults to c3*h, or
     with the adaptive hook, then `certify`.  Network: the Lorenz preset with
     the config's control, rate and integrator; an enabled adaptive block
-    drives the gains (d2 defaults to d1), and sigma still scales the pinned
-    node in the theta1_theta3 variant.
+    drives the gains, and sigma still scales the pinned node in the
+    theta1_theta3 variant.
     """
     zero_tol = cfg.integrator.zero_tol
     if cfg.kind == "network":
         control = cfg.control
         exp = lorenz_preset(control=NetworkControlSpec(
-            kind=control.get("kind", "none"), theta3=float(control.get("theta3", 0.0)),
-            theta4=float(control.get("theta4", 0.0)), sigma=float(control.get("sigma", 1.0))))
+            kind=control["kind"], theta3=control["theta3"], theta4=control["theta4"],
+            sigma=control["sigma"]))
         exp.integrator = cfg.integrator
-        adaptive = control.get("adaptive", {})
-        if adaptive.get("enabled"):
-            d1 = float(adaptive.get("d1", 0.05))
+        adaptive = control["adaptive"]
+        if adaptive["enabled"]:
             exp.adaptive_hook = NetworkAdaptiveHook(
-                d1=d1, d2=float(adaptive.get("d2", d1)), d3=float(adaptive.get("d3", 0.02)),
+                d1=adaptive["d1"], d2=adaptive["d2"], d3=adaptive["d3"],
                 rate=cfg.rate, profile=exp.model.delays,
-                variant=adaptive.get("variant", "theta3_theta4"), zero_tol=zero_tol)
+                variant=adaptive["variant"], zero_tol=zero_tol)
         sync = simulate_sync(exp)
         e1, e2, outer = error_index_series(sync.drive, sync.response,
                                            exp.model.N, exp.model.n)
@@ -216,17 +216,17 @@ def run(cfg: ExperimentConfig):
 
     sysb, adaptive, icfg = cfg.system, cfg.adaptive, cfg.integrator
     hook = None
-    if adaptive.get("enabled"):
-        hook = ScalarAdaptiveHook(float(adaptive["d1"]), float(adaptive["d2"]),
-                                  float(adaptive["d3"]), cfg.rate, cfg.delay,
-                                  norm=adaptive.get("norm", "two"), zero_tol=zero_tol)
+    if adaptive["enabled"]:
+        hook = ScalarAdaptiveHook(adaptive["d1"], adaptive["d2"], adaptive["d3"],
+                                  cfg.rate, cfg.delay, norm=adaptive["norm"],
+                                  zero_tol=zero_tol)
         control = hook.control
     else:
         g = _static_gains(cfg)
         control = lambda t, p: static_scalar_control(p, g)  # noqa: E731
         if icfg.zero_band is None:
             icfg = replace(icfg, zero_band=g.c3 * icfg.h)
-    rhs = delayed_linear_rhs(float(sysb["c1"]), float(sysb["c2"]), cfg.delay, control=control)
+    rhs = delayed_linear_rhs(sysb["c1"], sysb["c2"], cfg.delay, control=control)
     traj = integrate(rhs, np.asarray(sysb["initial_state"], dtype=float), cfg.delay, icfg,
                      gain_hook=hook)
     return certify(cfg, traj)
@@ -341,9 +341,8 @@ def _final_gains(names, gains) -> List[str]:
 
 def _cmd_simulate(args) -> int:
     cfg = load_config_file(args.config)
-    require = bool(cfg.monitor.get("require_feasible"))
-    out = cfg.output.get("csv", "trajectory.csv")
-    stride = cfg.output.get("stride", 1)
+    require = cfg.monitor["require_feasible"]
+    out, stride = cfg.output["csv"], cfg.output["stride"]
     res = run(cfg)
     if cfg.kind == "scalar":
         if require and (res.report is None or not res.report.feasible):
@@ -364,10 +363,10 @@ def _cmd_check(args) -> int:
     reports = condition_reports(cfg)
     print(format_report_table(reports))
     scalar = cfg.kind == "scalar"
-    if (cfg.adaptive if scalar else cfg.control.get("adaptive", {})).get("enabled"):
+    if (cfg.adaptive if scalar else cfg.control["adaptive"])["enabled"]:
         print(f"note: adaptive gains drive this run; the table checks the static "
               f"{'gains' if scalar else 'control'} block, which it does not use")
-    require = bool(cfg.monitor.get("require_feasible")) or args.require_feasible
+    require = cfg.monitor["require_feasible"] or args.require_feasible
     if require and not any(r.feasible for r in reports):
         return 2
     return 0

@@ -1,13 +1,15 @@
-"""Experiment configuration: JSON schema, strict validation, builders.
+"""Experiment configuration: one schema table, one field checker, builders.
 
-Configs are plain JSON documents (schema_version 1).  Validation is strict:
-unknown fields are rejected with the offending path, so configs round-trip
-losslessly and typos fail loudly.
+Configs are plain JSON documents (schema_version 1).  `_SCHEMA` is the
+reference for every field: its type and its default.  Validation is strict:
+an unknown field (a field of another kind included), a mistyped value or a
+constructor's range error raises ConfigError naming the field or block, so
+configs round-trip losslessly and typos fail loudly.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from .delays import DelayProfile, RateFunction
@@ -20,201 +22,173 @@ class ConfigError(ValueError):
     """Configuration document violates the schema; message names the field."""
 
 
-def _require(block: dict, path: str, key: str, types, default=None, required=False):
-    """block[key] checked against `types`; an absent field takes `default`,
-    and null is rejected like any other mistyped value."""
-    if key not in block:
-        if required:
-            raise ConfigError(f"{path}.{key}: required field missing")
-        return default
-    value = block[key]
-    # JSON true/false load as bool, a subclass of int: never a number here
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected {types}, got {type(value).__name__}")
-    return value
+REQUIRED = object()   # the default of a field that has none
+_NUM = (int, float)   # a number; JSON true/false load as bool, never a number here
 
 
-def _check_keys(block: dict, path: str, allowed):
-    unknown = set(block) - set(allowed)
+class _Kinds(dict):
+    """One field table per value of the block's `kind` field."""
+
+
+# A field table maps a field to (type, default).  The type is a Python type,
+# a tuple of the strings the field may take, [_NUM] for a list of numbers, or
+# the field table (or _Kinds) of a nested block.  Null is never a valid value:
+# an absent field takes its default.  Numbers load as floats.
+_SHARED = {
+    "schema_version": (int, REQUIRED),
+    "rate": (_Kinds(power={"exponent": (_NUM, REQUIRED)},
+                    exponential={"rate": (_NUM, REQUIRED)}), REQUIRED),
+    "integrator": ({"horizon": (_NUM, REQUIRED), "h": (_NUM, 1e-3),
+                    "method": (("euler", "rk4_frozen"), "euler"),
+                    "zero_band": (_NUM, None),     # None: the sign gain times h
+                    "zero_tol": (_NUM, 1e-9)}, REQUIRED),
+    "monitor": ({"kappa": (_NUM, 0.9),
+                 "start_time": (_NUM, None),        # None: the rate's monitor start
+                 "eps1": (_NUM, None), "require_feasible": (bool, False)}, {}),
+    "output": ({"csv": (str, "trajectory.csv"), "stride": (int, 1)}, {}),
+}
+_SCHEMA = _Kinds(
+    scalar=dict(
+        _SHARED,
+        system=({"c1": (_NUM, REQUIRED), "c2": (_NUM, REQUIRED),
+                 "initial_state": ([_NUM], REQUIRED),
+                 "dimension": (int, None)}, REQUIRED),    # None: len(initial_state)
+        gains=({"c3": (_NUM, 0.0), "c4": (_NUM, 0.0)}, {}),
+        adaptive=({"enabled": (bool, False), "norm": (("two", "one", "inf"), "two"),
+                   # required when enabled
+                   "d1": (_NUM, None), "d2": (_NUM, None), "d3": (_NUM, None)}, {}),
+        delay=(_Kinds(proportional={"q": (_NUM, REQUIRED), "n_components": (int, 1)},
+                      constant={"pi": (_NUM, REQUIRED), "n_components": (int, 1)},
+                      per_component_sin={"n_nodes": (int, REQUIRED), "base": (_NUM, 0.5),
+                                         "depth": (_NUM, 0.1), "envelope_q": (_NUM, 0.5)},
+                      custom_grid={"coefficients": ([_NUM], REQUIRED),
+                                   "envelope_q": (_NUM, None)}), REQUIRED)),   # None: max
+    network=dict(
+        _SHARED,
+        system=({"preset": (("lorenz3",), REQUIRED)}, REQUIRED),
+        control=({"kind": (("none", "pinning", "full"), "none"), "theta3": (_NUM, 0.0),
+                  "theta4": (_NUM, 0.0), "sigma": (_NUM, 1.0),
+                  "adaptive": ({"enabled": (bool, False),
+                                "variant": (("theta3_theta4", "theta1_theta3"),
+                                            "theta3_theta4"),
+                                "d1": (_NUM, 0.05), "d2": (_NUM, None),   # None: d1
+                                "d3": (_NUM, 0.02)}, {})}, {})),
+)
+
+_MAKE = {
+    "proportional": lambda b: DelayProfile.proportional(b["q"], n_components=b["n_components"]),
+    "constant": lambda b: DelayProfile.constant(b["pi"], n_components=b["n_components"]),
+    "per_component_sin": lambda b: DelayProfile.pairwise_sin(
+        b["n_nodes"], base=b["base"], depth=b["depth"], envelope_q=b["envelope_q"]),
+    "custom_grid": lambda b: DelayProfile.per_component_proportional(
+        b["coefficients"], envelope_q=b["envelope_q"]),
+    "power": lambda b: RateFunction.power(b["exponent"]),
+    "exponential": lambda b: RateFunction.exponential(b["rate"]),
+}
+_TYPE_NAMES = {_NUM: "a number", int: "an int", bool: "a bool", str: "a string"}
+
+
+def _is(value, want) -> bool:
+    if isinstance(want, dict):
+        return isinstance(value, dict)
+    if isinstance(want, list):
+        return isinstance(value, list) and all(_is(v, want[0]) for v in value)
+    if isinstance(want, tuple) and isinstance(want[0], str):
+        return isinstance(value, str) and value in want
+    return isinstance(value, want) and (want is bool or not isinstance(value, bool))
+
+
+def _fields(block: dict, path: str, spec) -> dict:
+    """`block` checked against the field table `spec` (or the table of its
+    kind), every field present: absent ones at their defaults, numbers as
+    floats, nested blocks checked in turn.  Blocks of the document are named
+    by their key, the document itself "config"."""
+    if isinstance(spec, _Kinds):
+        head = {"kind": (tuple(spec), REQUIRED)}
+        kind = _fields({k: block[k] for k in head if k in block}, path, head)["kind"]
+        spec = dict(head, **spec[kind])
+    unknown = sorted(set(block) - set(spec))
     if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown field")
-
-
-_NUM = (int, float)
-
-
-def _check_fields(block: dict, path: str, fields: dict):
-    """Only the keys of `fields`, each set to a value of its type (a number
-    is never a bool) or to one of its listed strings.  Null is never valid:
-    an absent field takes its default."""
-    _check_keys(block, path, fields)
-    for key, value in block.items():
-        want = fields[key]
-        if isinstance(want, list):
-            ok = value in want
-        else:
-            ok = isinstance(value, want) and (want is bool or not isinstance(value, bool))
-        if not ok:
-            raise ConfigError(f"{path}.{key}: expected {want}, got {type(value).__name__} "
+        raise ConfigError(f"{path}.{unknown[0]}: unknown field")
+    out = {}
+    for key, (want, default) in spec.items():
+        name = f"{path}.{key}"
+        value = block.get(key, default)
+        if value is REQUIRED:
+            raise ConfigError(f"{name}: required field missing")
+        if key in block and not _is(value, want):
+            wanted = ("a JSON object" if isinstance(want, dict) else "a list of numbers"
+                      if isinstance(want, list) else _TYPE_NAMES.get(want, f"one of {want}"))
+            raise ConfigError(f"{name}: expected {wanted}, got {type(value).__name__} "
                               f"{value!r}")
+        if isinstance(want, dict):
+            value = _fields(value, key if path == "config" else name, want)
+        elif want is _NUM and value is not None:
+            value = float(value)
+        elif isinstance(want, list):
+            value = [float(v) for v in value]
+        out[key] = value
+    return out
 
 
-_RATES = {"d1": _NUM, "d2": _NUM, "d3": _NUM}
-
-
-def parse_delay(block: dict, path: str = "delay") -> DelayProfile:
-    _check_keys(block, path, {"kind", "q", "pi", "n_components", "n_nodes",
-                              "base", "depth", "envelope_q", "coefficients"})
-    kind = _require(block, path, "kind", str, required=True)
-    if kind == "proportional":
-        q = _require(block, path, "q", _NUM, required=True)
-        m = _require(block, path, "n_components", int, default=1)
-        return DelayProfile.proportional(float(q), n_components=m)
-    if kind == "constant":
-        pi_value = _require(block, path, "pi", _NUM, required=True)
-        m = _require(block, path, "n_components", int, default=1)
-        return DelayProfile.constant(float(pi_value), n_components=m)
-    if kind == "per_component_sin":
-        n_nodes = _require(block, path, "n_nodes", int, required=True)
-        base = _require(block, path, "base", _NUM, default=0.5)
-        depth = _require(block, path, "depth", _NUM, default=0.1)
-        env = _require(block, path, "envelope_q", _NUM, default=0.5)
-        return DelayProfile.pairwise_sin(n_nodes, base=float(base),
-                                         depth=float(depth), envelope_q=float(env))
-    if kind == "custom_grid":
-        coeffs = _require(block, path, "coefficients", list, required=True)
-        env = _require(block, path, "envelope_q", _NUM)
-        return DelayProfile.per_component_proportional(
-            coeffs, envelope_q=float(env) if env is not None else None)
-    raise ConfigError(f"{path}.kind: unknown delay kind {kind!r}")
-
-
-def parse_rate(block: dict, path: str = "rate") -> RateFunction:
-    _check_keys(block, path, {"kind", "exponent", "rate"})
-    kind = _require(block, path, "kind", str, required=True)
-    if kind == "power":
-        rho = _require(block, path, "exponent", _NUM, required=True)
-        return RateFunction.power(float(rho))
-    if kind == "exponential":
-        varpi = _require(block, path, "rate", _NUM, required=True)
-        return RateFunction.exponential(float(varpi))
-    raise ConfigError(f"{path}.kind: unknown rate kind {kind!r}")
-
-
-def parse_integrator(block: dict, path: str = "integrator") -> IntegratorConfig:
-    _check_keys(block, path, {"h", "horizon", "method", "zero_band", "zero_tol"})
-    fields = dict(horizon=float(_require(block, path, "horizon", _NUM, required=True)),
-                  h=float(_require(block, path, "h", _NUM, default=1e-3)),
-                  method=_require(block, path, "method", str, default="euler"),
-                  zero_band=_require(block, path, "zero_band", _NUM),
-                  zero_tol=float(_require(block, path, "zero_tol", _NUM, default=1e-9)))
+def _build(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError re-raised as a ConfigError on `path`."""
     try:
-        return IntegratorConfig(**fields)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 @dataclass
 class ExperimentConfig:
+    """A loaded document: `raw` as given, each block with every field of its
+    table (absent fields at their defaults), and the built delay profile,
+    rate and integrator config.  A block the kind has no table for is {}."""
+
     raw: Dict[str, Any]
     kind: str
-    delay: Optional[DelayProfile]
     rate: RateFunction
     integrator: IntegratorConfig
-
-    @property
-    def system(self) -> dict:
-        return self.raw.get("system", {})
-
-    @property
-    def gains(self) -> dict:
-        return self.raw.get("gains", {})
-
-    @property
-    def adaptive(self) -> dict:
-        return self.raw.get("adaptive", {})
-
-    @property
-    def control(self) -> dict:
-        return self.raw.get("control", {})
-
-    @property
-    def monitor(self) -> dict:
-        return self.raw.get("monitor", {})
-
-    @property
-    def output(self) -> dict:
-        return self.raw.get("output", {})
+    system: dict
+    monitor: dict
+    output: dict
+    delay: Optional[DelayProfile] = None   # a network's preset fixes its own
+    gains: dict = field(default_factory=dict)
+    adaptive: dict = field(default_factory=dict)
+    control: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return json.loads(json.dumps(self.raw))
 
 
-_TOP_KEYS_SCALAR = {"schema_version", "kind", "system", "gains", "adaptive",
-                    "delay", "rate", "integrator", "monitor", "output"}
-_TOP_KEYS_NETWORK = {"schema_version", "kind", "system", "control", "rate",
-                     "integrator", "monitor", "output"}
-
-
 def load_config(doc: Dict[str, Any]) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config: document must be a JSON object")
-    version = _require(doc, "config", "schema_version", int, required=True)
+    blocks = _fields(doc, "config", _SCHEMA)
+    version = blocks.pop("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"config.schema_version: unsupported version {version}")
-    kind = _require(doc, "config", "kind", str, required=True)
-    if kind == "scalar":
-        _check_keys(doc, "config", _TOP_KEYS_SCALAR)
-        system = _require(doc, "config", "system", dict, required=True)
-        _check_keys(system, "system", {"c1", "c2", "dimension", "initial_state"})
-        _require(system, "system", "c1", _NUM, required=True)
-        _require(system, "system", "c2", _NUM, required=True)
-        init = _require(system, "system", "initial_state", list, required=True)
-        dim = _require(system, "system", "dimension", int, default=len(init))
-        if len(init) != dim:
+    if blocks["output"]["stride"] < 1:
+        raise ConfigError(f"output.stride: expected an int >= 1, got "
+                          f"{blocks['output']['stride']!r}")
+    if blocks["kind"] == "scalar":
+        dim = len(blocks["system"]["initial_state"])
+        if blocks["system"]["dimension"] not in (None, dim):
             raise ConfigError("system.initial_state: length does not match dimension")
-        gains = _require(doc, "config", "gains", dict, default={})
-        _check_fields(gains, "gains", {"c3": _NUM, "c4": _NUM})
-        adaptive = _require(doc, "config", "adaptive", dict, default={})
-        _check_fields(adaptive, "adaptive",
-                      dict(_RATES, enabled=bool, norm=["two", "one", "inf"]))
-        if adaptive.get("enabled"):
-            for key in _RATES:
-                _require(adaptive, "adaptive", key, _NUM, required=True)
-        delay = parse_delay(_require(doc, "config", "delay", dict, required=True))
+        adaptive = blocks["adaptive"]
+        for key in ("d1", "d2", "d3"):
+            if adaptive["enabled"] and adaptive[key] is None:
+                raise ConfigError(f"adaptive.{key}: required field missing")
+        delay = blocks["delay"] = _build("delay", _MAKE[blocks["delay"]["kind"]], blocks["delay"])
         if delay.n_components not in (1, dim):
             raise ConfigError("delay: component count does not match system dimension")
-    elif kind == "network":
-        _check_keys(doc, "config", _TOP_KEYS_NETWORK)
-        system = _require(doc, "config", "system", dict, required=True)
-        _check_keys(system, "system", {"preset"})
-        preset = _require(system, "system", "preset", str, required=True)
-        if preset != "lorenz3":
-            raise ConfigError(f"system.preset: unknown preset {preset!r}")
-        control = _require(doc, "config", "control", dict, default={})
-        _check_fields(control, "control", {"kind": ["none", "pinning", "full"], "theta3": _NUM,
-                                           "theta4": _NUM, "sigma": _NUM, "adaptive": dict})
-        adaptive = _require(control, "control", "adaptive", dict, default={})
-        _check_fields(adaptive, "control.adaptive",
-                      dict(_RATES, enabled=bool, variant=["theta3_theta4", "theta1_theta3"]))
-        delay = None  # the preset fixes its own pairwise profile
     else:
-        raise ConfigError(f"config.kind: unknown experiment kind {kind!r}")
-
-    rate = parse_rate(_require(doc, "config", "rate", dict, required=True))
-    integrator = parse_integrator(_require(doc, "config", "integrator", dict, required=True))
-    monitor = _require(doc, "config", "monitor", dict, default={})
-    _check_fields(monitor, "monitor", {"kappa": _NUM, "start_time": _NUM, "eps1": _NUM,
-                                       "require_feasible": bool})
-    output = _require(doc, "config", "output", dict, default={})
-    _check_keys(output, "output", {"csv", "stride"})
-    if not isinstance(output.get("csv", ""), str):
-        raise ConfigError(f"output.csv: expected a path string, got {output['csv']!r}")
-    if type(output.get("stride", 1)) is not int or output.get("stride", 1) < 1:
-        raise ConfigError(f"output.stride: expected an int >= 1, got {output['stride']!r}")
-
-    return ExperimentConfig(raw=doc, kind=kind, delay=delay, rate=rate,
-                            integrator=integrator)
+        adaptive = blocks["control"]["adaptive"]
+        if adaptive["d2"] is None:
+            adaptive["d2"] = adaptive["d1"]
+    blocks["rate"] = _build("rate", _MAKE[blocks["rate"]["kind"]], blocks["rate"])
+    blocks["integrator"] = _build("integrator", IntegratorConfig, **blocks["integrator"])
+    return ExperimentConfig(raw=doc, **blocks)
 
 
 def load_config_file(path) -> ExperimentConfig:

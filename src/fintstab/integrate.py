@@ -21,7 +21,7 @@ import numpy as np
 from .delays import DelayProfile
 
 _GRID_SNAP = 1e-9  # fraction of h below which a query snaps to the grid point
-_STEP_RATIO_TOL = 1e-9  # (horizon - t0)/h must be this close to a whole number
+_STEP_RATIO_TOL = 1e-9  # horizon/h must be this close to a whole number
 
 
 class DivergenceError(RuntimeError):
@@ -340,22 +340,6 @@ def norm_inf(x) -> float:
     return float(np.abs(x).max())
 
 
-def window_sup(traj: HistoryTrajectory, t: float, profile: DelayProfile,
-               functional: Callable[[np.ndarray], float]) -> float:
-    """Supremum of `functional` over [t - pi(t), t].
-
-    Grid points inside the window plus the two boundary interpolants.  A left
-    boundary before t0 resolves through the trajectory's initial history
-    (constant extension by default).
-    """
-    a = t - float(profile.envelope(t))
-    lo, hi, _ = grid_rows([a, t], traj.t0, traj.h, traj._filled)
-    # grid points in the window: from a's upper row to t's lower row
-    best = max((functional(traj._states[k]) for k in range(hi[0], lo[1] + 1)),
-               default=-math.inf)
-    return max(best, functional(traj.query(a)), functional(traj.query(t)))
-
-
 class RunningWindowSup:
     """Incremental sup of a grid series over the sliding window [t-pi(t), t].
 
@@ -422,12 +406,12 @@ def _project_zero_band(x_old: np.ndarray, x_new: np.ndarray, band: float) -> np.
 
 
 def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfig,
-              gain_hook=None, t0: float = 0.0,
+              gain_hook=None,
               initial_history: Optional[Callable[[float], np.ndarray]] = None
               ) -> HistoryTrajectory:
-    """Integrate x' = rhs(t, x, traj) on [t0, horizon] with fixed step h.
+    """Integrate x' = rhs(t, x, traj) on [0, horizon] with fixed step h.
 
-    (horizon - t0)/h must be a whole number (within 1e-9); otherwise a
+    horizon/h must be a whole number (within 1e-9); otherwise a
     ValueError names both values instead of silently rounding the horizon.
     A step whose new state has a NaN, an infinite or a component above
     `divergence_limit` in magnitude raises DivergenceError at that step's end.
@@ -448,23 +432,23 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     """
     x = np.atleast_1d(np.asarray(initial_state, dtype=float)).copy()
     h = config.h
-    ratio = (config.horizon - t0) / h
+    ratio = config.horizon / h
     n_steps = int(round(ratio))
     if abs(ratio - n_steps) > _STEP_RATIO_TOL:
         raise ValueError(f"horizon {config.horizon:g} is not a whole number of steps "
-                         f"h = {h:g} from t0 = {t0:g}")
+                         f"h = {h:g}")
     if n_steps <= 0:
-        raise ValueError("horizon must exceed start time by at least one step")
+        raise ValueError("horizon must be at least one step")
     gain_names = gain_hook.names if gain_hook is not None else None
-    traj = HistoryTrajectory(t0, h, x, n_steps, initial_history=initial_history,
+    traj = HistoryTrajectory(0.0, h, x, n_steps, initial_history=initial_history,
                              gain_names=gain_names)
-    traj.plan = DelayPlan(profile, t0, h)
+    traj.plan = DelayPlan(profile, 0.0, h)
     if gain_hook is not None:
         traj._gains[0] = gain_hook.gains
 
     limit = config.divergence_limit
     for k in range(n_steps):
-        t = t0 + k * h
+        t = k * h
         if config.method == "euler":
             dx = rhs(t, x, traj)
             x_new = x + h * np.asarray(dx, dtype=float)

@@ -153,8 +153,7 @@ def trace_functional(traj: HistoryTrajectory, functional_id: str,
                      gain_stars: Optional[dict] = None,
                      rates: Optional[dict] = None,
                      lam_abs: Optional[float] = None,
-                     start_time: Optional[float] = None,
-                     trace_tol: float = TRACE_TOL) -> LyapunovTrace:
+                     start_time: Optional[float] = None) -> LyapunovTrace:
     """V(t) and its windowed sup W(t) on the trajectory grid.
 
     The series starts at `start_time` (defaults to the rate's monitor start);
@@ -172,7 +171,7 @@ def trace_functional(traj: HistoryTrajectory, functional_id: str,
         tracker.push(float(v))
         sups[k] = tracker.sup(k)
 
-    contact = (sups - values) <= trace_tol * np.maximum(1.0, np.abs(sups))
+    contact = (sups - values) <= TRACE_TOL * np.maximum(1.0, np.abs(sups))
     contact[:start_idx] = False
     return LyapunovTrace(functional_id=functional_id.lower(), times=times,
                          values=values, window_sups=sups, contact_mask=contact,
@@ -181,8 +180,8 @@ def trace_functional(traj: HistoryTrajectory, functional_id: str,
 
 
 def contact_point_decrease(trace: LyapunovTrace, traj: HistoryTrajectory,
-                           deriv_tol: float = DERIV_TOL, zero_tol: float = 1e-9):
-    """Central-difference dV/dt at each contact point; pass iff < deriv_tol.
+                           zero_tol: float = 1e-9):
+    """Central-difference dV/dt at each contact point; pass iff < DERIV_TOL.
 
     Phase-II functionals (those carrying +eps2*t) are only meaningful while
     the state is away from the origin, so settled contact points are skipped.
@@ -198,21 +197,20 @@ def contact_point_decrease(trace: LyapunovTrace, traj: HistoryTrajectory,
         if settled_excluded and trace.norms[k] <= zero_tol:
             continue
         dv = (values[k + 1] - values[k - 1]) / (2.0 * h)
-        out.append(ContactPoint(time=float(trace.times[k]), dV_dt=float(dv), ok=dv < deriv_tol))
+        out.append(ContactPoint(time=float(trace.times[k]), dV_dt=float(dv), ok=dv < DERIV_TOL))
     return out
 
 
 def detect_phases(traj: HistoryTrajectory, profile: DelayProfile, norm: str,
                   eps2: float, zero_tol: float = 1e-9,
-                  start_time: float = 0.0,
-                  envelope_tol: float = ENVELOPE_TOL) -> PhaseReport:
+                  start_time: float = 0.0) -> PhaseReport:
     """Locate the phase boundary T1, the settling time, and envelope breaches.
 
     T1 is the first grid time at which the window sup of the switching
     functional (squared 2-norm, or the plain 1-/inf-norm) is <= 1.  Settling
     requires the norm to stay <= zero_tol through the end of the horizon.
     Envelope violations are grid points in (T1, T_settle] where the norm
-    exceeds 1 - eps2*(t - T1) + envelope_tol.
+    exceeds 1 - eps2*(t - T1) + ENVELOPE_TOL.
     """
     times = traj.times
     norms = _norm_series(traj.states, norm)
@@ -244,7 +242,7 @@ def detect_phases(traj: HistoryTrajectory, profile: DelayProfile, norm: str,
         hi = settle_idx if math.isfinite(T_settle) else len(norms) - 1
         ts = times[t1_idx + 1:hi + 1]
         ns = norms[t1_idx + 1:hi + 1]
-        violations = int((ns > 1.0 - eps2 * (ts - T1) + envelope_tol).sum())
+        violations = int((ns > 1.0 - eps2 * (ts - T1) + ENVELOPE_TOL).sum())
 
     return PhaseReport(T1=T1, T_settle=T_settle,
                        envelope_violations=violations, eps2=eps2, norm=norm)

@@ -1,10 +1,13 @@
 """Drive/response coupled networks with asynchronous proportional delays.
 
-The drive network is integrated once and frozen; the response is obtained by
-integrating the error system directly against the drive's dense history (the
-controllers depend only on the error, so this is equivalent to integrating
-the response and subtracting, up to discretisation).  A Lorenz three-node
-preset reproduces the reference configuration exactly.
+The drive network is integrated once, without control or zero-band
+projection, and frozen; the response is obtained by integrating the error
+system directly against the drive's dense history (the controllers depend
+only on the error, so this is equivalent to integrating the response and
+subtracting, up to discretisation).  Inner synchronization to one reference
+trajectory runs the same error system against the reference tiled over the
+nodes.  A Lorenz three-node preset reproduces the reference configuration
+exactly.
 
 The delayed coupling theta2 * sum_j b_ij g(x_j(t - pi_ij(t))) has one
 formula over a step axis, `_coupling`, which the right-hand sides evaluate
@@ -101,16 +104,6 @@ def _node_cols(N: int, n: int) -> np.ndarray:
     return np.tile(np.arange(N * n).reshape(N, n), (N, 1))
 
 
-def _reference_cols(N: int, n: int) -> np.ndarray:
-    """Pair (i, j) reads the whole n-dim reference state."""
-    return np.tile(np.arange(n), (N * N, 1))
-
-
-def _delayed_reference(traj: HistoryTrajectory, tq: np.ndarray, N: int, n: int) -> np.ndarray:
-    """phi(tq[i, j]) tiled over j, as an (N, N, n) array (inner mode)."""
-    return traj.interpolate(np.ravel(tq), _reference_cols(N, n)).reshape(N, N, n)
-
-
 def _coupling(model: NetworkModel, XD: np.ndarray, ED: Optional[np.ndarray] = None):
     """theta2 * sum_j b_ij g(XD[s, i, j]), or with the error's values ED
     theta2 * sum_j b_ij (g(XD + ED) - g(XD)), for gathered blocks
@@ -165,9 +158,17 @@ def _reference_rhs(model: NetworkModel):
     return rhs
 
 
+def _static_control(out: np.ndarray, e: np.ndarray, model: NetworkModel,
+                    control: NetworkControlSpec):
+    """Add the static pinning or full-node feedback on the error e to out."""
+    if control.kind == "pinning":
+        out += pinning_control(e, control.sigma, model.theta1, control.theta3)
+    elif control.kind == "full":
+        out += full_node_control(e, control.theta3, control.theta4)
+
+
 def _error_rhs(model: NetworkModel, base_traj: HistoryTrajectory,
-               mode: str, control: NetworkControlSpec,
-               hook: Optional[NetworkAdaptiveHook]):
+               control: NetworkControlSpec, hook: Optional[NetworkAdaptiveHook]):
     """Error dynamics at step k: the base's row k is its state at t_k, and
     both delayed lookups read row k of the error integration's plan (the base
     was integrated on the same grid).
@@ -179,19 +180,13 @@ def _error_rhs(model: NetworkModel, base_traj: HistoryTrajectory,
     """
     N, n = model.N, model.n
     nodes = PlanGather(_node_cols(N, n), N * n)
-    if mode == "inner":
-        base_gather = PlanGather(_reference_cols(N, n), n)
-    else:
-        base_gather = PlanGather(_node_cols(N, n), N * n)
-    coupling = _block_coupling(model, base_gather, nodes)
+    coupling = _block_coupling(model, PlanGather(_node_cols(N, n), N * n), nodes)
     fbuf = np.empty((2, N, n))
 
     def rhs(t, E, etraj):
         k = etraj._filled
         En = E.reshape(N, n)
-        x_now = base_traj._states[k]
-        if mode != "inner":
-            x_now = x_now.reshape(N, n)
+        x_now = base_traj._states[k].reshape(N, n)
         np.add(x_now, En, out=fbuf[0])
         fbuf[1] = x_now
         fx = model.f(fbuf)
@@ -207,46 +202,40 @@ def _error_rhs(model: NetworkModel, base_traj: HistoryTrajectory,
                 out -= theta3 * np.sign(En)
             else:
                 out += full_node_control(En, theta3, lin)
-        elif control.kind == "pinning":
-            out += pinning_control(En, control.sigma, model.theta1, control.theta3)
-        elif control.kind == "full":
-            out += full_node_control(En, control.theta3, control.theta4)
+        else:
+            _static_control(out, En, model, control)
         return out.ravel()
 
     return rhs
 
 
 def simulate_sync(exp: SyncExperiment) -> SyncResult:
-    """Co-integrate the drive (or reference) and the error system.
+    """Co-integrate the drive (or the tiled reference) and the error system.
 
-    The error system's zero band, when the integrator config leaves it unset,
-    is the sign gain times h: the hook's theta3 under adaptive control, the
-    static theta3 under pinning or full control, and 0 without control.
+    The drive and the reference are uncontrolled, so they never take the
+    zero-band projection.  The error system's zero band, when the integrator
+    config leaves it unset, is the sign gain times h: the hook's theta3 under
+    adaptive control, the static theta3 under pinning or full control, and 0
+    without control.
     """
     model = exp.model
     cfg = exp.integrator
+    plain = replace(cfg, zero_band=0.0)
+    residual = None
     if exp.mode == "outer":
-        base = integrate(_drive_rhs(model), exp.drive_init.ravel(), model.delays, cfg)
-        e0 = (exp.response_init - exp.drive_init).ravel()
+        base = integrate(_drive_rhs(model), exp.drive_init.ravel(), model.delays, plain)
     else:
-        base = integrate(_reference_rhs(model), exp.reference_init, model.delays, cfg)
-        e0 = (exp.response_init - exp.reference_init[None, :]).ravel()
+        ref = integrate(_reference_rhs(model), exp.reference_init, model.delays, plain)
+        base = HistoryTrajectory.from_arrays(ref.t0, ref.h, np.tile(ref.states, (1, model.N)))
+        residual = inner_sync_residual(model, ref)
 
     hook = exp.adaptive_hook
-    rhs = _error_rhs(model, base, exp.mode, exp.control, hook)
+    rhs = _error_rhs(model, base, exp.control, hook)
     if cfg.zero_band is None and hook is None and exp.control.kind != "none":
         cfg = replace(cfg, zero_band=exp.control.theta3 * cfg.h)
+    e0 = exp.response_init.ravel() - base.states[0]
     error = integrate(rhs, e0, model.delays, cfg, gain_hook=hook)
-
-    if exp.mode == "outer":
-        resp_states = base.states + error.states
-    else:
-        resp_states = np.tile(base.states, (1, model.N)) + error.states
-    response = HistoryTrajectory.from_arrays(base.t0, base.h, resp_states)
-
-    residual = None
-    if exp.mode == "inner":
-        residual = inner_sync_residual(model, base)
+    response = HistoryTrajectory.from_arrays(base.t0, base.h, base.states + error.states)
     return SyncResult(drive=base, response=response, error=error,
                       gain_names=error.gain_names, inner_residual=residual)
 
@@ -259,22 +248,16 @@ def simulate_response_directly(exp: SyncExperiment, drive: HistoryTrajectory) ->
     """
     model = exp.model
     N, n = model.N, model.n
-    control = exp.control
-    cfg = exp.integrator
     network_rhs = _drive_rhs(model)
 
     def rhs(t, Y, ytraj):
         out = network_rhs(t, Y, ytraj).reshape(N, n)
         e = Y.reshape(N, n) - drive._states[ytraj._filled].reshape(N, n)
-        if control.kind == "pinning":
-            out += pinning_control(e, control.sigma, model.theta1, control.theta3)
-        elif control.kind == "full":
-            out += full_node_control(e, control.theta3, control.theta4)
+        _static_control(out, e, model, exp.control)
         return out.ravel()
 
-    cfg_plain = IntegratorConfig(horizon=cfg.horizon, h=cfg.h, method=cfg.method,
-                                 zero_band=0.0, zero_tol=cfg.zero_tol)
-    return integrate(rhs, exp.response_init.ravel(), model.delays, cfg_plain)
+    return integrate(rhs, exp.response_init.ravel(), model.delays,
+                     replace(exp.integrator, zero_band=0.0))
 
 
 def inner_sync_residual(model: NetworkModel, reference: HistoryTrajectory,
@@ -289,8 +272,8 @@ def inner_sync_residual(model: NetworkModel, reference: HistoryTrajectory,
     row_max = col_max = 0.0
     for t in times:
         tq = model.pair_delay_times(t)
-        phi_d = _delayed_reference(reference, tq, N, n)
-        gvals = model.g(phi_d)                      # (N, N, n), index [i, j]
+        phi_d = reference.interpolate(np.ravel(tq), np.arange(n)[None, :])
+        gvals = model.g(phi_d.reshape(N, N, n))     # (N, N, n), index [i, j]
         row = np.einsum("ij,ijk->ik", model.B, gvals)   # sum over j
         col = np.einsum("ij,ijk->jk", model.B, gvals)   # sum over i
         row_max = max(row_max, float(np.abs(row).max()))

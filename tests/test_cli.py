@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import math
 import re
@@ -5,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from fintstab import config
 from fintstab.cli import (EXAMPLE1, certify, condition_reports, main,
                           read_trajectory_csv, run,
                           run_example1, run_example1_adaptive,
@@ -379,6 +382,140 @@ def test_config_accepts_well_typed_block_fields():
                               "adaptive": {"enabled": True, "variant": "theta1_theta3"}}))
 
 
+# -- the schema table, one (block, kind) field table at a time ---------------------
+
+_DELAY_BLOCKS = {"proportional": {"kind": "proportional", "q": 0.5},
+                 "constant": {"kind": "constant", "pi": 1.0},
+                 "per_component_sin": {"kind": "per_component_sin", "n_nodes": 1},
+                 "custom_grid": {"kind": "custom_grid", "coefficients": [0.3]}}
+_RATE_BLOCKS = {"power": {"kind": "power", "exponent": 0.1},
+                "exponential": {"kind": "exponential", "rate": 0.5}}
+
+
+def _tables(spec=config._SCHEMA, path="config", ctx=None):
+    """(path, kinds, table, fields of the sibling kinds) of every field table:
+    `kinds` maps each kinded block on the way (the document is "config") to
+    the kind whose table this is."""
+    ctx = ctx or {}
+    kinded = isinstance(spec, config._Kinds)
+    for kind, table in (spec.items() if kinded else [(None, spec)]):
+        here = dict(ctx, **{path: kind}) if kinded else ctx
+        others = set().union(*spec.values()) - set(table) if kinded else set()
+        if kinded:
+            table = dict(table, kind=(tuple(spec), config.REQUIRED))
+        yield path, here, table, others
+        for key, (want, _) in table.items():
+            if isinstance(want, dict):
+                yield from _tables(want, key if path == "config" else f"{path}.{key}", here)
+
+
+def _valid_doc(kinds):
+    """A smallest valid document for the kinds of a table's path."""
+    if kinds["config"] == "network":
+        doc = {"schema_version": 1, "kind": "network", "system": {"preset": "lorenz3"}}
+    else:
+        doc = {"schema_version": 1, "kind": "scalar",
+               "system": {"c1": 1.0, "c2": 2.0, "initial_state": [2.0]},
+               "delay": dict(_DELAY_BLOCKS[kinds.get("delay", "proportional")])}
+    doc.update(rate=dict(_RATE_BLOCKS[kinds.get("rate", "power")]),
+               integrator={"horizon": 1.0})
+    return doc
+
+
+def _block_of(doc, path):
+    node = doc
+    for part in ([] if path == "config" else path.split(".")):
+        node = node.setdefault(part, {})
+    return node
+
+
+def _loaded(cfg):
+    """Every loaded block of a config, built ones by their repr."""
+    return repr(dataclasses.replace(cfg, raw=None))
+
+
+_TABLES = list(_tables())
+
+
+@pytest.mark.parametrize("path, kinds, table, others", _TABLES,
+                         ids=["-".join([p] + [k for k in kinds.values() if k])
+                              for p, kinds, _, _ in _TABLES])
+def test_schema_table(path, kinds, table, others):
+    doc = _valid_doc(kinds)
+    base = load_config(doc)
+    for key, (want, default) in table.items():
+        # a mistyped value names the field
+        bad = copy.deepcopy(doc)
+        _block_of(bad, path)[key] = [] if isinstance(want, dict) else {}
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}\.{key}: expected "):
+            load_config(bad)
+        if key in _block_of(doc, path):
+            if default is config.REQUIRED:
+                absent = copy.deepcopy(doc)
+                del _block_of(absent, path)[key]
+                with pytest.raises(ConfigError,
+                                   match=rf"^{re.escape(path)}\.{key}: required field missing"):
+                    load_config(absent)
+            continue
+        # an absent optional field loads at its default
+        if default is None:
+            loaded = getattr(base, path.split(".")[0])
+            for part in path.split(".")[1:]:
+                loaded = loaded[part]
+            resolved = {("control.adaptive", "d2"): 0.05}.get((path, key))  # d2 = d1
+            if isinstance(loaded, dict):
+                assert loaded[key] == resolved
+            elif key in vars(loaded):   # a built block: integrator.zero_band
+                assert getattr(loaded, key) is None
+        else:
+            explicit = copy.deepcopy(doc)
+            _block_of(explicit, path)[key] = copy.deepcopy(default)
+            assert _loaded(base) == _loaded(load_config(explicit))
+            if path in ("system", "gains", "adaptive", "control", "monitor", "output") \
+                    and not isinstance(want, dict):
+                assert getattr(base, path)[key] == default
+    # a field of another kind, or of no kind, is rejected
+    for key in sorted(others) + ["bogus"]:
+        bad = copy.deepcopy(doc)
+        _block_of(bad, path)[key] = 1
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}\.{key}: unknown field"):
+            load_config(bad)
+
+
+def test_schema_table_covers_every_block_and_kind():
+    shared = {"rate-power", "rate-exponential", "integrator", "monitor", "output"}
+    want = ({"config", "system", "gains", "adaptive", "delay-proportional",
+             "delay-constant", "delay-per_component_sin", "delay-custom_grid"} | shared,
+            {"config", "system", "control", "control.adaptive"} | shared)
+    got = ({"-".join([p] + [k for k in kinds.values() if k][1:])
+            for p, kinds, _, _ in _TABLES if kinds["config"] == doc_kind}
+           for doc_kind in ("scalar", "network"))
+    assert tuple(got) == want
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_scalar_doc(system={"c1": 1.0, "c2": 2.0, "initial_state": [True]}),
+     r"^system\.initial_state: expected a list of numbers, got list \[True\]"),
+    (_scalar_doc(system={"c1": 1.0, "c2": 2.0, "initial_state": ["a"]}),
+     r"^system\.initial_state: "),
+    (_scalar_doc(delay={"kind": "custom_grid", "coefficients": [0.3, None]}),
+     r"^delay\.coefficients: "),
+    (_scalar_doc(delay={"kind": "proportional", "q": 1.5}), r"^delay: proportional ratio"),
+    (_scalar_doc(delay={"kind": "custom_grid", "coefficients": []}), r"^delay: "),
+    (_scalar_doc(rate={"kind": "power", "exponent": -1}), r"^rate: "),
+    (_scalar_doc(delay={"kind": "constant", "pi": 1, "q": 0.5}), r"^delay\.q: unknown field"),
+    (_scalar_doc(rate={"kind": "power", "exponent": 0.1, "rate": 3}),
+     r"^rate\.rate: unknown field"),
+], ids=["bool_element", "string_element", "null_coefficient", "q_range", "no_coefficients",
+        "exponent_range", "constant_with_q", "power_with_rate"])
+def test_config_rejects_list_elements_ranges_and_foreign_kind_fields(tmp_path, doc, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 1
+
+
 _DIM3 = {"c1": 1.0, "c2": 0.5, "initial_state": [1.0, -0.5, 0.25]}
 
 
@@ -455,6 +592,15 @@ def test_monitor_rejects_a_csv_on_another_grid_step(tmp_path, capsys):
     code, _, err = _monitor(tmp_path, capsys, doc)
     assert code == 1
     assert "0.01" in err and "integrator.h = 0.001" in err
+
+
+def test_monitor_rejects_a_csv_without_state_columns(tmp_path, capsys):
+    # a network run writes error indices, not a trajectory: nothing to certify
+    doc = _network_doc({"adaptive": {"enabled": True}},
+                       integrator={"horizon": 0.05, "h": 5e-4})
+    code, out, err = _monitor(tmp_path, capsys, doc)
+    assert code == 1 and out == ""
+    assert "no state columns x_1" in err and "t,E1,E2,E_outer,theta4,theta3" in err
 
 
 @pytest.mark.parametrize("doc, block", [

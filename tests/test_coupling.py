@@ -15,7 +15,7 @@ from fintstab.delays import DelayProfile, RateFunction
 from fintstab.integrate import (PLAN_BLOCK, DelayPlan, HistoryTrajectory,
                                 IntegratorConfig, PlanGather, diag_cols, integrate)
 from fintstab.network import (SyncExperiment, _block_coupling, _node_cols,
-                              _reference_cols, _reference_rhs, lorenz_preset,
+                              _reference_rhs, error_index_series, lorenz_preset,
                               simulate_response_directly, simulate_sync,
                               sin_plus_linear)
 
@@ -23,6 +23,11 @@ H, HORIZON = 5e-4, 0.4   # 800 steps: three full plan blocks and part of a fourt
 
 
 # -- reference copies of the per-step coupling ----------------------------------
+
+def _reference_cols(N, n):
+    """Pair (i, j) reads the whole n-dim reference state (inner mode)."""
+    return np.tile(np.arange(n), (N * N, 1))
+
 
 def _ref_drive_rhs(model):
     N, n = model.N, model.n
@@ -150,7 +155,9 @@ def _ref_sync(exp):
 def _assert_same_sync(delay, control, method, mode):
     res = simulate_sync(_experiment(delay, control, method, mode))
     base, error = _ref_sync(_experiment(delay, control, method, mode))
-    assert res.drive.states.tobytes() == base.states.tobytes()
+    # inner mode: the drive is the reference tiled over the nodes
+    drive = base.states if mode == "outer" else np.tile(base.states, (1, 3))
+    assert res.drive.states.tobytes() == drive.tobytes()
     assert res.error.states.tobytes() == error.states.tobytes()
     if error.gains is not None:
         assert res.error.gains.tobytes() == error.gains.tobytes()
@@ -181,6 +188,16 @@ def test_rk4_frozen_matches_per_step_coupling(delay, control):
                                    "shared_constant_long"))
 def test_inner_mode_matches_per_step_coupling(delay, control):
     _assert_same_sync(delay, control, "euler", "inner")
+
+
+def test_error_indices_of_an_inner_run():
+    # the drive of an inner run is the reference tiled over the nodes, so the
+    # error indices read it like an outer run's drive network
+    res = _assert_same_sync("pairwise", "pinning", "euler", "inner")
+    e1, e2, outer = error_index_series(res.drive, res.response, 3, 3)
+    assert not e1.any()
+    assert e2.shape == outer.shape == (res.error.states.shape[0],)
+    assert np.allclose(outer, np.linalg.norm(res.error.states, axis=1), rtol=0.0, atol=1e-9)
 
 
 # -- complete blocks ----------------------------------------------------------------------

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from fintstab.delays import DelayProfile
 from fintstab.integrate import (DivergenceError, HistoryTrajectory,
                                 IntegratorConfig, RunningWindowSup,
-                                delayed_linear_rhs, integrate, norm1,
-                                norm_inf, sq_norm2, window_sup)
+                                delayed_linear_rhs, grid_rows, integrate, norm1,
+                                norm_inf, sq_norm2)
 
 # the package re-exports the function integrate, which shadows the submodule
 integ = importlib.import_module("fintstab.integrate")
@@ -96,6 +96,22 @@ def test_constant_delay_prehistory_is_constant_extension():
     cfg = IntegratorConfig(horizon=1.0, h=1e-3)
     traj = integrate(rhs, [1.0], prof, cfg)
     assert traj.query(1.0)[0] == pytest.approx(2.0, abs=2e-3)
+
+
+def window_sup(traj, t, profile, functional):
+    """Supremum of `functional` over [t - pi(t), t], O(window): the
+    brute-force reference for RunningWindowSup.
+
+    Grid points inside the window plus the two boundary interpolants.  A left
+    boundary before t0 resolves through the trajectory's initial history
+    (constant extension by default).
+    """
+    a = t - float(profile.envelope(t))
+    lo, hi, _ = grid_rows([a, t], traj.t0, traj.h, traj._filled)
+    # grid points in the window: from a's upper row to t's lower row
+    best = max((functional(traj._states[k]) for k in range(hi[0], lo[1] + 1)),
+               default=-math.inf)
+    return max(best, functional(traj.query(a)), functional(traj.query(t)))
 
 
 def test_window_sup_basic_cases():

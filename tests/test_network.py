@@ -138,6 +138,17 @@ def test_static_control_takes_the_auto_zero_band(kind):
     assert not (plain.error.states == 0.0).any()
 
 
+def test_explicit_zero_band_never_projects_the_drive():
+    # the uncontrolled drive keeps band 0 whatever band the error system takes
+    spec = NetworkControlSpec(kind="full", theta3=40.0, theta4=30.0)
+    drives = []
+    for band in (0.0, 0.02):
+        exp = lorenz_preset(horizon=0.5, h=5e-4, control=spec)
+        exp.integrator = IntegratorConfig(horizon=0.5, h=5e-4, zero_band=band)
+        drives.append(simulate_sync(exp).drive.states)
+    assert drives[1].tobytes() == drives[0].tobytes()
+
+
 def test_inner_sync_residual_reports_both_sums():
     exp = lorenz_preset(horizon=0.2, h=1e-3)
     model = exp.model

@@ -15,7 +15,9 @@ from fintstab.delays import DelayProfile
 from fintstab.integrate import (DelayPlan, HistoryTrajectory, HistoryWindowError,
                                 IntegratorConfig, PlanGather, RunningWindowSup,
                                 delayed_linear_rhs, diag_cols, grid_rows,
-                                integrate, window_sup)
+                                integrate)
+
+from test_integrate import window_sup   # the O(window) brute-force reference
 
 # the package re-exports the function integrate, which shadows the submodule
 integ = importlib.import_module("fintstab.integrate")
