@@ -21,9 +21,9 @@ import numpy as np
 from .conditions import (ConditionReport, NetworkConditionParams,
                          check_scalar_theorem, left_eigenvector,
                          check_network_theorem, settling_bound)
-from .config import ConfigError, ExperimentConfig, load_config, load_config_file
-from .control import (NetworkAdaptiveHook, NetworkControlSpec, ScalarAdaptiveHook,
-                      StaticScalarGains, static_scalar_control)
+from .config import (ConfigError, ExperimentConfig, adaptive_hook, load_config,
+                     load_config_file)
+from .control import static_scalar_control
 from .delays import DelayProfile, NoClosedFormError, RateFunction, asymptotics
 from .integrate import (DivergenceError, HistoryTrajectory, delayed_linear_rhs,
                         integrate)
@@ -116,9 +116,11 @@ class NetworkRunResult:
     gain_names: tuple
 
 
-def _static_gains(cfg: ExperimentConfig) -> StaticScalarGains:
-    sysb, gains = cfg.system, cfg.gains
-    return StaticScalarGains(sysb["c1"], sysb["c2"], gains["c3"], gains["c4"])
+def _lorenz(cfg: ExperimentConfig, hook=None):
+    """The Lorenz preset under a network config's control and integrator."""
+    exp = lorenz_preset(control=cfg.control, adaptive_hook=hook)
+    exp.integrator = cfg.integrator
+    return exp
 
 
 def condition_reports(cfg: ExperimentConfig,
@@ -127,19 +129,18 @@ def condition_reports(cfg: ExperimentConfig,
     the Lorenz preset's full-node (or pinning) condition with the configured
     control.  Raises NoClosedFormError when (beta, eta) have no closed form."""
     eps1 = cfg.monitor["eps1"]
+    beta, eta = asymptotics(cfg.rate, cfg.delay)
     if cfg.kind == "scalar":
-        beta, eta = asymptotics(cfg.rate, cfg.delay)
-        g, m = _static_gains(cfg), len(cfg.system["initial_state"])
-        return [check_scalar_theorem(g, m, beta, eta, norm=n, eps1=eps1) for n in norms]
-    model = lorenz_preset().model
-    beta, eta = asymptotics(cfg.rate, model.delays)
-    control = cfg.control
+        m = len(cfg.system["initial_state"])
+        return [check_scalar_theorem(cfg.gains, m, beta, eta, norm=n, eps1=eps1)
+                for n in norms]
+    model, control = _lorenz(cfg).model, cfg.control
     params = NetworkConditionParams(
         L_f=model.L_f, L_g=model.L_g, theta1=model.theta1, theta2=model.theta2,
-        theta3=control["theta3"], N=model.N, n=model.n,
+        theta3=control.theta3, N=model.N, n=model.n,
         B=model.B, xi=left_eigenvector(model.A), beta=beta, eta=eta,
-        theta4=control["theta4"], sigma=control["sigma"], A=model.A)
-    variant = "pinning" if control["kind"] == "pinning" else "full"
+        theta4=control.theta4, sigma=control.sigma, A=model.A)
+    variant = "pinning" if control.kind == "pinning" else "full"
     return [check_network_theorem(params, variant=variant, eps1=eps1)]
 
 
@@ -160,27 +161,23 @@ def certify(cfg: ExperimentConfig, traj: HistoryTrajectory) -> ScalarRunResult:
     a feasible report and a finite T1.
     """
     kappa = cfg.monitor["kappa"]
-    report = None
-    if cfg.kind == "network":
-        profile, norm, eps2 = lorenz_preset().model.delays, "two", kappa
-    else:
-        profile, norm = cfg.delay, cfg.adaptive["norm"]
-        if cfg.adaptive["enabled"]:
-            margin = float(_gain_series(traj, "c3")[-1]) - abs(cfg.system["c2"])
-            eps2 = kappa * margin if margin > 0.0 else kappa * 0.01
-        else:
-            try:
-                report = condition_reports(cfg, (norm,))[0]
-            except NoClosedFormError:
-                pass
-            eps2 = (kappa * report.epsilon2_max
-                    if report is not None and report.epsilon2_max > 0.0 else kappa)
-    phases = detect_phases(traj, profile, norm, eps2, zero_tol=cfg.integrator.zero_tol,
+    report, norm, eps2 = None, cfg.adaptive.get("norm", "two"), kappa
+    if cfg.kind == "scalar" and cfg.adaptive["enabled"]:
+        margin = float(_gain_series(traj, "c3")[-1]) - abs(cfg.system["c2"])
+        eps2 = kappa * margin if margin > 0.0 else kappa * 0.01
+    elif cfg.kind == "scalar":
+        try:
+            report = condition_reports(cfg, (norm,))[0]
+        except NoClosedFormError:
+            pass
+        if report is not None and report.epsilon2_max > 0.0:
+            eps2 = kappa * report.epsilon2_max
+    phases = detect_phases(traj, cfg.delay, norm, eps2, zero_tol=cfg.integrator.zero_tol,
                            start_time=_monitor_start(cfg))
     bound = None
     if report is not None and report.feasible and math.isfinite(phases.T1):
         bound = settling_bound(report, phases.T1, kappa)
-    return ScalarRunResult(traj=traj, profile=profile, rate=cfg.rate, report=report,
+    return ScalarRunResult(traj=traj, profile=cfg.delay, rate=cfg.rate, report=report,
                            phases=phases, eps2=eps2, settle_bound=bound, norm=norm)
 
 
@@ -194,19 +191,9 @@ def run(cfg: ExperimentConfig):
     drives the gains, and sigma still scales the pinned node in the
     theta1_theta3 variant.
     """
-    zero_tol = cfg.integrator.zero_tol
+    hook = adaptive_hook(cfg)
     if cfg.kind == "network":
-        control = cfg.control
-        exp = lorenz_preset(control=NetworkControlSpec(
-            kind=control["kind"], theta3=control["theta3"], theta4=control["theta4"],
-            sigma=control["sigma"]))
-        exp.integrator = cfg.integrator
-        adaptive = control["adaptive"]
-        if adaptive["enabled"]:
-            exp.adaptive_hook = NetworkAdaptiveHook(
-                d1=adaptive["d1"], d2=adaptive["d2"], d3=adaptive["d3"],
-                rate=cfg.rate, profile=exp.model.delays,
-                variant=adaptive["variant"], zero_tol=zero_tol)
+        exp = _lorenz(cfg, hook)
         sync = simulate_sync(exp)
         e1, e2, outer = error_index_series(sync.drive, sync.response,
                                            exp.model.N, exp.model.n)
@@ -214,18 +201,10 @@ def run(cfg: ExperimentConfig):
                                 outer=outer, gains=sync.error.gains,
                                 gain_names=sync.error.gain_names)
 
-    sysb, adaptive, icfg = cfg.system, cfg.adaptive, cfg.integrator
-    hook = None
-    if adaptive["enabled"]:
-        hook = ScalarAdaptiveHook(adaptive["d1"], adaptive["d2"], adaptive["d3"],
-                                  cfg.rate, cfg.delay, norm=adaptive["norm"],
-                                  zero_tol=zero_tol)
-        control = hook.control
-    else:
-        g = _static_gains(cfg)
-        control = lambda t, p: static_scalar_control(p, g)  # noqa: E731
-        if icfg.zero_band is None:
-            icfg = replace(icfg, zero_band=g.c3 * icfg.h)
+    sysb, icfg, g = cfg.system, cfg.integrator, cfg.gains
+    control = hook.control if hook is not None else lambda t, p: static_scalar_control(p, g)
+    if hook is None and icfg.zero_band is None:
+        icfg = replace(icfg, zero_band=g.c3 * icfg.h)
     rhs = delayed_linear_rhs(sysb["c1"], sysb["c2"], cfg.delay, control=control)
     traj = integrate(rhs, np.asarray(sysb["initial_state"], dtype=float), cfg.delay, icfg,
                      gain_hook=hook)
@@ -362,10 +341,9 @@ def _cmd_check(args) -> int:
     cfg = load_config_file(args.config)
     reports = condition_reports(cfg)
     print(format_report_table(reports))
-    scalar = cfg.kind == "scalar"
-    if (cfg.adaptive if scalar else cfg.control["adaptive"])["enabled"]:
+    if cfg.adaptive["enabled"]:
         print(f"note: adaptive gains drive this run; the table checks the static "
-              f"{'gains' if scalar else 'control'} block, which it does not use")
+              f"{'gains' if cfg.kind == 'scalar' else 'control'} block, which it does not use")
     require = cfg.monitor["require_feasible"] or args.require_feasible
     if require and not any(r.feasible for r in reports):
         return 2

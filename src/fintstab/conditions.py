@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from .control import StaticScalarGains
-from .delays import DelayProfile, RateFunction, asymptotics
 
 METZLER_TOL = 1e-12
 
@@ -55,6 +54,8 @@ def check_scalar_theorem(gains: StaticScalarGains, m: int, beta: float,
     plus |c2| - c3 < 0 in every norm; the 1-norm settling margin carries the
     extra factor m.
     """
+    if eps1 is not None and not eps1 > 0.0:
+        raise ValueError(f"eps1 must be > 0, got {eps1}")
     if m < 1:
         raise ValueError(f"dimension m must be >= 1, got {m}")
     if eta < 0.0:
@@ -96,16 +97,6 @@ def check_scalar_theorem(gains: StaticScalarGains, m: int, beta: float,
                            epsilon2_max=sign_margin,
                            c4_threshold=c4_threshold,
                            details={"beta": beta, "eta": eta, "m": m})
-
-
-def check_corollary(gains: StaticScalarGains, m: int, delay: DelayProfile,
-                    rate: RateFunction, eps1: Optional[float] = None) -> ConditionReport:
-    """Delay-class corollaries: compute (beta, eta) analytically, then delegate."""
-    beta, eta = asymptotics(rate, delay)
-    report = check_scalar_theorem(gains, m, beta, eta, norm="two", eps1=eps1)
-    tag = "proportional" if delay.envelope_kind == "proportional" else "bounded"
-    report.theorem_id = f"corollary_{tag}_delay"
-    return report
 
 
 def _validate_coupling_matrix(A: np.ndarray) -> np.ndarray:
@@ -196,6 +187,8 @@ def check_network_theorem(params: NetworkConditionParams, variant: str = "pinnin
     is th2 bmax N L_g - theta3 < 0.  `synchronous_delays` tightens the
     delayed factor from N^2 n to N n (all pair delays equal).
     """
+    if eps1 is not None and not eps1 > 0.0:
+        raise ValueError(f"eps1 must be > 0, got {eps1}")
     B = np.asarray(params.B, dtype=float)
     bmax = float(np.abs(B).max())
     xi_min = float(np.asarray(params.xi).min())

@@ -1,19 +1,25 @@
 """Experiment configuration: one schema table, one field checker, builders.
 
 Configs are plain JSON documents (schema_version 1).  `_SCHEMA` is the
-reference for every field: its type and its default.  Validation is strict:
-an unknown field (a field of another kind included), a mistyped value or a
-constructor's range error raises ConfigError naming the field or block, so
-configs round-trip losslessly and typos fail loudly.
+reference for every field: its type and its default.  Every check runs once,
+in `load_config`, as a ConfigError naming the field or block.  Outside the
+table: the schema version, output.stride >= 1, monitor.kappa in (0, 1),
+monitor.eps1 > 0, the scalar initial_state against dimension and delay
+components, and the rates an enabled scalar adaptive block needs.  Every
+other range is a run object's constructor check, reached through `_build`:
+delay, rate, integrator, static gains, network control and adaptive hook.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from .control import (AdaptiveHook, NetworkAdaptiveHook, NetworkControlSpec,
+                      ScalarAdaptiveHook, StaticScalarGains)
 from .delays import DelayProfile, RateFunction
 from .integrate import IntegratorConfig
+from .network import LORENZ_DELAYS
 
 SCHEMA_VERSION = 1
 
@@ -141,24 +147,35 @@ def _build(path: str, make, *args, **kwargs):
 
 @dataclass
 class ExperimentConfig:
-    """A loaded document: `raw` as given, each block with every field of its
-    table (absent fields at their defaults), and the built delay profile,
-    rate and integrator config.  A block the kind has no table for is {}."""
+    """A loaded document: `raw` as given, the built run objects (`gains` of a
+    scalar config, `control` of a network one) and each plain block with every
+    field of its table.  A network's `delay` is its preset's, and its
+    `adaptive` block is the document's `control.adaptive`."""
 
     raw: Dict[str, Any]
     kind: str
     rate: RateFunction
     integrator: IntegratorConfig
+    delay: DelayProfile
     system: dict
+    adaptive: dict
     monitor: dict
     output: dict
-    delay: Optional[DelayProfile] = None   # a network's preset fixes its own
-    gains: dict = field(default_factory=dict)
-    adaptive: dict = field(default_factory=dict)
-    control: dict = field(default_factory=dict)
+    gains: Optional[StaticScalarGains] = None
+    control: Optional[NetworkControlSpec] = None
 
-    def to_dict(self) -> dict:
-        return json.loads(json.dumps(self.raw))
+
+def adaptive_hook(cfg: ExperimentConfig) -> Optional[AdaptiveHook]:
+    """A fresh gain hook for the config's enabled adaptive block, None when it
+    is disabled.  A hook holds its run's gains, so each run builds its own."""
+    a, zero_tol = cfg.adaptive, cfg.integrator.zero_tol
+    if not a["enabled"]:
+        return None
+    if cfg.kind == "scalar":
+        return ScalarAdaptiveHook(a["d1"], a["d2"], a["d3"], cfg.rate, cfg.delay,
+                                  norm=a["norm"], zero_tol=zero_tol)
+    return NetworkAdaptiveHook(a["d1"], a["d2"], a["d3"], cfg.rate, cfg.delay,
+                               variant=a["variant"], zero_tol=zero_tol)
 
 
 def load_config(doc: Dict[str, Any]) -> ExperimentConfig:
@@ -171,24 +188,36 @@ def load_config(doc: Dict[str, Any]) -> ExperimentConfig:
     if blocks["output"]["stride"] < 1:
         raise ConfigError(f"output.stride: expected an int >= 1, got "
                           f"{blocks['output']['stride']!r}")
+    kappa, eps1 = blocks["monitor"]["kappa"], blocks["monitor"]["eps1"]
+    if not 0.0 < kappa < 1.0:
+        raise ConfigError(f"monitor.kappa: expected a number in (0, 1), got {kappa!r}")
+    if eps1 is not None and not eps1 > 0.0:
+        raise ConfigError(f"monitor.eps1: expected a number > 0, got {eps1!r}")
     if blocks["kind"] == "scalar":
-        dim = len(blocks["system"]["initial_state"])
-        if blocks["system"]["dimension"] not in (None, dim):
-            raise ConfigError("system.initial_state: length does not match dimension")
-        adaptive = blocks["adaptive"]
+        sysb, adaptive = blocks["system"], blocks["adaptive"]
+        dim = len(sysb["initial_state"])
+        if not dim or sysb["dimension"] not in (None, dim):
+            want = "one or more" if sysb["dimension"] is None else sysb["dimension"]
+            raise ConfigError(f"system.initial_state: expected {want} numbers, got {dim}")
         for key in ("d1", "d2", "d3"):
             if adaptive["enabled"] and adaptive[key] is None:
                 raise ConfigError(f"adaptive.{key}: required field missing")
         delay = blocks["delay"] = _build("delay", _MAKE[blocks["delay"]["kind"]], blocks["delay"])
         if delay.n_components not in (1, dim):
             raise ConfigError("delay: component count does not match system dimension")
+        blocks["gains"] = _build("gains", StaticScalarGains, sysb["c1"], sysb["c2"],
+                                 **blocks["gains"])
     else:
-        adaptive = blocks["control"]["adaptive"]
+        adaptive = blocks["adaptive"] = blocks["control"].pop("adaptive")
         if adaptive["d2"] is None:
             adaptive["d2"] = adaptive["d1"]
+        blocks["control"] = _build("control", NetworkControlSpec, **blocks["control"])
+        blocks["delay"] = LORENZ_DELAYS
     blocks["rate"] = _build("rate", _MAKE[blocks["rate"]["kind"]], blocks["rate"])
     blocks["integrator"] = _build("integrator", IntegratorConfig, **blocks["integrator"])
-    return ExperimentConfig(raw=doc, **blocks)
+    cfg = ExperimentConfig(raw=doc, **blocks)
+    _build("adaptive" if cfg.kind == "scalar" else "control.adaptive", adaptive_hook, cfg)
+    return cfg
 
 
 def load_config_file(path) -> ExperimentConfig:

@@ -115,12 +115,6 @@ class DelayProfile:
             return self.q * np.asarray(t, dtype=float) + self.lag
         return self.q * float(t) + self.lag
 
-    def delay(self, i: int, t: float) -> float:
-        """Component delay pi_i(t)."""
-        if not 0 <= i < self.n_components:
-            raise IndexError(f"component index {i} out of range [0, {self.n_components})")
-        return float(self.delay_table([t])[0, i])
-
     def delays_at(self, t: float) -> np.ndarray:
         """All component delays at time t as a vector."""
         return self.delay_table([t])[0]

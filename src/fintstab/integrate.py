@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -38,16 +38,27 @@ class HistoryWindowError(ValueError):
 
 @dataclass
 class IntegratorConfig:
+    """A fixed-step run on [0, horizon] in `n_steps` steps of h: a horizon off
+    the grid (by over 1e-9 steps) raises a ValueError, it is never rounded."""
+
     horizon: float
     h: float = 1e-3
     method: str = "euler"  # "euler" | "rk4_frozen"
     zero_band: Optional[float] = None  # None -> sign_gain * h (auto)
     zero_tol: float = 1e-9
     divergence_limit: float = 1e12
+    n_steps: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.h <= 0.0:
+        if not self.h > 0.0:
             raise ValueError(f"step size must be > 0, got {self.h}")
+        ratio = self.horizon / self.h
+        if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= _STEP_RATIO_TOL):
+            raise ValueError(f"horizon {self.horizon:g} is not a whole number of steps "
+                             f"h = {self.h:g}")
+        self.n_steps = int(round(ratio))
+        if self.n_steps <= 0:
+            raise ValueError("horizon must be at least one step")
         if self.zero_band is not None and self.zero_band < 0.0:
             raise ValueError(f"zero_band must be >= 0, got {self.zero_band}")
         if self.zero_tol <= 0.0:
@@ -409,11 +420,8 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
               gain_hook=None,
               initial_history: Optional[Callable[[float], np.ndarray]] = None
               ) -> HistoryTrajectory:
-    """Integrate x' = rhs(t, x, traj) on [0, horizon] with fixed step h.
-
-    horizon/h must be a whole number (within 1e-9); otherwise a
-    ValueError names both values instead of silently rounding the horizon.
-    A step whose new state has a NaN, an infinite or a component above
+    """Integrate x' = rhs(t, x, traj) on [0, horizon] in config.n_steps steps
+    of h.  A step whose new state has a NaN, an infinite or a component above
     `divergence_limit` in magnitude raises DivergenceError at that step's end.
 
     `rhs` resolves delayed states from `traj`, which covers the history up to
@@ -431,14 +439,7 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     delayed argument enters the right-hand side.
     """
     x = np.atleast_1d(np.asarray(initial_state, dtype=float)).copy()
-    h = config.h
-    ratio = config.horizon / h
-    n_steps = int(round(ratio))
-    if abs(ratio - n_steps) > _STEP_RATIO_TOL:
-        raise ValueError(f"horizon {config.horizon:g} is not a whole number of steps "
-                         f"h = {h:g}")
-    if n_steps <= 0:
-        raise ValueError("horizon must be at least one step")
+    h, n_steps = config.h, config.n_steps
     gain_names = gain_hook.names if gain_hook is not None else None
     traj = HistoryTrajectory(0.0, h, x, n_steps, initial_history=initial_history,
                              gain_names=gain_names)

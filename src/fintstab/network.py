@@ -306,6 +306,8 @@ LORENZ_DRIVE_INIT = np.array([[-1.5771, 0.5080, 0.2820],
 LORENZ_RESPONSE_INIT = np.array([[-0.8479, -1.1201, 2.5260],
                                  [1.6555, 0.3075, -1.2571],
                                  [-0.8655, -0.1765, 0.7914]])
+# pair delays pi_ij(t) = 0.5 (1 - 0.1 |sin(i + 2j)|) t under the envelope t/2
+LORENZ_DELAYS = DelayProfile.pairwise_sin(3, base=0.5, depth=0.1, envelope_q=0.5)
 # trajectory-bounding box on which the Lorenz Lipschitz constant below holds
 LORENZ_BOX = np.array([[-25.0, 25.0], [-30.0, 30.0], [0.0, 55.0]])
 
@@ -354,12 +356,11 @@ def lorenz_preset(horizon: float = 20.0, h: float = 5e-4,
                   control: Optional[NetworkControlSpec] = None,
                   adaptive_hook: Optional[NetworkAdaptiveHook] = None) -> SyncExperiment:
     """Three coupled Lorenz oscillators with pairwise proportional delays."""
-    delays = DelayProfile.pairwise_sin(3, base=0.5, depth=0.1, envelope_q=0.5)
     model = NetworkModel(N=3, n=3, A=LORENZ_A, B=LORENZ_B,
                          theta1=0.1, theta2=1.0,
                          f=lorenz_rhs, g=sin_plus_linear,
                          L_f=_lorenz_l_f(), L_g=3.0,
-                         delays=delays)
+                         delays=LORENZ_DELAYS)
     cfg = IntegratorConfig(horizon=horizon, h=h, zero_band=None, zero_tol=1e-9)
     return SyncExperiment(model=model, mode="outer",
                           drive_init=LORENZ_DRIVE_INIT.copy(),

@@ -36,7 +36,7 @@ def _scalar_doc(**over):
 def test_config_roundtrip_lossless():
     doc = _scalar_doc()
     cfg = load_config(doc)
-    assert cfg.to_dict() == doc
+    assert cfg.raw is doc and doc == _scalar_doc()   # as given, unchanged by loading
     assert cfg.kind == "scalar"
     assert cfg.delay.q == 0.5
     assert cfg.integrator.h == 0.001
@@ -429,6 +429,13 @@ def _block_of(doc, path):
     return node
 
 
+def _loaded_block(cfg, path):
+    """The loaded block at `path`: a dict, or a built object (`gains`,
+    `control`, `integrator`, ...); a network's `control.adaptive` loads as
+    `cfg.adaptive`."""
+    return cfg.adaptive if path == "control.adaptive" else getattr(cfg, path)
+
+
 def _loaded(cfg):
     """Every loaded block of a config, built ones by their repr."""
     return repr(dataclasses.replace(cfg, raw=None))
@@ -459,9 +466,7 @@ def test_schema_table(path, kinds, table, others):
             continue
         # an absent optional field loads at its default
         if default is None:
-            loaded = getattr(base, path.split(".")[0])
-            for part in path.split(".")[1:]:
-                loaded = loaded[part]
+            loaded = _loaded_block(base, path)
             resolved = {("control.adaptive", "d2"): 0.05}.get((path, key))  # d2 = d1
             if isinstance(loaded, dict):
                 assert loaded[key] == resolved
@@ -471,9 +476,11 @@ def test_schema_table(path, kinds, table, others):
             explicit = copy.deepcopy(doc)
             _block_of(explicit, path)[key] = copy.deepcopy(default)
             assert _loaded(base) == _loaded(load_config(explicit))
-            if path in ("system", "gains", "adaptive", "control", "monitor", "output") \
-                    and not isinstance(want, dict):
-                assert getattr(base, path)[key] == default
+            if path in ("system", "gains", "adaptive", "control", "control.adaptive",
+                        "monitor", "output") and not isinstance(want, dict):
+                loaded = _loaded_block(base, path)
+                value = loaded[key] if isinstance(loaded, dict) else getattr(loaded, key)
+                assert value == default
     # a field of another kind, or of no kind, is rejected
     for key in sorted(others) + ["bogus"]:
         bad = copy.deepcopy(doc)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from fintstab.conditions import (InfeasibleError, NetworkConditionParams,
-                                 adaptive_settling_bound, check_corollary,
+                                 adaptive_settling_bound,
                                  check_network_theorem, check_scalar_theorem,
                                  lambda_max_sym, left_eigenvector,
                                  optimal_eps1, settling_bound)
 from fintstab.control import StaticScalarGains
-from fintstab.delays import DelayProfile, RateFunction
+from fintstab.delays import DelayProfile, RateFunction, asymptotics
 from fintstab.network import LORENZ_A, LORENZ_B
 
 ETA_HALF = 2 ** 0.1 - 1.0  # proportional q=0.5 with mu = t^0.1
@@ -71,10 +71,16 @@ def test_inf_norm_lhs():
     assert rep.epsilon2_max == pytest.approx(1.0)
 
 
+def _corollary(g, delay, rate, eps1=None):
+    """The delay-class corollary: the two-norm theorem at the closed-form (beta, eta)."""
+    beta, eta = asymptotics(rate, delay)
+    return check_scalar_theorem(g, 1, beta, eta, norm="two", eps1=eps1)
+
+
 def test_corollary_proportional_matches_theorem():
     g = StaticScalarGains(1.0, 2.0, 2.1, 3.5)
-    rep = check_corollary(g, 1, DelayProfile.proportional(0.5),
-                          RateFunction.power(0.1), eps1=2 ** 0.05)
+    rep = _corollary(g, DelayProfile.proportional(0.5), RateFunction.power(0.1),
+                     eps1=2 ** 0.05)
     direct = check_scalar_theorem(g, 1, 0.0, ETA_HALF, norm="two", eps1=2 ** 0.05)
     assert rep.lhs == pytest.approx(direct.lhs, rel=1e-14)
     assert rep.feasible == direct.feasible
@@ -84,15 +90,13 @@ def test_corollary_constant_delay():
     # pi = 1, varpi = 0.1, c1 = 0, c2 = 1, optimal eps1:
     # lhs = 0.1 - 2 c4 + 2 e^{0.05}
     g = StaticScalarGains(0.0, 1.0, 2.0, 3.0)
-    rep = check_corollary(g, 1, DelayProfile.constant(1.0),
-                          RateFunction.exponential(0.1))
+    rep = _corollary(g, DelayProfile.constant(1.0), RateFunction.exponential(0.1))
     assert rep.lhs == pytest.approx(0.1 - 2 * 3.0 + 2 * math.exp(0.05), rel=1e-12)
 
 
 def test_corollary_zero_delay_limit():
     g = StaticScalarGains(1.0, 1.0, 2.0, 4.0)
-    rep = check_corollary(g, 1, DelayProfile.constant(0.0),
-                          RateFunction.exponential(1e-9))
+    rep = _corollary(g, DelayProfile.constant(0.0), RateFunction.exponential(1e-9))
     # condition collapses towards 2(c1 - c4) + 2|c2|
     assert rep.lhs == pytest.approx(2 * (1.0 - 4.0) + 2.0, abs=1e-6)
 
@@ -177,6 +181,23 @@ def test_network_theta2_zero_drops_delay_terms():
     rep = check_network_theorem(params, variant="pinning")
     lam = rep.details["lambda_term"]
     assert rep.lhs == pytest.approx(0.0 + 2 * 60.0 + lam)
+
+
+@pytest.mark.parametrize("eps1", [-1.0, 0.0])
+def test_eps1_must_be_positive(eps1):
+    # Example 1 with c4 = 2 is infeasible: two-norm lhs 2.141 at the optimal
+    # eps1.  eps1 = -1 used to give lhs -6.144 (feasible), and eps1 = 0 a
+    # ZeroDivisionError; the theorems hold for eps1 > 0 only.
+    g = StaticScalarGains(1.0, 2.0, 2.1, 2.0)
+    beta, eta = asymptotics(RateFunction.power(0.1), DelayProfile.proportional(0.5))
+    assert check_scalar_theorem(g, 1, beta, eta).lhs == pytest.approx(2.141, abs=1e-3)
+    for norm in ("two", "one", "inf"):
+        with pytest.raises(ValueError, match="eps1 must be > 0"):
+            check_scalar_theorem(g, 1, beta, eta, norm=norm, eps1=eps1)
+    for variant in ("pinning", "full"):
+        with pytest.raises(ValueError, match="eps1 must be > 0"):
+            check_network_theorem(_lorenz_params(), variant=variant, eps1=eps1)
+    assert check_scalar_theorem(g, 1, beta, eta, eps1=1e-6).feasible is False
 
 
 def test_settling_bound_arithmetic():

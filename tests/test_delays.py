@@ -9,21 +9,22 @@ from fintstab.delays import (DelayProfile, NoClosedFormError, RateFunction,
 
 def test_proportional_delay_value():
     prof = DelayProfile.proportional(0.5)
-    assert prof.delay(0, 10.0) == 5.0
+    assert prof.delay_table([10.0]).tolist() == [[5.0]]
     assert prof.envelope(10.0) == 5.0
 
 
 def test_zero_constant_delay():
     prof = DelayProfile.constant(0.0)
-    assert prof.delay(0, 7.0) == 0.0
+    assert prof.delay_table([7.0]).tolist() == [[0.0]]
 
 
 def test_pairwise_sin_component():
     # pair (i=1, j=1) -> 0.5*(1 - 0.1*|sin 3|)*t
     prof = DelayProfile.pairwise_sin(3)
     expected = 0.5 * (1.0 - 0.1 * abs(math.sin(3))) * 10.0
-    assert prof.delay(0, 10.0) == pytest.approx(4.92944, abs=1e-5)
-    assert prof.delay(0, 10.0) == pytest.approx(expected, rel=1e-14)
+    first = prof.delay_table([10.0])[0, 0]
+    assert first == pytest.approx(4.92944, abs=1e-5)
+    assert first == pytest.approx(expected, rel=1e-14)
 
 
 def test_pairwise_sin_envelope_dominates():
@@ -36,10 +37,8 @@ def test_pairwise_sin_envelope_dominates():
 
 def test_delay_errors():
     prof = DelayProfile.proportional(0.5)
-    with pytest.raises(ValueError):
-        prof.delay(0, -1.0)
-    with pytest.raises(IndexError):
-        prof.delay(3, 1.0)
+    with pytest.raises(ValueError, match="negative time"):
+        prof.delay_table([-1.0])
     with pytest.raises(ValueError):
         DelayProfile.proportional(1.0)
     with pytest.raises(ValueError):
@@ -103,7 +102,7 @@ def test_per_component_validation():
         DelayProfile.per_component_proportional([0.2, 0.7], envelope_q=0.5)
     prof = DelayProfile.per_component_proportional([0.2, 0.4], envelope_q=0.5)
     assert prof.n_components == 2
-    assert prof.delay(1, 2.0) == pytest.approx(0.8)
+    assert prof.delay_table([2.0])[0, 1] == pytest.approx(0.8)
 
 
 def test_custom_profile_simulation_only():
