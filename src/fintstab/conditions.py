@@ -28,11 +28,9 @@ class ConditionReport:
     theorem_id: str
     lhs: float
     feasible: bool
-    eps1_used: float
     eps1_optimal: float
-    margin: float               # -lhs
     epsilon2_max: float         # violation margin of the sign-gain condition
-    c4_threshold: Optional[float] = None  # linear-gain boundary at eps1_used
+    c4_threshold: Optional[float] = None  # linear-gain boundary at the eps1 used
     details: dict = field(default_factory=dict)
 
 
@@ -65,24 +63,23 @@ def check_scalar_theorem(gains: StaticScalarGains, m: int, beta: float,
 
     if norm == "two":
         if ac2 == 0.0:
-            eps_opt = eps_used = math.nan
+            eps_opt = math.nan
             delay_term = 0.0
         else:
             a = ac2
             b = ac2 * m * (1.0 + eta)
             eps_opt, min_term = optimal_eps1(a, b)
-            eps_used = eps_opt if eps1 is None else float(eps1)
-            delay_term = (a * eps_used + b / eps_used) if eps1 is not None else min_term
+            delay_term = min_term if eps1 is None else a * eps1 + b / eps1
         lhs = beta + 2.0 * (c1 - c4) + delay_term
         c4_threshold = c1 + 0.5 * (beta + delay_term)
         sign_margin = c3 - ac2
     elif norm == "one":
-        eps_opt = eps_used = math.nan
+        eps_opt = math.nan
         lhs = beta + (c1 - c4) + ac2 * m * (1.0 + eta)
         c4_threshold = c1 + beta + ac2 * m * (1.0 + eta)
         sign_margin = m * (c3 - ac2)
     elif norm == "inf":
-        eps_opt = eps_used = math.nan
+        eps_opt = math.nan
         lhs = beta + (c1 - c4) + ac2 * (1.0 + eta)
         c4_threshold = c1 + beta + ac2 * (1.0 + eta)
         sign_margin = c3 - ac2
@@ -92,10 +89,8 @@ def check_scalar_theorem(gains: StaticScalarGains, m: int, beta: float,
     sign_ok = (c3 - ac2) > 0.0  # condition |c2| - c3 < 0 in all norms
     feasible = lhs < 0.0 and sign_ok
     return ConditionReport(theorem_id=f"scalar_{norm}_norm", lhs=lhs,
-                           feasible=feasible, eps1_used=eps_used,
-                           eps1_optimal=eps_opt, margin=-lhs,
-                           epsilon2_max=sign_margin,
-                           c4_threshold=c4_threshold,
+                           feasible=feasible, eps1_optimal=eps_opt,
+                           epsilon2_max=sign_margin, c4_threshold=c4_threshold,
                            details={"beta": beta, "eta": eta, "m": m})
 
 
@@ -206,19 +201,17 @@ def check_network_theorem(params: NetworkConditionParams, variant: str = "pinnin
     base = params.beta + 2.0 * params.L_f + lam_term
     if params.theta2 == 0.0 or bmax == 0.0:
         lhs = base
-        eps_opt = eps_used = math.nan
+        eps_opt = math.nan
     else:
         a = params.theta2 * bmax * N
         b = params.theta2 * bmax * delay_nodes * n * params.L_g ** 2 * (1.0 + params.eta) / xi_min
         eps_opt, min_term = optimal_eps1(a, b)
-        eps_used = eps_opt if eps1 is None else float(eps1)
-        lhs = base + (a * eps_used + b / eps_used if eps1 is not None else min_term)
+        lhs = base + (min_term if eps1 is None else a * eps1 + b / eps1)
 
     sign_margin = params.theta3 - params.theta2 * bmax * N * params.L_g
     feasible = lhs < 0.0 and sign_margin > 0.0
     return ConditionReport(theorem_id=f"network_{variant}", lhs=lhs,
-                           feasible=feasible, eps1_used=eps_used,
-                           eps1_optimal=eps_opt, margin=-lhs,
+                           feasible=feasible, eps1_optimal=eps_opt,
                            epsilon2_max=sign_margin,
                            details={"lambda_term": lam_term, "bmax": bmax,
                                     "xi_min": xi_min,

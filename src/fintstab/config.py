@@ -12,6 +12,7 @@ delay, rate, integrator, static gains, network control and adaptive hook.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -39,13 +40,12 @@ class _Kinds(dict):
 # A field table maps a field to (type, default).  The type is a Python type,
 # a tuple of the strings the field may take, [_NUM] for a list of numbers, or
 # the field table (or _Kinds) of a nested block.  Null is never a valid value:
-# an absent field takes its default.  Numbers load as floats.
+# an absent field takes its default.  Numbers are finite and load as floats.
 _SHARED = {
     "schema_version": (int, REQUIRED),
     "rate": (_Kinds(power={"exponent": (_NUM, REQUIRED)},
                     exponential={"rate": (_NUM, REQUIRED)}), REQUIRED),
     "integrator": ({"horizon": (_NUM, REQUIRED), "h": (_NUM, 1e-3),
-                    "method": (("euler", "rk4_frozen"), "euler"),
                     "zero_band": (_NUM, None),     # None: the sign gain times h
                     "zero_tol": (_NUM, 1e-9)}, REQUIRED),
     "monitor": ({"kappa": (_NUM, 0.9),
@@ -91,7 +91,7 @@ _MAKE = {
     "power": lambda b: RateFunction.power(b["exponent"]),
     "exponential": lambda b: RateFunction.exponential(b["rate"]),
 }
-_TYPE_NAMES = {_NUM: "a number", int: "an int", bool: "a bool", str: "a string"}
+_TYPE_NAMES = {_NUM: "a finite number", int: "an int", bool: "a bool", str: "a string"}
 
 
 def _is(value, want) -> bool:
@@ -101,6 +101,9 @@ def _is(value, want) -> bool:
         return isinstance(value, list) and all(_is(v, want[0]) for v in value)
     if isinstance(want, tuple) and isinstance(want[0], str):
         return isinstance(value, str) and value in want
+    if want is _NUM:   # JSON loads NaN and +-Infinity: no field takes them
+        return (isinstance(value, want) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max)
     return isinstance(value, want) and (want is bool or not isinstance(value, bool))
 
 

@@ -168,13 +168,18 @@ def asymptotics(rate: RateFunction, profile: DelayProfile) -> tuple:
 
     Power-law mu with a proportional envelope q*t gives beta = 0 and
     1 + eta = (1-q)**(-rho); exponential mu with a constant envelope pi gives
-    beta = varpi and 1 + eta = exp(varpi*pi).  Anything else has no closed
-    form here and must be handled by the caller.
+    beta = varpi and 1 + eta = exp(varpi*pi).  Anything else, or a 1 + eta
+    beyond the float range, has no closed form here and must be handled by
+    the caller.
     """
-    if rate.kind == "power" and profile.envelope_kind == "proportional":
-        return 0.0, (1.0 - profile.q) ** (-rate.param) - 1.0
-    if rate.kind == "exponential" and profile.envelope_kind == "constant":
-        return rate.param, math.exp(rate.param * profile.lag) - 1.0
+    try:
+        if rate.kind == "power" and profile.envelope_kind == "proportional":
+            return 0.0, (1.0 - profile.q) ** (-rate.param) - 1.0
+        if rate.kind == "exponential" and profile.envelope_kind == "constant":
+            return rate.param, math.exp(rate.param * profile.lag) - 1.0
+    except OverflowError:
+        raise NoClosedFormError(f"1 + eta overflows a float for the {rate.kind} rate "
+                                f"{rate.param:g}") from None
     raise NoClosedFormError(
         f"no closed-form asymptotics for rate kind {rate.kind!r} with "
         f"envelope kind {profile.envelope_kind!r}; supply (beta, eta) manually")

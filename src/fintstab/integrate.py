@@ -43,7 +43,6 @@ class IntegratorConfig:
 
     horizon: float
     h: float = 1e-3
-    method: str = "euler"  # "euler" | "rk4_frozen"
     zero_band: Optional[float] = None  # None -> sign_gain * h (auto)
     zero_tol: float = 1e-9
     divergence_limit: float = 1e12
@@ -63,8 +62,6 @@ class IntegratorConfig:
             raise ValueError(f"zero_band must be >= 0, got {self.zero_band}")
         if self.zero_tol <= 0.0:
             raise ValueError(f"zero_tol must be > 0, got {self.zero_tol}")
-        if self.method not in ("euler", "rk4_frozen"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 def grid_rows(times, t0: float, h: float, last):
@@ -420,9 +417,13 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
               gain_hook=None,
               initial_history: Optional[Callable[[float], np.ndarray]] = None
               ) -> HistoryTrajectory:
-    """Integrate x' = rhs(t, x, traj) on [0, horizon] in config.n_steps steps
-    of h.  A step whose new state has a NaN, an infinite or a component above
+    """Integrate x' = rhs(t, x, traj) on [0, horizon] in config.n_steps
+    explicit Euler steps of h, each followed by the zero-band projection.  A
+    step whose new state has a NaN, an infinite or a component above
     `divergence_limit` in magnitude raises DivergenceError at that step's end.
+    The step is one-stage on purpose: the zero band is a one-step sliding
+    band, and the stages of a multi-stage step chatter across the sign switch
+    unseen by it, settling late or never.
 
     `rhs` resolves delayed states from `traj`, which covers the history up to
     the current step start.  The step k call sees traj._filled == k, so it
@@ -431,12 +432,6 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     `gain_hook`, when given, is an object with attributes `names`, `gains`,
     `sign_gain` and a method `step(t, x, traj)`; it is invoked once per
     accepted step and its gain trajectory is recorded alongside the states.
-
-    rk4_frozen freezes the step-start time inside all internal stages, so
-    delayed arguments are evaluated at the step's start.  That makes it
-    first order on delayed problems (the pantograph oracle in the tests
-    measures order 1.0 for both methods); it is fourth order only when no
-    delayed argument enters the right-hand side.
     """
     x = np.atleast_1d(np.asarray(initial_state, dtype=float)).copy()
     h, n_steps = config.h, config.n_steps
@@ -450,15 +445,8 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     limit = config.divergence_limit
     for k in range(n_steps):
         t = k * h
-        if config.method == "euler":
-            dx = rhs(t, x, traj)
-            x_new = x + h * np.asarray(dx, dtype=float)
-        else:  # rk4_frozen: time (hence delays) frozen at step start
-            k1 = np.asarray(rhs(t, x, traj), dtype=float)
-            k2 = np.asarray(rhs(t, x + 0.5 * h * k1, traj), dtype=float)
-            k3 = np.asarray(rhs(t, x + 0.5 * h * k2, traj), dtype=float)
-            k4 = np.asarray(rhs(t, x + h * k3, traj), dtype=float)
-            x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        dx = rhs(t, x, traj)
+        x_new = x + h * np.asarray(dx, dtype=float)
 
         if config.zero_band is not None:
             band = config.zero_band

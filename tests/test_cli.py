@@ -47,6 +47,10 @@ def test_config_rejects_unknown_field_by_name():
     doc["system"]["c9"] = 1.0
     with pytest.raises(ConfigError, match="c9"):
         load_config(doc)
+    # explicit Euler is the one step rule: no field chooses another
+    doc = _scalar_doc(integrator={"horizon": 5.0, "method": "euler"})
+    with pytest.raises(ConfigError, match=r"^integrator\.method: unknown field$"):
+        load_config(doc)
 
 
 def test_config_rejects_bad_types_and_versions():
@@ -186,6 +190,21 @@ def test_cli_error_exit_code(tmp_path):
     assert main(["check", str(p)]) == 1
 
 
+def test_overflowing_asymptotics_have_no_closed_form(tmp_path, monkeypatch, capsys):
+    # 1 + eta = exp(1000 * 1) overflows a float: check reports an error and
+    # simulate runs without a report, as for any pair with no closed form
+    monkeypatch.chdir(tmp_path)
+    doc = _scalar_doc(rate={"kind": "exponential", "rate": 1000.0},
+                      delay={"kind": "constant", "pi": 1.0})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 1 + eta overflows") and "Traceback" not in err
+    assert main(["simulate", str(path)]) == 0
+    assert run(load_config(doc)).report is None
+
+
 def test_cli_simulate_and_monitor(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfgp = tmp_path / "cfg.json"
@@ -269,8 +288,6 @@ def test_network_config_fields_change_the_run():
         "rate": _network_doc({"adaptive": adaptive}, rate={"kind": "power", "exponent": 0.3}),
         "variant": _network_doc({"adaptive": dict(adaptive, variant="theta1_theta3")}),
         "d2": _network_doc({"adaptive": dict(adaptive, d2=0.5)}),
-        "method": _network_doc({"adaptive": adaptive},
-                               integrator=dict(integ, method="rk4_frozen")),
         "zero_band": _network_doc({"adaptive": adaptive},
                                   integrator=dict(integ, zero_band=0.05)),
         # the hook freezes once the windowed squared error is <= zero_tol**2

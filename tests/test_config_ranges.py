@@ -3,11 +3,13 @@
 Every out-of-range value is a ConfigError from `load_config` that names its
 block or field, and the CLI reports it as a config error.  A hypothesis gate
 draws schema-typed documents from `config._SCHEMA` itself: each one either
-fails to load with a ConfigError or runs a few steps without a ValueError.
+fails to load with a ConfigError or runs a few steps without a ValueError,
+and one with a NaN or an infinite number never loads.
 """
 import copy
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -49,6 +51,11 @@ _CASES = [
     (_doc(EXAMPLE2, monitor={"eps1": 0}), "monitor.eps1"),
     (_doc(EXAMPLE1, system={"c1": 1.0, "c2": 2.0, "initial_state": []}),
      "system.initial_state"),
+    (_doc(EXAMPLE1, gains={"c3": math.nan, "c4": math.inf}), "gains.c3"),
+    (_doc(EXAMPLE1, gains={"c3": 2.1, "c4": math.inf}), "gains.c4"),
+    (_doc(EXAMPLE1, system={"c1": 1.0, "c2": 2.0, "initial_state": [-math.inf]}),
+     "system.initial_state"),
+    (_doc(EXAMPLE2, control={"kind": "full", "theta3": math.nan}), "control.theta3"),
     (_doc(EXAMPLE1, gains={"c3": 0.0, "c4": 3.5}), None),
     (_doc(EXAMPLE1, delay={"kind": "constant", "pi": 0.0}), None),
     (_doc(EXAMPLE1, monitor={"kappa": 0.999}), None),
@@ -58,7 +65,8 @@ _CASES = [
 _IDS = ["c3_negative", "scalar_d1_negative", "horizon_negative", "horizon_off_grid",
         "sigma_zero", "theta3_negative", "network_d3_negative", "kappa_negative",
         "kappa_zero", "kappa_one", "kappa_above_one", "eps1_negative", "eps1_zero",
-        "initial_state_empty", "c3_zero", "constant_pi_zero", "kappa_0.999", "eps1_1e-6",
+        "initial_state_empty", "c3_nan", "c4_inf", "initial_state_minus_inf",
+        "theta3_nan", "c3_zero", "constant_pi_zero", "kappa_0.999", "eps1_1e-6",
         "network_edges"]
 
 
@@ -79,14 +87,16 @@ def test_range_errors_are_config_errors_at_load(tmp_path, capsys, doc, name):
 
 # -- the hypothesis gate ------------------------------------------------------------
 
-# Numbers are bounded in magnitude (|x| <= 1e3), so that float overflow is not
-# taken for a range error.  Numbers, ints and bools lean to typical values, and
+# Finite numbers are bounded in magnitude (|x| <= 1e3), so that float overflow
+# is not taken for a range error; NaN and +-Infinity, which JSON loads, are
+# drawn as well.  Numbers, ints and bools lean to typical values, and
 # an optional field to being present, so that a fair share of documents load.
 # Ints stay small: per_component_sin builds n_nodes**2 delay components.
 _MAYBE = st.sampled_from((True, False))
-_NUMBER = st.sampled_from((0.5, 0.1, 2, 1, 0.001, 0.999, None)).flatmap(
-    lambda x: st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
-    if x is None else st.just(x))
+_FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+_NONFINITE = st.sampled_from((math.nan, math.inf, -math.inf))
+_NUMBER = st.sampled_from((0.5, 0.1, 2, 1, 0.001, 0.999, _FINITE, _NONFINITE)).flatmap(
+    lambda x: x if isinstance(x, st.SearchStrategy) else st.just(x))
 _LEAF = {config._NUM: _NUMBER, int: st.sampled_from((1, 2, 3, 0, -1)), bool: _MAYBE,
          str: st.text(max_size=4)}
 _ABSENT = object()   # an optional field left out
@@ -126,6 +136,12 @@ def _one_block(preset):
         lambda key: _value(spec[key][0]).map(lambda block: dict(preset, **{key: block})))
 
 
+def _finite(value) -> bool:
+    if isinstance(value, (dict, list)):
+        return all(map(_finite, value.values() if isinstance(value, dict) else value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 # any drawn version but 1 only meets the version check
 _DOCUMENTS = st.one_of(
     _block(config._SCHEMA).map(lambda d: dict(d, schema_version=1)),
@@ -140,6 +156,7 @@ def test_a_config_that_loads_runs(doc):
         cfg = load_config(doc)
     except ConfigError:
         return
+    assert _finite(doc), "a non-finite number loaded"
     icfg = cfg.integrator
     cfg.integrator = dataclasses.replace(icfg, horizon=icfg.h * min(icfg.n_steps, 3))
     try:

@@ -117,12 +117,12 @@ DELAYS = {
 CONTROLS = ("none", "full", "pinning", "theta3_theta4", "theta1_theta3")
 
 
-def _experiment(delay, control, method="euler", mode="outer"):
+def _experiment(delay, control, mode="outer"):
     exp = lorenz_preset(horizon=HORIZON, h=H)
     if DELAYS[delay] is not None:
         exp.model.delays = DELAYS[delay]()
     adaptive = control.startswith("theta")
-    exp.integrator = IntegratorConfig(horizon=HORIZON, h=H, method=method,
+    exp.integrator = IntegratorConfig(horizon=HORIZON, h=H,
                                       zero_band=None if adaptive else 0.0)
     if adaptive:
         exp.adaptive_hook = NetworkAdaptiveHook(0.05, 0.05, 0.02, RateFunction.power(0.1),
@@ -152,9 +152,9 @@ def _ref_sync(exp):
     return base, integrate(rhs, e0, model.delays, cfg, gain_hook=exp.adaptive_hook)
 
 
-def _assert_same_sync(delay, control, method, mode):
-    res = simulate_sync(_experiment(delay, control, method, mode))
-    base, error = _ref_sync(_experiment(delay, control, method, mode))
+def _assert_same_sync(delay, control, mode):
+    res = simulate_sync(_experiment(delay, control, mode))
+    base, error = _ref_sync(_experiment(delay, control, mode))
     # inner mode: the drive is the reference tiled over the nodes
     drive = base.states if mode == "outer" else np.tile(base.states, (1, 3))
     assert res.drive.states.tobytes() == drive.tobytes()
@@ -168,7 +168,7 @@ def _assert_same_sync(delay, control, method, mode):
 @pytest.mark.parametrize("delay", DELAYS)
 def test_sync_matches_per_step_coupling(delay, control):
     exp = _experiment(delay, control)
-    res = _assert_same_sync(delay, control, "euler", "outer")
+    res = _assert_same_sync(delay, control, "outer")
     if control in ("none", "full", "pinning"):
         direct = simulate_response_directly(exp, res.drive)
         ref = integrate(_ref_direct_rhs(exp.model, exp.control, res.drive),
@@ -177,23 +177,17 @@ def test_sync_matches_per_step_coupling(delay, control):
         assert direct.states.tobytes() == ref.states.tobytes()
 
 
-@pytest.mark.parametrize("control", ("full", "theta3_theta4", "theta1_theta3"))
-@pytest.mark.parametrize("delay", ("pairwise", "constant_short", "constant_long"))
-def test_rk4_frozen_matches_per_step_coupling(delay, control):
-    _assert_same_sync(delay, control, "rk4_frozen", "outer")
-
-
 @pytest.mark.parametrize("control", ("none", "pinning", "theta3_theta4"))
 @pytest.mark.parametrize("delay", ("pairwise", "shared_proportional", "constant_short",
                                    "shared_constant_long"))
 def test_inner_mode_matches_per_step_coupling(delay, control):
-    _assert_same_sync(delay, control, "euler", "inner")
+    _assert_same_sync(delay, control, "inner")
 
 
 def test_error_indices_of_an_inner_run():
     # the drive of an inner run is the reference tiled over the nodes, so the
     # error indices read it like an outer run's drive network
-    res = _assert_same_sync("pairwise", "pinning", "euler", "inner")
+    res = _assert_same_sync("pairwise", "pinning", "inner")
     e1, e2, outer = error_index_series(res.drive, res.response, 3, 3)
     assert not e1.any()
     assert e2.shape == outer.shape == (res.error.states.shape[0],)

@@ -67,6 +67,13 @@ def test_asymptotics_incompatible_pair():
         asymptotics(RateFunction.exponential(0.1), DelayProfile.proportional(0.5))
 
 
+def test_asymptotics_overflow_has_no_closed_form():
+    with pytest.raises(NoClosedFormError, match="overflows"):
+        asymptotics(RateFunction.exponential(1000.0), DelayProfile.constant(1.0))
+    with pytest.raises(NoClosedFormError, match="overflows"):
+        asymptotics(RateFunction.power(1000.0), DelayProfile.proportional(0.999))
+
+
 def test_mu_ratio_converges_to_one_plus_eta():
     rate = RateFunction.power(0.1)
     prof = DelayProfile.proportional(0.5)
