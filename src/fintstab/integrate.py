@@ -58,6 +58,9 @@ class IntegratorConfig:
         self.n_steps = int(round(ratio))
         if self.n_steps <= 0:
             raise ValueError("horizon must be at least one step")
+        if self.n_steps >= np.iinfo(np.intp).max:  # n_steps + 1 history rows
+            raise ValueError(f"horizon {self.horizon:g} is {self.n_steps:.3g} steps of "
+                             f"h = {self.h:g}: too many to record")
         if self.zero_band is not None and self.zero_band < 0.0:
             raise ValueError(f"zero_band must be >= 0, got {self.zero_band}")
         if self.zero_tol <= 0.0:
@@ -396,20 +399,22 @@ class RunningWindowSup:
 # -- integration -----------------------------------------------------------
 
 def _project_zero_band(x_old: np.ndarray, x_new: np.ndarray, band: float) -> np.ndarray:
-    """x_new with every component that flipped sign (or left 0) during the
-    step and stays within `band` of 0 set to exactly 0.
+    """x_new with every component b that flipped sign (or left 0) during the
+    step and stays within `band` of 0 set to exactly 0: the hit rule is
+    0 < |b| <= band and (a*b < 0 or a == 0), a the component before the step.
 
-    Returns x_new itself when nothing is hit: a step with no nonzero
-    component, or none inside the band, skips the flip mask (a NaN makes
-    the min NaN, so such a step takes the full test).
+    Returns x_new itself when nothing is hit, and a zeroed copy otherwise.
+    The rule runs on the states' Python floats: the states hold 1 to 9
+    components, where one NumPy reduction costs more than the whole loop
+    (the loop costs about 0.1 us a component, so NumPy wins from about 30).
+    A NaN fails both comparisons, so it is never hit.
     """
-    if band <= 0.0 or not x_new.any() or np.abs(x_new).min() > band:
+    hits = [i for i, (a, b) in enumerate(zip(x_old.tolist(), x_new.tolist()))
+            if 0.0 < abs(b) <= band and (a * b < 0.0 or a == 0.0)]
+    if not hits:
         return x_new
-    flipped = (x_old * x_new < 0.0) | ((x_old == 0.0) & (x_new != 0.0))
-    hit = flipped & (np.abs(x_new) <= band)
-    if hit.any():
-        x_new = x_new.copy()
-        x_new[hit] = 0.0
+    x_new = x_new.copy()
+    x_new[hits] = 0.0
     return x_new
 
 
@@ -424,6 +429,12 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     The step is one-stage on purpose: the zero band is a one-step sliding
     band, and the stages of a multi-stage step chatter across the sign switch
     unseen by it, settling late or never.
+
+    The states are small (1 to 9 components), so a step costs a fixed Python
+    and NumPy overhead, not arithmetic.  The zero-band and divergence tests
+    therefore read the state's Python floats instead of calling NumPy
+    reductions, which cost more per call than the whole test; the band is
+    set once per call, or per step from the hook's sign gain.
 
     `rhs` resolves delayed states from `traj`, which covers the history up to
     the current step start.  The step k call sees traj._filled == k, so it
@@ -443,21 +454,22 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
         traj._gains[0] = gain_hook.gains
 
     limit = config.divergence_limit
+    band = config.zero_band
+    hook_band = band is None and gain_hook is not None
+    if band is None:
+        band = 0.0
     for k in range(n_steps):
         t = k * h
         dx = rhs(t, x, traj)
         x_new = x + h * np.asarray(dx, dtype=float)
 
-        if config.zero_band is not None:
-            band = config.zero_band
-        elif gain_hook is not None:
+        if hook_band:
             band = gain_hook.sign_gain * h
-        else:
-            band = 0.0
-        x_new = _project_zero_band(x, x_new, band)
+        if band > 0.0:
+            x_new = _project_zero_band(x, x_new, band)
 
-        # one reduction: NaN and +-inf fail the comparison as well
-        if not np.abs(x_new).max() <= limit:
+        # NaN and +-inf fail the comparison as well
+        if not all(abs(v) <= limit for v in x_new.tolist()):
             raise DivergenceError(t + h)
 
         gains = None
@@ -479,17 +491,20 @@ def delayed_linear_rhs(c1: float, c2: float, profile: DelayProfile,
     of `profile` on the trajectory's grid otherwise (a trajectory without a
     plan, or one integrated with another profile object).
     """
-    seen = plan = gather = None
+    seen = plan = gather = vals = scaled = None
 
     def rhs(t, p, traj):
-        nonlocal seen, plan, gather
+        nonlocal seen, plan, gather, vals, scaled
         if traj is not seen:
             seen, plan = traj, traj.plan
             if plan is None or plan.profile is not profile:
                 plan = DelayPlan(profile, traj.t0, traj.h)
             gather = PlanGather(diag_cols(profile.n_components, traj.dim), traj.dim)
-        delayed = gather(traj, traj._filled, plan).ravel()
-        dp = c1 * p + c2 * delayed
+        block, r = gather.block(traj, traj._filled, plan)
+        if block is not vals:  # c2 times the delayed values, once per block
+            vals = block
+            scaled = c2 * block.reshape(block.shape[0], -1)
+        dp = c1 * p + scaled[r]
         if control is not None:
             dp = dp + control(t, p)
         return dp

@@ -133,7 +133,13 @@ def functional_series(traj: HistoryTrajectory, functional_id: str,
     else:
         value = _norm_series(states, term)
     if phase == 1:
-        value = np.asarray(rate.mu(times), dtype=float) * value
+        with np.errstate(over="ignore"):
+            mu = np.asarray(rate.mu(times), dtype=float)
+        bad = ~np.isfinite(mu)
+        if bad.any():
+            raise ValueError(f"the {rate.kind} rate {rate.param:g} has no finite mu(t) "
+                             f"from t={times[int(np.argmax(bad))]:.6g} on")
+        value = mu * value
     elif term in ("two", "xi"):
         value = np.sqrt(value)
     for name, key, halved, lam in penalties:

@@ -1,17 +1,21 @@
-"""The benchmark's span tracer still binds every name it wraps, and leaves
-the package as it found it."""
+"""The benchmark's span tracer still binds every name it wraps, leaves the
+package as it found it, and its traced gain_sweep rep passes the golden record."""
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def _tracing():
+    return _bench("tracing")
 
 
 def _resolve(modname, target):
@@ -41,3 +45,23 @@ def test_install_then_uninstall_restores_every_binding():
     finally:
         tracer.uninstall()
     assert tracing.unchanged(snapshot)
+
+
+def test_traced_gain_sweep_matches_the_golden_record(tmp_path):
+    # what `bench/run.py --workload gain_sweep --trace 1` checks on one rep: the
+    # seed-0 outputs and the exact traced counters (steps, zero-band hits)
+    tracing, workloads = _tracing(), _bench("workloads")
+    wl = workloads.GainSweep(workloads.DEFAULT_SEED, tmp_path)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        raw = tracer.span(tracing.ROOT_SPAN, wl.run)()
+        totals = tracer.totals()
+    finally:
+        tracer.uninstall()
+    chk = wl.check(raw)
+    for name in tracing.COUNTERS:
+        chk.observe("trace", f"count.{name}", "exact", totals[name])
+    assert chk.compare(workloads.load_golden(wl.name, workloads.DEFAULT_SEED)) == []
+    assert chk.messages() == [] and chk.failed == 0
+    assert totals["integrate.steps"] == wl.steps_per_rep

@@ -627,6 +627,19 @@ def test_monitor_rejects_a_csv_without_state_columns(tmp_path, capsys):
     assert "no state columns x_1" in err and "t,E1,E2,E_outer,theta4,theta3" in err
 
 
+def test_monitor_rejects_a_rate_whose_mu_overflows(tmp_path, capsys):
+    # exp(1000 t) overflows a float from t = 0.71 on, so the mu-weighted
+    # functional has no value there: an error naming the rate (and no
+    # overflow warning, which the test settings make an error), not a trace
+    # whose every contact point fails
+    doc = dict(EXAMPLE1, rate={"kind": "exponential", "rate": 1000.0},
+               delay={"kind": "constant", "pi": 1.0},
+               integrator={"horizon": 5.0, "h": 1e-3})
+    code, out, err = _monitor(tmp_path, capsys, doc)
+    assert code == 1 and out == ""
+    assert err.startswith("error: the exponential rate 1000 has no finite mu(t) from t=0.71 ")
+
+
 @pytest.mark.parametrize("doc, block", [
     (dict(EXAMPLE1, adaptive={"enabled": True, "d1": 0.1, "d2": 0.1, "d3": 0.1}), "gains"),
     (_network_doc({"adaptive": {"enabled": True, "d1": 0.05, "d3": 0.02}}), "control"),

@@ -61,13 +61,15 @@ _CASES = [
     (_doc(EXAMPLE1, monitor={"kappa": 0.999}), None),
     (_doc(EXAMPLE1, monitor={"eps1": 1e-6}), None),
     (_doc(EXAMPLE2, monitor={"kappa": 0.999, "eps1": 1e-6}), None),
+    # 1e303 steps: rejected before any history is allocated
+    (_doc(EXAMPLE1, integrator={"horizon": 1000.0, "h": 1e-300}), "integrator"),
 ]
 _IDS = ["c3_negative", "scalar_d1_negative", "horizon_negative", "horizon_off_grid",
         "sigma_zero", "theta3_negative", "network_d3_negative", "kappa_negative",
         "kappa_zero", "kappa_one", "kappa_above_one", "eps1_negative", "eps1_zero",
         "initial_state_empty", "c3_nan", "c4_inf", "initial_state_minus_inf",
         "theta3_nan", "c3_zero", "constant_pi_zero", "kappa_0.999", "eps1_1e-6",
-        "network_edges"]
+        "network_edges", "too_many_steps"]
 
 
 @pytest.mark.parametrize("doc, name", _CASES, ids=_IDS)

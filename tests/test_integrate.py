@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from fintstab.cli import run
 from fintstab.config import load_config
 from fintstab.delays import DelayProfile
-from fintstab.integrate import (DivergenceError, HistoryTrajectory,
-                                IntegratorConfig, RunningWindowSup,
-                                delayed_linear_rhs, grid_rows, integrate, norm1,
-                                norm_inf, sq_norm2)
+from fintstab.integrate import (DelayPlan, DivergenceError, HistoryTrajectory,
+                                IntegratorConfig, PlanGather, RunningWindowSup,
+                                delayed_linear_rhs, diag_cols, grid_rows, integrate,
+                                norm1, norm_inf, sq_norm2)
 
 # the package re-exports the function integrate, which shadows the submodule
 integ = importlib.import_module("fintstab.integrate")
@@ -220,9 +220,10 @@ def test_nonfinite_step_raises_at_its_end(bad, zero_band):
     # the first component flips into the band in the same step
     prof = DelayProfile.constant(0.0)
     cfg = IntegratorConfig(horizon=1.0, h=0.1, zero_band=zero_band)
-    with pytest.raises(DivergenceError) as exc:
-        integrate(lambda t, x, traj: np.array([-0.2, bad]), [0.01, 1.0], prof, cfg)
-    assert exc.value.blow_up_time == 0.1
+    for loop in (integrate, _reference_integrate):
+        with pytest.raises(DivergenceError) as exc:
+            loop(lambda t, x, traj: np.array([-0.2, bad]), [0.01, 1.0], prof, cfg)
+        assert exc.value.blow_up_time == 0.1
 
 
 def _reference_zero_band(x_old, x_new, band):
@@ -255,6 +256,164 @@ def test_project_zero_band_matches_reference_bitwise(pair, band):
     assert got.tobytes() == want.tobytes()
     if not ((got == 0.0) & (x_new != 0.0)).any():   # nothing hit: same object
         assert got is x_new
+
+
+# -- the step loop against a reference copy of its NumPy form -----------------------
+
+def _reference_integrate(rhs, initial_state, profile, config, gain_hook=None):
+    """`integrate`'s loop with NumPy tests: the band looked up every step,
+    the projection as first written, one abs-max reduction for divergence."""
+    x = np.atleast_1d(np.asarray(initial_state, dtype=float)).copy()
+    h = config.h
+    traj = HistoryTrajectory(0.0, h, x, config.n_steps,
+                             gain_names=gain_hook.names if gain_hook is not None else None)
+    traj.plan = DelayPlan(profile, 0.0, h)
+    if gain_hook is not None:
+        traj._gains[0] = gain_hook.gains
+    for k in range(config.n_steps):
+        t = k * h
+        x_new = x + h * np.asarray(rhs(t, x, traj), dtype=float)
+        if config.zero_band is not None:
+            band = config.zero_band
+        elif gain_hook is not None:
+            band = gain_hook.sign_gain * h
+        else:
+            band = 0.0
+        x_new = _reference_zero_band(x, x_new, band)
+        if not np.abs(x_new).max() <= config.divergence_limit:
+            raise DivergenceError(t + h)
+        gains = None
+        if gain_hook is not None:
+            gain_hook.step(t, x, traj)
+            gains = gain_hook.gains
+        traj.append(x_new, gains)
+        x = x_new
+    return traj
+
+
+def _reference_linear_rhs(c1, c2, profile, control):
+    """delayed_linear_rhs with c2 applied to each step's gathered row."""
+    gather = None
+
+    def rhs(t, p, traj):
+        nonlocal gather
+        if gather is None:
+            gather = PlanGather(diag_cols(profile.n_components, traj.dim), traj.dim)
+        return c1 * p + c2 * gather(traj, traj._filled).ravel() + control(t, p)
+
+    return rhs
+
+
+class _RampHook:
+    """A sign gain that starts at `start` and grows by `rate` each step, so
+    the auto band moves per step."""
+
+    names = ("c3",)
+
+    def __init__(self, start, rate):
+        self.gains = np.array([start])
+        self.rate = rate
+
+    @property
+    def sign_gain(self):
+        return self.gains.item(0)
+
+    def step(self, t, x, traj):
+        self.gains[0] += self.rate
+
+
+def _outcome(run):
+    try:
+        traj = run()
+    except DivergenceError as exc:
+        return "diverged", exc.blow_up_time
+    gains = None if traj.gains is None else traj.gains.tobytes()
+    return traj.states.tobytes(), gains
+
+
+def _both_loops(x0, profile, cfg, c1=0.0, c2=0.0, c3=0.0, c4=0.0, hook=None):
+    """Outcomes of `integrate` and of the reference loop on x' = c1 x +
+    c2 x(t - pi) - sgn(x)(c3 + c4 |x|); `hook` = (start, rate) of a _RampHook,
+    whose sign gain sets the auto band (independent of c3, so that the band
+    edge is met from both sides)."""
+    def control(t, p):
+        return -np.sign(p) * (c3 + c4 * np.abs(p))
+
+    outcomes = []
+    for loop, linear_rhs in ((integrate, delayed_linear_rhs),
+                             (_reference_integrate, _reference_linear_rhs)):
+        gain_hook = None if hook is None else _RampHook(*hook)
+        rhs = linear_rhs(c1, c2, profile, control)
+        outcomes.append(_outcome(lambda: loop(rhs, x0, profile, cfg, gain_hook=gain_hook)))
+    return outcomes
+
+
+_STATES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                                     1e-3, -1e-3]),
+                    st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 9), shared=st.booleans(), data=st.data())
+def test_step_loop_matches_the_reference_loop_bitwise(dim, shared, data):
+    x0 = data.draw(st.lists(_STATES, min_size=dim, max_size=dim), label="x0")
+    gains = {name: data.draw(st.floats(lo, hi), label=name)
+             for name, lo, hi in (("c1", -2.0, 2.0), ("c2", -2.0, 2.0),
+                                  ("c3", 0.0, 4.0), ("c4", 0.0, 2.0))}
+    n_components = 1 if shared else dim
+    pi = data.draw(st.sampled_from([None, 0.0, 0.013, 0.25]), label="constant pi")
+    profile = (DelayProfile.proportional(0.5, n_components) if pi is None
+               else DelayProfile.constant(pi, n_components))
+    # band: 0, auto (the hook's sign gain times h, or 0 without a hook) or explicit
+    band = data.draw(st.sampled_from([0.0, None, None, 0.01, 0.05]), label="zero_band")
+    hook = data.draw(st.one_of(st.none(), st.tuples(st.floats(0.0, 3.0),
+                                                    st.sampled_from([0.0, 0.02]))),
+                     label="hook (start, ramp)")
+    limit = data.draw(st.sampled_from([1e12, 2.0]), label="divergence_limit")
+    cfg = IntegratorConfig(horizon=2.0, h=0.01, zero_band=band, divergence_limit=limit)
+    got, want = _both_loops(x0, profile, cfg, hook=hook, **gains)
+    assert got == want
+
+
+def _one_step(dx, limit=1e12, band=None, x0=(0.0,), hook=None, h=1.0):
+    """Both loops' outcomes of one Euler step x0 + h*dx."""
+    cfg = IntegratorConfig(horizon=h, h=h, zero_band=band, divergence_limit=limit)
+    outcomes = []
+    for loop in (integrate, _reference_integrate):
+        rhs = lambda t, x, traj: np.array(dx, dtype=float)
+        gain_hook = None if hook is None else _RampHook(*hook)
+        outcomes.append(_outcome(lambda: loop(rhs, list(x0), DelayProfile.constant(0.0),
+                                              cfg, gain_hook=gain_hook)))
+    return outcomes
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_component_at_the_divergence_limit_passes(sign):
+    limit = 2.0
+    got, want = _one_step([0.5, sign * limit], limit, x0=(0.0, 0.0))
+    assert got == want and got[0] != "diverged"
+    above = math.nextafter(limit, math.inf)
+    got, want = _one_step([0.5, sign * above], limit, x0=(0.0, 0.0))
+    assert got == want == ("diverged", 1.0)
+
+
+def test_a_band_wider_than_the_limit_projects_before_the_test():
+    # x crosses 0 to -3 > limit in magnitude, but inside the band: zeroed, no error
+    got, want = _one_step([-4.0], 2.0, band=5.0, x0=(1.0,))
+    assert got == want
+    assert got[0] == np.array([1.0, 0.0]).tobytes()
+    assert _one_step([-4.0], 2.0, band=2.5, x0=(1.0,))[0] == ("diverged", 1.0)
+
+
+def test_the_auto_band_is_the_hooks_sign_gain_times_h():
+    # sign gain 2, h = 0.25: band 0.5, so a flip to -0.5 is zeroed and one
+    # just past it is not
+    x_edge = np.array([1.0, 0.0]).tobytes()
+    got, want = _one_step([-6.0], x0=(1.0,), hook=(2.0, 0.0), h=0.25)
+    assert got == want and got[0] == x_edge
+    past = math.nextafter(-6.0, -math.inf)
+    got, want = _one_step([past], x0=(1.0,), hook=(2.0, 0.0), h=0.25)
+    assert got == want and got[0] != x_edge
 
 
 def test_package_attribute_is_the_integrate_module():
