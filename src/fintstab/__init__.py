@@ -10,7 +10,7 @@ from .conditions import (ConditionReport, InfeasibleError,
                          check_network_theorem, check_scalar_theorem,
                          lambda_max_sym, left_eigenvector, optimal_eps1,
                          settling_bound)
-from .config import ConfigError, ExperimentConfig, load_config, load_config_file
+from .config import ConfigError, ExperimentConfig, load_config
 from .control import (NetworkAdaptiveHook, NetworkControlSpec,
                       ScalarAdaptiveHook, StaticScalarGains, full_node_control,
                       gain_rates, pinning_control, static_scalar_control)

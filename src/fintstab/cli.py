@@ -1,6 +1,9 @@
 """Command-line front end: presets, config-driven runs, sweeps, CSV output.
 
-Subcommands: simulate / check / monitor / example1 / example2 / sweep.
+Subcommands: simulate / check / monitor / sweep.  Each takes a CONFIG that
+is a JSON file or the name of a built-in document in `PRESETS` (example1,
+example1_adaptive, example2, example2_adaptive); both run through the one
+pipeline `run(load_config(doc))`.
 Exit codes: 0 success, 1 error, 2 a feasibility guarantee was requested from
 an infeasible condition.
 """
@@ -13,7 +16,6 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -21,8 +23,7 @@ import numpy as np
 from .conditions import (ConditionReport, NetworkConditionParams,
                          check_scalar_theorem, left_eigenvector,
                          check_network_theorem, settling_bound)
-from .config import (ConfigError, ExperimentConfig, adaptive_hook, load_config,
-                     load_config_file)
+from .config import ConfigError, ExperimentConfig, adaptive_hook, load_config
 from .control import static_scalar_control
 from .delays import DelayProfile, NoClosedFormError, RateFunction, asymptotics
 from .integrate import (DivergenceError, HistoryTrajectory, delayed_linear_rhs,
@@ -82,7 +83,7 @@ def read_trajectory_csv(path) -> HistoryTrajectory:
                                          gains=gains)
 
 
-# -- the run pipeline and the two presets --------------------------------------
+# -- the run pipeline and the presets -----------------------------------------
 
 @dataclass
 class ScalarRunResult:
@@ -222,11 +223,32 @@ EXAMPLE1 = {"schema_version": 1, "kind": "scalar",
 EXAMPLE2 = {"schema_version": 1, "kind": "network", "system": {"preset": "lorenz3"},
             "rate": {"kind": "power", "exponent": 0.1},
             "integrator": {"horizon": 20.0, "h": 5e-4}}
+# The built-in documents a CONFIG argument may name instead of a file
+PRESETS = {
+    "example1": EXAMPLE1,
+    "example1_adaptive": dict(EXAMPLE1,
+                              adaptive={"enabled": True, "d1": 0.1, "d2": 0.1, "d3": 0.1},
+                              integrator={"horizon": 40.0, "h": 1e-3}),
+    "example2": EXAMPLE2,
+    # the schema's adaptive rates (d1 = d2 = 0.05, d3 = 0.02) are run_example2's
+    "example2_adaptive": dict(EXAMPLE2, control={"adaptive": {"enabled": True}}),
+}
 
 
-def _preset(doc: dict, **blocks) -> ExperimentConfig:
-    """The preset document with the given top-level blocks replaced, loaded."""
-    return load_config(dict(json.loads(json.dumps(doc)), **blocks))
+def _document(config: str) -> dict:
+    """A fresh copy of the preset named `config`, else the JSON file at that path."""
+    if config in PRESETS:
+        return json.loads(json.dumps(PRESETS[config]))
+    with open(config, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config: invalid JSON ({exc})") from exc
+
+
+def _preset(name: str, **blocks) -> ExperimentConfig:
+    """The named preset with the given top-level blocks replaced, loaded."""
+    return load_config(dict(_document(name), **blocks))
 
 
 def run_example1(c3: float = 2.1, c4: float = 3.5, p0: float = 2.0,
@@ -235,7 +257,7 @@ def run_example1(c3: float = 2.1, c4: float = 3.5, p0: float = 2.0,
                  divergence_limit: float = 1e12) -> ScalarRunResult:
     """Static-gain run of p' = p + 2 p(0.5t) - c3 sgn(p) - c4 p."""
     monitor = {"kappa": kappa} if eps1 is None else {"kappa": kappa, "eps1": eps1}
-    cfg = _preset(EXAMPLE1, system=dict(EXAMPLE1["system"], initial_state=[p0]),
+    cfg = _preset("example1", system=dict(EXAMPLE1["system"], initial_state=[p0]),
                   gains={"c3": float(c3), "c4": float(c4)}, adaptive={"norm": norm},
                   integrator={"horizon": horizon, "h": h}, monitor=monitor)
     cfg.integrator = replace(cfg.integrator, divergence_limit=divergence_limit)
@@ -247,7 +269,8 @@ def run_example1_adaptive(d1: float = 0.1, d2: float = 0.1, d3: float = 0.1,
                           h: float = 1e-3, kappa: float = 0.9,
                           norm: str = "two") -> ScalarRunResult:
     """Adaptive run with c3' and c4' driven by the windowed sup switch."""
-    return run(_preset(EXAMPLE1, system=dict(EXAMPLE1["system"], initial_state=[p0]),
+    return run(_preset("example1_adaptive",
+                       system=dict(EXAMPLE1["system"], initial_state=[p0]),
                        adaptive={"enabled": True, "d1": d1, "d2": d2, "d3": d3,
                                  "norm": norm},
                        integrator={"horizon": horizon, "h": h}, monitor={"kappa": kappa}))
@@ -270,11 +293,10 @@ def run_example2(variant: str = "nocontrol", horizon: float = 20.0,
     """Three coupled Lorenz nodes: uncontrolled baseline or adaptive feedback."""
     control = {}
     if variant == "adaptive":
-        control = {"adaptive": {"enabled": True, "d1": d_theta4, "d2": d_theta4,
-                                "d3": d_theta3, "variant": "theta3_theta4"}}
+        control = {"adaptive": {"enabled": True, "d1": d_theta4, "d3": d_theta3}}
     elif variant != "nocontrol":
         raise ValueError(f"unknown variant {variant!r}")
-    return run(_preset(EXAMPLE2, control=control, integrator={"horizon": horizon, "h": h}))
+    return run(_preset("example2", control=control, integrator={"horizon": horizon, "h": h}))
 
 
 def write_error_index_csv(path, result: NetworkRunResult, stride: int = 1):
@@ -319,7 +341,7 @@ def _final_gains(names, gains) -> List[str]:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = load_config_file(args.config)
+    cfg = load_config(_document(args.config))
     require = cfg.monitor["require_feasible"]
     out, stride = cfg.output["csv"], cfg.output["stride"]
     res = run(cfg)
@@ -338,7 +360,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cfg = load_config_file(args.config)
+    cfg = load_config(_document(args.config))
     reports = condition_reports(cfg)
     print(format_report_table(reports))
     if cfg.adaptive["enabled"]:
@@ -351,7 +373,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_monitor(args) -> int:
-    cfg = load_config_file(args.config)
+    cfg = load_config(_document(args.config))
     traj = read_trajectory_csv(args.trajectory)
     h = cfg.integrator.h
     if not math.isclose(traj.h, h, rel_tol=1e-9):
@@ -373,43 +395,6 @@ def _cmd_monitor(args) -> int:
           f"T2_bound={t2:.6g}, violations={phases.envelope_violations}")
     print(f"contact points checked = {len(contacts)}, failing = {len(bad)}")
     return 0 if not bad else 1
-
-
-def _cmd_example1(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.variant in ("static", "adaptive"):
-        if args.variant == "static":
-            res = run_example1(c3=args.c3, c4=args.c4, horizon=args.horizon, h=args.h)
-        else:
-            res = run_example1_adaptive(horizon=args.horizon, h=args.h)
-        write_trajectory_csv(out_dir / f"example1_{args.variant}.csv", res.traj)
-        if res.report is not None:
-            print(format_report_table([res.report]))
-        print("\n".join(_summary_lines(res)))
-    else:
-        param = "c3" if args.variant == "sweep-c3" else "c4"
-        values = [float(v) for v in args.values.split(",")]
-        points = run_example1_sweep(param, values, c3=args.c3, c4=args.c4,
-                                    horizon=args.horizon, h=args.h)
-        _write_rows(out_dir / f"example1_sweep_{param}.csv", [param, "T_settle"],
-                    [np.array(points)], [_FMT, _FMT])
-        for v, ts in points:
-            print(f"{param} = {v:g}: T_settle = {ts:.6g}")
-    return 0
-
-
-def _cmd_example2(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    variant = "adaptive" if args.variant == "adaptive" else "nocontrol"
-    res = run_example2(variant=variant, horizon=args.horizon, h=args.h)
-    write_error_index_csv(out_dir / f"example2_{variant}.csv", res,
-                          stride=args.stride)
-    print("\n".join([f"min outer error = {res.outer.min():.6g}",
-                     f"final outer error = {res.outer[-1]:.6g}"]
-                    + _final_gains(res.gain_names, res.gains)))
-    return 0
 
 
 def _set_by_path(doc: dict, dotted: str, value):
@@ -437,10 +422,9 @@ def sweep(doc: dict, param: str, values: Sequence[float]):
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        base = json.load(fh)
     rows = []
-    for v, t_settle in sweep(base, args.param, [float(v) for v in args.values.split(",")]):
+    values = [float(v) for v in args.values.split(",")]
+    for v, t_settle in sweep(_document(args.config), args.param, values):
         rows.append((v, t_settle))
         print(f"{args.param} = {v:g}: T_settle = {t_settle:.6g}")
     if args.out:
@@ -456,44 +440,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-time stabilization of delayed systems: "
                     "simulation, condition checks, and monitors.")
     sub = parser.add_subparsers(dest="command", required=True)
+    config_help = f"a config JSON file, or a preset: {', '.join(PRESETS)}"
 
     p = sub.add_parser("simulate", help="run a config-defined experiment")
-    p.add_argument("config")
+    p.add_argument("config", help=config_help)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("check", help="print the condition report table")
-    p.add_argument("config")
+    p.add_argument("config", help=config_help)
     p.add_argument("--require-feasible", action="store_true")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("monitor", help="re-check a saved trajectory")
-    p.add_argument("config")
+    p.add_argument("config", help=config_help)
     p.add_argument("trajectory")
     p.add_argument("--out", default="monitor.csv")
     p.set_defaults(func=_cmd_monitor)
 
-    p = sub.add_parser("example1", help="scalar delayed-system preset")
-    p.add_argument("--variant", default="static",
-                   choices=["static", "adaptive", "sweep-c3", "sweep-c4"])
-    p.add_argument("--c3", type=float, default=2.1)
-    p.add_argument("--c4", type=float, default=3.5)
-    p.add_argument("--values", default="")
-    p.add_argument("--horizon", type=float, default=30.0)
-    p.add_argument("--h", type=float, default=1e-3)
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=_cmd_example1)
-
-    p = sub.add_parser("example2", help="three-node Lorenz network preset")
-    p.add_argument("--variant", default="nocontrol",
-                   choices=["nocontrol", "adaptive"])
-    p.add_argument("--horizon", type=float, default=20.0)
-    p.add_argument("--h", type=float, default=5e-4)
-    p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=_cmd_example2)
-
     p = sub.add_parser("sweep", help="one-parameter sweep over a scalar config")
-    p.add_argument("config")
+    p.add_argument("config", help=config_help)
     p.add_argument("--param", required=True)
     p.add_argument("--values", required=True)
     p.add_argument("--out", default="")
@@ -513,8 +478,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DivergenceError as exc:
         print(f"integration diverged: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

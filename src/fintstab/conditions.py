@@ -171,16 +171,14 @@ class NetworkConditionParams:
 
 
 def check_network_theorem(params: NetworkConditionParams, variant: str = "pinning",
-                          eps1: Optional[float] = None,
-                          synchronous_delays: bool = False) -> ConditionReport:
+                          eps1: Optional[float] = None) -> ConditionReport:
     """Feasibility of the network synchronization theorems.
 
     lhs = beta + 2 L_f + th2 bmax N eps1 + 2 lam + th2 bmax N^2 n L_g^2
           / (eps1 min_i xi_i) * (1+eta)
     with lam = theta1 * lambda_max({Xi Atilde}^s) for pinning and
     lam = lambda_max({Xi Ahat}^s) for full-node control; the sign condition
-    is th2 bmax N L_g - theta3 < 0.  `synchronous_delays` tightens the
-    delayed factor from N^2 n to N n (all pair delays equal).
+    is th2 bmax N L_g - theta3 < 0.
     """
     if eps1 is not None and not eps1 > 0.0:
         raise ValueError(f"eps1 must be > 0, got {eps1}")
@@ -197,14 +195,13 @@ def check_network_theorem(params: NetworkConditionParams, variant: str = "pinnin
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    delay_nodes = N if synchronous_delays else N * N
     base = params.beta + 2.0 * params.L_f + lam_term
     if params.theta2 == 0.0 or bmax == 0.0:
         lhs = base
         eps_opt = math.nan
     else:
         a = params.theta2 * bmax * N
-        b = params.theta2 * bmax * delay_nodes * n * params.L_g ** 2 * (1.0 + params.eta) / xi_min
+        b = params.theta2 * bmax * N ** 2 * n * params.L_g ** 2 * (1.0 + params.eta) / xi_min
         eps_opt, min_term = optimal_eps1(a, b)
         lhs = base + (min_term if eps1 is None else a * eps1 + b / eps1)
 

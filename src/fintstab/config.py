@@ -11,7 +11,6 @@ delay, rate, integrator, static gains, network control and adaptive hook.
 """
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
@@ -222,11 +221,3 @@ def load_config(doc: Dict[str, Any]) -> ExperimentConfig:
     _build("adaptive" if cfg.kind == "scalar" else "control.adaptive", adaptive_hook, cfg)
     return cfg
 
-
-def load_config_file(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON ({exc})") from exc
-    return load_config(doc)

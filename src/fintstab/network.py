@@ -15,7 +15,7 @@ for a whole plan block at once.
 """
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -335,21 +335,10 @@ def lorenz_jacobian_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(J, 2))
 
 
-def lorenz_lipschitz_bound(box: np.ndarray = LORENZ_BOX, grid: int = 9) -> float:
-    """Max spectral norm of the Lorenz Jacobian over the bounding box."""
-    axes = [np.linspace(lo, hi, grid) for lo, hi in box]
-    best = 0.0
-    for a in axes[0]:
-        for b in axes[1]:
-            for c in axes[2]:
-                best = max(best, lorenz_jacobian_norm(np.array([a, b, c])))
-    return best
-
-
-@functools.lru_cache(maxsize=None)
-def _lorenz_l_f() -> float:
-    """lorenz_lipschitz_bound() on the default box, computed on first use."""
-    return lorenz_lipschitz_bound()
+def lorenz_lipschitz_bound(box: np.ndarray = LORENZ_BOX) -> float:
+    """Max spectral norm of the Lorenz Jacobian over the bounding box.  J(x)
+    is affine in x, so its norm is convex and peaks at a corner of the box."""
+    return max(lorenz_jacobian_norm(np.array(c)) for c in itertools.product(*box))
 
 
 def lorenz_preset(horizon: float = 20.0, h: float = 5e-4,
@@ -359,7 +348,7 @@ def lorenz_preset(horizon: float = 20.0, h: float = 5e-4,
     model = NetworkModel(N=3, n=3, A=LORENZ_A, B=LORENZ_B,
                          theta1=0.1, theta2=1.0,
                          f=lorenz_rhs, g=sin_plus_linear,
-                         L_f=_lorenz_l_f(), L_g=3.0,
+                         L_f=lorenz_lipschitz_bound(), L_g=3.0,
                          delays=LORENZ_DELAYS)
     cfg = IntegratorConfig(horizon=horizon, h=h, zero_band=None, zero_tol=1e-9)
     return SyncExperiment(model=model, mode="outer",

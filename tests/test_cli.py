@@ -1,3 +1,4 @@
+import argparse
 import copy
 import dataclasses
 import json
@@ -7,8 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from fintstab import config
-from fintstab.cli import (EXAMPLE1, certify, condition_reports, main,
+from fintstab import cli, config
+from fintstab.cli import (EXAMPLE1, PRESETS, certify, condition_reports, main,
                           read_trajectory_csv, run,
                           run_example1, run_example1_adaptive,
                           run_example1_sweep, run_example2,
@@ -87,22 +88,20 @@ def test_config_rejects_bad_output_fields():
     assert load_config(_scalar_doc(output={"csv": "t.csv", "stride": 5})).output["stride"] == 5
 
 
-def test_cli_rejects_bad_strides(tmp_path, monkeypatch):
+def test_cli_rejects_bad_strides(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     doc = {"schema_version": 1, "kind": "network", "system": {"preset": "lorenz3"},
            "rate": {"kind": "power", "exponent": 0.1},
-           "integrator": {"horizon": 0.01, "h": 5e-4},
-           "output": {"csv": "net.csv", "stride": -1}}
+           "integrator": {"horizon": 0.01, "h": 5e-4}}
     cfgp = tmp_path / "net.json"
-    cfgp.write_text(json.dumps(doc))
-    assert main(["simulate", str(cfgp)]) == 1
-    assert not (tmp_path / "net.csv").exists()
-    for stride in ("0", "-1"):
-        assert main(["example2", "--horizon", "0.01", "--stride", stride,
-                     "--out-dir", "ex"]) == 1
-    assert main(["example2", "--horizon", "0.01", "--stride", "2",
-                 "--out-dir", "ex"]) == 0
-    assert len((tmp_path / "ex" / "example2_nocontrol.csv").read_text().splitlines()) == 12
+    for stride in (0, -1):
+        cfgp.write_text(json.dumps(dict(doc, output={"csv": "net.csv", "stride": stride})))
+        assert main(["simulate", str(cfgp)]) == 1
+        assert capsys.readouterr().err.startswith("config error: output.stride: ")
+        assert not (tmp_path / "net.csv").exists()
+    cfgp.write_text(json.dumps(dict(doc, output={"csv": "net.csv", "stride": 2})))
+    assert main(["simulate", str(cfgp)]) == 0
+    assert len((tmp_path / "net.csv").read_text().splitlines()) == 12
 
 
 def test_config_delay_kinds():
@@ -240,16 +239,106 @@ def test_cli_sweep(tmp_path, monkeypatch):
                  "--values", "1"]) == 1
 
 
-def test_cli_example_commands(tmp_path):
-    out = tmp_path / "out"
-    assert main(["example1", "--variant", "static", "--horizon", "5",
-                 "--out-dir", str(out)]) == 0
-    assert (out / "example1_static.csv").exists()
-    assert main(["example1", "--variant", "sweep-c4", "--values", "3.5,4.5",
-                 "--horizon", "5", "--out-dir", str(out)]) == 0
-    assert main(["example2", "--variant", "nocontrol", "--horizon", "1",
-                 "--h", "0.001", "--out-dir", str(out)]) == 0
-    assert (out / "example2_nocontrol.csv").exists()
+@pytest.fixture(scope="module")
+def example1_run():
+    return run_example1()
+
+
+@pytest.mark.parametrize("name", ["example1", "example1_adaptive"])
+def test_scalar_presets_run_as_the_helpers_defaults(name, example1_run):
+    res = run(load_config(PRESETS[name]))
+    ref = example1_run if name == "example1" else run_example1_adaptive()
+    assert res.traj.states.tobytes() == ref.traj.states.tobytes()
+    assert res.traj.gain_names == ref.traj.gain_names
+    if ref.traj.gains is not None:
+        assert res.traj.gains.tobytes() == ref.traj.gains.tobytes()
+    assert (res.T1, res.T_settle, res.eps2, res.settle_bound) == \
+        (ref.T1, ref.T_settle, ref.eps2, ref.settle_bound)
+
+
+@pytest.mark.parametrize("name, variant", [("example2", "nocontrol"),
+                                           ("example2_adaptive", "adaptive")])
+def test_network_presets_load_as_the_helpers_configs(name, variant, monkeypatch):
+    # run_example2 hands its loaded config to run; every built block agrees
+    monkeypatch.setattr(cli, "run", lambda cfg: cfg)
+    ref = run_example2(variant)
+    cfg = load_config(PRESETS[name])
+    for field in dataclasses.fields(cfg):
+        if field.name != "raw":
+            assert getattr(cfg, field.name) == getattr(ref, field.name), field.name
+
+
+def test_preset_names_resolve_to_fresh_copies():
+    for name, doc in PRESETS.items():
+        before = copy.deepcopy(doc)
+        resolved = cli._document(name)
+        assert resolved == before
+        resolved["integrator"]["horizon"] = -1.0
+        assert PRESETS[name] == before and cli._document(name) == before
+
+
+def test_simulate_and_monitor_a_preset(tmp_path, monkeypatch, capsys, example1_run):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "example1"]) == 0
+    sim = capsys.readouterr().out
+    write_trajectory_csv(tmp_path / "ref.csv", example1_run.traj)
+    assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert main(["monitor", "example1", "trajectory.csv"]) == 0
+    mon = capsys.readouterr().out
+    for key in ("T1", "T_settle"):
+        value = re.search(rf"^{key} = (\S+)$", sim, re.M).group(1)
+        assert f"{key}={value}," in mon
+
+
+def test_sweep_a_preset(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "example1", "--param", "gains.c4", "--values", "3.5,4.5"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    points = run_example1_sweep("c4", [3.5, 4.5])
+    assert printed == [f"gains.c4 = {v:g}: T_settle = {ts:.6g}" for v, ts in points]
+
+
+def test_check_a_preset(capsys):
+    for name in PRESETS:
+        assert main(["check", name]) == 0
+        table = capsys.readouterr().out
+        theorem = "network_full" if name.startswith("example2") else "scalar_two_norm"
+        assert re.search(rf"^{theorem} ", table, re.M), name
+
+
+def test_config_paths_still_load(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_scalar_doc()))
+    assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+    for missing in (str(tmp_path / "missing.json"), "example3"):
+        assert main(["check", missing]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_parser_offers_the_four_commands_and_names_the_presets():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"simulate", "check", "monitor", "sweep"}
+    for command, p in sub.choices.items():
+        help_text = next(a.help for a in p._actions if a.dest == "config")
+        assert all(name in help_text for name in PRESETS), command
+    for gone in ("example1", "example2"):
+        with pytest.raises(SystemExit) as exc:
+            main([gone])
+        assert exc.value.code == 2
+
+
+def test_memory_error_is_an_error_line(monkeypatch, capsys):
+    # a horizon too long to allocate reaches main as MemoryError
+    for exc, line in ((MemoryError("Unable to allocate 7.28 TiB"),
+                       "error: Unable to allocate 7.28 TiB\n"),
+                      (MemoryError(), "error: MemoryError\n")):
+        def raising(cfg, exc=exc):
+            raise exc
+        monkeypatch.setattr(cli, "run", raising)
+        assert main(["simulate", "example1"]) == 1
+        assert capsys.readouterr().err == line
 
 
 def test_adaptive_runner_gains_recorded():
@@ -313,23 +402,6 @@ def test_network_config_matches_the_preset_runner():
     ref = run_example2("adaptive", horizon=0.5, h=1e-3)
     assert res.sync.error.states.tolist() == ref.sync.error.states.tolist()
     assert res.gains.tolist() == ref.gains.tolist()
-
-
-@pytest.mark.parametrize("variant, blocks", [
-    ("static", {}),
-    ("adaptive", {"adaptive": {"enabled": True, "d1": 0.1, "d2": 0.1, "d3": 0.1}}),
-])
-def test_scalar_config_matches_the_preset_runner(tmp_path, variant, blocks):
-    # the preset is a config document: simulate on it writes the example's CSV
-    doc = dict(EXAMPLE1, integrator={"horizon": 2.0, "h": 1e-3},
-               output={"csv": str(tmp_path / "sim.csv")}, **blocks)
-    path = tmp_path / "preset.json"
-    path.write_text(json.dumps(doc))
-    assert main(["simulate", str(path)]) == 0
-    assert main(["example1", "--variant", variant, "--horizon", "2",
-                 "--out-dir", str(tmp_path)]) == 0
-    example = (tmp_path / f"example1_{variant}.csv").read_bytes()
-    assert (tmp_path / "sim.csv").read_bytes() == example
 
 
 def test_zero_tol_sets_the_detected_settling_time():

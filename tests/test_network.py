@@ -1,18 +1,15 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fintstab.control import NetworkControlSpec
 from fintstab.delays import DelayProfile
 from fintstab.integrate import HistoryTrajectory, IntegratorConfig
-from fintstab.network import (LORENZ_A, LORENZ_B, LORENZ_DRIVE_INIT,
+from fintstab.network import (LORENZ_A, LORENZ_B, LORENZ_BOX, LORENZ_DRIVE_INIT,
                               LORENZ_RESPONSE_INIT, NetworkModel,
                               SyncExperiment, error_index_series,
-                              inner_sync_residual, lorenz_lipschitz_bound,
-                              lorenz_preset, lorenz_rhs,
+                              inner_sync_residual, lorenz_jacobian_norm,
+                              lorenz_lipschitz_bound, lorenz_preset, lorenz_rhs,
                               simulate_response_directly, simulate_sync,
                               sin_plus_linear)
 
@@ -57,7 +54,32 @@ def test_g_lipschitz_constant():
                              [-10.0] * 3, [10.0] * 3, n_samples=5000, seed=1)
     assert est <= 3.0 + 1e-9
     assert est > 2.8
-    assert lorenz_lipschitz_bound() > 0.0
+
+
+def _grid_max(box, points: int) -> float:
+    axes = [np.linspace(lo, hi, points) for lo, hi in box]
+    return max(lorenz_jacobian_norm(np.array([a, b, c]))
+               for a in axes[0] for b in axes[1] for c in axes[2])
+
+
+def test_lorenz_lipschitz_bound_is_the_corner_maximum():
+    # the preset's L_f is the corner maximum, the same float as the maximum
+    # over the 9-point grid on LORENZ_BOX that holds the corners
+    pinned = float.fromhex("0x1.8c1d5adaf44dap+5")
+    assert lorenz_preset().model.L_f == lorenz_lipschitz_bound() == pinned
+    assert _grid_max(LORENZ_BOX, 9) == pinned
+
+
+_BOUNDS = st.floats(-60.0, 60.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_BOUNDS, _BOUNDS), min_size=3, max_size=3))
+def test_no_box_point_exceeds_the_corner_maximum(pairs):
+    # J(x) is affine, so its spectral norm is convex: an interior grid point
+    # never beats the corners
+    box = np.array([sorted(p) for p in pairs])
+    assert _grid_max(box, 5) <= lorenz_lipschitz_bound(box) * (1.0 + 1e-12)
 
 
 def _small_model(B=None, delays=None):
@@ -206,26 +228,3 @@ def test_inner_mode_runs_and_reports_residual():
     assert res.inner_residual is not None
     # node 1 starts on the reference; with B=0 and linear f it stays close
     assert res.response.states.shape[1] == 4
-
-
-def test_lorenz_lipschitz_bound_computed_once(monkeypatch):
-    from fintstab import network
-    calls = []
-
-    def counted(*args, **kw):
-        calls.append(args)
-        return lorenz_lipschitz_bound(*args, **kw)
-
-    monkeypatch.setattr(network, "lorenz_lipschitz_bound", counted)
-    network._lorenz_l_f.cache_clear()
-    first, second = lorenz_preset().model.L_f, lorenz_preset().model.L_f
-    assert len(calls) == 1
-    # the grid maximum over LORENZ_BOX, as computed per call before caching
-    assert first == second == lorenz_lipschitz_bound() == float.fromhex("0x1.8c1d5adaf44dap+5")
-
-
-def test_lorenz_lipschitz_bound_not_computed_at_import():
-    code = ("import fintstab.cli, fintstab.network as n; "
-            "assert n._lorenz_l_f.cache_info().currsize == 0")
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
