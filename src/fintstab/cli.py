@@ -390,9 +390,10 @@ def _cmd_monitor(args) -> int:
                 [trace.times, trace.values, trace.window_sups, trace.contact_mask],
                 [_FMT, _FMT, _FMT, "%d"])
     phases = cert.phases
-    t2 = phases.T1 + 1.0 / cert.eps2 if math.isfinite(phases.T1) else math.inf
-    print(f"T1={phases.T1:.6g}, T_settle={phases.T_settle:.6g}, "
-          f"T2_bound={t2:.6g}, violations={phases.envelope_violations}")
+    # the settling bound as simulate prints it: only from a feasible report
+    bound = "" if cert.settle_bound is None else f"settling_bound={cert.settle_bound:.6g}, "
+    print(f"T1={phases.T1:.6g}, T_settle={phases.T_settle:.6g}, {bound}"
+          f"violations={phases.envelope_violations}")
     print(f"contact points checked = {len(contacts)}, failing = {len(bad)}")
     return 0 if not bad else 1
 

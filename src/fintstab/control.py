@@ -44,10 +44,19 @@ class StaticScalarGains:
             raise ValueError("control gains c3, c4 must be >= 0")
 
 
-def static_scalar_control(p: np.ndarray, gains: StaticScalarGains) -> np.ndarray:
-    """Componentwise -sgn(p_i)(c3 + c4 |p_i|); zero where p_i = 0."""
-    p = np.asarray(p, dtype=float)
-    return -np.sign(p) * (gains.c3 + gains.c4 * np.abs(p))
+def _sign_law(p, c3: float, c4: float) -> list:
+    """[-sgn(v)(c3 + c4 |v|) for v in p] as a list of floats, bitwise equal to
+    -np.sign(p) * (c3 + c4 * np.abs(p)): sgn is +0.0 at +-0.0, so the control
+    there is -0.0, and NaN at NaN.  `p` is a list of floats or a 1-d array."""
+    if type(p) is not list:
+        p = np.asarray(p, dtype=float).tolist()
+    return [-(1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0 if v == 0.0 else v)
+            * (c3 + c4 * abs(v)) for v in p]
+
+
+def static_scalar_control(p, gains: StaticScalarGains) -> list:
+    """Componentwise -sgn(p_i)(c3 + c4 |p_i|) by `_sign_law`; -0.0 where p_i = 0."""
+    return _sign_law(p, gains.c3, gains.c4)
 
 
 def gain_rates(value: float, mu: float, wsup: float, rates, squared: bool,
@@ -105,8 +114,10 @@ class AdaptiveHook:
 
     Tracks the switching functional's window sup incrementally and exposes
     the protocol `integrate` expects (names / gains / sign_gain / step).
-    `gains` is one float array in `names` order, updated in place: the
-    integrator records it and the control laws read it.  Gains start at 0.
+    The gains are held as Python floats, which `sign_gain` and the control
+    laws read; `gains` is one float array in `names` order that `step`
+    updates in place, once per step, from them, and the integrator records.
+    Writing into `gains` does not change the gains.  Gains start at 0.
     """
 
     def __init__(self, names, lin: int, rates, rate: RateFunction,
@@ -119,6 +130,7 @@ class AdaptiveHook:
         self.rate = rate
         self.profile = profile
         self.zero_tol = zero_tol
+        self._g = [0.0, 0.0]
         self.gains = np.zeros(2)
         self.mode = MODE_ABOVE_ONE
         self._functional = _NORM_FUNCS[norm]
@@ -132,19 +144,24 @@ class AdaptiveHook:
 
     @property
     def sign_gain(self) -> float:
-        return self.gains.item(self._sign)
+        return self._g[self._sign]
 
     def step(self, t: float, x: np.ndarray, traj: HistoryTrajectory):
         if self._tracker is None:
             self._tracker = RunningWindowSup(traj.t0, traj.h, self.profile)
         k = len(self._tracker.values)
-        value = self._functional(x)
+        if x.size == 1:  # v*v and |v| on the float equal the NumPy reductions bitwise
+            v = x.item()
+            value = v * v if self._squared else abs(v)
+        else:
+            value = self._functional(x)
         self._tracker.push(value)
         d_lin, d_sign, self.mode = gain_rates(value, self.rate.mu(t), self._tracker.sup(k),
                                               self.rates, self._squared, self.zero_tol)
-        g = self.gains
+        g = self._g
         g[self._lin] += traj.h * d_lin
         g[self._sign] += traj.h * d_sign
+        self.gains[0], self.gains[1] = g
 
 
 # The subclasses bind `step` in their own bodies: the bench's tracer looks the
@@ -160,9 +177,9 @@ class ScalarAdaptiveHook(AdaptiveHook):
                  profile: DelayProfile, norm: str = "two", zero_tol: float = 1e-9):
         super().__init__(("c3", "c4"), 1, (d2, d3, d1), rate, profile, norm, zero_tol)
 
-    def control(self, t, p):
-        c3, c4 = self.gains.tolist()
-        return -np.sign(p) * (c3 + c4 * np.abs(p))
+    def control(self, t, p) -> list:
+        c3, c4 = self._g
+        return _sign_law(p, c3, c4)
 
 
 class NetworkAdaptiveHook(AdaptiveHook):

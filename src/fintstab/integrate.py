@@ -398,24 +398,38 @@ class RunningWindowSup:
 
 # -- integration -----------------------------------------------------------
 
+def _band_hits(x_old, x_new, band: float) -> list:
+    """Indices of the components the zero band hits, on sequences of floats:
+    0 < |b| <= band and (a*b < 0 or a == 0), a the component before the step
+    and b after it.  A NaN fails both comparisons, so it is never hit."""
+    return [i for i, (a, b) in enumerate(zip(x_old, x_new))
+            if 0.0 < abs(b) <= band and (a * b < 0.0 or a == 0.0)]
+
+
 def _project_zero_band(x_old: np.ndarray, x_new: np.ndarray, band: float) -> np.ndarray:
     """x_new with every component b that flipped sign (or left 0) during the
-    step and stays within `band` of 0 set to exactly 0: the hit rule is
-    0 < |b| <= band and (a*b < 0 or a == 0), a the component before the step.
+    step and stays within `band` of 0 set to exactly 0 (see `_band_hits`).
 
     Returns x_new itself when nothing is hit, and a zeroed copy otherwise.
     The rule runs on the states' Python floats: the states hold 1 to 9
     components, where one NumPy reduction costs more than the whole loop
     (the loop costs about 0.1 us a component, so NumPy wins from about 30).
-    A NaN fails both comparisons, so it is never hit.
     """
-    hits = [i for i, (a, b) in enumerate(zip(x_old.tolist(), x_new.tolist()))
-            if 0.0 < abs(b) <= band and (a * b < 0.0 or a == 0.0)]
+    hits = _band_hits(x_old.tolist(), x_new.tolist(), band)
     if not hits:
         return x_new
     x_new = x_new.copy()
-    x_new[hits] = 0.0
+    for i in hits:  # item writes: a fancy-index write costs twice as much here
+        x_new[i] = 0.0
     return x_new
+
+
+def _floats(v, n: int) -> list:
+    """An rhs or control result that is not a list of n floats, as one: an
+    array of shape (n,) is converted once, and anything else is broadcast to
+    (n,) as NumPy broadcasts it against an n-component state."""
+    v = np.asarray(v, dtype=float)
+    return (v if v.shape == (n,) else np.broadcast_to(v, (n,))).tolist()
 
 
 def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfig,
@@ -430,11 +444,20 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     band, and the stages of a multi-stage step chatter across the sign switch
     unseen by it, settling late or never.
 
+    `x` is the recorded history row of the step's start, a read-only 1-d
+    array: writing into it raises ValueError.  `rhs` may return a NumPy
+    array or a list of floats.  A list of one float per component is used
+    as it is, an array of the state's shape is converted once, and any
+    other value is broadcast against the state as NumPy broadcasts it.
+
     The states are small (1 to 9 components), so a step costs a fixed Python
-    and NumPy overhead, not arithmetic.  The zero-band and divergence tests
-    therefore read the state's Python floats instead of calling NumPy
-    reductions, which cost more per call than the whole test; the band is
-    set once per call, or per step from the hook's sign gain.
+    and NumPy overhead, not arithmetic.  The loop therefore keeps the state
+    as a list of Python floats and writes each step's history row once: the
+    Euler update, the zero-band and divergence tests are float operations,
+    bitwise equal to the elementwise NumPy ones.  The band is set once per
+    call, or per step from the hook's sign gain.  A step that the band hits
+    is projected by `_project_zero_band`, the projection's one entry point,
+    on arrays.
 
     `rhs` resolves delayed states from `traj`, which covers the history up to
     the current step start.  The step k call sees traj._filled == k, so it
@@ -442,16 +465,22 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     built here once per call.
     `gain_hook`, when given, is an object with attributes `names`, `gains`,
     `sign_gain` and a method `step(t, x, traj)`; it is invoked once per
-    accepted step and its gain trajectory is recorded alongside the states.
+    accepted step, after the rhs and with the same `x`, and its gain
+    trajectory is recorded alongside the states.
     """
-    x = np.atleast_1d(np.asarray(initial_state, dtype=float)).copy()
+    x0 = np.atleast_1d(np.asarray(initial_state, dtype=float))
     h, n_steps = config.h, config.n_steps
     gain_names = gain_hook.names if gain_hook is not None else None
-    traj = HistoryTrajectory(0.0, h, x, n_steps, initial_history=initial_history,
+    traj = HistoryTrajectory(0.0, h, x0, n_steps, initial_history=initial_history,
                              gain_names=gain_names)
     traj.plan = DelayPlan(profile, 0.0, h)
+    states, all_gains = traj._states, traj._gains
     if gain_hook is not None:
-        traj._gains[0] = gain_hook.gains
+        all_gains[0] = gain_hook.gains
+    rows = states.view()
+    rows.flags.writeable = False
+    n = traj.dim
+    xs = states[0].tolist()
 
     limit = config.divergence_limit
     band = config.zero_band
@@ -460,30 +489,35 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
         band = 0.0
     for k in range(n_steps):
         t = k * h
+        x = rows[k]
         dx = rhs(t, x, traj)
-        x_new = x + h * np.asarray(dx, dtype=float)
+        if type(dx) is not list or len(dx) != n:
+            dx = _floats(dx, n)
+        x_new = [a + h * b for a, b in zip(xs, dx)]
 
         if hook_band:
             band = gain_hook.sign_gain * h
-        if band > 0.0:
-            x_new = _project_zero_band(x, x_new, band)
+        if band > 0.0 and _band_hits(xs, x_new, band):
+            x_new = _project_zero_band(x, np.array(x_new), band).tolist()
 
-        # NaN and +-inf fail the comparison as well
-        if not all(abs(v) <= limit for v in x_new.tolist()):
-            raise DivergenceError(t + h)
+        for v in x_new:  # NaN and +-inf fail the comparison as well
+            if not abs(v) <= limit:
+                raise DivergenceError(t + h)
 
-        gains = None
         if gain_hook is not None:
             gain_hook.step(t, x, traj)
-            gains = gain_hook.gains
-        traj.append(x_new, gains)
-        x = x_new
+            all_gains[k + 1] = gain_hook.gains
+        states[k + 1] = x_new
+        traj._filled = k + 1
+        xs = x_new
     return traj
 
 
 def delayed_linear_rhs(c1: float, c2: float, profile: DelayProfile,
-                       control: Optional[Callable[[float, np.ndarray], np.ndarray]] = None):
-    """Right-hand side p' = c1*p + c2*p(t - Pi(t)) + u(t, p).
+                       control: Optional[Callable[[float, list], Sequence[float]]] = None):
+    """Right-hand side p' = c1*p + c2*p(t - Pi(t)) + u(t, p), returned as a
+    list of floats.  `control` gets the state as a list of floats and may
+    return an array or a list of floats (broadcast like an rhs result).
 
     The rhs is evaluated at the trajectory's current step, t = traj.current_time,
     which is where `integrate` calls it.  The delayed state is that step's row
@@ -491,22 +525,28 @@ def delayed_linear_rhs(c1: float, c2: float, profile: DelayProfile,
     of `profile` on the trajectory's grid otherwise (a trajectory without a
     plan, or one integrated with another profile object).
     """
-    seen = plan = gather = vals = scaled = None
+    seen = plan = gather = None
+    start, scaled = 0, []  # c2 times the delayed values of the steps from start on
 
     def rhs(t, p, traj):
-        nonlocal seen, plan, gather, vals, scaled
-        if traj is not seen:
-            seen, plan = traj, traj.plan
-            if plan is None or plan.profile is not profile:
-                plan = DelayPlan(profile, traj.t0, traj.h)
-            gather = PlanGather(diag_cols(profile.n_components, traj.dim), traj.dim)
-        block, r = gather.block(traj, traj._filled, plan)
-        if block is not vals:  # c2 times the delayed values, once per block
-            vals = block
-            scaled = c2 * block.reshape(block.shape[0], -1)
-        dp = c1 * p + scaled[r]
-        if control is not None:
-            dp = dp + control(t, p)
-        return dp
+        nonlocal seen, plan, gather, start, scaled
+        k = traj._filled
+        r = k - start
+        if traj is not seen or not 0 <= r < len(scaled):
+            if traj is not seen:
+                seen, plan = traj, traj.plan
+                if plan is None or plan.profile is not profile:
+                    plan = DelayPlan(profile, traj.t0, traj.h)
+                gather = PlanGather(diag_cols(profile.n_components, traj.dim), traj.dim)
+            block, r = gather.block(traj, k, plan)
+            start = k - r
+            scaled = (c2 * block.reshape(block.shape[0], -1)).tolist()
+        ps = p.tolist()
+        if control is None:
+            return [c1 * a + b for a, b in zip(ps, scaled[r])]
+        u = control(t, ps)
+        if type(u) is not list or len(u) != len(ps):
+            u = _floats(u, len(ps))
+        return [c1 * a + b + c for a, b, c in zip(ps, scaled[r], u)]
 
     return rhs

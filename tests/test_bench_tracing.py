@@ -65,3 +65,25 @@ def test_traced_gain_sweep_matches_the_golden_record(tmp_path):
     assert chk.compare(workloads.load_golden(wl.name, workloads.DEFAULT_SEED)) == []
     assert chk.messages() == [] and chk.failed == 0
     assert totals["integrate.steps"] == wl.steps_per_rep
+
+
+def _untraced_rep(name, tmp_path):
+    """One untraced seed-0 rep of workload `name`: its check, folded with the
+    golden record, and its observations by key."""
+    workloads = _bench("workloads")
+    wl = workloads.WORKLOADS[name](workloads.DEFAULT_SEED, tmp_path)
+    chk = wl.check(wl.run())
+    chk.compare(workloads.load_golden(name, workloads.DEFAULT_SEED))
+    assert chk.messages() == [] and chk.failed == 0
+    return {key: value for _, key, _, value in chk.observations}
+
+
+def test_scalar_certify_rep_matches_the_golden_record(tmp_path):
+    seen = _untraced_rep("scalar_certify", tmp_path)
+    # the golden's info-only digest, e862e3471ad67d34, predates the grid snap
+    # rule of grid_rows and is stale; this is the digest of today's outputs
+    assert seen["simulate.digest"] == "0bc05f53b76839a2"
+
+
+def test_lorenz_sync_rep_matches_the_golden_record(tmp_path):
+    assert _untraced_rep("lorenz_sync", tmp_path)["network.digest"] == "82e2b959e181524d"

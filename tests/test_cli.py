@@ -626,7 +626,8 @@ _DIM3 = {"c1": 1.0, "c2": 0.5, "initial_state": [1.0, -0.5, 0.25]}
 ], ids=["static_two", "dim3_one", "adaptive", "eps1_start_time"])
 def test_monitor_agrees_with_simulate(tmp_path, capsys, blocks):
     # monitor re-derives the certificate from the CSV by the same rule as
-    # simulate: eps2, and so T2_bound = T1 + 1/eps2, and the violations
+    # simulate: eps2, the settling bound (printed only when simulate prints
+    # one) and the violations
     doc = dict(EXAMPLE1, output={"csv": str(tmp_path / "traj.csv")}, **blocks)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
@@ -636,8 +637,8 @@ def test_monitor_agrees_with_simulate(tmp_path, capsys, blocks):
     capsys.readouterr()
     main(["monitor", str(path), str(tmp_path / "traj.csv"), "--out", str(tmp_path / "m.csv")])
     line = capsys.readouterr().out.splitlines()[0]
-    assert line == (f"T1={res.T1:.6g}, T_settle={res.T_settle:.6g}, "
-                    f"T2_bound={res.T1 + 1.0 / res.eps2:.6g}, "
+    bound = "" if res.settle_bound is None else f"settling_bound={res.settle_bound:.6g}, "
+    assert line == (f"T1={res.T1:.6g}, T_settle={res.T_settle:.6g}, {bound}"
                     f"violations={res.phases.envelope_violations}")
 
 
@@ -663,6 +664,23 @@ def _monitor(tmp_path, capsys, doc):
                  "--out", str(tmp_path / "m.csv")])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.mark.parametrize("doc", [
+    PRESETS["example1_adaptive"],                  # no condition report: settles at 16.682
+    dict(EXAMPLE1, gains={"c3": 0.5, "c4": 3.5}),  # c3 < |c2|: infeasible, T1 finite
+], ids=["adaptive", "infeasible_c3"])
+def test_monitor_prints_no_settling_bound_without_a_feasible_report(tmp_path, capsys, doc):
+    # T1 + 1/eps2 bounds nothing here (the adaptive run settles after it),
+    # so monitor, like simulate, prints no bound
+    res = run(load_config(doc))
+    assert res.settle_bound is None and math.isfinite(res.T1)
+    code, out, _ = _monitor(tmp_path, capsys, doc)
+    assert code == 0
+    line = out.splitlines()[0]
+    assert line == (f"T1={res.T1:.6g}, T_settle={res.T_settle:.6g}, "
+                    f"violations={res.phases.envelope_violations}")
+    assert "bound" not in out
 
 
 def test_monitor_checks_contact_points_from_start_time(tmp_path, capsys):

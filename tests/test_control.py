@@ -11,11 +11,12 @@ from fintstab.integrate import IntegratorConfig, delayed_linear_rhs, integrate
 
 
 def test_static_control_values():
+    # the law returns a list of floats: read it through np.asarray
     g = StaticScalarGains(1.0, 2.0, 2.1, 3.5)
-    assert static_scalar_control(np.array([2.0]), g)[0] == pytest.approx(-9.1)
-    assert (static_scalar_control(np.zeros(4), g) == 0.0).all()
+    assert np.asarray(static_scalar_control(np.array([2.0]), g))[0] == pytest.approx(-9.1)
+    assert (np.asarray(static_scalar_control(np.zeros(4), g)) == 0.0).all()
     g2 = StaticScalarGains(0.0, 0.0, 1.0, 0.0)
-    assert static_scalar_control(np.array([-1.0]), g2)[0] == 1.0
+    assert np.asarray(static_scalar_control(np.array([-1.0]), g2))[0] == 1.0
 
 
 def test_static_gains_validation():

@@ -288,9 +288,9 @@ def test_delayed_linear_rhs_on_trajectory_without_plan():
     assert traj.plan is None
     t = traj.current_time
     p = traj.states[-1]
-    got = delayed_linear_rhs(1.5, -2.0, profile)(t, p, traj)
+    got = delayed_linear_rhs(1.5, -2.0, profile)(t, p, traj)   # a list of floats
     want = 1.5 * p - 2.0 * traj.query_diag(t - profile.delays_at(t))
-    assert got.tolist() == want.tolist()
+    assert np.asarray(got).tobytes() == want.tobytes()
 
 
 def test_delayed_linear_rhs_accepts_an_equal_profile_object():
