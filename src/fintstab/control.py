@@ -44,14 +44,19 @@ class StaticScalarGains:
             raise ValueError("control gains c3, c4 must be >= 0")
 
 
+def _sgn(v: float) -> float:
+    """np.sign of one float: +0.0 at +-0.0 and NaN at NaN.  The float control
+    laws take their signs from it, so they are bitwise equal to np.sign."""
+    return 1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0 if v == 0.0 else v
+
+
 def _sign_law(p, c3: float, c4: float) -> list:
     """[-sgn(v)(c3 + c4 |v|) for v in p] as a list of floats, bitwise equal to
-    -np.sign(p) * (c3 + c4 * np.abs(p)): sgn is +0.0 at +-0.0, so the control
-    there is -0.0, and NaN at NaN.  `p` is a list of floats or a 1-d array."""
+    -np.sign(p) * (c3 + c4 * np.abs(p)): the control at +-0.0 is -0.0, and
+    NaN at NaN.  `p` is a list of floats or a 1-d array."""
     if type(p) is not list:
         p = np.asarray(p, dtype=float).tolist()
-    return [-(1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0 if v == 0.0 else v)
-            * (c3 + c4 * abs(v)) for v in p]
+    return [-_sgn(v) * (c3 + c4 * abs(v)) for v in p]
 
 
 def static_scalar_control(p, gains: StaticScalarGains) -> list:
@@ -78,9 +83,10 @@ def gain_rates(value: float, mu: float, wsup: float, rates, squared: bool,
 
 @dataclass
 class NetworkControlSpec:
-    """Network controller: single-node pinning or full per-node feedback."""
+    """Network controller: single-node pinning, full per-node feedback, or
+    none (kind "none": the error system runs uncontrolled)."""
 
-    kind: str  # "pinning" | "full"
+    kind: str  # "pinning" | "full" | "none"
     theta3: float = 0.0
     theta4: float = 0.0  # full-node only
     sigma: float = 1.0  # pinning strength on node 1
@@ -107,6 +113,23 @@ def full_node_control(e: np.ndarray, theta3: float, theta4: float) -> np.ndarray
     """u_i = -theta3*sgn(e_i) - theta4*e_i on every node."""
     e = np.asarray(e, dtype=float)
     return -theta3 * np.sign(e) - theta4 * e
+
+
+# The network's error system adds its feedback to the rest of the rhs on lists
+# of floats.  Each law below is out + u, bitwise equal to out + the array law
+# above: the same operations in the same order, with signs from _sgn.
+
+def _add_pinning(out: list, e: list, n: int, sigma: float, theta1: float,
+                 theta3: float) -> list:
+    """out + pinning_control(e, ...) on flat node-major floats (n per node)."""
+    ts = theta1 * sigma
+    return [o + (-theta3 * _sgn(v) - ts * v if i < n else -theta3 * _sgn(v))
+            for i, (o, v) in enumerate(zip(out, e))]
+
+
+def _add_full_node(out: list, e: list, theta3: float, theta4: float) -> list:
+    """out + full_node_control(e, theta3, theta4) on floats."""
+    return [o + (-theta3 * _sgn(v) - theta4 * v) for o, v in zip(out, e)]
 
 
 class AdaptiveHook:
@@ -153,6 +176,8 @@ class AdaptiveHook:
         if x.size == 1:  # v*v and |v| on the float equal the NumPy reductions bitwise
             v = x.item()
             value = v * v if self._squared else abs(v)
+        elif self._squared:  # sq_norm2's BLAS dot, on the 1-d row
+            value = float(np.dot(x, x))
         else:
             value = self._functional(x)
         self._tracker.push(value)

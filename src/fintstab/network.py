@@ -11,7 +11,10 @@ exactly.
 
 The delayed coupling theta2 * sum_j b_ij g(x_j(t - pi_ij(t))) has one
 formula over a step axis, `_coupling`, which the right-hand sides evaluate
-for a whole plan block at once.
+for a whole plan block at once and turn into float rows once.  The rest of
+a step runs on Python floats, bitwise equal to the NumPy forms: f takes and
+gives node rows, the controls keep their array forms' operation order, and
+only the sum A @ X stays in NumPy (BLAS may fuse its multiply-adds).
 """
 from __future__ import annotations
 
@@ -22,10 +25,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .conditions import _validate_coupling_matrix
-from .control import (NetworkAdaptiveHook, NetworkControlSpec,
-                      full_node_control, pinning_control)
+from .control import (NetworkAdaptiveHook, NetworkControlSpec, _add_full_node,
+                      _add_pinning, _sgn)
 from .delays import DelayProfile
 from .integrate import HistoryTrajectory, IntegratorConfig, PlanGather, integrate
+
+_flat = itertools.chain.from_iterable  # rows -> their floats, row by row
 
 
 @dataclass
@@ -36,7 +41,7 @@ class NetworkModel:
     B: np.ndarray               # delayed-coupling matrix, arbitrary
     theta1: float
     theta2: float
-    f: Callable[[np.ndarray], np.ndarray]   # vectorised over leading axes
+    f: Callable[[list], list]   # node rows in (lists of n floats), rows out (list or array)
     g: Callable[[np.ndarray], np.ndarray]   # componentwise, vectorised
     L_f: float
     L_g: float
@@ -118,93 +123,120 @@ def _coupling(model: NetworkModel, XD: np.ndarray, ED: Optional[np.ndarray] = No
     return model.theta2 * np.einsum("ij,sijk->sik", model.B, G)
 
 
-def _block_coupling(model: NetworkModel, xgather: PlanGather,
-                    egather: Optional[PlanGather] = None):
-    """coupling(k, plan, xtraj, etraj=None) -> (N, n): `_coupling` of xtraj's
-    delayed values XD (and etraj's ED) at step k, once per plan block, cached
-    until a gather hands out another block array (compared by identity; the
-    cache holds the arrays, so an identity is never reused)."""
-    key = (None, None)
-    cached = None
+class _BlockCoupling:
+    """The coupling at step k: `_coupling` of xtraj's delayed values XD (and
+    etraj's ED), computed once per plan block and turned into float rows once.
 
-    def coupling(k, plan, xtraj, etraj=None):
-        nonlocal key, cached
-        xv, r = xgather.block(xtraj, k, plan)
-        ev = None if egather is None else egather.block(etraj, k, plan)[0]
-        if xv is not key[0] or ev is not key[1]:
-            key, cached = (xv, ev), _coupling(model, xv, ev)
-        return cached[r]
+    A step inside the cached block reads its row by k - start, with no plan
+    or gather lookup; a step outside it, or another plan or trajectory, loads
+    the block holding k.  The cache holds the plan and trajectories it was
+    computed for, so an identity is never reused.
+    """
 
-    return coupling
+    def __init__(self, model: NetworkModel, xgather: PlanGather,
+                 egather: Optional[PlanGather] = None):
+        self.model, self.xgather, self.egather = model, xgather, egather
+        self._key, self._start, self._vals, self._rows = None, 0, None, []
+
+    def row(self, k, plan, xtraj, etraj=None) -> list:
+        """Step k's value as N*n floats, node by node."""
+        r = k - self._start
+        if not 0 <= r < len(self._rows) or self._key != (plan, xtraj, etraj):
+            xv, r = self.xgather.block(xtraj, k, plan)
+            ev = None if self.egather is None else self.egather.block(etraj, k, plan)[0]
+            self._vals = _coupling(self.model, xv, ev)
+            self._rows = self._vals.reshape(len(self._vals), -1).tolist()
+            self._start, self._key = k - r, (plan, xtraj, etraj)
+        return self._rows[r]
+
+    def __call__(self, k, plan, xtraj, etraj=None) -> np.ndarray:
+        """Step k's value as an (N, n) array."""
+        self.row(k, plan, xtraj, etraj)
+        return self._vals[k - self._start]
+
+
+_block_coupling = _BlockCoupling  # the factory name the coupling tests build it by
+
+
+def _rows(v) -> list:
+    """f's result as rows of floats: an array is converted with one tolist()."""
+    return v if type(v) is list else np.asarray(v, dtype=float).tolist()
 
 
 def _drive_rhs(model: NetworkModel):
+    """Network field f(x_i) + theta1 (A x)_i + coupling_i on the state's floats:
+    one f call on the N node rows and one NumPy product A @ X a step, as
+    `A.dot` (the same BLAS product with less dispatch; its sums need not
+    equal Python's), returned as N*n floats."""
     N, n = model.N, model.n
-    coupling = _block_coupling(model, PlanGather(_node_cols(N, n), N * n))
+    A, theta1 = model.A, model.theta1
+    coupling = _BlockCoupling(model, PlanGather(_node_cols(N, n), N * n))
 
     def rhs(t, X, traj):
         Xn = X.reshape(N, n)
-        out = model.f(Xn) + model.theta1 * (model.A @ Xn)
-        out += coupling(traj._filled, traj.plan, traj)
-        return out.ravel()
+        fx = _rows(model.f(Xn.tolist()))
+        ax = A.dot(Xn).ravel().tolist()
+        c = coupling.row(traj._filled, traj.plan, traj)
+        return [p + theta1 * a + d for p, a, d in zip(_flat(fx), ax, c)]
 
     return rhs
 
 
 def _reference_rhs(model: NetworkModel):
     def rhs(t, phi, traj):
-        return model.f(phi)
+        return _rows(model.f([phi.tolist()]))[0]
 
     return rhs
 
 
-def _static_control(out: np.ndarray, e: np.ndarray, model: NetworkModel,
-                    control: NetworkControlSpec):
-    """Add the static pinning or full-node feedback on the error e to out."""
+def _static_control(out: list, e: list, model: NetworkModel,
+                    control: NetworkControlSpec) -> list:
+    """out plus the static pinning or full-node feedback on the error e, on floats."""
     if control.kind == "pinning":
-        out += pinning_control(e, control.sigma, model.theta1, control.theta3)
-    elif control.kind == "full":
-        out += full_node_control(e, control.theta3, control.theta4)
+        return _add_pinning(out, e, model.n, control.sigma, model.theta1, control.theta3)
+    if control.kind == "full":
+        return _add_full_node(out, e, control.theta3, control.theta4)
+    return out
 
 
 def _error_rhs(model: NetworkModel, base_traj: HistoryTrajectory,
                control: NetworkControlSpec, hook: Optional[NetworkAdaptiveHook]):
-    """Error dynamics at step k: the base's row k is its state at t_k, and
-    both delayed lookups read row k of the error integration's plan (the base
-    was integrated on the same grid).
+    """Error dynamics at step k on Python floats: the base's row k is its state
+    at t_k, and both delayed lookups read row k of the error integration's
+    plan (the base was integrated on the same grid).
 
-    f is elementwise, so it is called once on the stacked buffer [x + e, x]
-    and the two halves subtracted; so is g in `_coupling`, for a whole plan
-    block at a time.  The base has its own PlanGather, since a gather caches
-    one trajectory's block.
+    f is called once on the 2N node rows [x + e; x] and the two halves
+    subtracted; g is called in `_coupling`, for a whole plan block at a time.
+    A @ E is one NumPy call, as in `_drive_rhs`.  The controls read the hook's
+    float gains.  The base has its own PlanGather, since a gather caches one
+    trajectory's block.
     """
     N, n = model.N, model.n
+    A, theta1 = model.A, model.theta1
     nodes = PlanGather(_node_cols(N, n), N * n)
-    coupling = _block_coupling(model, PlanGather(_node_cols(N, n), N * n), nodes)
-    fbuf = np.empty((2, N, n))
+    coupling = _BlockCoupling(model, PlanGather(_node_cols(N, n), N * n), nodes)
+    adapt_coupling = hook is not None and hook.variant == "theta1_theta3"
+    base_nodes = base_traj._states.reshape(-1, N, n)
 
     def rhs(t, E, etraj):
         k = etraj._filled
-        En = E.reshape(N, n)
-        x_now = base_traj._states[k].reshape(N, n)
-        np.add(x_now, En, out=fbuf[0])
-        fbuf[1] = x_now
-        fx = model.f(fbuf)
-        out = (fx[0] - fx[1]) + model.theta1 * (model.A @ En)
-        out += coupling(k, etraj.plan, base_traj, etraj)
+        En, Xn = E.reshape(N, n), base_nodes[k]
+        fx = _rows(model.f((Xn + En).tolist() + Xn.tolist()))
+        ae = A.dot(En).ravel().tolist()
+        c = coupling.row(k, etraj.plan, base_traj, etraj)
+        out = [p - q + theta1 * a + d
+               for p, q, a, d in zip(_flat(fx[:N]), _flat(fx[N:]), ae, c)]
 
-        if hook is not None:
-            lin, theta3 = hook.gains.tolist()
-            if hook.variant == "theta1_theta3":
-                # coupling adaptation acts through the pinned matrix Atilde
-                out += (lin - model.theta1) * (model.A @ En)
-                out[0] -= lin * control.sigma * En[0]
-                out -= theta3 * np.sign(En)
-            else:
-                out += full_node_control(En, theta3, lin)
-        else:
-            _static_control(out, En, model, control)
-        return out.ravel()
+        es = E.tolist()
+        if hook is None:
+            return _static_control(out, es, model, control)
+        lin, theta3 = hook._g
+        if adapt_coupling:
+            # coupling adaptation acts through the pinned matrix Atilde
+            dl, ls = lin - theta1, lin * control.sigma
+            return [(o + dl * a - ls * v if i < n else o + dl * a) - theta3 * _sgn(v)
+                    for i, (o, v, a) in enumerate(zip(out, es, ae))]
+        return _add_full_node(out, es, theta3, lin)
 
     return rhs
 
@@ -247,14 +279,11 @@ def simulate_response_directly(exp: SyncExperiment, drive: HistoryTrajectory) ->
     integration; no zero-band projection is applied to the raw response.
     """
     model = exp.model
-    N, n = model.N, model.n
     network_rhs = _drive_rhs(model)
 
     def rhs(t, Y, ytraj):
-        out = network_rhs(t, Y, ytraj).reshape(N, n)
-        e = Y.reshape(N, n) - drive._states[ytraj._filled].reshape(N, n)
-        _static_control(out, e, model, exp.control)
-        return out.ravel()
+        e = [y - x for y, x in zip(Y.tolist(), drive._states[ytraj._filled].tolist())]
+        return _static_control(network_rhs(t, Y, ytraj), e, model, exp.control)
 
     return integrate(rhs, exp.response_init.ravel(), model.delays,
                      replace(exp.integrator, zero_band=0.0))
@@ -312,15 +341,25 @@ LORENZ_DELAYS = DelayProfile.pairwise_sin(3, base=0.5, depth=0.1, envelope_q=0.5
 LORENZ_BOX = np.array([[-25.0, 25.0], [-30.0, 30.0], [0.0, 55.0]])
 
 
-def lorenz_rhs(x: np.ndarray) -> np.ndarray:
-    """Classic Lorenz field (sigma=10, rho=28, beta=8/3) over the last axis.
+def _lorenz_rows(rows: list) -> list:
+    return [[10.0 * (b - a), 28.0 * a - b - a * c, a * b - (8.0 / 3.0) * c]
+            for a, b, c in rows]
 
-    Computed per row on Python floats: the step loops pass a few 3-vectors,
-    where NumPy's per-call overhead outweighs the arithmetic.  Each row takes
-    the elementwise array form's operations in its order, so is bitwise equal."""
+
+def lorenz_rhs(x):
+    """Classic Lorenz field (sigma=10, rho=28, beta=8/3), rows in, rows out.
+
+    A list of rows (lists of three floats) gives a list of rows, computed on
+    Python floats: the step loops pass a few 3-vectors, where NumPy's
+    per-call overhead outweighs the arithmetic.  Anything else (an array, a
+    flat or a deeper nested list) is read as an array and gives an array of
+    its shape, over the last axis.  Each row takes the elementwise array
+    form's operations in its order, so is bitwise equal."""
+    if (type(x) is list and x and type(x[0]) is list and len(x[0]) == 3
+            and type(x[0][0]) is not list):
+        return _lorenz_rows(x)
     x = np.asarray(x, dtype=float)
-    return np.array([(10.0 * (b - a), 28.0 * a - b - a * c, a * b - (8.0 / 3.0) * c)
-                     for a, b, c in x.reshape(-1, 3).tolist()]).reshape(x.shape)
+    return np.array(_lorenz_rows(x.reshape(-1, 3).tolist())).reshape(x.shape)
 
 
 def sin_plus_linear(x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """The benchmark's span tracer still binds every name it wraps, leaves the
-package as it found it, and its traced gain_sweep rep passes the golden record."""
+package as it found it, and its traced gain_sweep and lorenz_sync reps pass
+the golden record."""
 import importlib
 import importlib.util
 from pathlib import Path
@@ -47,11 +48,11 @@ def test_install_then_uninstall_restores_every_binding():
     assert tracing.unchanged(snapshot)
 
 
-def test_traced_gain_sweep_matches_the_golden_record(tmp_path):
-    # what `bench/run.py --workload gain_sweep --trace 1` checks on one rep: the
-    # seed-0 outputs and the exact traced counters (steps, zero-band hits)
+def _traced_rep(name, tmp_path):
+    """What `bench/run.py --workload <name> --trace 1` checks on one rep: the
+    seed-0 outputs and the exact traced counters.  Returns the tracer's totals."""
     tracing, workloads = _tracing(), _bench("workloads")
-    wl = workloads.GainSweep(workloads.DEFAULT_SEED, tmp_path)
+    wl = workloads.WORKLOADS[name](workloads.DEFAULT_SEED, tmp_path)
     tracer = tracing.Tracer()
     try:
         tracer.install()
@@ -60,11 +61,26 @@ def test_traced_gain_sweep_matches_the_golden_record(tmp_path):
     finally:
         tracer.uninstall()
     chk = wl.check(raw)
-    for name in tracing.COUNTERS:
-        chk.observe("trace", f"count.{name}", "exact", totals[name])
+    for counter in tracing.COUNTERS:
+        chk.observe("trace", f"count.{counter}", "exact", totals[counter])
     assert chk.compare(workloads.load_golden(wl.name, workloads.DEFAULT_SEED)) == []
     assert chk.messages() == [] and chk.failed == 0
     assert totals["integrate.steps"] == wl.steps_per_rep
+    return totals
+
+
+def test_traced_gain_sweep_matches_the_golden_record(tmp_path):
+    _traced_rep("gain_sweep", tmp_path)
+
+
+def test_traced_lorenz_sync_matches_the_golden_record(tmp_path):
+    # the network rhs runs on floats, but a step the zero band hits still goes
+    # through _project_zero_band and every hook step through
+    # NetworkAdaptiveHook.step, where the tracer counts them
+    totals = _traced_rep("lorenz_sync", tmp_path)
+    assert (totals["integrate.steps"], totals["integrate.zero_band_hits"],
+            totals["control.mode_switches"], totals["monitors.contact_points"]
+            ) == (80000, 166312, 2, 425)
 
 
 def _untraced_rep(name, tmp_path):

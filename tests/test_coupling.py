@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from fintstab.control import (NetworkAdaptiveHook, NetworkControlSpec,
                               full_node_control, pinning_control)
 from fintstab.delays import DelayProfile, RateFunction
-from fintstab.integrate import (PLAN_BLOCK, DelayPlan, HistoryTrajectory,
+from fintstab.integrate import (PLAN_BLOCK, DelayPlan, DivergenceError, HistoryTrajectory,
                                 IntegratorConfig, PlanGather, diag_cols, integrate)
 from fintstab.network import (SyncExperiment, _block_coupling, _node_cols,
                               _reference_rhs, error_index_series, lorenz_preset,
@@ -192,6 +192,82 @@ def test_error_indices_of_an_inner_run():
     assert not e1.any()
     assert e2.shape == outer.shape == (res.error.states.shape[0],)
     assert np.allclose(outer, np.linalg.norm(res.error.states, axis=1), rtol=0.0, atol=1e-9)
+
+
+# -- drawn experiments -------------------------------------------------------------------
+
+def _cubic_field(x):
+    """A node field that returns an ndarray for any input: -x + x^3 / 10."""
+    x = np.asarray(x, dtype=float)
+    return -x + x * x * x / 10.0
+
+
+def _drawn_experiment(drive, response, control, theta3, theta4, sigma, band,
+                      pairwise, cubic):
+    exp = lorenz_preset(horizon=HORIZON, h=H)
+    exp.drive_init, exp.response_init = drive.copy(), response.copy()
+    if not pairwise:
+        exp.model.delays = DelayProfile.proportional(0.4)
+    if cubic:
+        exp.model.f = _cubic_field
+    adaptive = control.startswith("theta")
+    if adaptive:
+        exp.adaptive_hook = NetworkAdaptiveHook(0.05, 0.05, 0.02, RateFunction.power(0.1),
+                                                exp.model.delays, variant=control)
+        control = "pinning"
+    exp.control = NetworkControlSpec(kind=control, theta3=theta3, theta4=theta4, sigma=sigma)
+    # an adaptive run's band follows the hook's sign gain
+    exp.integrator = IntegratorConfig(horizon=HORIZON, h=H,
+                                      zero_band=None if adaptive else band * theta3 * H)
+    return exp
+
+
+def _ref_outer_sync(exp):
+    """The drive without zero band and the error system with the config's, both
+    through the per-step reference right-hand sides."""
+    model, cfg = exp.model, exp.integrator
+    base = integrate(_ref_drive_rhs(model), exp.drive_init.ravel(), model.delays,
+                     IntegratorConfig(horizon=HORIZON, h=H, zero_band=0.0))
+    rhs = _ref_error_rhs(model, base, "outer", exp.control, exp.adaptive_hook)
+    e0 = (exp.response_init - exp.drive_init).ravel()
+    return base, integrate(rhs, e0, model.delays, cfg, gain_hook=exp.adaptive_hook)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except DivergenceError as exc:
+        return exc.blow_up_time
+
+
+_OFFSET = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
+_NINE = dict(min_size=9, max_size=9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(offsets=st.lists(_OFFSET, **_NINE), at_zero=st.lists(st.booleans(), **_NINE),
+       control=st.sampled_from(CONTROLS), theta3=st.floats(0.0, 20.0),
+       theta4=st.floats(0.0, 20.0), sigma=st.floats(0.1, 5.0),
+       band=st.sampled_from([0.0, 1.0]), pairwise=st.booleans(), cubic=st.booleans())
+def test_drawn_sync_matches_per_step_coupling(offsets, at_zero, control, theta3, theta4,
+                                              sigma, band, pairwise, cubic):
+    # a node component drawn at_zero starts the drive at exactly 0.0 and the
+    # error at its offset, so error components of exactly +-0.0 occur
+    at_zero = np.reshape(at_zero, (3, 3))
+    offsets = np.reshape(offsets, (3, 3))
+    drive = np.where(at_zero, 0.0, lorenz_preset().drive_init)
+    response = np.where(at_zero, offsets, drive + offsets)
+    args = (drive, response, control, theta3, theta4, sigma, band, pairwise, cubic)
+    got = _outcome(lambda: simulate_sync(_drawn_experiment(*args)))
+    want = _outcome(lambda: _ref_outer_sync(_drawn_experiment(*args)))
+    if isinstance(want, float):
+        assert got == want
+        return
+    base, error = want
+    assert got.drive.states.tobytes() == base.states.tobytes()
+    assert got.error.states.tobytes() == error.states.tobytes()
+    if error.gains is not None:
+        assert got.error.gains.tobytes() == error.gains.tobytes()
 
 
 # -- complete blocks ----------------------------------------------------------------------

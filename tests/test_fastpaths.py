@@ -266,9 +266,15 @@ def test_lorenz_rhs_matches_array_expression(data, shape):
 
 def test_lorenz_rhs_accepts_lists_and_views():
     x = np.arange(18.0).reshape(2, 3, 3) - 7.5
-    assert lorenz_rhs(x.tolist()).tobytes() == _ref_lorenz(x).tobytes()
+    assert np.asarray(lorenz_rhs(x.tolist())).tobytes() == _ref_lorenz(x).tobytes()
     view = np.arange(36.0).reshape(3, 12)[:, ::4]
-    assert lorenz_rhs(view).tobytes() == _ref_lorenz(view).tobytes()
+    assert np.asarray(lorenz_rhs(view)).tobytes() == _ref_lorenz(view).tobytes()
+    # a list of rows, as the network rhs passes it, gives a list of float rows
+    rows = [list(r) for r in zip(_SPECIAL, _SPECIAL[3:] + _SPECIAL[:3], _SPECIAL[::-1])]
+    got = lorenz_rhs(rows)
+    assert type(got) is list and len(got) == len(rows)
+    assert all(type(r) is list and [type(v) for v in r] == [float] * 3 for r in got)
+    assert np.asarray(got).tobytes() == _ref_lorenz(rows).tobytes()
 
 
 # -- rate function ------------------------------------------------------------
