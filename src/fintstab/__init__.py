@@ -24,9 +24,8 @@ from .monitors import (ContactPoint, LyapunovTrace, PhaseReport,
                        contact_point_decrease, detect_phases,
                        functional_series, trace_functional)
 from .network import (NetworkModel, SyncExperiment, SyncResult,
-                      error_index_series, inner_sync_residual,
-                      lorenz_lipschitz_bound, lorenz_preset, lorenz_rhs,
-                      simulate_response_directly, simulate_sync,
+                      error_index_series, lorenz_lipschitz_bound,
+                      lorenz_preset, lorenz_rhs, simulate_sync,
                       sin_plus_linear)
 
 __version__ = "0.1.0"

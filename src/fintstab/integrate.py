@@ -2,9 +2,10 @@
 
 The integrator stores every accepted step (unbounded delays need the whole
 history) and resolves delayed states by linear interpolation.  Every lookup
-goes through one rule, `grid_rows`; on the fixed grid the delayed times of
-step k depend only on k, so a `DelayPlan` computes them block by block and
-the step loop only gathers rows (`PlanGather`).  Discontinuous
+goes through one rule, `grid_rows`, and one formula,
+`HistoryTrajectory._lookup`; on the fixed grid the delayed times of step k
+depend only on k, so a `DelayPlan` computes them block by block and the step
+loop only gathers rows (`PlanGather`).  Discontinuous
 sign feedback is handled by a zero-band projection: a component whose sign
 flipped during a step and whose magnitude stayed inside the one-step sliding
 band is set to exactly 0, emulating the ideal sliding mode.
@@ -102,16 +103,15 @@ PLAN_BLOCK = 256  # grid steps per filled block; 512 raised peak RSS with no spe
 
 
 class _PlanBlock:
-    """Rows of steps start..start+len(lo)-1: lo, hi, w are (steps, components);
-    pre[r] says whether row r reads a time before t0, and reach[r] is the
-    highest history row it reads."""
+    """Rows of steps start..start+len(lo)-1: times, lo, hi, w are (steps,
+    components), and reach[r] is the highest history row row r reads."""
 
-    def __init__(self, start, times, lo, hi, w, pre, reach):
+    def __init__(self, start, times, lo, hi, w, reach):
         self.start = start
         self.stop = start + lo.shape[0]
         self.times = times
         self.lo, self.hi, self.w = lo, hi, w
-        self.pre, self.reach = pre, reach
+        self.reach = reach
 
 
 class DelayPlan:
@@ -155,8 +155,7 @@ class DelayPlan:
             if bad == start:
                 raise
             return self._fill(start, bad)  # the run ends before the bad row
-        return _PlanBlock(start, times, lo, hi, w, (times < self.t0).any(axis=1).tolist(),
-                          hi.max(axis=1))
+        return _PlanBlock(start, times, lo, hi, w, hi.max(axis=1))
 
     def row(self, k: int):
         """The complete block starting at or before step k that holds it, and
@@ -173,9 +172,9 @@ class DelayPlan:
             # rows from k up to, not including, the first that reads past row k
             i = k - run.start
             ahead = run.reach[i:] > k
-            j = i + int(ahead.argmax()) if ahead.any() else len(run.pre)
+            j = i + int(ahead.argmax()) if ahead.any() else len(run.reach)
             blk = self._block = _PlanBlock(k, run.times[i:j], run.lo[i:j], run.hi[i:j],
-                                           run.w[i:j], run.pre[i:j], run.reach[i:j])
+                                           run.w[i:j], run.reach[i:j])
         return blk, k - blk.start
 
 
@@ -186,28 +185,21 @@ class PlanGather:
     per component, or one row per output row when a single shared delay
     component is broadcast.  When the plan hands out another block, or the
     gather is asked for another trajectory, the whole block's values are
-    computed in one wl*x[lo] + wh*x[hi], pre-history rows are applied, and
-    each step returns its read-only row of that array.  A block reads only
-    rows recorded by its first step and recorded rows never change, so this
-    equals a per-step gather bitwise.
+    computed by one `HistoryTrajectory._lookup`, and each step reads its row
+    of that read-only array.  A block reads only rows recorded by its first
+    step and recorded rows never change, so this equals a per-step lookup
+    bitwise.
     """
 
-    def __init__(self, cols, stride: int):
+    def __init__(self, cols):
         self.cols = np.asarray(cols, dtype=np.intp)
-        self.stride = stride
         self._blk: Optional[_PlanBlock] = None
         self._traj: Optional["HistoryTrajectory"] = None
         self._vals: Optional[np.ndarray] = None
 
     def _load(self, blk: _PlanBlock, traj: "HistoryTrajectory"):
         self._blk, self._traj = blk, traj
-        wh = blk.w[:, :, None]
-        flat = traj._flat
-        vals = ((1.0 - wh) * flat[blk.lo[:, :, None] * self.stride + self.cols]
-                + wh * flat[blk.hi[:, :, None] * self.stride + self.cols])
-        if traj.initial_history is not None:
-            for r in np.nonzero(blk.pre)[0]:
-                traj._pre_history_into(vals[r], blk.times[r], self.cols)
+        vals = traj._lookup(blk.times, blk.lo, blk.hi, blk.w, self.cols)
         vals.flags.writeable = False
         self._vals = vals
 
@@ -220,13 +212,6 @@ class PlanGather:
         if blk is not self._blk or traj is not self._traj:
             self._load(blk, traj)
         return self._vals, r
-
-    def __call__(self, traj: "HistoryTrajectory", k: int,
-                 plan: Optional[DelayPlan] = None) -> np.ndarray:
-        """Values at step k from row k of `plan` (default traj.plan),
-        shape (rows of cols, columns per row)."""
-        vals, r = self.block(traj, k, plan)
-        return vals[r]
 
 
 def diag_cols(n_components: int, dim: int) -> np.ndarray:
@@ -306,34 +291,35 @@ class HistoryTrajectory:
 
     # -- interpolation -----------------------------------------------------
 
-    def _pre_history_into(self, out: np.ndarray, times: np.ndarray, cols: np.ndarray):
-        """Overwrite the rows of `out` whose query time precedes t0 with the
-        initial history (without one, row 0 already is constant extension)."""
-        times = np.broadcast_to(times, out.shape[:1])
-        for i in np.nonzero(times < self.t0)[0]:
-            value = np.atleast_1d(np.asarray(self.initial_history(times[i]), dtype=float))
-            out[i] = value[cols[min(i, cols.shape[0] - 1)]]
-
-    def interpolate(self, times, cols) -> np.ndarray:
-        """State columns cols[i] at times[i] (shape (len(times), cols per row))."""
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        cols = np.asarray(cols, dtype=np.intp)
-        lo, hi, w = grid_rows(times, self.t0, self.h, self._filled)
-        wh = w[:, None]
-        out = ((1.0 - wh) * self._flat[lo[:, None] * self.dim + cols]
-               + wh * self._flat[hi[:, None] * self.dim + cols])
-        if self.initial_history is not None and (times < self.t0).any():
-            self._pre_history_into(out, times, cols)
+    def _lookup(self, times, lo, hi, w, cols) -> np.ndarray:
+        """State columns at `times` from their grid rows (lo, hi, w), all of
+        one shape whose last axis runs over the rows of cols (or broadcasts
+        against them): (1 - w)*x[lo] + w*x[hi] over cols, shape (..., rows
+        of cols, columns per row).  Every entry whose time precedes t0 then
+        reads the initial history (without one, row 0 already is constant
+        extension)."""
+        wh = w[..., None]
+        flat = self._flat
+        out = ((1.0 - wh) * flat[lo[..., None] * self.dim + cols]
+               + wh * flat[hi[..., None] * self.dim + cols])
+        if self.initial_history is not None:
+            times = np.broadcast_to(times, out.shape[:-1])
+            for idx in zip(*np.nonzero(times < self.t0)):
+                value = np.atleast_1d(np.asarray(self.initial_history(times[idx]),
+                                                 dtype=float))
+                out[idx] = value[cols[min(idx[-1], cols.shape[0] - 1)]]
         return out
 
     def query(self, t: float) -> np.ndarray:
-        """Linearly interpolated state at time t <= current_time."""
-        return self.interpolate(t, np.arange(self.dim)[None, :])[0]
+        """The state at time t <= current_time: `query_diag` of one time."""
+        return self.query_diag(t)
 
     def query_diag(self, times: np.ndarray) -> np.ndarray:
-        """Component i of the state at its own delayed time times[i]."""
+        """Component i of the state at its own delayed time times[i]; one
+        time reads every component."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        return self.interpolate(times, diag_cols(times.size, self.dim)).ravel()
+        lo, hi, w = grid_rows(times, self.t0, self.h, self._filled)
+        return self._lookup(times, lo, hi, w, diag_cols(times.size, self.dim)).ravel()
 
 
 # -- windowed suprema ------------------------------------------------------
@@ -537,7 +523,7 @@ def delayed_linear_rhs(c1: float, c2: float, profile: DelayProfile,
                 seen, plan = traj, traj.plan
                 if plan is None or plan.profile is not profile:
                     plan = DelayPlan(profile, traj.t0, traj.h)
-                gather = PlanGather(diag_cols(profile.n_components, traj.dim), traj.dim)
+                gather = PlanGather(diag_cols(profile.n_components, traj.dim))
             block, r = gather.block(traj, k, plan)
             start = k - r
             scaled = (c2 * block.reshape(block.shape[0], -1)).tolist()

@@ -4,10 +4,9 @@ The drive network is integrated once, without control or zero-band
 projection, and frozen; the response is obtained by integrating the error
 system directly against the drive's dense history (the controllers depend
 only on the error, so this is equivalent to integrating the response and
-subtracting, up to discretisation).  Inner synchronization to one reference
-trajectory runs the same error system against the reference tiled over the
-nodes.  A Lorenz three-node preset reproduces the reference configuration
-exactly.
+subtracting, up to discretisation).  This is outer synchronization: the
+response locks onto the drive network.  A Lorenz three-node preset
+reproduces the reference configuration exactly.
 
 The delayed coupling theta2 * sum_j b_ij g(x_j(t - pi_ij(t))) has one
 formula over a step axis, `_coupling`, which the right-hand sides evaluate
@@ -66,42 +65,26 @@ class NetworkModel:
 @dataclass
 class SyncExperiment:
     model: NetworkModel
-    mode: str                               # "outer" | "inner"
+    drive_init: np.ndarray                  # (N, n)
     response_init: np.ndarray               # (N, n)
-    drive_init: Optional[np.ndarray] = None  # (N, n), outer mode
-    reference_init: Optional[np.ndarray] = None  # (n,), inner mode
     control: NetworkControlSpec = field(default_factory=lambda: NetworkControlSpec(kind="none"))
     integrator: IntegratorConfig = field(default_factory=lambda: IntegratorConfig(horizon=10.0))
     adaptive_hook: Optional[NetworkAdaptiveHook] = None
 
     def __post_init__(self):
         m = self.model
+        self.drive_init = np.asarray(self.drive_init, dtype=float)
         self.response_init = np.asarray(self.response_init, dtype=float)
-        if self.response_init.shape != (m.N, m.n):
-            raise ValueError(f"response initial states must be ({m.N}, {m.n})")
-        if self.mode == "outer":
-            if self.drive_init is None:
-                raise ValueError("outer mode needs drive initial states")
-            self.drive_init = np.asarray(self.drive_init, dtype=float)
-            if self.drive_init.shape != (m.N, m.n):
-                raise ValueError(f"drive initial states must be ({m.N}, {m.n})")
-        elif self.mode == "inner":
-            if self.reference_init is None:
-                raise ValueError("inner mode needs a reference initial state")
-            self.reference_init = np.asarray(self.reference_init, dtype=float)
-            if self.reference_init.shape != (m.n,):
-                raise ValueError(f"reference initial state must be ({m.n},)")
-        else:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if not self.drive_init.shape == self.response_init.shape == (m.N, m.n):
+            raise ValueError(f"drive and response initial states must be ({m.N}, {m.n})")
 
 
 @dataclass
 class SyncResult:
-    drive: HistoryTrajectory      # drive network, or tiled reference (inner)
+    drive: HistoryTrajectory      # the drive network, integrated without control
     response: HistoryTrajectory
     error: HistoryTrajectory
     gain_names: tuple = ()
-    inner_residual: Optional[dict] = None  # row/col residuals of the inner-sync constraint
 
 
 def _node_cols(N: int, n: int) -> np.ndarray:
@@ -136,7 +119,7 @@ class _BlockCoupling:
     def __init__(self, model: NetworkModel, xgather: PlanGather,
                  egather: Optional[PlanGather] = None):
         self.model, self.xgather, self.egather = model, xgather, egather
-        self._key, self._start, self._vals, self._rows = None, 0, None, []
+        self._key, self._start, self._rows = None, 0, []
 
     def row(self, k, plan, xtraj, etraj=None) -> list:
         """Step k's value as N*n floats, node by node."""
@@ -144,18 +127,10 @@ class _BlockCoupling:
         if not 0 <= r < len(self._rows) or self._key != (plan, xtraj, etraj):
             xv, r = self.xgather.block(xtraj, k, plan)
             ev = None if self.egather is None else self.egather.block(etraj, k, plan)[0]
-            self._vals = _coupling(self.model, xv, ev)
-            self._rows = self._vals.reshape(len(self._vals), -1).tolist()
+            vals = _coupling(self.model, xv, ev)
+            self._rows = vals.reshape(len(vals), -1).tolist()
             self._start, self._key = k - r, (plan, xtraj, etraj)
         return self._rows[r]
-
-    def __call__(self, k, plan, xtraj, etraj=None) -> np.ndarray:
-        """Step k's value as an (N, n) array."""
-        self.row(k, plan, xtraj, etraj)
-        return self._vals[k - self._start]
-
-
-_block_coupling = _BlockCoupling  # the factory name the coupling tests build it by
 
 
 def _rows(v) -> list:
@@ -170,7 +145,7 @@ def _drive_rhs(model: NetworkModel):
     equal Python's), returned as N*n floats."""
     N, n = model.N, model.n
     A, theta1 = model.A, model.theta1
-    coupling = _BlockCoupling(model, PlanGather(_node_cols(N, n), N * n))
+    coupling = _BlockCoupling(model, PlanGather(_node_cols(N, n)))
 
     def rhs(t, X, traj):
         Xn = X.reshape(N, n)
@@ -178,13 +153,6 @@ def _drive_rhs(model: NetworkModel):
         ax = A.dot(Xn).ravel().tolist()
         c = coupling.row(traj._filled, traj.plan, traj)
         return [p + theta1 * a + d for p, a, d in zip(_flat(fx), ax, c)]
-
-    return rhs
-
-
-def _reference_rhs(model: NetworkModel):
-    def rhs(t, phi, traj):
-        return _rows(model.f([phi.tolist()]))[0]
 
     return rhs
 
@@ -199,31 +167,31 @@ def _static_control(out: list, e: list, model: NetworkModel,
     return out
 
 
-def _error_rhs(model: NetworkModel, base_traj: HistoryTrajectory,
+def _error_rhs(model: NetworkModel, drive: HistoryTrajectory,
                control: NetworkControlSpec, hook: Optional[NetworkAdaptiveHook]):
-    """Error dynamics at step k on Python floats: the base's row k is its state
+    """Error dynamics at step k on Python floats: the drive's row k is its state
     at t_k, and both delayed lookups read row k of the error integration's
-    plan (the base was integrated on the same grid).
+    plan (the drive was integrated on the same grid).
 
     f is called once on the 2N node rows [x + e; x] and the two halves
     subtracted; g is called in `_coupling`, for a whole plan block at a time.
     A @ E is one NumPy call, as in `_drive_rhs`.  The controls read the hook's
-    float gains.  The base has its own PlanGather, since a gather caches one
+    float gains.  The drive has its own PlanGather, since a gather caches one
     trajectory's block.
     """
     N, n = model.N, model.n
     A, theta1 = model.A, model.theta1
-    nodes = PlanGather(_node_cols(N, n), N * n)
-    coupling = _BlockCoupling(model, PlanGather(_node_cols(N, n), N * n), nodes)
+    nodes = PlanGather(_node_cols(N, n))
+    coupling = _BlockCoupling(model, PlanGather(_node_cols(N, n)), nodes)
     adapt_coupling = hook is not None and hook.variant == "theta1_theta3"
-    base_nodes = base_traj._states.reshape(-1, N, n)
+    drive_nodes = drive._states.reshape(-1, N, n)
 
     def rhs(t, E, etraj):
         k = etraj._filled
-        En, Xn = E.reshape(N, n), base_nodes[k]
+        En, Xn = E.reshape(N, n), drive_nodes[k]
         fx = _rows(model.f((Xn + En).tolist() + Xn.tolist()))
         ae = A.dot(En).ravel().tolist()
-        c = coupling.row(k, etraj.plan, base_traj, etraj)
+        c = coupling.row(k, etraj.plan, drive, etraj)
         out = [p - q + theta1 * a + d
                for p, q, a, d in zip(_flat(fx[:N]), _flat(fx[N:]), ae, c)]
 
@@ -242,72 +210,27 @@ def _error_rhs(model: NetworkModel, base_traj: HistoryTrajectory,
 
 
 def simulate_sync(exp: SyncExperiment) -> SyncResult:
-    """Co-integrate the drive (or the tiled reference) and the error system.
+    """Co-integrate the drive network and the error system.
 
-    The drive and the reference are uncontrolled, so they never take the
-    zero-band projection.  The error system's zero band, when the integrator
-    config leaves it unset, is the sign gain times h: the hook's theta3 under
-    adaptive control, the static theta3 under pinning or full control, and 0
-    without control.
+    The drive is uncontrolled, so it never takes the zero-band projection.
+    The error system's zero band, when the integrator config leaves it
+    unset, is the sign gain times h: the hook's theta3 under adaptive
+    control, the static theta3 under pinning or full control, and 0 without
+    control.
     """
     model = exp.model
     cfg = exp.integrator
-    plain = replace(cfg, zero_band=0.0)
-    residual = None
-    if exp.mode == "outer":
-        base = integrate(_drive_rhs(model), exp.drive_init.ravel(), model.delays, plain)
-    else:
-        ref = integrate(_reference_rhs(model), exp.reference_init, model.delays, plain)
-        base = HistoryTrajectory.from_arrays(ref.t0, ref.h, np.tile(ref.states, (1, model.N)))
-        residual = inner_sync_residual(model, ref)
-
+    drive = integrate(_drive_rhs(model), exp.drive_init.ravel(), model.delays,
+                      replace(cfg, zero_band=0.0))
     hook = exp.adaptive_hook
-    rhs = _error_rhs(model, base, exp.control, hook)
+    rhs = _error_rhs(model, drive, exp.control, hook)
     if cfg.zero_band is None and hook is None and exp.control.kind != "none":
         cfg = replace(cfg, zero_band=exp.control.theta3 * cfg.h)
-    e0 = exp.response_init.ravel() - base.states[0]
+    e0 = exp.response_init.ravel() - drive.states[0]
     error = integrate(rhs, e0, model.delays, cfg, gain_hook=hook)
-    response = HistoryTrajectory.from_arrays(base.t0, base.h, base.states + error.states)
-    return SyncResult(drive=base, response=response, error=error,
-                      gain_names=error.gain_names, inner_residual=residual)
-
-
-def simulate_response_directly(exp: SyncExperiment, drive: HistoryTrajectory) -> HistoryTrajectory:
-    """Integrate the response network itself (static control from e = y - x).
-
-    Reference path for the consistency check against the error-system
-    integration; no zero-band projection is applied to the raw response.
-    """
-    model = exp.model
-    network_rhs = _drive_rhs(model)
-
-    def rhs(t, Y, ytraj):
-        e = [y - x for y, x in zip(Y.tolist(), drive._states[ytraj._filled].tolist())]
-        return _static_control(network_rhs(t, Y, ytraj), e, model, exp.control)
-
-    return integrate(rhs, exp.response_init.ravel(), model.delays,
-                     replace(exp.integrator, zero_band=0.0))
-
-
-def inner_sync_residual(model: NetworkModel, reference: HistoryTrajectory,
-                        n_samples: int = 64) -> dict:
-    """Residuals of sum_i b_ij g(phi(t - pi_ij(t))) = 0 along the reference.
-
-    Both the row-sum and column-sum readings are reported; the constraint is
-    monitored, not enforced.
-    """
-    N, n = model.N, model.n
-    times = np.linspace(reference.t0, reference.current_time, n_samples)
-    row_max = col_max = 0.0
-    for t in times:
-        tq = model.pair_delay_times(t)
-        phi_d = reference.interpolate(np.ravel(tq), np.arange(n)[None, :])
-        gvals = model.g(phi_d.reshape(N, N, n))     # (N, N, n), index [i, j]
-        row = np.einsum("ij,ijk->ik", model.B, gvals)   # sum over j
-        col = np.einsum("ij,ijk->jk", model.B, gvals)   # sum over i
-        row_max = max(row_max, float(np.abs(row).max()))
-        col_max = max(col_max, float(np.abs(col).max()))
-    return {"row_max": row_max, "col_max": col_max}
+    response = HistoryTrajectory.from_arrays(drive.t0, drive.h, drive.states + error.states)
+    return SyncResult(drive=drive, response=response, error=error,
+                      gain_names=error.gain_names)
 
 
 def error_index_series(drive: HistoryTrajectory, response: HistoryTrajectory,
@@ -390,8 +313,7 @@ def lorenz_preset(horizon: float = 20.0, h: float = 5e-4,
                          L_f=lorenz_lipschitz_bound(), L_g=3.0,
                          delays=LORENZ_DELAYS)
     cfg = IntegratorConfig(horizon=horizon, h=h, zero_band=None, zero_tol=1e-9)
-    return SyncExperiment(model=model, mode="outer",
-                          drive_init=LORENZ_DRIVE_INIT.copy(),
+    return SyncExperiment(model=model, drive_init=LORENZ_DRIVE_INIT.copy(),
                           response_init=LORENZ_RESPONSE_INIT.copy(),
                           control=control or NetworkControlSpec(kind="none"),
                           integrator=cfg, adaptive_hook=adaptive_hook)

@@ -5,6 +5,8 @@ The drive, error and direct-response right-hand sides are compared with
 reference copies that compute the coupling one step at a time, as the
 package did before the block path.  Every comparison is byte for byte.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,57 +16,51 @@ from fintstab.control import (NetworkAdaptiveHook, NetworkControlSpec,
 from fintstab.delays import DelayProfile, RateFunction
 from fintstab.integrate import (PLAN_BLOCK, DelayPlan, DivergenceError, HistoryTrajectory,
                                 IntegratorConfig, PlanGather, diag_cols, integrate)
-from fintstab.network import (SyncExperiment, _block_coupling, _node_cols,
-                              _reference_rhs, error_index_series, lorenz_preset,
-                              simulate_response_directly, simulate_sync,
-                              sin_plus_linear)
+from fintstab.network import (_BlockCoupling, _drive_rhs, _node_cols, _static_control,
+                              lorenz_preset, simulate_sync, sin_plus_linear)
 
 H, HORIZON = 5e-4, 0.4   # 800 steps: three full plan blocks and part of a fourth
 
 
 # -- reference copies of the per-step coupling ----------------------------------
 
-def _reference_cols(N, n):
-    """Pair (i, j) reads the whole n-dim reference state (inner mode)."""
-    return np.tile(np.arange(n), (N * N, 1))
+def _at(gather, traj, k, plan=None):
+    """The gathered values of step k: its row of the gather's block."""
+    vals, r = gather.block(traj, k, plan)
+    return vals[r]
 
 
 def _ref_drive_rhs(model):
     N, n = model.N, model.n
-    nodes = PlanGather(_node_cols(N, n), N * n)
+    nodes = PlanGather(_node_cols(N, n))
 
     def rhs(t, X, traj):
         Xn = X.reshape(N, n)
         out = model.f(Xn) + model.theta1 * (model.A @ Xn)
-        xd = nodes(traj, traj._filled).reshape(N, N, n)
+        xd = _at(nodes, traj, traj._filled).reshape(N, N, n)
         out += model.theta2 * np.einsum("ij,ijk->ik", model.B, model.g(xd))
         return out.ravel()
 
     return rhs
 
 
-def _ref_error_rhs(model, base_traj, mode, control, hook):
+def _ref_error_rhs(model, base_traj, control, hook):
     N, n = model.N, model.n
-    nodes = PlanGather(_node_cols(N, n), N * n)
-    if mode == "inner":
-        base_gather = PlanGather(_reference_cols(N, n), n)
-    else:
-        base_gather = PlanGather(_node_cols(N, n), N * n)
+    nodes = PlanGather(_node_cols(N, n))
+    base_gather = PlanGather(_node_cols(N, n))
     fbuf = np.empty((2, N, n))
     gbuf = np.empty((2, N, N, n))
 
     def rhs(t, E, etraj):
         k = etraj._filled
         En = E.reshape(N, n)
-        x_now = base_traj._states[k]
-        if mode != "inner":
-            x_now = x_now.reshape(N, n)
+        x_now = base_traj._states[k].reshape(N, n)
         np.add(x_now, En, out=fbuf[0])
         fbuf[1] = x_now
         fx = model.f(fbuf)
         out = (fx[0] - fx[1]) + model.theta1 * (model.A @ En)
-        xd = base_gather(base_traj, k, etraj.plan).reshape(N, N, n)
-        np.add(xd, nodes(etraj, k).reshape(N, N, n), out=gbuf[0])
+        xd = _at(base_gather, base_traj, k, etraj.plan).reshape(N, N, n)
+        np.add(xd, _at(nodes, etraj, k).reshape(N, N, n), out=gbuf[0])
         gbuf[1] = xd
         gx = model.g(gbuf)
         out += model.theta2 * np.einsum("ij,ijk->ik", model.B, gx[0] - gx[1])
@@ -85,14 +81,31 @@ def _ref_error_rhs(model, base_traj, mode, control, hook):
     return rhs
 
 
+def simulate_response_directly(exp, drive):
+    """Integrate the response network itself (static control from e = y - x).
+
+    Reference path for the consistency check against the error-system
+    integration; no zero-band projection is applied to the raw response.
+    """
+    model = exp.model
+    network_rhs = _drive_rhs(model)
+
+    def rhs(t, Y, ytraj):
+        e = [y - x for y, x in zip(Y.tolist(), drive._states[ytraj._filled].tolist())]
+        return _static_control(network_rhs(t, Y, ytraj), e, model, exp.control)
+
+    return integrate(rhs, exp.response_init.ravel(), model.delays,
+                     replace(exp.integrator, zero_band=0.0))
+
+
 def _ref_direct_rhs(model, control, drive):
     N, n = model.N, model.n
-    nodes = PlanGather(_node_cols(N, n), N * n)
+    nodes = PlanGather(_node_cols(N, n))
 
     def rhs(t, Y, ytraj):
         Yn = Y.reshape(N, n)
         out = model.f(Yn) + model.theta1 * (model.A @ Yn)
-        yd = nodes(ytraj, ytraj._filled).reshape(N, N, n)
+        yd = _at(nodes, ytraj, ytraj._filled).reshape(N, N, n)
         out += model.theta2 * np.einsum("ij,ijk->ik", model.B, model.g(yd))
         e = Yn - drive.query(t).reshape(N, n)
         if control.kind == "pinning":
@@ -117,7 +130,7 @@ DELAYS = {
 CONTROLS = ("none", "full", "pinning", "theta3_theta4", "theta1_theta3")
 
 
-def _experiment(delay, control, mode="outer"):
+def _experiment(delay, control):
     exp = lorenz_preset(horizon=HORIZON, h=H)
     if DELAYS[delay] is not None:
         exp.model.delays = DELAYS[delay]()
@@ -132,66 +145,33 @@ def _experiment(delay, control, mode="outer"):
         exp.control = NetworkControlSpec(kind="full", theta3=10.0, theta4=5.0)
     elif control == "pinning":
         exp.control = NetworkControlSpec(kind="pinning", theta3=4.0, sigma=2.0)
-    if mode == "inner":
-        exp = SyncExperiment(model=exp.model, mode="inner",
-                             reference_init=np.array([1.0, 1.0, 1.0]),
-                             response_init=exp.response_init, control=exp.control,
-                             integrator=exp.integrator, adaptive_hook=exp.adaptive_hook)
     return exp
 
 
 def _ref_sync(exp):
     model, cfg = exp.model, exp.integrator
-    if exp.mode == "outer":
-        base = integrate(_ref_drive_rhs(model), exp.drive_init.ravel(), model.delays, cfg)
-        e0 = (exp.response_init - exp.drive_init).ravel()
-    else:
-        base = integrate(_reference_rhs(model), exp.reference_init, model.delays, cfg)
-        e0 = (exp.response_init - exp.reference_init[None, :]).ravel()
-    rhs = _ref_error_rhs(model, base, exp.mode, exp.control, exp.adaptive_hook)
+    base = integrate(_ref_drive_rhs(model), exp.drive_init.ravel(), model.delays, cfg)
+    e0 = (exp.response_init - exp.drive_init).ravel()
+    rhs = _ref_error_rhs(model, base, exp.control, exp.adaptive_hook)
     return base, integrate(rhs, e0, model.delays, cfg, gain_hook=exp.adaptive_hook)
-
-
-def _assert_same_sync(delay, control, mode):
-    res = simulate_sync(_experiment(delay, control, mode))
-    base, error = _ref_sync(_experiment(delay, control, mode))
-    # inner mode: the drive is the reference tiled over the nodes
-    drive = base.states if mode == "outer" else np.tile(base.states, (1, 3))
-    assert res.drive.states.tobytes() == drive.tobytes()
-    assert res.error.states.tobytes() == error.states.tobytes()
-    if error.gains is not None:
-        assert res.error.gains.tobytes() == error.gains.tobytes()
-    return res
 
 
 @pytest.mark.parametrize("control", CONTROLS)
 @pytest.mark.parametrize("delay", DELAYS)
 def test_sync_matches_per_step_coupling(delay, control):
     exp = _experiment(delay, control)
-    res = _assert_same_sync(delay, control, "outer")
+    res = simulate_sync(exp)
+    base, error = _ref_sync(_experiment(delay, control))
+    assert res.drive.states.tobytes() == base.states.tobytes()
+    assert res.error.states.tobytes() == error.states.tobytes()
+    if error.gains is not None:
+        assert res.error.gains.tobytes() == error.gains.tobytes()
     if control in ("none", "full", "pinning"):
         direct = simulate_response_directly(exp, res.drive)
         ref = integrate(_ref_direct_rhs(exp.model, exp.control, res.drive),
                         exp.response_init.ravel(), exp.model.delays,
                         IntegratorConfig(horizon=HORIZON, h=H, zero_band=0.0))
         assert direct.states.tobytes() == ref.states.tobytes()
-
-
-@pytest.mark.parametrize("control", ("none", "pinning", "theta3_theta4"))
-@pytest.mark.parametrize("delay", ("pairwise", "shared_proportional", "constant_short",
-                                   "shared_constant_long"))
-def test_inner_mode_matches_per_step_coupling(delay, control):
-    _assert_same_sync(delay, control, "inner")
-
-
-def test_error_indices_of_an_inner_run():
-    # the drive of an inner run is the reference tiled over the nodes, so the
-    # error indices read it like an outer run's drive network
-    res = _assert_same_sync("pairwise", "pinning", "inner")
-    e1, e2, outer = error_index_series(res.drive, res.response, 3, 3)
-    assert not e1.any()
-    assert e2.shape == outer.shape == (res.error.states.shape[0],)
-    assert np.allclose(outer, np.linalg.norm(res.error.states, axis=1), rtol=0.0, atol=1e-9)
 
 
 # -- drawn experiments -------------------------------------------------------------------
@@ -228,7 +208,7 @@ def _ref_outer_sync(exp):
     model, cfg = exp.model, exp.integrator
     base = integrate(_ref_drive_rhs(model), exp.drive_init.ravel(), model.delays,
                      IntegratorConfig(horizon=HORIZON, h=H, zero_band=0.0))
-    rhs = _ref_error_rhs(model, base, "outer", exp.control, exp.adaptive_hook)
+    rhs = _ref_error_rhs(model, base, exp.control, exp.adaptive_hook)
     e0 = (exp.response_init - exp.drive_init).ravel()
     return base, integrate(rhs, e0, model.delays, cfg, gain_hook=exp.adaptive_hook)
 
@@ -317,19 +297,42 @@ def test_block_coupling_follows_each_trajectory():
              for _ in range(2)]
     errors = [HistoryTrajectory.from_arrays(0.0, H, rng.normal(size=(700, N * n)))
               for _ in range(2)]
-    coupling = _block_coupling(model, PlanGather(_node_cols(N, n), N * n),
-                               PlanGather(_node_cols(N, n), N * n))
-    gather = PlanGather(_node_cols(N, n), N * n)
+    coupling = _BlockCoupling(model, PlanGather(_node_cols(N, n)),
+                              PlanGather(_node_cols(N, n)))
+    gather = PlanGather(_node_cols(N, n))
     for k in (600, 601):
         for x, e in ((0, 0), (0, 1), (1, 1), (1, 0), (0, 0)):
-            xd = gather(bases[x], k, plan).reshape(N, N, n)
-            ed = gather(errors[e], k, plan).reshape(N, N, n)
+            xd = _at(gather, bases[x], k, plan).reshape(N, N, n)
+            ed = _at(gather, errors[e], k, plan).reshape(N, N, n)
             gx = model.g(np.stack((xd + ed, xd)))
             want = model.theta2 * np.einsum("ij,ijk->ik", model.B, gx[0] - gx[1])
-            assert coupling(k, plan, bases[x], errors[e]).tobytes() == want.tobytes()
+            row = coupling.row(k, plan, bases[x], errors[e])
+            assert np.array(row).tobytes() == want.ravel().tobytes()
 
 
 # -- PlanGather.block -------------------------------------------------------------------
+
+def test_shared_delay_prehistory_reaches_every_node_row():
+    # one shared delay component read through N*N node column rows: each row
+    # whose time is before t0 takes the initial history, not row 0, so the
+    # pre-history times must broadcast over the column rows
+    N, n, h, tau = 3, 3, 0.01, 15.5 * 0.01
+    cols = _node_cols(N, n)
+    rng = np.random.default_rng(11)
+    traj = HistoryTrajectory.from_arrays(0.0, h, rng.normal(size=(40, N * n)))
+    traj.initial_history = lambda t: np.sin(3.0 * t + np.arange(N * n))
+    plan = DelayPlan(DelayProfile.constant(tau), 0.0, h)
+    gather = PlanGather(cols)
+    pre = 0
+    for k in range(40):
+        t = k * h
+        got = _at(gather, traj, k, plan)
+        assert got.tobytes() == traj.query_diag(t - tau)[cols].tobytes()
+        if t - tau < 0.0:
+            pre += 1
+            assert got.tobytes() == traj.initial_history(t - tau)[cols].tobytes()
+    assert pre == 16
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["proportional", "constant", "per_component"]),
@@ -351,10 +354,11 @@ def test_plan_gather_block(kind, m, ratio, filled, data):
     traj.plan = DelayPlan(profile, t0, h)
     cols = diag_cols(m, m)
     k = data.draw(st.integers(0, filled))
-    vals, r = PlanGather(cols, m).block(traj, k)
+    vals, r = PlanGather(cols).block(traj, k)
     blk, r_plan = traj.plan.row(k)
     assert r == r_plan == k - blk.start
     assert blk.hi.max() <= blk.start
     assert not vals.flags.writeable
     assert vals.shape == (blk.stop - blk.start, m, 1)
-    assert vals[r].tobytes() == PlanGather(cols, m)(traj, k).tobytes()
+    t = t0 + k * h
+    assert vals[r].tobytes() == traj.query_diag(t - profile.delays_at(t)).tobytes()

@@ -34,7 +34,7 @@ def _ref_delayed_linear_rhs(c1, c2, profile, control=None):
             seen, plan = traj, traj.plan
             if plan is None or plan.profile is not profile:
                 plan = DelayPlan(profile, traj.t0, traj.h)
-            gather = PlanGather(diag_cols(profile.n_components, traj.dim), traj.dim)
+            gather = PlanGather(diag_cols(profile.n_components, traj.dim))
         block, r = gather.block(traj, traj._filled, plan)
         if block is not vals:
             vals = block

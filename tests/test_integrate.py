@@ -298,8 +298,9 @@ def _reference_linear_rhs(c1, c2, profile, control):
     def rhs(t, p, traj):
         nonlocal gather
         if gather is None:
-            gather = PlanGather(diag_cols(profile.n_components, traj.dim), traj.dim)
-        return c1 * p + c2 * gather(traj, traj._filled).ravel() + control(t, p)
+            gather = PlanGather(diag_cols(profile.n_components, traj.dim))
+        vals, r = gather.block(traj, traj._filled)
+        return c1 * p + c2 * vals[r].ravel() + control(t, p)
 
     return rhs
 

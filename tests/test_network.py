@@ -8,10 +8,11 @@ from fintstab.integrate import HistoryTrajectory, IntegratorConfig
 from fintstab.network import (LORENZ_A, LORENZ_B, LORENZ_BOX, LORENZ_DRIVE_INIT,
                               LORENZ_RESPONSE_INIT, NetworkModel,
                               SyncExperiment, error_index_series,
-                              inner_sync_residual, lorenz_jacobian_norm,
-                              lorenz_lipschitz_bound, lorenz_preset, lorenz_rhs,
-                              simulate_response_directly, simulate_sync,
+                              lorenz_jacobian_norm, lorenz_lipschitz_bound,
+                              lorenz_preset, lorenz_rhs, simulate_sync,
                               sin_plus_linear)
+
+from test_coupling import simulate_response_directly   # the direct reference path
 
 
 def test_preset_matrices_and_delays():
@@ -93,7 +94,7 @@ def _small_model(B=None, delays=None):
 
 def test_identical_initial_states_zero_error():
     init = np.array([[1.0, -1.0], [0.5, 2.0]])
-    exp = SyncExperiment(model=_small_model(), mode="outer",
+    exp = SyncExperiment(model=_small_model(),
                          drive_init=init.copy(), response_init=init.copy(),
                          integrator=IntegratorConfig(horizon=2.0, h=1e-3))
     res = simulate_sync(exp)
@@ -105,9 +106,9 @@ def test_zero_input_swap_symmetry():
     d0 = np.array([[1.0, -1.0], [0.5, 2.0]])
     r0 = np.array([[0.0, 1.0], [1.5, -0.5]])
     cfg = IntegratorConfig(horizon=2.0, h=1e-3, zero_band=0.0)
-    a = SyncExperiment(model=_small_model(), mode="outer", drive_init=d0,
+    a = SyncExperiment(model=_small_model(), drive_init=d0,
                        response_init=r0, integrator=cfg)
-    b = SyncExperiment(model=_small_model(), mode="outer", drive_init=r0,
+    b = SyncExperiment(model=_small_model(), drive_init=r0,
                        response_init=d0, integrator=cfg)
     ra, rb = simulate_sync(a), simulate_sync(b)
     assert np.allclose(ra.error.states, -rb.error.states, atol=1e-12)
@@ -171,22 +172,6 @@ def test_explicit_zero_band_never_projects_the_drive():
     assert drives[1].tobytes() == drives[0].tobytes()
 
 
-def test_inner_sync_residual_reports_both_sums():
-    exp = lorenz_preset(horizon=0.2, h=1e-3)
-    model = exp.model
-    from fintstab.integrate import integrate
-
-    def ref_rhs(t, phi, traj):
-        return model.f(phi)
-
-    ref = integrate(ref_rhs, np.array([1.0, 1.0, 1.0]), model.delays,
-                    IntegratorConfig(horizon=0.2, h=1e-3))
-    resid = inner_sync_residual(model, ref, n_samples=16)
-    assert set(resid) == {"row_max", "col_max"}
-    # the preset's B does not satisfy the inner-sync constraint
-    assert resid["row_max"] > 0.0
-
-
 def test_uncontrolled_preset_desynchronized():
     exp = lorenz_preset(horizon=2.0, h=5e-4)
     res = simulate_sync(exp)
@@ -209,22 +194,9 @@ def test_model_validation():
 
 def test_experiment_validation():
     model = _small_model()
-    with pytest.raises(ValueError):
-        SyncExperiment(model=model, mode="outer",
-                       response_init=np.zeros((2, 2)))  # missing drive
-    with pytest.raises(ValueError):
-        SyncExperiment(model=model, mode="sideways",
-                       response_init=np.zeros((2, 2)),
-                       drive_init=np.zeros((2, 2)))
-
-
-def test_inner_mode_runs_and_reports_residual():
-    model = _small_model()
-    exp = SyncExperiment(model=model, mode="inner",
-                         reference_init=np.array([1.0, -1.0]),
-                         response_init=np.array([[1.0, -1.0], [2.0, 0.5]]),
-                         integrator=IntegratorConfig(horizon=1.0, h=1e-3))
-    res = simulate_sync(exp)
-    assert res.inner_residual is not None
-    # node 1 starts on the reference; with B=0 and linear f it stays close
-    assert res.response.states.shape[1] == 4
+    with pytest.raises(TypeError):
+        SyncExperiment(model=model, response_init=np.zeros((2, 2)))  # missing drive
+    for drive, response in ((np.zeros((2, 3)), np.zeros((2, 2))),
+                            (np.zeros((2, 2)), np.zeros(4))):
+        with pytest.raises(ValueError, match=r"must be \(2, 2\)"):
+            SyncExperiment(model=model, drive_init=drive, response_init=response)

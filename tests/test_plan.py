@@ -1,8 +1,9 @@
 """The delay-lookup primitive: grid_rows, DelayPlan and PlanGather.
 
 Plan rows are checked against a plain scalar floor/weight reference written
-out below, one query time at a time.  The pantograph oracle measures the
-integrator's global order on a delayed problem with an exact solution.
+out below, one query time at a time.  The pantograph and method-of-steps
+oracles measure the integrator's global order on delayed problems with exact
+solutions.
 """
 import importlib
 import math
@@ -117,8 +118,8 @@ def test_constant_delay_prehistory_reads_initial_history(tau, grid, dim, k):
     rng = np.random.default_rng(k)
     traj = HistoryTrajectory.from_arrays(t0, h, rng.normal(size=(k + 1, dim)))
     traj.initial_history = history
-    gather = PlanGather(diag_cols(dim, dim), dim)
-    got = gather(traj, k, DelayPlan(profile, t0, h)).ravel()
+    vals, r = PlanGather(diag_cols(dim, dim)).block(traj, k, DelayPlan(profile, t0, h))
+    got = vals[r].ravel()
     t = t0 + k * h
     if t - tau < t0:
         assert got.tolist() == history(t - tau).tolist()
@@ -228,7 +229,7 @@ def _history(dim):
 def _gathers_agree(profile, t0, h, n, history):
     """Gather every step of an n-step trajectory three ways: from a fully
     recorded copy, while the rows are appended one step at a time (the
-    integrator's view), and through interpolate.  Every block the growing
+    integrator's view), and per time through query_diag.  Every block the growing
     trajectory's plan hands out must read only rows recorded at its first
     step.  Returns how those blocks ended: "cut" before a row that reads past
     the block's first step, or "run" at the end of the plan's aligned run."""
@@ -242,18 +243,20 @@ def _gathers_agree(profile, t0, h, n, history):
         traj.initial_history = history
         traj.plan = DelayPlan(profile, t0, h)
     cols = diag_cols(dim, dim)
-    on_full, on_growing = PlanGather(cols, dim), PlanGather(cols, dim)
+    on_full, on_growing = PlanGather(cols), PlanGather(cols)
     ends = set()
     for k in range(n + 1):
-        got = on_full(full, k)
+        vals, r = on_full.block(full, k)
+        got = vals[r]
         assert not got.flags.writeable
-        step = on_growing(growing, k)
+        vals, r = on_growing.block(growing, k)
+        step = vals[r]
         blk, r = growing.plan.row(k)
         if r == 0:
             assert blk.hi.max() <= growing._filled == k
             ends.add("run" if blk.stop == growing.plan._run.stop else "cut")
         t = t0 + k * h
-        want = growing.interpolate(t - profile.delays_at(t), cols)
+        want = growing.query_diag(t - profile.delays_at(t))
         assert got.tobytes() == want.tobytes() == step.tobytes()
         if k < n:
             growing.append(states[k + 1])
@@ -263,7 +266,7 @@ def _gathers_agree(profile, t0, h, n, history):
 @settings(max_examples=40, deadline=None)
 @given(profiles(), grids, st.integers(0, 3 * integ.PLAN_BLOCK), st.booleans())
 def test_plan_gather_matches_interpolate(profile, grid, n, with_history):
-    # block rows (recorded copy) == per-step rows (growing) == interpolate
+    # block rows (recorded copy) == per-step rows (growing) == query_diag
     h, t0 = grid
     _gathers_agree(profile, t0, h, n, _history(profile.n_components) if with_history else None)
 
@@ -327,12 +330,12 @@ def test_one_gather_alternating_between_trajectories():
     rng = np.random.default_rng(7)
     a, b = (HistoryTrajectory.from_arrays(0.0, 0.01, rng.normal(size=(600, 1)))
             for _ in range(2))
-    gather = PlanGather(diag_cols(1, 1), 1)
+    gather = PlanGather(diag_cols(1, 1))
     for k in (300, 301, 302):
         t = k * 0.01
         for traj in (a, b, a):
-            want = traj.interpolate(t - profile.delays_at(t), diag_cols(1, 1))
-            assert gather(traj, k, plan).tobytes() == want.tobytes()
+            vals, r = gather.block(traj, k, plan)
+            assert vals[r].tobytes() == traj.query_diag(t - profile.delays_at(t)).tobytes()
 
 
 # -- exact-solution oracle ----------------------------------------------------
@@ -362,3 +365,29 @@ def test_pantograph_oracle_first_order():
     assert all(0.9 <= p <= 1.1 for p in orders), orders
     assert 0.75 * 9.6e-2 <= errs[1e-3] <= 1.25 * 9.6e-2
 
+
+def method_of_steps(c2, tau, t):
+    """p' = c2 p(t - tau) with p = 1 + t before 0, exact on [0, 2 tau]: the
+    first piece integrates the history, the second the first piece."""
+    def first(s):
+        return 1.0 + c2 * ((1.0 - tau) * s + s * s / 2.0)
+    if t <= tau:
+        return first(t)
+    u = t - tau
+    return first(tau) + c2 * (u + c2 * ((1.0 - tau) * u * u / 2.0 + u ** 3 / 6.0))
+
+
+def test_method_of_steps_oracle_first_order():
+    # the delayed term reads the initial history on [0, tau] and the
+    # recorded rows on [tau, 2 tau]
+    c2, tau = -1.5, 0.5
+    profile = DelayProfile.constant(tau)
+    errs = {}
+    for h in (1e-2, 5e-3, 2.5e-3):
+        cfg = IntegratorConfig(horizon=2.0 * tau, h=h, zero_band=0.0)
+        traj = integrate(delayed_linear_rhs(0.0, c2, profile), [1.0], profile, cfg,
+                         initial_history=lambda t: np.array([1.0 + t]))
+        exact = np.array([method_of_steps(c2, tau, t) for t in traj.times])
+        errs[h] = np.abs(traj.states[:, 0] - exact).max()
+    assert all(err <= 0.4 * h for h, err in errs.items()), errs
+    assert all(1.8 <= errs[h] / errs[h / 2] <= 2.2 for h in (1e-2, 5e-3)), errs
