@@ -60,7 +60,8 @@ def write_trajectory_csv(path, traj: HistoryTrajectory, stride: int = 1):
 
 
 def read_trajectory_csv(path) -> HistoryTrajectory:
-    """Rebuild a trajectory from a CSV written by write_trajectory_csv."""
+    """Rebuild a trajectory from a CSV written by write_trajectory_csv.  Row k's
+    time must be t0 + k*h, h = t1 - t0 > 0, up to 1e-6*h and float rounding."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), [])
         with warnings.catch_warnings():
@@ -76,6 +77,12 @@ def read_trajectory_csv(path) -> HistoryTrajectory:
     gain_names = header[1 + n_state:]
     t0 = data[0, 0]
     h = data[1, 0] - data[0, 0]
+    k = np.arange(data.shape[0])
+    slack = 1e-6 * h + (k + 2) * np.spacing(np.abs(data[:, 0]).max())
+    bad = np.flatnonzero(~(np.abs(data[:, 0] - (t0 + k * h)) <= slack) | (h <= 0.0))
+    if bad.size:
+        raise ValueError(f"trajectory CSV time t = {data[bad[0], 0]!r} of data row "
+                         f"{bad[0] + 1} is off the grid t0 + k*h (t0 = {t0!r}, h = {h!r})")
     states = data[:, 1:1 + n_state]
     gains = data[:, 1 + n_state:] if gain_names else None
     return HistoryTrajectory.from_arrays(t0, h, states,

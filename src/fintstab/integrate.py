@@ -4,9 +4,9 @@ The integrator stores every accepted step (unbounded delays need the whole
 history) and resolves delayed states by linear interpolation.  Every lookup
 goes through one rule, `grid_rows`, and one formula,
 `HistoryTrajectory._lookup`; on the fixed grid the delayed times of step k
-depend only on k, so a `DelayPlan` computes them block by block and the step
-loop only gathers rows (`PlanGather`).  Discontinuous
-sign feedback is handled by a zero-band projection: a component whose sign
+depend only on k, so a `DelayPlan` computes them block by block, and
+`BlockRows` turns each block into per-step rows once.  Discontinuous sign
+feedback is handled by a zero-band projection: a component whose sign
 flipped during a step and whose magnitude stayed inside the one-step sliding
 band is set to exactly 0, emulating the ideal sliding mode.
 """
@@ -113,6 +113,10 @@ class _PlanBlock:
         self.lo, self.hi, self.w = lo, hi, w
         self.reach = reach
 
+    def values(self, traj: "HistoryTrajectory", cols) -> np.ndarray:
+        """traj's state columns cols at the block's times: `HistoryTrajectory._lookup`."""
+        return traj._lookup(self.times, self.lo, self.hi, self.w, cols)
+
 
 class DelayPlan:
     """Lookup rows of every grid step's delayed times on the grid t0 + k*h.
@@ -134,7 +138,6 @@ class DelayPlan:
         self.h = float(h)
         self.envelope = envelope
         self._run: Optional[_PlanBlock] = None
-        self._block: Optional[_PlanBlock] = None
 
     def _delays(self, ts: np.ndarray) -> np.ndarray:
         p = self.profile
@@ -157,61 +160,39 @@ class DelayPlan:
             return self._fill(start, bad)  # the run ends before the bad row
         return _PlanBlock(start, times, lo, hi, w, hi.max(axis=1))
 
+    def row(self, k: int) -> _PlanBlock:
+        """The complete block starting at step k: rows from k up to, not
+        including, the first that reads past row k."""
+        run = self._run
+        if run is None or not run.start <= k < run.stop:
+            start = k - k % PLAN_BLOCK
+            run = self._fill(start, start + PLAN_BLOCK)
+            if k >= run.stop:  # truncated before k: raises on its first bad row
+                run = self._fill(run.stop, start + PLAN_BLOCK)
+            self._run = run
+        i = k - run.start
+        ahead = run.reach[i:] > k
+        j = i + int(ahead.argmax()) if ahead.any() else len(run.reach)
+        return _PlanBlock(k, run.times[i:j], run.lo[i:j], run.hi[i:j], run.w[i:j],
+                          run.reach[i:j])
+
+
+class BlockRows:
+    """Step k's row of a per-step quantity, built one plan block at a time:
+    `row(k)` off the cached block cuts the block starting at k, `plan.row(k)`,
+    and calls `make(blk)` once for that block's list of rows.  A block reads
+    only rows recorded at its first step, so this equals building each row at
+    its own step bitwise.  A method, not `__call__`, which costs twice as much."""
+
+    def __init__(self, plan: DelayPlan, make: Callable[[_PlanBlock], list]):
+        self.plan, self.make = plan, make
+        self.start, self.rows = 0, []
+
     def row(self, k: int):
-        """The complete block starting at or before step k that holds it, and
-        k's row in it."""
-        blk = self._block
-        if blk is None or not blk.start <= k < blk.stop:
-            run = self._run
-            if run is None or not run.start <= k < run.stop:
-                start = k - k % PLAN_BLOCK
-                run = self._fill(start, start + PLAN_BLOCK)
-                if k >= run.stop:  # truncated before k: raises on its first bad row
-                    run = self._fill(run.stop, start + PLAN_BLOCK)
-                self._run = run
-            # rows from k up to, not including, the first that reads past row k
-            i = k - run.start
-            ahead = run.reach[i:] > k
-            j = i + int(ahead.argmax()) if ahead.any() else len(run.reach)
-            blk = self._block = _PlanBlock(k, run.times[i:j], run.lo[i:j], run.hi[i:j],
-                                           run.w[i:j], run.reach[i:j])
-        return blk, k - blk.start
-
-
-class PlanGather:
-    """A plan's delayed values of a trajectory, one block at a time.
-
-    Component p of the plan reads the state columns cols[p]; cols has one row
-    per component, or one row per output row when a single shared delay
-    component is broadcast.  When the plan hands out another block, or the
-    gather is asked for another trajectory, the whole block's values are
-    computed by one `HistoryTrajectory._lookup`, and each step reads its row
-    of that read-only array.  A block reads only rows recorded by its first
-    step and recorded rows never change, so this equals a per-step lookup
-    bitwise.
-    """
-
-    def __init__(self, cols):
-        self.cols = np.asarray(cols, dtype=np.intp)
-        self._blk: Optional[_PlanBlock] = None
-        self._traj: Optional["HistoryTrajectory"] = None
-        self._vals: Optional[np.ndarray] = None
-
-    def _load(self, blk: _PlanBlock, traj: "HistoryTrajectory"):
-        self._blk, self._traj = blk, traj
-        vals = traj._lookup(blk.times, blk.lo, blk.hi, blk.w, self.cols)
-        vals.flags.writeable = False
-        self._vals = vals
-
-    def block(self, traj: "HistoryTrajectory", k: int,
-              plan: Optional[DelayPlan] = None):
-        """(vals, r): the read-only values of the block of `plan` (default
-        traj.plan) holding step k, shape (steps, rows of cols, columns per
-        row), and k's row in it."""
-        blk, r = (traj.plan if plan is None else plan).row(k)
-        if blk is not self._blk or traj is not self._traj:
-            self._load(blk, traj)
-        return self._vals, r
+        r = k - self.start
+        if not 0 <= r < len(self.rows):
+            self.start, self.rows, r = k, self.make(self.plan.row(k)), 0
+        return self.rows[r]
 
 
 def diag_cols(n_components: int, dim: int) -> np.ndarray:
@@ -296,18 +277,18 @@ class HistoryTrajectory:
         one shape whose last axis runs over the rows of cols (or broadcasts
         against them): (1 - w)*x[lo] + w*x[hi] over cols, shape (..., rows
         of cols, columns per row).  Every entry whose time precedes t0 then
-        reads the initial history (without one, row 0 already is constant
-        extension)."""
+        reads the initial history, one call per time (without one, row 0
+        already is constant extension)."""
         wh = w[..., None]
         flat = self._flat
         out = ((1.0 - wh) * flat[lo[..., None] * self.dim + cols]
                + wh * flat[hi[..., None] * self.dim + cols])
         if self.initial_history is not None:
-            times = np.broadcast_to(times, out.shape[:-1])
             for idx in zip(*np.nonzero(times < self.t0)):
                 value = np.atleast_1d(np.asarray(self.initial_history(times[idx]),
                                                  dtype=float))
-                out[idx] = value[cols[min(idx[-1], cols.shape[0] - 1)]]
+                r = slice(None) if times.shape[-1] == 1 else idx[-1]  # shared: every row
+                out[idx[:-1] + (r,)] = value[cols[r]]
         return out
 
     def query(self, t: float) -> np.ndarray:
@@ -347,13 +328,9 @@ class RunningWindowSup:
     """
 
     def __init__(self, t0: float, h: float, profile: DelayProfile):
-        self.t0 = t0
-        self.h = h
-        self.profile = profile
         self.values: list = []
         self._dq: deque = deque()  # indices, values strictly decreasing
-        self._plan = DelayPlan(profile, t0, h, envelope=True)
-        self._blk: Optional[_PlanBlock] = None
+        self._left = BlockRows(DelayPlan(profile, t0, h, envelope=True), _window_rows)
 
     def push(self, value: float):
         k = len(self.values)
@@ -362,24 +339,21 @@ class RunningWindowSup:
             self._dq.pop()
         self._dq.append(k)
 
-    def _load(self, blk: _PlanBlock):
-        self._blk = blk
-        self._lo = blk.lo[:, 0].tolist()
-        self._hi = blk.hi[:, 0].tolist()
-        self._wh = blk.w[:, 0].tolist()
-        self._wl = (1.0 - blk.w[:, 0]).tolist()
-
     def sup(self, k: int) -> float:
         """Window sup at grid time t0 + k*h; values[0..k] must be pushed."""
-        blk, r = self._plan.row(k)
-        if blk is not self._blk:
-            self._load(blk)
-        lo, hi = self._lo[r], self._hi[r]
+        lo, hi, wl, wh = self._left.row(k)
         # hi is the first grid point at or after the window's left end
         while self._dq and self._dq[0] < hi:
             self._dq.popleft()
         best = self.values[self._dq[0]] if self._dq else -math.inf
-        return max(best, self._wl[r] * self.values[lo] + self._wh[r] * self.values[hi])
+        return max(best, wl * self.values[lo] + wh * self.values[hi])
+
+
+def _window_rows(blk: _PlanBlock) -> list:
+    """(lo, hi, 1 - w, w) of each step of an envelope block, as Python numbers."""
+    w = blk.w[:, 0]
+    return list(zip(blk.lo[:, 0].tolist(), blk.hi[:, 0].tolist(), (1.0 - w).tolist(),
+                    w.tolist()))
 
 
 # -- integration -----------------------------------------------------------
@@ -511,28 +485,25 @@ def delayed_linear_rhs(c1: float, c2: float, profile: DelayProfile,
     of `profile` on the trajectory's grid otherwise (a trajectory without a
     plan, or one integrated with another profile object).
     """
-    seen = plan = gather = None
-    start, scaled = 0, []  # c2 times the delayed values of the steps from start on
+    seen = scaled = None  # c2 times the delayed values, a row per step
 
     def rhs(t, p, traj):
-        nonlocal seen, plan, gather, start, scaled
-        k = traj._filled
-        r = k - start
-        if traj is not seen or not 0 <= r < len(scaled):
-            if traj is not seen:
-                seen, plan = traj, traj.plan
-                if plan is None or plan.profile is not profile:
-                    plan = DelayPlan(profile, traj.t0, traj.h)
-                gather = PlanGather(diag_cols(profile.n_components, traj.dim))
-            block, r = gather.block(traj, k, plan)
-            start = k - r
-            scaled = (c2 * block.reshape(block.shape[0], -1)).tolist()
+        nonlocal seen, scaled
+        if traj is not seen:
+            seen, plan = traj, traj.plan
+            if plan is None or plan.profile is not profile:
+                plan = DelayPlan(profile, traj.t0, traj.h)
+            cols = diag_cols(profile.n_components, traj.dim)
+            # bound as defaults: a closure over traj and cols costs rhs two cells a call
+            scaled = BlockRows(plan, lambda blk, traj=traj, cols=cols: (
+                c2 * blk.values(traj, cols).reshape(blk.stop - blk.start, -1)).tolist())
+        d = scaled.row(traj._filled)
         ps = p.tolist()
         if control is None:
-            return [c1 * a + b for a, b in zip(ps, scaled[r])]
+            return [c1 * a + b for a, b in zip(ps, d)]
         u = control(t, ps)
         if type(u) is not list or len(u) != len(ps):
             u = _floats(u, len(ps))
-        return [c1 * a + b + c for a, b, c in zip(ps, scaled[r], u)]
+        return [c1 * a + b + c for a, b, c in zip(ps, d, u)]
 
     return rhs

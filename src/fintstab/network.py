@@ -10,10 +10,10 @@ reproduces the reference configuration exactly.
 
 The delayed coupling theta2 * sum_j b_ij g(x_j(t - pi_ij(t))) has one
 formula over a step axis, `_coupling`, which the right-hand sides evaluate
-for a whole plan block at once and turn into float rows once.  The rest of
-a step runs on Python floats, bitwise equal to the NumPy forms: f takes and
-gives node rows, the controls keep their array forms' operation order, and
-only the sum A @ X stays in NumPy (BLAS may fuse its multiply-adds).
+for a whole plan block at once and turn into float rows once (`BlockRows`).
+The rest of a step runs on Python floats, bitwise equal to the NumPy forms:
+f takes and gives node rows, the controls keep their array forms' operation
+order, and only the sum A @ X stays in NumPy (BLAS may fuse its multiply-adds).
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .conditions import _validate_coupling_matrix
 from .control import (NetworkAdaptiveHook, NetworkControlSpec, _add_full_node,
                       _add_pinning, _sgn)
 from .delays import DelayProfile
-from .integrate import HistoryTrajectory, IntegratorConfig, PlanGather, integrate
+from .integrate import BlockRows, HistoryTrajectory, IntegratorConfig, integrate
 
 _flat = itertools.chain.from_iterable  # rows -> their floats, row by row
 
@@ -106,31 +106,18 @@ def _coupling(model: NetworkModel, XD: np.ndarray, ED: Optional[np.ndarray] = No
     return model.theta2 * np.einsum("ij,sijk->sik", model.B, G)
 
 
-class _BlockCoupling:
-    """The coupling at step k: `_coupling` of xtraj's delayed values XD (and
-    etraj's ED), computed once per plan block and turned into float rows once.
+def _coupling_rows(model: NetworkModel, plan, xtraj: HistoryTrajectory,
+                   etraj: Optional[HistoryTrajectory] = None) -> BlockRows:
+    """Step k's coupling as N*n floats, node by node: `_coupling` of xtraj's
+    delayed values (and etraj's) over each block of plan."""
+    cols = _node_cols(model.N, model.n)
 
-    A step inside the cached block reads its row by k - start, with no plan
-    or gather lookup; a step outside it, or another plan or trajectory, loads
-    the block holding k.  The cache holds the plan and trajectories it was
-    computed for, so an identity is never reused.
-    """
+    def make(blk):
+        ev = None if etraj is None else blk.values(etraj, cols)
+        vals = _coupling(model, blk.values(xtraj, cols), ev)
+        return vals.reshape(len(vals), -1).tolist()
 
-    def __init__(self, model: NetworkModel, xgather: PlanGather,
-                 egather: Optional[PlanGather] = None):
-        self.model, self.xgather, self.egather = model, xgather, egather
-        self._key, self._start, self._rows = None, 0, []
-
-    def row(self, k, plan, xtraj, etraj=None) -> list:
-        """Step k's value as N*n floats, node by node."""
-        r = k - self._start
-        if not 0 <= r < len(self._rows) or self._key != (plan, xtraj, etraj):
-            xv, r = self.xgather.block(xtraj, k, plan)
-            ev = None if self.egather is None else self.egather.block(etraj, k, plan)[0]
-            vals = _coupling(self.model, xv, ev)
-            self._rows = vals.reshape(len(vals), -1).tolist()
-            self._start, self._key = k - r, (plan, xtraj, etraj)
-        return self._rows[r]
+    return BlockRows(plan, make)
 
 
 def _rows(v) -> list:
@@ -145,13 +132,16 @@ def _drive_rhs(model: NetworkModel):
     equal Python's), returned as N*n floats."""
     N, n = model.N, model.n
     A, theta1 = model.A, model.theta1
-    coupling = _BlockCoupling(model, PlanGather(_node_cols(N, n)))
+    seen = coupling = None
 
     def rhs(t, X, traj):
+        nonlocal seen, coupling
+        if traj is not seen:
+            seen, coupling = traj, _coupling_rows(model, traj.plan, traj)
         Xn = X.reshape(N, n)
         fx = _rows(model.f(Xn.tolist()))
         ax = A.dot(Xn).ravel().tolist()
-        c = coupling.row(traj._filled, traj.plan, traj)
+        c = coupling.row(traj._filled)
         return [p + theta1 * a + d for p, a, d in zip(_flat(fx), ax, c)]
 
     return rhs
@@ -176,22 +166,23 @@ def _error_rhs(model: NetworkModel, drive: HistoryTrajectory,
     f is called once on the 2N node rows [x + e; x] and the two halves
     subtracted; g is called in `_coupling`, for a whole plan block at a time.
     A @ E is one NumPy call, as in `_drive_rhs`.  The controls read the hook's
-    float gains.  The drive has its own PlanGather, since a gather caches one
-    trajectory's block.
+    float gains.
     """
     N, n = model.N, model.n
     A, theta1 = model.A, model.theta1
-    nodes = PlanGather(_node_cols(N, n))
-    coupling = _BlockCoupling(model, PlanGather(_node_cols(N, n)), nodes)
+    seen = coupling = None
     adapt_coupling = hook is not None and hook.variant == "theta1_theta3"
     drive_nodes = drive._states.reshape(-1, N, n)
 
     def rhs(t, E, etraj):
+        nonlocal seen, coupling
+        if etraj is not seen:
+            seen, coupling = etraj, _coupling_rows(model, etraj.plan, drive, etraj)
         k = etraj._filled
         En, Xn = E.reshape(N, n), drive_nodes[k]
         fx = _rows(model.f((Xn + En).tolist() + Xn.tolist()))
         ae = A.dot(En).ravel().tolist()
-        c = coupling.row(k, etraj.plan, drive, etraj)
+        c = coupling.row(k)
         out = [p - q + theta1 * a + d
                for p, q, a, d in zip(_flat(fx[:N]), _flat(fx[N:]), ae, c)]
 

@@ -15,29 +15,33 @@ from fintstab.control import (NetworkAdaptiveHook, NetworkControlSpec,
                               full_node_control, pinning_control)
 from fintstab.delays import DelayProfile, RateFunction
 from fintstab.integrate import (PLAN_BLOCK, DelayPlan, DivergenceError, HistoryTrajectory,
-                                IntegratorConfig, PlanGather, diag_cols, integrate)
-from fintstab.network import (_BlockCoupling, _drive_rhs, _node_cols, _static_control,
+                                IntegratorConfig, diag_cols, integrate)
+from fintstab.network import (_drive_rhs, _error_rhs, _node_cols, _static_control,
                               lorenz_preset, simulate_sync, sin_plus_linear)
+
+from test_plan import assert_tiled, count_blocks
 
 H, HORIZON = 5e-4, 0.4   # 800 steps: three full plan blocks and part of a fourth
 
 
 # -- reference copies of the per-step coupling ----------------------------------
 
-def _at(gather, traj, k, plan=None):
-    """The gathered values of step k: its row of the gather's block."""
-    vals, r = gather.block(traj, k, plan)
-    return vals[r]
+def _at(plan, traj, k, cols):
+    """The gathered values of step k, looked up alone: the first row of the
+    plan block starting at k (`values` of the whole block costs the
+    references a block's lookup per step)."""
+    blk = plan.row(k)
+    return traj._lookup(blk.times[:1], blk.lo[:1], blk.hi[:1], blk.w[:1], cols)[0]
 
 
 def _ref_drive_rhs(model):
     N, n = model.N, model.n
-    nodes = PlanGather(_node_cols(N, n))
+    nodes = _node_cols(N, n)
 
     def rhs(t, X, traj):
         Xn = X.reshape(N, n)
         out = model.f(Xn) + model.theta1 * (model.A @ Xn)
-        xd = _at(nodes, traj, traj._filled).reshape(N, N, n)
+        xd = _at(traj.plan, traj, traj._filled, nodes).reshape(N, N, n)
         out += model.theta2 * np.einsum("ij,ijk->ik", model.B, model.g(xd))
         return out.ravel()
 
@@ -46,8 +50,7 @@ def _ref_drive_rhs(model):
 
 def _ref_error_rhs(model, base_traj, control, hook):
     N, n = model.N, model.n
-    nodes = PlanGather(_node_cols(N, n))
-    base_gather = PlanGather(_node_cols(N, n))
+    nodes = _node_cols(N, n)
     fbuf = np.empty((2, N, n))
     gbuf = np.empty((2, N, N, n))
 
@@ -59,8 +62,8 @@ def _ref_error_rhs(model, base_traj, control, hook):
         fbuf[1] = x_now
         fx = model.f(fbuf)
         out = (fx[0] - fx[1]) + model.theta1 * (model.A @ En)
-        xd = _at(base_gather, base_traj, k, etraj.plan).reshape(N, N, n)
-        np.add(xd, _at(nodes, etraj, k).reshape(N, N, n), out=gbuf[0])
+        xd = _at(etraj.plan, base_traj, k, nodes).reshape(N, N, n)
+        np.add(xd, _at(etraj.plan, etraj, k, nodes).reshape(N, N, n), out=gbuf[0])
         gbuf[1] = xd
         gx = model.g(gbuf)
         out += model.theta2 * np.einsum("ij,ijk->ik", model.B, gx[0] - gx[1])
@@ -100,12 +103,12 @@ def simulate_response_directly(exp, drive):
 
 def _ref_direct_rhs(model, control, drive):
     N, n = model.N, model.n
-    nodes = PlanGather(_node_cols(N, n))
+    nodes = _node_cols(N, n)
 
     def rhs(t, Y, ytraj):
         Yn = Y.reshape(N, n)
         out = model.f(Yn) + model.theta1 * (model.A @ Yn)
-        yd = _at(nodes, ytraj, ytraj._filled).reshape(N, N, n)
+        yd = _at(ytraj.plan, ytraj, ytraj._filled, nodes).reshape(N, N, n)
         out += model.theta2 * np.einsum("ij,ijk->ik", model.B, model.g(yd))
         e = Yn - drive.query(t).reshape(N, n)
         if control.kind == "pinning":
@@ -256,7 +259,7 @@ def _plan_blocks(profile, n_steps):
     """The blocks one integration's plan hands out over n_steps steps."""
     plan, blocks, k = DelayPlan(profile, 0.0, H), [], 0
     while k < n_steps:
-        blk, _ = plan.row(k)
+        blk = plan.row(k)
         blocks.append(blk)
         k = blk.stop
     return blocks
@@ -287,30 +290,49 @@ def test_g_runs_once_per_recorded_block(delay):
 
 
 def test_block_coupling_follows_each_trajectory():
-    # the cache is keyed on both block arrays: switching either trajectory at
-    # the same step (same plan block) must recompute the coupling
+    # each rhs keeps the coupling rows of the trajectory it saw last:
+    # switching the drive's or the error's trajectory at the same step (same
+    # plan block) must recompute the coupling; an error rhs has one drive
     model = lorenz_preset().model
     N, n = model.N, model.n
     plan = DelayPlan(model.delays, 0.0, H)
     rng = np.random.default_rng(5)
-    bases = [HistoryTrajectory.from_arrays(0.0, H, rng.normal(size=(700, N * n)))
-             for _ in range(2)]
-    errors = [HistoryTrajectory.from_arrays(0.0, H, rng.normal(size=(700, N * n)))
-              for _ in range(2)]
-    coupling = _BlockCoupling(model, PlanGather(_node_cols(N, n)),
-                              PlanGather(_node_cols(N, n)))
-    gather = PlanGather(_node_cols(N, n))
+    bases, errors = ([HistoryTrajectory.from_arrays(0.0, H, rng.normal(size=(700, N * n)))
+                      for _ in range(2)] for _ in range(2))
+    for traj in bases + errors:
+        traj.plan = plan
+    none = NetworkControlSpec(kind="none")
+    drive_rhs, ref_drive_rhs = _drive_rhs(model), _ref_drive_rhs(model)
+    error_rhs = [_error_rhs(model, base, none, None) for base in bases]
+    ref_error_rhs = [_ref_error_rhs(model, base, none, None) for base in bases]
     for k in (600, 601):
         for x, e in ((0, 0), (0, 1), (1, 1), (1, 0), (0, 0)):
-            xd = _at(gather, bases[x], k, plan).reshape(N, N, n)
-            ed = _at(gather, errors[e], k, plan).reshape(N, N, n)
-            gx = model.g(np.stack((xd + ed, xd)))
-            want = model.theta2 * np.einsum("ij,ijk->ik", model.B, gx[0] - gx[1])
-            row = coupling.row(k, plan, bases[x], errors[e])
-            assert np.array(row).tobytes() == want.ravel().tobytes()
+            xtraj, etraj = bases[x], errors[e]
+            xtraj._filled = etraj._filled = k
+            X, E, t = xtraj._states[k], etraj._states[k], k * H
+            got = drive_rhs(t, X, xtraj)
+            assert np.array(got).tobytes() == ref_drive_rhs(t, X, xtraj).tobytes()
+            got = error_rhs[x](t, E, etraj)
+            assert np.array(got).tobytes() == ref_error_rhs[x](t, E, etraj).tobytes()
 
 
-# -- PlanGather.block -------------------------------------------------------------------
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_lorenz_run_builds_each_block_once(adaptive):
+    # the drive's coupling reads one values block per plan block, the
+    # error's two (drive and error), and each BlockRows builds a block once
+    exp = _experiment("pairwise", "theta1_theta3" if adaptive else "full")
+    with count_blocks() as (cuts, counts):
+        res = simulate_sync(exp)
+    n_steps = int(round(HORIZON / H))
+    drive, error = cuts[res.drive.plan], cuts[res.error.plan]
+    for steps in (drive, error):
+        assert steps[0][0] == 0 and steps[-1][1] >= n_steps
+    assert counts["values"] == len(drive) + 2 * len(error)
+    assert counts["make"] == assert_tiled(cuts) < n_steps // 10
+    assert len(cuts) == (3 if adaptive else 2)   # the hook's window sup plan
+
+
+# -- plan block values ----------------------------------------------------------------
 
 def test_shared_delay_prehistory_reaches_every_node_row():
     # one shared delay component read through N*N node column rows: each row
@@ -322,16 +344,31 @@ def test_shared_delay_prehistory_reaches_every_node_row():
     traj = HistoryTrajectory.from_arrays(0.0, h, rng.normal(size=(40, N * n)))
     traj.initial_history = lambda t: np.sin(3.0 * t + np.arange(N * n))
     plan = DelayPlan(DelayProfile.constant(tau), 0.0, h)
-    gather = PlanGather(cols)
     pre = 0
     for k in range(40):
         t = k * h
-        got = _at(gather, traj, k, plan)
+        got = _at(plan, traj, k, cols)
         assert got.tobytes() == traj.query_diag(t - tau)[cols].tobytes()
         if t - tau < 0.0:
             pre += 1
             assert got.tobytes() == traj.initial_history(t - tau)[cols].tobytes()
     assert pre == 16
+
+
+def test_shared_delay_prehistory_calls_history_once_per_time():
+    # a 15.5-step shared delay: steps 0..15 read the initial history, once
+    # each, whatever the number of node column rows that read it
+    N, n, h, tau = 3, 3, 0.01, 15.5 * 0.01
+    cols = _node_cols(N, n)
+    traj = HistoryTrajectory.from_arrays(0.0, h, np.zeros((41, N * n)))
+    calls = []
+    traj.initial_history = lambda t: calls.append(t) or np.sin(3.0 * t + np.arange(N * n))
+    plan, k = DelayPlan(DelayProfile.constant(tau), 0.0, h), 0
+    while k < 40:
+        blk = plan.row(k)
+        blk.values(traj, cols)
+        k = blk.stop
+    assert len(calls) == len(set(calls)) == 16
 
 
 @settings(max_examples=40, deadline=None)
@@ -354,11 +391,11 @@ def test_plan_gather_block(kind, m, ratio, filled, data):
     traj.plan = DelayPlan(profile, t0, h)
     cols = diag_cols(m, m)
     k = data.draw(st.integers(0, filled))
-    vals, r = PlanGather(cols).block(traj, k)
-    blk, r_plan = traj.plan.row(k)
-    assert r == r_plan == k - blk.start
+    blk = traj.plan.row(k)
+    vals = blk.values(traj, cols)
+    assert blk.start == k
     assert blk.hi.max() <= blk.start
-    assert not vals.flags.writeable
     assert vals.shape == (blk.stop - blk.start, m, 1)
-    t = t0 + k * h
-    assert vals[r].tobytes() == traj.query_diag(t - profile.delays_at(t)).tobytes()
+    for r, row in enumerate(vals):   # every row, read with the history up to k
+        t = t0 + (k + r) * h
+        assert row.tobytes() == traj.query_diag(t - profile.delays_at(t)).tobytes()

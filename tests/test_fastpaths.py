@@ -242,6 +242,48 @@ def test_reader_rejects_non_numeric_cell(tmp_path, monkeypatch):
     assert main(["monitor", str(cfg), str(path), "--out", "mon.csv"]) == 1
 
 
+@pytest.mark.parametrize("edit", ["gap", "repeat", "swap", "reverse"])
+def test_reader_rejects_times_off_the_grid(tmp_path, edit):
+    times = (0.5 + 1e-3 * np.arange(50)).tolist()
+    if edit == "gap":
+        del times[20:30]
+    elif edit == "repeat":
+        times.insert(20, times[20])
+    elif edit == "swap":
+        times[20], times[21] = times[21], times[20]
+    else:
+        times.reverse()
+    path = tmp_path / "t.csv"
+    path.write_text("t,x_1\r\n" + "".join(f"{_FMT % t},{i}\r\n" for i, t in enumerate(times)),
+                    newline="")
+    with pytest.raises(ValueError, match="off the grid"):
+        read_trajectory_csv(path)
+
+
+@pytest.mark.parametrize("t0, h", [(0.0, 1e-3), (0.37, 1e-3), (-2.5, 5e-4), (1e3, 1e-6)])
+def test_reader_accepts_strided_grids(tmp_path, t0, h):
+    # at t0 = 1e3 the rounding of t1 - t0 alone drifts row k by up to k/2
+    # spacings of 1e3, far over 1e-6*h: the reader's slack allows for it
+    traj = HistoryTrajectory.from_arrays(t0, h, np.zeros((40001, 1)))
+    for stride in (1, 7, 10, 13):
+        write_trajectory_csv(tmp_path / "s.csv", traj, stride=stride)
+        back = read_trajectory_csv(tmp_path / "s.csv")
+        assert back.states.shape[0] == (40000 + stride) // stride
+        assert back.h == pytest.approx(stride * h)
+
+
+def test_monitor_rejects_a_trajectory_with_rows_removed(tmp_path, monkeypatch, capsys):
+    # one second of rows cut out of an Example 1 grid (h = 1e-3)
+    monkeypatch.chdir(tmp_path)
+    traj = HistoryTrajectory.from_arrays(0.0, 1e-3,
+                                         2.0 * np.exp(-1e-3 * np.arange(3001))[:, None])
+    write_trajectory_csv(tmp_path / "full.csv", traj)
+    lines = (tmp_path / "full.csv").read_bytes().splitlines(keepends=True)
+    (tmp_path / "cut.csv").write_bytes(b"".join(lines[:1001] + lines[2001:]))
+    assert main(["monitor", "example1", "cut.csv", "--out", "mon.csv"]) == 1
+    assert "off the grid" in capsys.readouterr().err
+
+
 # -- Lorenz field -------------------------------------------------------------
 
 def _ref_lorenz(x):

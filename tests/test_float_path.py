@@ -18,7 +18,7 @@ from fintstab.control import (ScalarAdaptiveHook, StaticScalarGains,
                               _sign_law, gain_rates, static_scalar_control)
 from fintstab.delays import DelayProfile, RateFunction
 from fintstab.integrate import (DelayPlan, DivergenceError, IntegratorConfig,
-                                PlanGather, RunningWindowSup, delayed_linear_rhs,
+                                RunningWindowSup, delayed_linear_rhs,
                                 diag_cols, integrate)
 from test_integrate import _reference_integrate
 
@@ -26,20 +26,18 @@ from test_integrate import _reference_integrate
 # -- reference copies of the NumPy forms ---------------------------------------
 
 def _ref_delayed_linear_rhs(c1, c2, profile, control=None):
-    seen = plan = gather = vals = scaled = None
+    seen = plan = None
 
     def rhs(t, p, traj):
-        nonlocal seen, plan, gather, vals, scaled
+        nonlocal seen, plan
         if traj is not seen:
             seen, plan = traj, traj.plan
             if plan is None or plan.profile is not profile:
                 plan = DelayPlan(profile, traj.t0, traj.h)
-            gather = PlanGather(diag_cols(profile.n_components, traj.dim))
-        block, r = gather.block(traj, traj._filled, plan)
-        if block is not vals:
-            vals = block
-            scaled = c2 * block.reshape(block.shape[0], -1)
-        dp = c1 * p + scaled[r]
+        # the plan block starting at this step, its first row
+        block = plan.row(traj._filled).values(traj, diag_cols(profile.n_components, traj.dim))
+        scaled = c2 * block.reshape(block.shape[0], -1)
+        dp = c1 * p + scaled[0]
         if control is not None:
             dp = dp + control(t, p)
         return dp

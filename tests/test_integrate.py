@@ -9,7 +9,7 @@ from fintstab.cli import run
 from fintstab.config import load_config
 from fintstab.delays import DelayProfile
 from fintstab.integrate import (DelayPlan, DivergenceError, HistoryTrajectory,
-                                IntegratorConfig, PlanGather, RunningWindowSup,
+                                IntegratorConfig, RunningWindowSup,
                                 delayed_linear_rhs, diag_cols, grid_rows, integrate,
                                 norm1, norm_inf, sq_norm2)
 
@@ -292,15 +292,13 @@ def _reference_integrate(rhs, initial_state, profile, config, gain_hook=None):
 
 
 def _reference_linear_rhs(c1, c2, profile, control):
-    """delayed_linear_rhs with c2 applied to each step's gathered row."""
-    gather = None
+    """delayed_linear_rhs with c2 applied to each step's gathered row, the
+    first row of the plan block starting at the step."""
 
     def rhs(t, p, traj):
-        nonlocal gather
-        if gather is None:
-            gather = PlanGather(diag_cols(profile.n_components, traj.dim))
-        vals, r = gather.block(traj, traj._filled)
-        return c1 * p + c2 * vals[r].ravel() + control(t, p)
+        cols = diag_cols(profile.n_components, traj.dim)
+        vals = traj.plan.row(traj._filled).values(traj, cols)
+        return c1 * p + c2 * vals[0].ravel() + control(t, p)
 
     return rhs
 

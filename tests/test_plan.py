@@ -1,10 +1,11 @@
-"""The delay-lookup primitive: grid_rows, DelayPlan and PlanGather.
+"""The delay-lookup primitive: grid_rows, DelayPlan, its blocks' values and BlockRows.
 
 Plan rows are checked against a plain scalar floor/weight reference written
 out below, one query time at a time.  The pantograph and method-of-steps
 oracles measure the integrator's global order on delayed problems with exact
 solutions.
 """
+import contextlib
 import importlib
 import math
 
@@ -12,9 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fintstab.cli import EXAMPLE1, run
+from fintstab.config import load_config
 from fintstab.delays import DelayProfile
-from fintstab.integrate import (DelayPlan, HistoryTrajectory, HistoryWindowError,
-                                IntegratorConfig, PlanGather, RunningWindowSup,
+from fintstab.integrate import (BlockRows, DelayPlan, HistoryTrajectory,
+                                HistoryWindowError, IntegratorConfig, RunningWindowSup,
                                 delayed_linear_rhs, diag_cols, grid_rows,
                                 integrate)
 
@@ -53,8 +56,8 @@ def as_rows(lo, hi, w):
 
 
 def plan_rows(plan, k):
-    blk, r = plan.row(k)
-    return as_rows(blk.lo[r], blk.hi[r], blk.w[r])
+    blk = plan.row(k)   # the block starting at k: k's row is its first
+    return as_rows(blk.lo[0], blk.hi[0], blk.w[0])
 
 
 def _custom(coeffs, shift):
@@ -118,8 +121,7 @@ def test_constant_delay_prehistory_reads_initial_history(tau, grid, dim, k):
     rng = np.random.default_rng(k)
     traj = HistoryTrajectory.from_arrays(t0, h, rng.normal(size=(k + 1, dim)))
     traj.initial_history = history
-    vals, r = PlanGather(diag_cols(dim, dim)).block(traj, k, DelayPlan(profile, t0, h))
-    got = vals[r].ravel()
+    got = DelayPlan(profile, t0, h).row(k).values(traj, diag_cols(dim, dim))[0].ravel()
     t = t0 + k * h
     if t - tau < t0:
         assert got.tolist() == history(t - tau).tolist()
@@ -178,8 +180,8 @@ def test_plan_blocks_are_complete(profile, grid, ks, envelope):
     h, t0 = grid
     plan = DelayPlan(profile, t0, h, envelope=envelope)
     for k in ks:
-        blk, r = plan.row(k)
-        assert blk.start == k - r <= k < blk.stop
+        blk = plan.row(k)
+        assert blk.start == k < blk.stop
         assert blk.hi.max() <= blk.start
         if blk.stop % integ.PLAN_BLOCK:
             nxt = ref_rows(profile, t0, h, blk.stop, envelope)
@@ -192,7 +194,7 @@ def test_complete_blocks_stop_before_lookahead(h, bad):
     plan = DelayPlan(_lookahead_profile(bad * h), 0.0, h)
     k = 0
     while k < bad:
-        blk, _ = plan.row(k)
+        blk = plan.row(k)
         assert blk.hi.max() <= blk.start and blk.stop <= bad
         k = blk.stop
     with pytest.raises(HistoryWindowError):
@@ -227,12 +229,13 @@ def _history(dim):
 
 
 def _gathers_agree(profile, t0, h, n, history):
-    """Gather every step of an n-step trajectory three ways: from a fully
-    recorded copy, while the rows are appended one step at a time (the
-    integrator's view), and per time through query_diag.  Every block the growing
-    trajectory's plan hands out must read only rows recorded at its first
-    step.  Returns how those blocks ended: "cut" before a row that reads past
-    the block's first step, or "run" at the end of the plan's aligned run."""
+    """Gather every step of an n-step trajectory three ways: by block from a
+    fully recorded copy, by block while the rows are appended one step at a
+    time (the integrator's view), and per time through query_diag.  Every
+    block the growing trajectory's plan hands out must read only rows
+    recorded at its first step.  Returns how those blocks ended: "cut" before
+    a row that reads past the block's first step, or "run" at the end of the
+    plan's aligned run."""
     dim = profile.n_components
     # the recorded copy covers every block the n steps touch
     states = np.random.default_rng(n).normal(size=((n // integ.PLAN_BLOCK + 1)
@@ -243,18 +246,19 @@ def _gathers_agree(profile, t0, h, n, history):
         traj.initial_history = history
         traj.plan = DelayPlan(profile, t0, h)
     cols = diag_cols(dim, dim)
-    on_full, on_growing = PlanGather(cols), PlanGather(cols)
     ends = set()
+
+    def rows(traj):
+        def make(blk):
+            if traj is growing:
+                assert blk.hi.max() <= growing._filled == blk.start
+                ends.add("run" if blk.stop == growing.plan._run.stop else "cut")
+            return list(blk.values(traj, cols))
+        return BlockRows(traj.plan, make)
+
+    on_full, on_growing = rows(full), rows(growing)
     for k in range(n + 1):
-        vals, r = on_full.block(full, k)
-        got = vals[r]
-        assert not got.flags.writeable
-        vals, r = on_growing.block(growing, k)
-        step = vals[r]
-        blk, r = growing.plan.row(k)
-        if r == 0:
-            assert blk.hi.max() <= growing._filled == k
-            ends.add("run" if blk.stop == growing.plan._run.stop else "cut")
+        got, step = on_full.row(k), on_growing.row(k)
         t = t0 + k * h
         want = growing.query_diag(t - profile.delays_at(t))
         assert got.tobytes() == want.tobytes() == step.tobytes()
@@ -281,6 +285,70 @@ def test_running_window_sup_boundary_uses_plan_rows():
         (lo, hi, w), = ref_rows(profile, 0.0, h, k, envelope=True)
         boundary = (1.0 - w) * values[lo] + w * values[hi]
         assert tracker.sup(k) == max(values[hi:k + 1] + [boundary])
+
+
+@contextlib.contextmanager
+def count_blocks():
+    """Record every block DelayPlan.row cuts, per plan, and count the
+    BlockRows builds and _PlanBlock.values calls made meanwhile."""
+    cuts, counts = {}, {"make": 0, "values": 0}
+    row, init, values = DelayPlan.row, BlockRows.__init__, integ._PlanBlock.values
+
+    def counted_row(plan, k):
+        blk = row(plan, k)
+        cuts.setdefault(plan, []).append((blk.start, blk.stop))
+        return blk
+
+    def counted_init(rows, plan, make):
+        def counted_make(blk):
+            counts["make"] += 1
+            return make(blk)
+        init(rows, plan, counted_make)
+
+    def counted_values(blk, traj, cols):
+        counts["values"] += 1
+        return values(blk, traj, cols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DelayPlan, "row", counted_row)
+        mp.setattr(BlockRows, "__init__", counted_init)
+        mp.setattr(integ._PlanBlock, "values", counted_values)
+        yield cuts, counts
+
+
+def assert_tiled(cuts):
+    """Each plan's blocks follow one another: a block is cut once, at the
+    step after the previous block's end.  Returns the number of blocks."""
+    for blocks in cuts.values():
+        assert all(stop == nxt for (_, stop), (nxt, _) in zip(blocks, blocks[1:]))
+    return sum(len(blocks) for blocks in cuts.values())
+
+
+def test_static_example1_builds_each_block_once():
+    # delayed_linear_rhs builds a block's rows with one values call; the
+    # monitors' window sups (RunningWindowSup) build theirs without one
+    doc = dict(EXAMPLE1, integrator={"horizon": 2.0, "h": 1e-3})
+    with count_blocks() as (cuts, counts):
+        res = run(load_config(doc))
+    n_steps = res.traj.states.shape[0] - 1
+    steps = cuts[res.traj.plan]
+    assert steps[0][0] == 0 and steps[-1][1] >= n_steps
+    assert counts["values"] == len(steps) < n_steps // 50
+    assert counts["make"] == assert_tiled(cuts) > len(steps)
+
+
+def test_running_window_sup_builds_each_block_once():
+    profile = DelayProfile.proportional(0.35)
+    n = 3 * integ.PLAN_BLOCK + 17
+    with count_blocks() as (cuts, counts):
+        tracker = RunningWindowSup(0.0, 0.01, profile)
+        for k, v in enumerate(np.cos(0.07 * np.arange(n)).tolist()):
+            tracker.push(v)
+            tracker.sup(k)
+    (steps,) = cuts.values()
+    assert steps[0][0] == 0 and steps[-1][1] >= n
+    assert counts["make"] == assert_tiled(cuts) < n // 20
+    assert counts["values"] == 0
 
 
 def test_delayed_linear_rhs_on_trajectory_without_plan():
@@ -323,19 +391,20 @@ def test_constant_delay_block_paths(steps, paths, with_history):
 
 
 def test_one_gather_alternating_between_trajectories():
-    # the cache is per (block, trajectory): the drive and error gathers of a
-    # network step may share one plan row
+    # a plan keeps no block of its own: block rows of two trajectories, as
+    # of a network's drive and error, may share one plan step by step
     profile = DelayProfile.proportional(0.5)
     plan = DelayPlan(profile, 0.0, 0.01)
     rng = np.random.default_rng(7)
-    a, b = (HistoryTrajectory.from_arrays(0.0, 0.01, rng.normal(size=(600, 1)))
-            for _ in range(2))
-    gather = PlanGather(diag_cols(1, 1))
+    trajs = [HistoryTrajectory.from_arrays(0.0, 0.01, rng.normal(size=(600, 1)))
+             for _ in range(2)]
+    rows = [BlockRows(plan, lambda blk, traj=traj: list(blk.values(traj, diag_cols(1, 1))))
+            for traj in trajs]
     for k in (300, 301, 302):
         t = k * 0.01
-        for traj in (a, b, a):
-            vals, r = gather.block(traj, k, plan)
-            assert vals[r].tobytes() == traj.query_diag(t - profile.delays_at(t)).tobytes()
+        for i in (0, 1, 0):
+            want = trajs[i].query_diag(t - profile.delays_at(t))
+            assert rows[i].row(k).tobytes() == want.tobytes()
 
 
 # -- exact-solution oracle ----------------------------------------------------
