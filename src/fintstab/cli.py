@@ -216,6 +216,7 @@ def run(cfg: ExperimentConfig):
     rhs = delayed_linear_rhs(sysb["c1"], sysb["c2"], cfg.delay, control=control)
     traj = integrate(rhs, np.asarray(sysb["initial_state"], dtype=float), cfg.delay, icfg,
                      gain_hook=hook)
+    del hook, control, rhs   # the hook's window keeps a float a step: free it for the replay
     return certify(cfg, traj)
 
 
@@ -382,6 +383,15 @@ def _cmd_check(args) -> int:
 def _cmd_monitor(args) -> int:
     cfg = load_config(_document(args.config))
     traj = read_trajectory_csv(args.trajectory)
+    # the reader round-trips any float; a certificate needs finite ones
+    blocks = [traj.states] if traj.gains is None else [traj.states, traj.gains]
+    bad = np.argwhere(~np.hstack([np.isfinite(b) for b in blocks]))
+    if bad.size:
+        r, c = bad[0]
+        name = ([f"x_{i + 1}" for i in range(traj.dim)] + list(traj.gain_names))[c]
+        value = float(np.hstack([b[r] for b in blocks])[c])
+        raise ValueError(f"trajectory CSV data row {r + 1} holds {name} = {value!r}, "
+                         f"not a finite number")
     h = cfg.integrator.h
     if not math.isclose(traj.h, h, rel_tol=1e-9):
         raise ValueError(f"trajectory grid step {traj.h!r} is not integrator.h = {h!r} "

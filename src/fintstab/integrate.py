@@ -319,7 +319,9 @@ def norm_inf(x) -> float:
 
 
 class RunningWindowSup:
-    """Incremental sup of a grid series over the sliding window [t-pi(t), t].
+    """Incremental sup of a grid series over the sliding window [t-pi(t), t],
+    for the adaptive hook, which sees one value a step (a recorded series
+    takes `window_sups`).
 
     Both window ends are nondecreasing in t, so a monotone deque gives O(1)
     amortised updates.  The left boundary contributes the series' linear
@@ -354,6 +356,56 @@ def _window_rows(blk: _PlanBlock) -> list:
     w = blk.w[:, 0]
     return list(zip(blk.lo[:, 0].tolist(), blk.hi[:, 0].tolist(), (1.0 - w).tolist(),
                     w.tolist()))
+
+
+WINDOW_CHUNK = 4096  # envelope rows filled at a time: a fill's temporaries stay this size
+
+
+def window_sups(values, t0: float, h: float, profile: DelayProfile) -> np.ndarray:
+    """`RunningWindowSup.sup(k)` for every k of a recorded series, bitwise, in
+    O(n log n) NumPy work and O(n) memory.
+
+    The envelope rows come from aligned `DelayPlan._fill` runs of
+    WINDOW_CHUNK steps: offline every value is known, so no complete blocks
+    are cut.  The deque's window is [H_k, k] with H_k the running max of the
+    rows' hi; its max is the larger of two power-of-two ranges of a sparse
+    table (Bender & Farach-Colton, LATIN 2000), built one level at a time
+    and queried by the windows of that level.  The deque keeps the last of
+    equal values, and which of +0.0 and -0.0 `np.maximum` returns varies by
+    build, so a zero max takes the sign of the window's last zero.  A NaN
+    or infinite value raises ValueError: there NumPy's max and the deque's
+    comparisons disagree.
+    """
+    v = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(v)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"window sup of the non-finite value {float(v[i])!r} at row {i}")
+    n = v.shape[0]
+    plan = DelayPlan(profile, t0, h, envelope=True)
+    left = np.empty(n, dtype=np.intp)   # hi, then H_k
+    bound = np.empty(n)                 # the left boundary's interpolant
+    start = 0
+    while start < n:
+        blk = plan._fill(start, min(start - start % WINDOW_CHUNK + WINDOW_CHUNK, n))
+        lo, hi, w = blk.lo[:, 0], blk.hi[:, 0], blk.w[:, 0]
+        bound[start:blk.stop] = (1.0 - w) * v[lo] + w * v[hi]
+        left[start:blk.stop] = hi
+        start = blk.stop
+    np.maximum.accumulate(left, out=left)
+    ks = np.arange(n)
+    level = np.frexp(ks + 1 - left)[1] - 1   # floor(log2(window length)), exact
+    best = np.empty(n)
+    table = v   # table[i] = max(v[i : i + 2**j]) at level j
+    for j in range(int(level.max(initial=0)) + 1):
+        if j:
+            table = np.maximum(table[:-(1 << (j - 1))], table[1 << (j - 1):])
+        q = np.flatnonzero(level == j)
+        best[q] = np.maximum(table[left[q]], table[q + 1 - (1 << j)])
+    zero = v == 0.0
+    if np.signbit(v[zero]).any():
+        best = np.where(best == 0.0, v[np.maximum.accumulate(np.where(zero, ks, 0))], best)
+    return np.where(bound > best, bound, best)   # max(best, bound), as Python takes it
 
 
 # -- integration -----------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .delays import DelayProfile, RateFunction
-from .integrate import HistoryTrajectory, RunningWindowSup
+from .integrate import HistoryTrajectory, window_sups
 
 TRACE_TOL = 1e-9      # relative near-equality tolerance for contact detection
 DERIV_TOL = 1e-6      # absolute slack on the contact-point derivative
@@ -63,7 +63,7 @@ class LyapunovTrace:
     norms: np.ndarray  # plain 2-norm of the state, for settled-region masks
 
 
-@dataclass
+@dataclass(slots=True)   # one per contact point, tens of thousands a replay
 class ContactPoint:
     time: float
     dV_dt: float
@@ -163,7 +163,8 @@ def trace_functional(traj: HistoryTrajectory, functional_id: str,
     """V(t) and its windowed sup W(t) on the trajectory grid.
 
     The series starts at `start_time` (defaults to the rate's monitor start);
-    window sups still look back over the full recorded history.
+    window sups still look back over the full recorded history, all of them
+    in one `window_sups` sweep.
     """
     values = functional_series(traj, functional_id, rate, xi=xi, eps2=eps2,
                                gain_stars=gain_stars, rates=rates, lam_abs=lam_abs)
@@ -171,12 +172,7 @@ def trace_functional(traj: HistoryTrajectory, functional_id: str,
     start = rate.default_monitor_start if start_time is None else start_time
     start_idx = int(np.searchsorted(times, start - 1e-12))
 
-    tracker = RunningWindowSup(traj.t0, traj.h, profile)
-    sups = np.empty_like(values)
-    for k, v in enumerate(values):
-        tracker.push(float(v))
-        sups[k] = tracker.sup(k)
-
+    sups = window_sups(values, traj.t0, traj.h, profile)
     contact = (sups - values) <= TRACE_TOL * np.maximum(1.0, np.abs(sups))
     contact[:start_idx] = False
     return LyapunovTrace(functional_id=functional_id.lower(), times=times,
@@ -193,18 +189,14 @@ def contact_point_decrease(trace: LyapunovTrace, traj: HistoryTrajectory,
     the state is away from the origin, so settled contact points are skipped.
     An empty list is a vacuous pass.
     """
-    h = traj.h
     values = trace.values
-    out = []
-    settled_excluded = trace.functional_id in _PHASE2_IDS
-    for k in np.nonzero(trace.contact_mask)[0]:
-        if k <= max(0, trace.start_index) or k >= len(values) - 1:
-            continue
-        if settled_excluded and trace.norms[k] <= zero_tol:
-            continue
-        dv = (values[k + 1] - values[k - 1]) / (2.0 * h)
-        out.append(ContactPoint(time=float(trace.times[k]), dV_dt=float(dv), ok=dv < DERIV_TOL))
-    return out
+    k = np.flatnonzero(trace.contact_mask)
+    k = k[(k > max(0, trace.start_index)) & (k < len(values) - 1)]
+    if trace.functional_id in _PHASE2_IDS:
+        k = k[~(trace.norms[k] <= zero_tol)]
+    dv = (values[k + 1] - values[k - 1]) / (2.0 * traj.h)
+    return list(map(ContactPoint, trace.times[k].tolist(), dv.tolist(),
+                    (dv < DERIV_TOL).tolist()))
 
 
 def detect_phases(traj: HistoryTrajectory, profile: DelayProfile, norm: str,
@@ -222,15 +214,10 @@ def detect_phases(traj: HistoryTrajectory, profile: DelayProfile, norm: str,
     norms = _norm_series(traj.states, norm)
     series = norms ** 2 if norm == "two" else norms
 
-    tracker = RunningWindowSup(traj.t0, traj.h, profile)
-    T1 = math.inf
-    t1_idx = None
-    for k, v in enumerate(series):
-        tracker.push(float(v))
-        if times[k] >= start_time and tracker.sup(k) <= 1.0:
-            t1_idx = k
-            T1 = float(times[k])
-            break
+    reached = np.flatnonzero((times >= start_time)
+                             & (window_sups(series, traj.t0, traj.h, profile) <= 1.0))
+    t1_idx = int(reached[0]) if reached.size else None
+    T1 = math.inf if t1_idx is None else float(times[t1_idx])
 
     above = np.nonzero(norms > zero_tol)[0]
     if above.size == 0:

@@ -1,0 +1,7 @@
+"""Hypothesis profiles.  The default profile runs locally; CI selects `ci`
+with --hypothesis-profile=ci, which draws more examples, from a fixed seed,
+for every property test that leaves max_examples to the profile (the bitwise
+differential tests among them)."""
+from hypothesis import settings
+
+settings.register_profile("ci", max_examples=500, derandomize=True, deadline=None)

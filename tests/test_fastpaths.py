@@ -284,6 +284,27 @@ def test_monitor_rejects_a_trajectory_with_rows_removed(tmp_path, monkeypatch, c
     assert "off the grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, column, bad", [("example1", 1, "nan"), ("example1", 1, "inf"),
+                                                 ("example1_adaptive", 3, "-inf")])
+def test_monitor_rejects_non_finite_values(tmp_path, monkeypatch, capsys, config, column, bad):
+    # the reader round-trips any float, but no certificate holds for one
+    monkeypatch.chdir(tmp_path)
+    n = 3001
+    adaptive = config == "example1_adaptive"
+    traj = HistoryTrajectory.from_arrays(0.0, 1e-3, 2.0 * np.exp(-1e-3 * np.arange(n))[:, None],
+                                         gain_names=("c3", "c4") if adaptive else None,
+                                         gains=np.ones((n, 2)) if adaptive else None)
+    write_trajectory_csv(tmp_path / "t.csv", traj)
+    lines = (tmp_path / "t.csv").read_bytes().splitlines(keepends=True)
+    cells = lines[51].rstrip(b"\r\n").split(b",")
+    cells[column] = bad.encode()
+    lines[51] = b",".join(cells) + b"\r\n"
+    (tmp_path / "t.csv").write_bytes(b"".join(lines))
+    assert main(["monitor", config, "t.csv", "--out", "mon.csv"]) == 1
+    name = ["t", "x_1", "c3", "c4"][column]
+    assert f"data row 51 holds {name} = {bad}, not a finite number" in capsys.readouterr().err
+
+
 # -- Lorenz field -------------------------------------------------------------
 
 def _ref_lorenz(x):

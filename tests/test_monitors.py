@@ -9,10 +9,14 @@ from fintstab.delays import DelayProfile, RateFunction
 from fintstab.integrate import (HistoryTrajectory, IntegratorConfig,
                                 RunningWindowSup, delayed_linear_rhs,
                                 integrate)
-from fintstab.monitors import (_FUNCTIONALS, _PHASE2_IDS, _gain_series,
-                               _norm_series, contact_point_decrease,
+from fintstab.cli import main, run_example1, run_example1_adaptive, run_example2
+from fintstab.conditions import left_eigenvector
+from fintstab.monitors import (_FUNCTIONALS, _PHASE2_IDS, DERIV_TOL, ENVELOPE_TOL,
+                               TRACE_TOL, ContactPoint, LyapunovTrace, PhaseReport,
+                               _gain_series, _norm_series, contact_point_decrease,
                                detect_phases, functional_series,
                                trace_functional)
+from fintstab.network import LORENZ_A
 
 
 def _static_run(c3=2.1, c4=3.5, horizon=30.0):
@@ -322,3 +326,128 @@ def test_functional_missing_inputs_raise(fid):
             functional_series(bare, fid, RATE, **full)
     with pytest.raises(ValueError, match="unknown functional id"):
         functional_series(traj, fid + "x", RATE, **full)
+
+
+# -- the loop monitors: reference copies of the RunningWindowSup versions ------
+
+def _loop_trace_functional(traj, functional_id, rate, profile, start_time=None, **kw):
+    values = functional_series(traj, functional_id, rate, **kw)
+    times = traj.times
+    start = rate.default_monitor_start if start_time is None else start_time
+    start_idx = int(np.searchsorted(times, start - 1e-12))
+    tracker = RunningWindowSup(traj.t0, traj.h, profile)
+    sups = np.empty_like(values)
+    for k, v in enumerate(values):
+        tracker.push(float(v))
+        sups[k] = tracker.sup(k)
+    contact = (sups - values) <= TRACE_TOL * np.maximum(1.0, np.abs(sups))
+    contact[:start_idx] = False
+    return LyapunovTrace(functional_id=functional_id.lower(), times=times, values=values,
+                         window_sups=sups, contact_mask=contact, start_index=start_idx,
+                         norms=_norm_series(traj.states, "two"))
+
+
+def _loop_contact_point_decrease(trace, traj, zero_tol=1e-9):
+    values = trace.values
+    out = []
+    for k in np.nonzero(trace.contact_mask)[0]:
+        if k <= max(0, trace.start_index) or k >= len(values) - 1:
+            continue
+        if trace.functional_id in _PHASE2_IDS and trace.norms[k] <= zero_tol:
+            continue
+        dv = (values[k + 1] - values[k - 1]) / (2.0 * traj.h)
+        out.append(ContactPoint(time=float(trace.times[k]), dV_dt=float(dv), ok=dv < DERIV_TOL))
+    return out
+
+
+def _loop_detect_phases(traj, profile, norm, eps2, zero_tol=1e-9, start_time=0.0):
+    times = traj.times
+    norms = _norm_series(traj.states, norm)
+    series = norms ** 2 if norm == "two" else norms
+    tracker = RunningWindowSup(traj.t0, traj.h, profile)
+    T1, t1_idx = math.inf, None
+    for k, v in enumerate(series):
+        tracker.push(float(v))
+        if times[k] >= start_time and tracker.sup(k) <= 1.0:
+            t1_idx, T1 = k, float(times[k])
+            break
+    above = np.nonzero(norms > zero_tol)[0]
+    if above.size == 0:
+        T_settle, settle_idx = float(times[0]), 0
+    elif above[-1] == len(norms) - 1:
+        T_settle, settle_idx = math.inf, len(norms) - 1
+    else:
+        settle_idx = above[-1] + 1
+        T_settle = float(times[settle_idx])
+    violations = 0
+    if t1_idx is not None:
+        hi = settle_idx if math.isfinite(T_settle) else len(norms) - 1
+        ts, ns = times[t1_idx + 1:hi + 1], norms[t1_idx + 1:hi + 1]
+        violations = int((ns > 1.0 - eps2 * (ts - T1) + ENVELOPE_TOL).sum())
+    return PhaseReport(T1=T1, T_settle=T_settle, envelope_violations=violations,
+                       eps2=eps2, norm=norm)
+
+
+def _assert_monitors_match_loops(traj, profile, fids, rate, **kw):
+    """Each functional's trace and contact points, and each norm's phases,
+    equal the loop versions' exactly.  Returns the number of contact points."""
+    n_contacts = 0
+    for fid in fids:
+        for start in (None, 0.0):
+            got = trace_functional(traj, fid, rate, profile, start_time=start, **kw)
+            want = _loop_trace_functional(traj, fid, rate, profile, start_time=start, **kw)
+            assert got.values.tobytes() == want.values.tobytes(), fid
+            assert got.window_sups.tobytes() == want.window_sups.tobytes(), fid
+            assert got.contact_mask.tobytes() == want.contact_mask.tobytes(), fid
+            assert got.start_index == want.start_index
+            contacts = contact_point_decrease(got, traj)
+            assert contacts == _loop_contact_point_decrease(want, traj), fid
+            n_contacts += len(contacts)
+    for norm in ("two", "one", "inf"):
+        for start in (0.0, 1.0):
+            got = detect_phases(traj, profile, norm, 0.09, start_time=start)
+            assert got == _loop_detect_phases(traj, profile, norm, 0.09, start_time=start)
+    return n_contacts
+
+
+_NORM_IDS = {"two": ("v1", "v2"), "one": ("v5", "v6"), "inf": ("v7", "v8")}
+_ADAPTIVE_IDS = {"two": ("v3", "v4"), "one": ("vbar5", "vbar6"), "inf": ("vbar7", "vbar8")}
+
+
+@pytest.mark.parametrize("norm", ["two", "one", "inf"])
+def test_monitors_match_the_loop_versions_on_example1(norm):
+    res = run_example1(norm=norm)
+    assert res.phases == _loop_detect_phases(res.traj, res.profile, norm, res.eps2,
+                                             start_time=res.rate.default_monitor_start)
+    assert _assert_monitors_match_loops(res.traj, res.profile, _NORM_IDS[norm], res.rate,
+                                        eps2=res.eps2) > 0
+
+
+@pytest.mark.parametrize("norm", ["two", "one", "inf"])
+def test_monitors_match_the_loop_versions_on_adaptive_example1(norm):
+    res = run_example1_adaptive(norm=norm)
+    assert res.phases == _loop_detect_phases(res.traj, res.profile, norm, res.eps2,
+                                             start_time=res.rate.default_monitor_start)
+    c3, c4 = res.traj.gains[-1].tolist()
+    kw = dict(eps2=res.eps2, gain_stars={"c3": c3, "c4": c4},
+              rates={"d1": 0.1, "d2": 0.1, "d3": 0.1})
+    fids = _NORM_IDS[norm] + _ADAPTIVE_IDS[norm]
+    assert _assert_monitors_match_loops(res.traj, res.profile, fids, res.rate, **kw) > 0
+
+
+def test_monitors_match_the_loop_versions_on_the_lorenz_vbar1_trace():
+    err = run_example2("adaptive", horizon=5.0).sync.error
+    xi = left_eigenvector(LORENZ_A)
+    assert _assert_monitors_match_loops(err, DelayProfile.pairwise_sin(3), ("vbar1",),
+                                        RATE, xi=xi) > 0
+
+
+def test_monitor_replays_without_the_running_deque(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "example1_adaptive"]) == 0   # the hook pushes each step
+    pushes = []
+    push = RunningWindowSup.push
+    monkeypatch.setattr(RunningWindowSup, "push",
+                        lambda tracker, value: pushes.append(value) or push(tracker, value))
+    assert main(["monitor", "example1_adaptive", "trajectory.csv", "--out", "mon.csv"]) == 0
+    assert pushes == []

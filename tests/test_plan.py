@@ -19,7 +19,7 @@ from fintstab.delays import DelayProfile
 from fintstab.integrate import (BlockRows, DelayPlan, HistoryTrajectory,
                                 HistoryWindowError, IntegratorConfig, RunningWindowSup,
                                 delayed_linear_rhs, diag_cols, grid_rows,
-                                integrate)
+                                integrate, window_sups)
 
 from test_integrate import window_sup   # the O(window) brute-force reference
 
@@ -224,6 +224,67 @@ def test_running_window_sup_matches_window_sup(profile, grid, n):
         assert tracker.sup(k) == window_sup(traj, t0 + k * h, profile, lambda x: float(x[0]))
 
 
+def _deque_sups(values, t0, h, profile):
+    """The reference for window_sups: RunningWindowSup pushed one value at a time."""
+    tracker = RunningWindowSup(t0, h, profile)
+    out = []
+    for k, v in enumerate(values.tolist()):
+        tracker.push(v)
+        out.append(tracker.sup(k))
+    return np.array(out)
+
+
+@st.composite
+def window_series(draw):
+    """A grid (t0 may be nonzero), a profile, and a series of plateaus drawn
+    from a few levels (repeated maxima) with exact zeros of either sign."""
+    h, t0 = draw(grids)
+    lag = st.sampled_from([0.0, 0.3, 0.5, 1.0, 2.5]).map(lambda f: DelayProfile.constant(f * h))
+    # the window's left end t - a*h*(1 + sin(t/h)) steps back now and then:
+    # the deque's left edge then holds at its furthest point so far
+    wavy = st.floats(0.5, 3.0).map(
+        lambda a: DelayProfile.custom(envelope=lambda t: a * h * (1.0 + math.sin(t / h))))
+    profile = draw(st.one_of(profiles(), sin_envelopes(), lag,   # lags of 0 and under a step
+                             wavy, st.just(DelayProfile.pairwise_sin(3))))
+    n = draw(st.integers(1, 300) | st.integers(1, 2 * integ.WINDOW_CHUNK + 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    levels = rng.normal(size=draw(st.sampled_from([1, 3, 8, n])))
+    values = np.repeat(rng.choice(levels, n), rng.integers(1, 30, n))[:n]
+    values[rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.5]))] = 0.0
+    values[rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.5]))] = -0.0
+    return t0, h, profile, values
+
+
+# examples from the hypothesis profile: more, derandomised, under --hypothesis-profile=ci
+@settings(deadline=None)
+@given(window_series(), st.sampled_from([5, integ.PLAN_BLOCK, None]))
+def test_window_sups_match_the_running_deque_bitwise(case, chunk):
+    t0, h, profile, values = case
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:   # short fill runs, so that short series cross them
+            mp.setattr(integ, "WINDOW_CHUNK", chunk)
+        got = window_sups(values, t0, h, profile)
+    assert got.tobytes() == _deque_sups(values, t0, h, profile).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, integ.WINDOW_CHUNK, 2 * integ.WINDOW_CHUNK + 1])
+@pytest.mark.parametrize("profile", [DelayProfile.proportional(0.5), DelayProfile.constant(0.0),
+                                     DelayProfile.constant(0.0125)])
+def test_window_sups_across_fill_chunks(n, profile):
+    # h = 0.01 makes the constant lag 1.25 steps
+    values = np.abs(np.sin(0.003 * np.arange(n))).round(2)
+    got = window_sups(values, 0.5, 0.01, profile)
+    assert got.tobytes() == _deque_sups(values, 0.5, 0.01, profile).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_window_sups_reject_non_finite_values(bad):
+    values = np.ones(10)
+    values[6] = bad
+    with pytest.raises(ValueError, match="non-finite value .* at row 6"):
+        window_sups(values, 0.0, 0.1, DelayProfile.proportional(0.5))
+
+
 def _history(dim):
     return lambda t: np.array([math.sin(3.0 * t + i) for i in range(dim)])
 
@@ -326,15 +387,16 @@ def assert_tiled(cuts):
 
 def test_static_example1_builds_each_block_once():
     # delayed_linear_rhs builds a block's rows with one values call; the
-    # monitors' window sups (RunningWindowSup) build theirs without one
+    # monitors' window sups fill whole envelope runs and cut no block
     doc = dict(EXAMPLE1, integrator={"horizon": 2.0, "h": 1e-3})
     with count_blocks() as (cuts, counts):
         res = run(load_config(doc))
     n_steps = res.traj.states.shape[0] - 1
     steps = cuts[res.traj.plan]
+    assert list(cuts) == [res.traj.plan]
     assert steps[0][0] == 0 and steps[-1][1] >= n_steps
     assert counts["values"] == len(steps) < n_steps // 50
-    assert counts["make"] == assert_tiled(cuts) > len(steps)
+    assert counts["make"] == assert_tiled(cuts) == len(steps)
 
 
 def test_running_window_sup_builds_each_block_once():
