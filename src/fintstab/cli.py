@@ -216,7 +216,7 @@ def run(cfg: ExperimentConfig):
     rhs = delayed_linear_rhs(sysb["c1"], sysb["c2"], cfg.delay, control=control)
     traj = integrate(rhs, np.asarray(sysb["initial_state"], dtype=float), cfg.delay, icfg,
                      gain_hook=hook)
-    del hook, control, rhs   # the hook's window keeps a float a step: free it for the replay
+    del hook, control, rhs   # the hook's window holds 8 bytes a step: free it for the replay
     return certify(cfg, traj)
 
 

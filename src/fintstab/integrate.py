@@ -13,6 +13,7 @@ band is set to exactly 0, emulating the ideal sliding mode.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -326,11 +327,13 @@ class RunningWindowSup:
     Both window ends are nondecreasing in t, so a monotone deque gives O(1)
     amortised updates.  The left boundary contributes the series' linear
     interpolant at t - pi(t), read from an envelope DelayPlan; values before
-    t0 take the series value at t0 (constant pre-history).
+    t0 take the series value at t0 (constant pre-history).  The pushed values
+    are kept as C doubles, 8 bytes a step: an unbounded delay's window may
+    reach back to any of them.
     """
 
     def __init__(self, t0: float, h: float, profile: DelayProfile):
-        self.values: list = []
+        self.values = array("d")
         self._dq: deque = deque()  # indices, values strictly decreasing
         self._left = BlockRows(DelayPlan(profile, t0, h, envelope=True), _window_rows)
 
@@ -358,7 +361,12 @@ def _window_rows(blk: _PlanBlock) -> list:
                     w.tolist()))
 
 
-WINDOW_CHUNK = 4096  # envelope rows filled at a time: a fill's temporaries stay this size
+ROW_CHUNK = 4096  # rows a whole-series pass takes at a time: its temporaries stay this size
+
+
+def row_chunks(n: int) -> list:
+    """Slices of ROW_CHUNK rows (read at call time) that cover rows 0..n-1 in order."""
+    return [slice(s, min(s + ROW_CHUNK, n)) for s in range(0, n, ROW_CHUNK)]
 
 
 def window_sups(values, t0: float, h: float, profile: DelayProfile) -> np.ndarray:
@@ -366,7 +374,7 @@ def window_sups(values, t0: float, h: float, profile: DelayProfile) -> np.ndarra
     O(n log n) NumPy work and O(n) memory.
 
     The envelope rows come from aligned `DelayPlan._fill` runs of
-    WINDOW_CHUNK steps: offline every value is known, so no complete blocks
+    ROW_CHUNK steps: offline every value is known, so no complete blocks
     are cut.  The deque's window is [H_k, k] with H_k the running max of the
     rows' hi; its max is the larger of two power-of-two ranges of a sparse
     table (Bender & Farach-Colton, LATIN 2000), built one level at a time
@@ -387,7 +395,7 @@ def window_sups(values, t0: float, h: float, profile: DelayProfile) -> np.ndarra
     bound = np.empty(n)                 # the left boundary's interpolant
     start = 0
     while start < n:
-        blk = plan._fill(start, min(start - start % WINDOW_CHUNK + WINDOW_CHUNK, n))
+        blk = plan._fill(start, min(start - start % ROW_CHUNK + ROW_CHUNK, n))
         lo, hi, w = blk.lo[:, 0], blk.hi[:, 0], blk.w[:, 0]
         bound[start:blk.stop] = (1.0 - w) * v[lo] + w * v[hi]
         left[start:blk.stop] = hi

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .delays import DelayProfile, RateFunction
-from .integrate import HistoryTrajectory, window_sups
+from .integrate import HistoryTrajectory, row_chunks, window_sups
 
 TRACE_TOL = 1e-9      # relative near-equality tolerance for contact detection
 DERIV_TOL = 1e-6      # absolute slack on the contact-point derivative
@@ -79,14 +79,32 @@ class PhaseReport:
     norm: str
 
 
+# state term -> its value on a block of rows, one float a row: the squared
+# 2-norm, the w-weighted squared 2-norm, the 1-norm and the inf-norm
+_ROW_TERMS = {
+    "two": lambda x, w: (x ** 2).sum(axis=1),
+    "xi": lambda x, w: (x ** 2 * w).sum(axis=1),
+    "one": lambda x, w: np.abs(x).sum(axis=1),
+    "inf": lambda x, w: np.abs(x).max(axis=1),
+}
+
+
+def _row_series(states: np.ndarray, term: str, w: Optional[np.ndarray] = None) -> np.ndarray:
+    """A `_ROW_TERMS` term of every row, reduced `row_chunks` at a time into
+    the output: no temporary outgrows one chunk of rows, and each row's
+    arithmetic is that of the one-shot array formula."""
+    reduce = _ROW_TERMS[term]
+    out = np.empty(states.shape[0])
+    for rows in row_chunks(states.shape[0]):
+        out[rows] = reduce(states[rows], w)
+    return out
+
+
 def _norm_series(states: np.ndarray, norm: str) -> np.ndarray:
-    if norm == "two":
-        return np.sqrt((states ** 2).sum(axis=1))
-    if norm == "one":
-        return np.abs(states).sum(axis=1)
-    if norm == "inf":
-        return np.abs(states).max(axis=1)
-    raise ValueError(f"unknown norm {norm!r}")
+    if norm not in ("two", "one", "inf"):
+        raise ValueError(f"unknown norm {norm!r}")
+    out = _row_series(states, norm)
+    return np.sqrt(out, out=out) if norm == "two" else out
 
 
 def _gain_series(traj: HistoryTrajectory, name: str) -> np.ndarray:
@@ -125,13 +143,15 @@ def functional_series(traj: HistoryTrajectory, functional_id: str,
         raise ValueError(f"{fid} requires lam_abs")
 
     times, states = traj.times, traj.states
-    if term == "two":
-        value = (states ** 2).sum(axis=1)
-    elif term == "xi":
-        w = np.repeat(np.asarray(xi, dtype=float), states.shape[1] // xi.shape[0])
-        value = (states ** 2 * w).sum(axis=1)
-    else:
-        value = _norm_series(states, term)
+    w = None
+    if term == "xi":
+        xi = np.asarray(xi, dtype=float)
+        width = states.shape[1]
+        if xi.size == 0 or width % xi.size:
+            raise ValueError(f"xi has {xi.size} entries, which does not divide the "
+                             f"state width {width}")
+        w = np.repeat(xi, width // xi.size)
+    value = _row_series(states, term, w)   # "two" and "xi" squared, as phase 1 weights them
     if phase == 1:
         with np.errstate(over="ignore"):
             mu = np.asarray(rate.mu(times), dtype=float)

@@ -27,7 +27,8 @@ from .conditions import _validate_coupling_matrix
 from .control import (NetworkAdaptiveHook, NetworkControlSpec, _add_full_node,
                       _add_pinning, _sgn)
 from .delays import DelayProfile
-from .integrate import BlockRows, HistoryTrajectory, IntegratorConfig, integrate
+from .integrate import (BlockRows, HistoryTrajectory, IntegratorConfig, integrate,
+                        row_chunks)
 
 _flat = itertools.chain.from_iterable  # rows -> their floats, row by row
 
@@ -219,19 +220,26 @@ def simulate_sync(exp: SyncExperiment) -> SyncResult:
         cfg = replace(cfg, zero_band=exp.control.theta3 * cfg.h)
     e0 = exp.response_init.ravel() - drive.states[0]
     error = integrate(rhs, e0, model.delays, cfg, gain_hook=hook)
-    response = HistoryTrajectory.from_arrays(drive.t0, drive.h, drive.states + error.states)
+    response = HistoryTrajectory(drive.t0, drive.h, exp.response_init.ravel(), error._filled)
+    np.add(drive.states, error.states, out=response._states)   # written once, in place
+    response._filled = error._filled
     return SyncResult(drive=drive, response=response, error=error,
                       gain_names=error.gain_names)
 
 
 def error_index_series(drive: HistoryTrajectory, response: HistoryTrajectory,
                        N: int, n: int):
-    """Vectorised (E1, E2, ||E||_2) series over the whole shared grid."""
+    """(E1, E2, ||E||_2) series over the shared grid, reduced `row_chunks` at
+    a time into the three outputs: no temporary outgrows one chunk of rows,
+    and each row's arithmetic is that of the one-shot array formula."""
     X = drive.states.reshape(-1, N, n)
     Y = response.states.reshape(-1, N, n)
-    e1 = np.linalg.norm(X[:, 1:] - X[:, :1], axis=2).sum(axis=1)
-    e2 = np.linalg.norm(Y[:, 1:] - Y[:, :1], axis=2).sum(axis=1)
-    outer = np.sqrt(((Y - X) ** 2).sum(axis=(1, 2)))
+    e1, e2, outer = np.empty(len(X)), np.empty(len(X)), np.empty(len(X))
+    for rows in row_chunks(len(X)):
+        x, y = X[rows], Y[rows]
+        e1[rows] = np.linalg.norm(x[:, 1:] - x[:, :1], axis=2).sum(axis=1)
+        e2[rows] = np.linalg.norm(y[:, 1:] - y[:, :1], axis=2).sum(axis=1)
+        outer[rows] = np.sqrt(((y - x) ** 2).sum(axis=(1, 2)))
     return e1, e2, outer
 
 

@@ -246,7 +246,7 @@ def window_series(draw):
         lambda a: DelayProfile.custom(envelope=lambda t: a * h * (1.0 + math.sin(t / h))))
     profile = draw(st.one_of(profiles(), sin_envelopes(), lag,   # lags of 0 and under a step
                              wavy, st.just(DelayProfile.pairwise_sin(3))))
-    n = draw(st.integers(1, 300) | st.integers(1, 2 * integ.WINDOW_CHUNK + 50))
+    n = draw(st.integers(1, 300) | st.integers(1, 2 * integ.ROW_CHUNK + 50))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     levels = rng.normal(size=draw(st.sampled_from([1, 3, 8, n])))
     values = np.repeat(rng.choice(levels, n), rng.integers(1, 30, n))[:n]
@@ -262,12 +262,12 @@ def test_window_sups_match_the_running_deque_bitwise(case, chunk):
     t0, h, profile, values = case
     with pytest.MonkeyPatch.context() as mp:
         if chunk is not None:   # short fill runs, so that short series cross them
-            mp.setattr(integ, "WINDOW_CHUNK", chunk)
+            mp.setattr(integ, "ROW_CHUNK", chunk)
         got = window_sups(values, t0, h, profile)
     assert got.tobytes() == _deque_sups(values, t0, h, profile).tobytes()
 
 
-@pytest.mark.parametrize("n", [1, integ.WINDOW_CHUNK, 2 * integ.WINDOW_CHUNK + 1])
+@pytest.mark.parametrize("n", [1, integ.ROW_CHUNK, 2 * integ.ROW_CHUNK + 1])
 @pytest.mark.parametrize("profile", [DelayProfile.proportional(0.5), DelayProfile.constant(0.0),
                                      DelayProfile.constant(0.0125)])
 def test_window_sups_across_fill_chunks(n, profile):
