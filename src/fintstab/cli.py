@@ -20,16 +20,15 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .conditions import (ConditionReport, NetworkConditionParams,
-                         check_scalar_theorem, left_eigenvector,
-                         check_network_theorem, settling_bound)
+from .conditions import (ConditionReport, check_network_theorem, check_scalar_theorem,
+                         left_eigenvector, settling_bound)
 from .config import ConfigError, ExperimentConfig, adaptive_hook, load_config
 from .control import static_scalar_control
 from .delays import DelayProfile, NoClosedFormError, RateFunction, asymptotics
 from .integrate import (DivergenceError, HistoryTrajectory, delayed_linear_rhs,
                         integrate)
 from .monitors import _gain_series, contact_point_decrease, detect_phases, trace_functional
-from .network import LORENZ_A, error_index_series, lorenz_preset, simulate_sync
+from .network import error_index_series, lorenz_preset, simulate_sync
 
 _FMT = "%.17g"
 _CHUNK = 4096  # CSV rows formatted per % operation
@@ -134,22 +133,15 @@ def _lorenz(cfg: ExperimentConfig, hook=None):
 def condition_reports(cfg: ExperimentConfig,
                       norms: Sequence[str] = ("two", "one", "inf")) -> List[ConditionReport]:
     """One condition report per norm for a scalar config's static gains, or
-    the Lorenz preset's full-node (or pinning) condition with the configured
-    control.  Raises NoClosedFormError when (beta, eta) have no closed form."""
+    `check_network_theorem` of the config's network under its control.
+    Raises NoClosedFormError when (beta, eta) have no closed form."""
     eps1 = cfg.monitor["eps1"]
     beta, eta = asymptotics(cfg.rate, cfg.delay)
     if cfg.kind == "scalar":
         m = len(cfg.system["initial_state"])
         return [check_scalar_theorem(cfg.gains, m, beta, eta, norm=n, eps1=eps1)
                 for n in norms]
-    model, control = _lorenz(cfg).model, cfg.control
-    params = NetworkConditionParams(
-        L_f=model.L_f, L_g=model.L_g, theta1=model.theta1, theta2=model.theta2,
-        theta3=control.theta3, N=model.N, n=model.n,
-        B=model.B, xi=left_eigenvector(model.A), beta=beta, eta=eta,
-        theta4=control.theta4, sigma=control.sigma, A=model.A)
-    variant = "pinning" if control.kind == "pinning" else "full"
-    return [check_network_theorem(params, variant=variant, eps1=eps1)]
+    return [check_network_theorem(_lorenz(cfg).model, cfg.control, beta, eta, eps1=eps1)]
 
 
 def _monitor_start(cfg: ExperimentConfig) -> float:
@@ -398,7 +390,7 @@ def _cmd_monitor(args) -> int:
                          f"(was it written with output.stride > 1?)")
     cert = certify(cfg, traj)
     functional, xi = (("v1", None) if cfg.kind == "scalar"
-                      else ("vbar1", left_eigenvector(LORENZ_A)))
+                      else ("vbar1", left_eigenvector(_lorenz(cfg).model.A)))
     trace = trace_functional(cert.traj, functional, cfg.rate, cert.profile, xi=xi,
                              start_time=_monitor_start(cfg))
     contacts = contact_point_decrease(trace, cert.traj)

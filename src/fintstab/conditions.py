@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .control import StaticScalarGains
+from .control import NetworkControlSpec, StaticScalarGains
+
+if TYPE_CHECKING:
+    from .network import NetworkModel
 
 METZLER_TOL = 1e-12
 
@@ -134,7 +137,7 @@ def lambda_max_sym(A: np.ndarray, xi: np.ndarray, sigma: float = 1.0,
     """Largest eigenvalue of the symmetric part of Xi*M.
 
     tilde: M = A - diag(sigma, 0, ..., 0) (pinned coupling)
-    hat:   M = theta1*A + theta4*I        (full-node feedback)
+    hat:   M = theta1*A - theta4*I        (full-node feedback, as integrated)
     """
     A = np.asarray(A, dtype=float)
     xi = np.asarray(xi, dtype=float)
@@ -144,7 +147,7 @@ def lambda_max_sym(A: np.ndarray, xi: np.ndarray, sigma: float = 1.0,
         M = A.copy()
         M[0, 0] -= sigma
     elif which == "hat":
-        M = theta1 * A + theta4 * np.eye(A.shape[0])
+        M = theta1 * A - theta4 * np.eye(A.shape[0])
     else:
         raise ValueError(f"unknown variant {which!r}")
     XiM = xi[:, None] * M
@@ -152,67 +155,52 @@ def lambda_max_sym(A: np.ndarray, xi: np.ndarray, sigma: float = 1.0,
     return float(np.linalg.eigvalsh(S)[-1])
 
 
-@dataclass
-class NetworkConditionParams:
-    L_f: float
-    L_g: float
-    theta1: float
-    theta2: float
-    theta3: float
-    N: int
-    n: int
-    B: np.ndarray
-    xi: np.ndarray
-    beta: float
-    eta: float
-    theta4: float = 0.0
-    sigma: float = 1.0
-    A: Optional[np.ndarray] = None
-
-
-def check_network_theorem(params: NetworkConditionParams, variant: str = "pinning",
+def check_network_theorem(model: "NetworkModel", control: NetworkControlSpec,
+                          beta: float, eta: float,
                           eps1: Optional[float] = None) -> ConditionReport:
-    """Feasibility of the network synchronization theorems.
+    """Feasibility of the outer-synchronization theorem for the network
+    `model` under `control`: pinning control takes the pinned-coupling
+    condition, full-node control (and none, with theta3 = theta4 = 0) the
+    full-node one.
 
     lhs = beta + 2 L_f + th2 bmax N eps1 + 2 lam + th2 bmax N^2 n L_g^2
           / (eps1 min_i xi_i) * (1+eta)
-    with lam = theta1 * lambda_max({Xi Atilde}^s) for pinning and
-    lam = lambda_max({Xi Ahat}^s) for full-node control; the sign condition
-    is th2 bmax N L_g - theta3 < 0.
+    with xi the left eigenvector of A, lam = theta1 * lambda_max({Xi Atilde}^s)
+    for pinning and lam = lambda_max({Xi Ahat}^s) for full-node control; the
+    sign condition is th2 bmax N L_g - theta3 < 0.
     """
     if eps1 is not None and not eps1 > 0.0:
         raise ValueError(f"eps1 must be > 0, got {eps1}")
-    B = np.asarray(params.B, dtype=float)
-    bmax = float(np.abs(B).max())
-    xi_min = float(np.asarray(params.xi).min())
-    N, n = params.N, params.n
+    xi = left_eigenvector(model.A)
+    bmax = float(np.abs(model.B).max())
+    xi_min = float(xi.min())
+    N, n, theta2 = model.N, model.n, model.theta2
+    variant = "pinning" if control.kind == "pinning" else "full"
     if variant == "pinning":
-        lam_term = 2.0 * params.theta1 * lambda_max_sym(
-            params.A, params.xi, sigma=params.sigma, which="tilde")
-    elif variant == "full":
-        lam_term = 2.0 * lambda_max_sym(params.A, params.xi, theta1=params.theta1,
-                                        theta4=params.theta4, which="hat")
+        lam_term = 2.0 * model.theta1 * lambda_max_sym(model.A, xi, sigma=control.sigma,
+                                                       which="tilde")
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        lam_term = 2.0 * lambda_max_sym(model.A, xi, theta1=model.theta1,
+                                        theta4=control.theta4, which="hat")
 
-    base = params.beta + 2.0 * params.L_f + lam_term
-    if params.theta2 == 0.0 or bmax == 0.0:
+    base = beta + 2.0 * model.L_f + lam_term
+    if theta2 == 0.0 or bmax == 0.0:
         lhs = base
         eps_opt = math.nan
     else:
-        a = params.theta2 * bmax * N
-        b = params.theta2 * bmax * N ** 2 * n * params.L_g ** 2 * (1.0 + params.eta) / xi_min
+        a = theta2 * bmax * N
+        b = theta2 * bmax * N ** 2 * n * model.L_g ** 2 * (1.0 + eta) / xi_min
         eps_opt, min_term = optimal_eps1(a, b)
         lhs = base + (min_term if eps1 is None else a * eps1 + b / eps1)
 
-    sign_margin = params.theta3 - params.theta2 * bmax * N * params.L_g
+    sign_margin = control.theta3 - theta2 * bmax * N * model.L_g
     feasible = lhs < 0.0 and sign_margin > 0.0
     return ConditionReport(theorem_id=f"network_{variant}", lhs=lhs,
                            feasible=feasible, eps1_optimal=eps_opt,
                            epsilon2_max=sign_margin,
                            details={"lambda_term": lam_term, "bmax": bmax,
                                     "xi_min": xi_min,
-                                    "theta3_required": params.theta2 * bmax * N * params.L_g})
+                                    "theta3_required": theta2 * bmax * N * model.L_g})
 
 
 def settling_bound(report: ConditionReport, T1: float, kappa: float = 0.9) -> float:

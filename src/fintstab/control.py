@@ -137,10 +137,9 @@ class AdaptiveHook:
 
     Tracks the switching functional's window sup incrementally and exposes
     the protocol `integrate` expects (names / gains / sign_gain / step).
-    The gains are held as Python floats, which `sign_gain` and the control
-    laws read; `gains` is one float array in `names` order that `step`
-    updates in place, once per step, from them, and the integrator records.
-    Writing into `gains` does not change the gains.  Gains start at 0.
+    `gains` is the one list of the gains, Python floats in `names` order:
+    `step` updates it in place once per step, the integrator records it, and
+    `sign_gain` and the control laws read it.  Gains start at 0.
     """
 
     def __init__(self, names, lin: int, rates, rate: RateFunction,
@@ -153,8 +152,7 @@ class AdaptiveHook:
         self.rate = rate
         self.profile = profile
         self.zero_tol = zero_tol
-        self._g = [0.0, 0.0]
-        self.gains = np.zeros(2)
+        self.gains = [0.0, 0.0]
         self.mode = MODE_ABOVE_ONE
         self._functional = _NORM_FUNCS[norm]
         self._squared = _NORM_SQUARED[norm]
@@ -167,7 +165,7 @@ class AdaptiveHook:
 
     @property
     def sign_gain(self) -> float:
-        return self._g[self._sign]
+        return self.gains[self._sign]
 
     def step(self, t: float, x: np.ndarray, traj: HistoryTrajectory):
         if self._tracker is None:
@@ -183,10 +181,9 @@ class AdaptiveHook:
         self._tracker.push(value)
         d_lin, d_sign, self.mode = gain_rates(value, self.rate.mu(t), self._tracker.sup(k),
                                               self.rates, self._squared, self.zero_tol)
-        g = self._g
+        g = self.gains
         g[self._lin] += traj.h * d_lin
         g[self._sign] += traj.h * d_sign
-        self.gains[0], self.gains[1] = g
 
 
 # The subclasses bind `step` in their own bodies: the bench's tracer looks the
@@ -203,7 +200,7 @@ class ScalarAdaptiveHook(AdaptiveHook):
         super().__init__(("c3", "c4"), 1, (d2, d3, d1), rate, profile, norm, zero_tol)
 
     def control(self, t, p) -> list:
-        c3, c4 = self._g
+        c3, c4 = self.gains
         return _sign_law(p, c3, c4)
 
 

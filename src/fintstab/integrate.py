@@ -129,8 +129,10 @@ class DelayPlan:
     whatever the horizon; custom profiles evaluate the profile once per time.
     `row` hands a run out in complete blocks: a block starting at step s
     ends before its first row that reads past row s, so every row a block
-    reads is recorded once step s is reached.  A row that looks past its own
-    step raises HistoryWindowError when it is read.
+    reads is recorded once step s is reached.  An envelope plan's block runs
+    to the end of the aligned run instead: its one reader, `RunningWindowSup`,
+    reads row r only at step r, after value r is pushed.  A row that looks
+    past its own step raises HistoryWindowError when it is read.
     """
 
     def __init__(self, profile: DelayProfile, t0: float, h: float, envelope: bool = False):
@@ -162,8 +164,8 @@ class DelayPlan:
         return _PlanBlock(start, times, lo, hi, w, hi.max(axis=1))
 
     def row(self, k: int) -> _PlanBlock:
-        """The complete block starting at step k: rows from k up to, not
-        including, the first that reads past row k."""
+        """The block starting at step k: rows from k up to, not including, the
+        first that reads past row k (an envelope plan's: to the run's end)."""
         run = self._run
         if run is None or not run.start <= k < run.stop:
             start = k - k % PLAN_BLOCK
@@ -171,9 +173,11 @@ class DelayPlan:
             if k >= run.stop:  # truncated before k: raises on its first bad row
                 run = self._fill(run.stop, start + PLAN_BLOCK)
             self._run = run
-        i = k - run.start
-        ahead = run.reach[i:] > k
-        j = i + int(ahead.argmax()) if ahead.any() else len(run.reach)
+        i, j = k - run.start, len(run.reach)
+        if not self.envelope:
+            ahead = run.reach[i:] > k
+            if ahead.any():
+                j = i + int(ahead.argmax())
         return _PlanBlock(k, run.times[i:j], run.lo[i:j], run.hi[i:j], run.w[i:j],
                           run.reach[i:j])
 
@@ -326,7 +330,8 @@ class RunningWindowSup:
 
     Both window ends are nondecreasing in t, so a monotone deque gives O(1)
     amortised updates.  The left boundary contributes the series' linear
-    interpolant at t - pi(t), read from an envelope DelayPlan; values before
+    interpolant at t - pi(t), read from an envelope DelayPlan one aligned
+    run of PLAN_BLOCK rows at a time, whatever the delay; values before
     t0 take the series value at t0 (constant pre-history).  The pushed values
     are kept as C doubles, 8 bytes a step: an unbounded delay's window may
     reach back to any of them.
@@ -483,10 +488,10 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     the current step start.  The step k call sees traj._filled == k, so it
     can read row k of `traj.plan`: the DelayPlan of `profile` on this grid,
     built here once per call.
-    `gain_hook`, when given, is an object with attributes `names`, `gains`,
-    `sign_gain` and a method `step(t, x, traj)`; it is invoked once per
-    accepted step, after the rhs and with the same `x`, and its gain
-    trajectory is recorded alongside the states.
+    `gain_hook`, when given, is an object with attributes `names`, `gains`
+    (one value per name), `sign_gain` and a method `step(t, x, traj)`; it is
+    invoked once per accepted step, after the rhs and with the same `x`, and
+    its gains are recorded alongside the states.
     """
     x0 = np.atleast_1d(np.asarray(initial_state, dtype=float))
     h, n_steps = config.h, config.n_steps

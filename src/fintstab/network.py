@@ -85,7 +85,6 @@ class SyncResult:
     drive: HistoryTrajectory      # the drive network, integrated without control
     response: HistoryTrajectory
     error: HistoryTrajectory
-    gain_names: tuple = ()
 
 
 def _node_cols(N: int, n: int) -> np.ndarray:
@@ -190,7 +189,7 @@ def _error_rhs(model: NetworkModel, drive: HistoryTrajectory,
         es = E.tolist()
         if hook is None:
             return _static_control(out, es, model, control)
-        lin, theta3 = hook._g
+        lin, theta3 = hook.gains
         if adapt_coupling:
             # coupling adaptation acts through the pinned matrix Atilde
             dl, ls = lin - theta1, lin * control.sigma
@@ -223,8 +222,7 @@ def simulate_sync(exp: SyncExperiment) -> SyncResult:
     response = HistoryTrajectory(drive.t0, drive.h, exp.response_init.ravel(), error._filled)
     np.add(drive.states, error.states, out=response._states)   # written once, in place
     response._filled = error._filled
-    return SyncResult(drive=drive, response=response, error=error,
-                      gain_names=error.gain_names)
+    return SyncResult(drive=drive, response=response, error=error)
 
 
 def error_index_series(drive: HistoryTrajectory, response: HistoryTrajectory,
@@ -311,8 +309,8 @@ def lorenz_preset(horizon: float = 20.0, h: float = 5e-4,
                          f=lorenz_rhs, g=sin_plus_linear,
                          L_f=lorenz_lipschitz_bound(), L_g=3.0,
                          delays=LORENZ_DELAYS)
-    cfg = IntegratorConfig(horizon=horizon, h=h, zero_band=None, zero_tol=1e-9)
     return SyncExperiment(model=model, drive_init=LORENZ_DRIVE_INIT.copy(),
                           response_init=LORENZ_RESPONSE_INIT.copy(),
                           control=control or NetworkControlSpec(kind="none"),
-                          integrator=cfg, adaptive_hook=adaptive_hook)
+                          integrator=IntegratorConfig(horizon=horizon, h=h),
+                          adaptive_hook=adaptive_hook)

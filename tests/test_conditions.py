@@ -1,16 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fintstab.conditions import (InfeasibleError, NetworkConditionParams,
-                                 adaptive_settling_bound,
+from fintstab.conditions import (InfeasibleError, adaptive_settling_bound,
                                  check_network_theorem, check_scalar_theorem,
                                  lambda_max_sym, left_eigenvector,
                                  optimal_eps1, settling_bound)
-from fintstab.control import StaticScalarGains
+from fintstab.control import NetworkControlSpec, StaticScalarGains
 from fintstab.delays import DelayProfile, RateFunction, asymptotics
-from fintstab.network import LORENZ_A, LORENZ_B
+from fintstab.integrate import DelayPlan, HistoryTrajectory
+from fintstab.network import (LORENZ_A, NetworkModel, _error_rhs, lorenz_preset,
+                              sin_plus_linear)
 
 ETA_HALF = 2 ** 0.1 - 1.0  # proportional q=0.5 with mu = t^0.1
 
@@ -144,43 +147,128 @@ def test_lambda_max_tilde_random_metzler():
 
 
 def test_lambda_max_hat_diagonal_case():
+    # M = theta1*A - theta4*I with theta1 = 0, theta4 = 1 is -I: Xi*M = -Xi
     xi = left_eigenvector(LORENZ_A)
     val = lambda_max_sym(LORENZ_A, xi, theta1=0.0, theta4=1.0, which="hat")
-    assert val == pytest.approx(xi.max(), rel=1e-12)
+    assert val == pytest.approx(-xi.min(), rel=1e-12)
 
 
-def _lorenz_params(theta3=10.0, theta4=0.0):
-    xi = left_eigenvector(LORENZ_A)
-    return NetworkConditionParams(L_f=60.0, L_g=3.0, theta1=0.1, theta2=1.0,
-                                  theta3=theta3, N=3, n=3, B=LORENZ_B, xi=xi,
-                                  beta=0.0, eta=ETA_HALF, theta4=theta4,
-                                  sigma=1.0, A=LORENZ_A)
+# the Lorenz preset's network with L_f = 60, beta = 0 and eta = ETA_HALF
+LORENZ_60 = replace(lorenz_preset().model, L_f=60.0)
+
+
+def _pinning(theta3=10.0):
+    return NetworkControlSpec(kind="pinning", theta3=theta3, sigma=1.0)
 
 
 def test_network_sign_condition_threshold():
-    rep = check_network_theorem(_lorenz_params(theta3=10.0), variant="pinning")
+    rep = check_network_theorem(LORENZ_60, _pinning(theta3=10.0), 0.0, ETA_HALF)
     assert rep.details["theta3_required"] == pytest.approx(9.0)
     assert rep.epsilon2_max == pytest.approx(1.0)
-    rep2 = check_network_theorem(_lorenz_params(theta3=9.0), variant="pinning")
+    rep2 = check_network_theorem(LORENZ_60, _pinning(theta3=9.0), 0.0, ETA_HALF)
     assert rep2.epsilon2_max == pytest.approx(0.0)
     assert not rep2.feasible
 
 
 def test_network_theta3_scaling():
     # theta3 enters only the sign condition, never the eps-condition lhs
-    a = check_network_theorem(_lorenz_params(theta3=10.0), variant="pinning")
-    b = check_network_theorem(_lorenz_params(theta3=20.0), variant="pinning")
+    a = check_network_theorem(LORENZ_60, _pinning(theta3=10.0), 0.0, ETA_HALF)
+    b = check_network_theorem(LORENZ_60, _pinning(theta3=20.0), 0.0, ETA_HALF)
     assert a.lhs == pytest.approx(b.lhs, rel=1e-14)
     assert a.epsilon2_max == pytest.approx(1.0)
     assert b.epsilon2_max == pytest.approx(11.0)
 
 
 def test_network_theta2_zero_drops_delay_terms():
-    params = _lorenz_params(theta3=1.0)
-    params.theta2 = 0.0
-    rep = check_network_theorem(params, variant="pinning")
+    model = replace(LORENZ_60, theta2=0.0)
+    rep = check_network_theorem(model, _pinning(theta3=1.0), 0.0, ETA_HALF)
     lam = rep.details["lambda_term"]
     assert rep.lhs == pytest.approx(0.0 + 2 * 60.0 + lam)
+
+
+def test_network_condition_variant_follows_the_control_kind():
+    ids = {kind: check_network_theorem(LORENZ_60, NetworkControlSpec(kind=kind, theta3=10.0),
+                                       0.0, ETA_HALF).theorem_id
+           for kind in ("pinning", "full", "none")}
+    assert ids == {"pinning": "network_pinning", "full": "network_full",
+                   "none": "network_full"}
+
+
+# -- the condition's linear term against the integrated error dynamics ---------
+
+def _zero_field(rows):
+    return [[0.0] * len(r) for r in rows]
+
+
+def _implemented_operator(model, control):
+    """The linear closed-loop operator L that `_error_rhs` integrates, probed
+    with f = 0 and theta2 = 0 on the unit error vectors.  Its sign feedback
+    is the same -theta3 sgn(e_j) at e_j and 2 e_j, so the difference of the
+    two rhs values is L's column j."""
+    probe = replace(model, f=_zero_field, theta2=0.0)
+    dim = model.N * model.n
+    drive = HistoryTrajectory(0.0, 0.01, np.zeros(dim), 1)
+    rhs = _error_rhs(probe, drive, control, None)
+
+    def at(e):
+        etraj = HistoryTrajectory(0.0, 0.01, e, 1)
+        etraj.plan = DelayPlan(model.delays, 0.0, 0.01)
+        return np.array(rhs(0.0, etraj.states[0], etraj))
+
+    return np.column_stack([at(2.0 * e) - at(e) for e in np.eye(dim)])
+
+
+def _implemented_lambda_term(model, control):
+    """2 lambda_max({(Xi x I_n) L}^s) of the implemented operator L."""
+    xi = left_eigenvector(model.A)
+    XL = np.kron(np.diag(xi), np.eye(model.n)) @ _implemented_operator(model, control)
+    return 2.0 * float(np.linalg.eigvalsh(0.5 * (XL + XL.T))[-1])
+
+
+def _assert_lambda_term_is_implemented(model, control):
+    rep = check_network_theorem(model, control, 0.0, ETA_HALF)
+    want = _implemented_lambda_term(model, control)
+    assert rep.details["lambda_term"] == pytest.approx(want, rel=1e-12)
+    return want
+
+
+def test_lambda_term_is_the_implemented_operator_on_the_lorenz_preset():
+    model = lorenz_preset().model
+    pin = _assert_lambda_term_is_implemented(
+        model, NetworkControlSpec(kind="pinning", theta3=10.0, sigma=2.0))
+    full = _assert_lambda_term_is_implemented(
+        model, NetworkControlSpec(kind="full", theta3=10.0, theta4=30.0))
+    assert pin == pytest.approx(-0.0186181, abs=1e-7)
+    assert full == pytest.approx(-10.16572, abs=1e-5)
+    _assert_lambda_term_is_implemented(model, NetworkControlSpec(kind="none"))
+
+
+@st.composite
+def irreducible_networks(draw):
+    """A drawn network: A Metzler with zero row sums, irreducible through a
+    ring of positive weights, plus random extra edges."""
+    N, n = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    weight = st.floats(0.1, 2.0)
+    A = np.array([[draw(weight) if j == (i + 1) % N or draw(st.booleans()) else 0.0
+                   for j in range(N)] for i in range(N)])
+    np.fill_diagonal(A, 0.0)
+    A -= np.diag(A.sum(axis=1))
+    B = np.array([[draw(st.floats(-1.0, 1.0)) for _ in range(N)] for _ in range(N)])
+    return NetworkModel(N=N, n=n, A=A, B=B, theta1=draw(st.floats(0.05, 2.0)),
+                        theta2=draw(st.floats(0.0, 2.0)), f=_zero_field,
+                        g=sin_plus_linear, L_f=1.0, L_g=3.0,
+                        delays=DelayProfile.constant(0.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(irreducible_networks(), st.floats(0.1, 10.0), st.floats(0.0, 50.0),
+       st.floats(0.0, 5.0))
+def test_lambda_term_is_the_implemented_operator_on_drawn_networks(model, sigma, theta4,
+                                                                   theta3):
+    _assert_lambda_term_is_implemented(
+        model, NetworkControlSpec(kind="pinning", theta3=theta3, sigma=sigma))
+    _assert_lambda_term_is_implemented(
+        model, NetworkControlSpec(kind="full", theta3=theta3, theta4=theta4))
 
 
 @pytest.mark.parametrize("eps1", [-1.0, 0.0])
@@ -194,9 +282,10 @@ def test_eps1_must_be_positive(eps1):
     for norm in ("two", "one", "inf"):
         with pytest.raises(ValueError, match="eps1 must be > 0"):
             check_scalar_theorem(g, 1, beta, eta, norm=norm, eps1=eps1)
-    for variant in ("pinning", "full"):
+    for kind in ("pinning", "full"):
         with pytest.raises(ValueError, match="eps1 must be > 0"):
-            check_network_theorem(_lorenz_params(), variant=variant, eps1=eps1)
+            check_network_theorem(LORENZ_60, NetworkControlSpec(kind=kind, theta3=10.0),
+                                  0.0, ETA_HALF, eps1=eps1)
     assert check_scalar_theorem(g, 1, beta, eta, eps1=1e-6).feasible is False
 
 

@@ -68,7 +68,7 @@ def _ref_error_rhs(model, base_traj, control, hook):
         gx = model.g(gbuf)
         out += model.theta2 * np.einsum("ij,ijk->ik", model.B, gx[0] - gx[1])
         if hook is not None:
-            g = dict(zip(hook.names, hook.gains.tolist()))
+            g = dict(zip(hook.names, hook.gains))
             if hook.variant == "theta1_theta3":
                 out += (g["theta1"] - model.theta1) * (model.A @ En)
                 out[0] -= g["theta1"] * control.sigma * En[0]

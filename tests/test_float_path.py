@@ -51,7 +51,7 @@ def _ref_static_scalar_control(p, gains):
 
 
 def _ref_hook_control(self, t, p):
-    c3, c4 = self.gains.tolist()
+    c3, c4 = self.gains
     return -np.sign(p) * (c3 + c4 * np.abs(p))
 
 
@@ -63,9 +63,10 @@ def _ref_hook_step(self, t, x, traj):
     self._tracker.push(value)
     d_lin, d_sign, self.mode = gain_rates(value, self.rate.mu(t), self._tracker.sup(k),
                                           self.rates, self._squared, self.zero_tol)
-    g = self.gains
+    g = np.array(self.gains)   # the update on a float64 array, written back
     g[self._lin] += traj.h * d_lin
     g[self._sign] += traj.h * d_sign
+    self.gains[:] = g.tolist()
 
 
 def _reference_run(doc):
@@ -77,7 +78,7 @@ def _reference_run(doc):
         mp.setattr(ScalarAdaptiveHook, "control", _ref_hook_control)
         mp.setattr(ScalarAdaptiveHook, "step", _ref_hook_step)
         mp.setattr(ScalarAdaptiveHook, "sign_gain",
-                   property(lambda self: self.gains.item(self._sign)))
+                   property(lambda self: self.gains[self._sign]))
         return _outcome(doc)
 
 
@@ -165,7 +166,7 @@ def test_both_controls_return_the_sign_law():
     assert static_scalar_control(p, g) == _sign_law(p, 2.1, 3.5)
     hook = ScalarAdaptiveHook(0.1, 0.1, 0.1, RateFunction.power(0.1),
                               DelayProfile.proportional(0.5))
-    hook._g[:] = [2.1, 3.5]
+    hook.gains[:] = [2.1, 3.5]
     assert hook.control(0.0, p) == _sign_law(p, 2.1, 3.5)
 
 

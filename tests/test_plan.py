@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from fintstab.cli import EXAMPLE1, run
 from fintstab.config import load_config
-from fintstab.delays import DelayProfile
+from fintstab.control import ScalarAdaptiveHook
+from fintstab.delays import DelayProfile, RateFunction
 from fintstab.integrate import (BlockRows, DelayPlan, HistoryTrajectory,
                                 HistoryWindowError, IntegratorConfig, RunningWindowSup,
                                 delayed_linear_rhs, diag_cols, grid_rows,
@@ -176,12 +177,18 @@ def test_lookahead_raises_in_integrate_and_queries():
                                    max_size=8), st.booleans())
 def test_plan_blocks_are_complete(profile, grid, ks, envelope):
     # a block never reads past its first step, and ends only at its aligned
-    # run's end or before the first row that would
+    # run's end or before the first row that would.  An envelope block is
+    # read a row at a time, each at its own step: no row reads past its own
+    # step, and the block always runs to its aligned run's end
     h, t0 = grid
     plan = DelayPlan(profile, t0, h, envelope=envelope)
     for k in ks:
         blk = plan.row(k)
         assert blk.start == k < blk.stop
+        if envelope:
+            assert (blk.hi.max(axis=1) <= np.arange(blk.start, blk.stop)).all()
+            assert blk.stop % integ.PLAN_BLOCK == 0
+            continue
         assert blk.hi.max() <= blk.start
         if blk.stop % integ.PLAN_BLOCK:
             nxt = ref_rows(profile, t0, h, blk.stop, envelope)
@@ -411,6 +418,27 @@ def test_running_window_sup_builds_each_block_once():
     assert steps[0][0] == 0 and steps[-1][1] >= n
     assert counts["make"] == assert_tiled(cuts) < n // 20
     assert counts["values"] == 0
+
+
+@pytest.mark.parametrize("delay_steps", [0.0, 2.5])
+def test_adaptive_window_fills_aligned_envelope_runs(delay_steps):
+    # the hook's window reads row k only at step k, so a short constant delay
+    # costs its envelope plan one block per aligned run, not one every
+    # delay_steps + 1 steps; its sups stay window_sups' bitwise
+    h = 2.0 ** -10
+    n = 3 * integ.PLAN_BLOCK + 17
+    profile = DelayProfile.constant(delay_steps * h)
+    hook = ScalarAdaptiveHook(0.1, 0.1, 0.1, RateFunction.power(0.1), profile)
+    sups, sup = [], RunningWindowSup.sup
+    with count_blocks() as (cuts, _), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RunningWindowSup, "sup", lambda w, k: sups.append(sup(w, k)) or sups[-1])
+        integrate(delayed_linear_rhs(1.0, 2.0, profile, control=hook.control), [2.0],
+                  profile, IntegratorConfig(horizon=n * h, h=h), gain_hook=hook)
+    (fills,) = [blocks for plan, blocks in cuts.items() if plan.envelope]
+    assert len(fills) <= math.ceil(n / integ.PLAN_BLOCK) + 1
+    assert len(sups) == n
+    want = window_sups(hook._tracker.values, 0.0, h, profile)
+    assert np.array(sups).tobytes() == want.tobytes()
 
 
 def test_delayed_linear_rhs_on_trajectory_without_plan():
