@@ -188,8 +188,9 @@ def run(cfg: ExperimentConfig):
     Scalar: integrate with static gains, whose zero band defaults to c3*h, or
     with the adaptive hook, then `certify`.  Network: the Lorenz preset with
     the config's control, rate and integrator; an enabled adaptive block
-    drives the gains, and sigma still scales the pinned node in the
-    theta1_theta3 variant.
+    drives the gains of the control kind, (theta1, theta3) under pinning,
+    whose pinned node still takes theta1 * sigma, and (theta4, theta3)
+    under full.
     """
     hook = adaptive_hook(cfg)
     if cfg.kind == "network":
@@ -231,7 +232,8 @@ PRESETS = {
                               integrator={"horizon": 40.0, "h": 1e-3}),
     "example2": EXAMPLE2,
     # the schema's adaptive rates (d1 = d2 = 0.05, d3 = 0.02) are run_example2's
-    "example2_adaptive": dict(EXAMPLE2, control={"adaptive": {"enabled": True}}),
+    "example2_adaptive": dict(EXAMPLE2, control={"kind": "full",
+                                                 "adaptive": {"enabled": True}}),
 }
 
 
@@ -291,9 +293,10 @@ def run_example2(variant: str = "nocontrol", horizon: float = 20.0,
                  h: float = 5e-4, d_theta3: float = 0.02,
                  d_theta4: float = 0.05) -> NetworkRunResult:
     """Three coupled Lorenz nodes: uncontrolled baseline or adaptive feedback."""
-    control = {}
+    control = {"kind": "none"}
     if variant == "adaptive":
-        control = {"adaptive": {"enabled": True, "d1": d_theta4, "d3": d_theta3}}
+        control = {"kind": "full",
+                   "adaptive": {"enabled": True, "d1": d_theta4, "d3": d_theta3}}
     elif variant != "nocontrol":
         raise ValueError(f"unknown variant {variant!r}")
     return run(_preset("example2", control=control, integrator={"horizon": horizon, "h": h}))

@@ -52,6 +52,8 @@ _SHARED = {
                  "eps1": (_NUM, None), "require_feasible": (bool, False)}, {}),
     "output": ({"csv": (str, "trajectory.csv"), "stride": (int, 1)}, {}),
 }
+_NETWORK_ADAPTIVE = ({"enabled": (bool, False), "d1": (_NUM, 0.05),
+                      "d2": (_NUM, None), "d3": (_NUM, 0.02)}, {})   # d2 None: d1
 _SCHEMA = _Kinds(
     scalar=dict(
         _SHARED,
@@ -71,13 +73,11 @@ _SCHEMA = _Kinds(
     network=dict(
         _SHARED,
         system=({"preset": (("lorenz3",), REQUIRED)}, REQUIRED),
-        control=({"kind": (("none", "pinning", "full"), "none"), "theta3": (_NUM, 0.0),
-                  "theta4": (_NUM, 0.0), "sigma": (_NUM, 1.0),
-                  "adaptive": ({"enabled": (bool, False),
-                                "variant": (("theta3_theta4", "theta1_theta3"),
-                                            "theta3_theta4"),
-                                "d1": (_NUM, 0.05), "d2": (_NUM, None),   # None: d1
-                                "d3": (_NUM, 0.02)}, {})}, {})),
+        control=(_Kinds(none={},
+                        pinning={"theta3": (_NUM, 0.0), "sigma": (_NUM, 1.0),
+                                 "adaptive": _NETWORK_ADAPTIVE},
+                        full={"theta3": (_NUM, 0.0), "theta4": (_NUM, 0.0),
+                              "adaptive": _NETWORK_ADAPTIVE}), {"kind": "none"})),
 )
 
 _MAKE = {
@@ -152,7 +152,7 @@ class ExperimentConfig:
     """A loaded document: `raw` as given, the built run objects (`gains` of a
     scalar config, `control` of a network one) and each plain block with every
     field of its table.  A network's `delay` is its preset's, and its
-    `adaptive` block is the document's `control.adaptive`."""
+    `adaptive` block is its `control.adaptive`, `{"enabled": False}` under none."""
 
     raw: Dict[str, Any]
     kind: str
@@ -176,8 +176,9 @@ def adaptive_hook(cfg: ExperimentConfig) -> Optional[AdaptiveHook]:
     if cfg.kind == "scalar":
         return ScalarAdaptiveHook(a["d1"], a["d2"], a["d3"], cfg.rate, cfg.delay,
                                   norm=a["norm"], zero_tol=zero_tol)
+    variant = "theta1_theta3" if cfg.control.kind == "pinning" else "theta3_theta4"
     return NetworkAdaptiveHook(a["d1"], a["d2"], a["d3"], cfg.rate, cfg.delay,
-                               variant=a["variant"], zero_tol=zero_tol)
+                               variant=variant, zero_tol=zero_tol)
 
 
 def load_config(doc: Dict[str, Any]) -> ExperimentConfig:
@@ -210,8 +211,8 @@ def load_config(doc: Dict[str, Any]) -> ExperimentConfig:
         blocks["gains"] = _build("gains", StaticScalarGains, sysb["c1"], sysb["c2"],
                                  **blocks["gains"])
     else:
-        adaptive = blocks["adaptive"] = blocks["control"].pop("adaptive")
-        if adaptive["d2"] is None:
+        adaptive = blocks["adaptive"] = blocks["control"].pop("adaptive", {"enabled": False})
+        if adaptive.get("d2", 0.0) is None:
             adaptive["d2"] = adaptive["d1"]
         blocks["control"] = _build("control", NetworkControlSpec, **blocks["control"])
         blocks["delay"] = LORENZ_DELAYS

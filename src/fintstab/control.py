@@ -207,8 +207,8 @@ class ScalarAdaptiveHook(AdaptiveHook):
 class NetworkAdaptiveHook(AdaptiveHook):
     """Network rules on (linear gain, theta3) over sum_i e_i^T e_i: d1 grows
     the linear gain above one, d2 grows it in the ball and d3 grows theta3
-    there.  The linear gain is theta1 in the coupling-adaptation variant and
-    theta4 in the node-feedback variant."""
+    there.  The linear gain is theta1 in the pinning variant theta1_theta3
+    and theta4 in the full-node variant theta3_theta4."""
 
     step = AdaptiveHook.step
 

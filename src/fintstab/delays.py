@@ -7,9 +7,9 @@ whose asymptotic constants
     beta = limsup mu'(t)/mu(t),   1 + eta = limsup mu(t)/mu(t - pi(t))
 
 enter every stability condition.  Closed-form (beta, eta) are provided for the
-two families with known analytic limits: power-law mu with proportional
-delays, and exponential mu with constant delays.  Any other pairing must be
-supplied with (beta, eta) by the caller.
+two families with known analytic limits: power-law mu with any affine
+envelope (proportional or constant), and exponential mu with constant
+delays.  Any other pairing must be supplied with (beta, eta) by the caller.
 """
 from __future__ import annotations
 
@@ -166,14 +166,15 @@ class RateFunction:
 def asymptotics(rate: RateFunction, profile: DelayProfile) -> tuple:
     """Analytic (beta, eta) for the two compatible (rate, profile) families.
 
-    Power-law mu with a proportional envelope q*t gives beta = 0 and
-    1 + eta = (1-q)**(-rho); exponential mu with a constant envelope pi gives
+    Power-law mu with an affine envelope q*t + lag gives beta = 0 and
+    1 + eta = (1-q)**(-rho), so eta = 0 for a constant delay (q = 0);
+    exponential mu with a constant envelope pi gives
     beta = varpi and 1 + eta = exp(varpi*pi).  Anything else, or a 1 + eta
     beyond the float range, has no closed form here and must be handled by
     the caller.
     """
     try:
-        if rate.kind == "power" and profile.envelope_kind == "proportional":
+        if rate.kind == "power" and profile.envelope_kind != "custom":
             return 0.0, (1.0 - profile.q) ** (-rate.param) - 1.0
         if rate.kind == "exponential" and profile.envelope_kind == "constant":
             return rate.param, math.exp(rate.param * profile.lag) - 1.0

@@ -45,7 +45,7 @@ class IntegratorConfig:
 
     horizon: float
     h: float = 1e-3
-    zero_band: Optional[float] = None  # None -> sign_gain * h (auto)
+    zero_band: Optional[float] = None  # None: the hook's sign gain * h, no band without one
     zero_tol: float = 1e-9
     divergence_limit: float = 1e12
     n_steps: int = field(init=False, repr=False)
@@ -268,12 +268,6 @@ class HistoryTrajectory:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.h * np.arange(self._filled + 1)
-
-    def append(self, state: np.ndarray, gains: Optional[np.ndarray] = None):
-        self._filled += 1
-        self._states[self._filled] = state
-        if self._gains is not None:
-            self._gains[self._filled] = gains
 
     # -- interpolation -----------------------------------------------------
 

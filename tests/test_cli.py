@@ -14,7 +14,8 @@ from fintstab.cli import (EXAMPLE1, PRESETS, certify, condition_reports, main,
                           run_example1, run_example1_adaptive,
                           run_example1_sweep, run_example2,
                           write_trajectory_csv)
-from fintstab.config import ConfigError, load_config
+from fintstab.config import ConfigError, adaptive_hook, load_config
+from fintstab.control import NetworkControlSpec
 from fintstab.delays import DelayProfile
 from fintstab.integrate import HistoryTrajectory
 
@@ -187,6 +188,15 @@ def test_cli_error_exit_code(tmp_path):
     p = tmp_path / "typo.json"
     p.write_text(json.dumps(missing))
     assert main(["check", str(p)]) == 1
+
+
+def test_power_rate_with_a_constant_delay_is_certified():
+    # mu(t) / mu(t - pi) = (t / (t - pi))**rho -> 1: beta = eta = 0, and the
+    # run settles within its printed bound
+    res = run(load_config(_scalar_doc(delay={"kind": "constant", "pi": 1.0})))
+    assert (res.report.details["beta"], res.report.details["eta"]) == (0.0, 0.0)
+    assert res.report.feasible and res.phases.envelope_violations == 0
+    assert res.T_settle <= res.settle_bound
 
 
 def test_overflowing_asymptotics_have_no_closed_form(tmp_path, monkeypatch, capsys):
@@ -370,22 +380,22 @@ def _network_outputs(doc):
 def test_network_config_fields_change_the_run():
     # d1 = 5 reaches the unit ball within the horizon, where d2 acts
     adaptive = {"enabled": True, "d1": 5.0, "d3": 0.02}
-    base = _network_outputs(_network_doc({"adaptive": adaptive}))
-    assert _network_outputs(_network_doc({"adaptive": dict(adaptive, d2=5.0)})) == base
+    full = {"kind": "full", "adaptive": adaptive}
+    base = _network_outputs(_network_doc(full))
+    assert _network_outputs(_network_doc(dict(full, adaptive=dict(adaptive, d2=5.0)))) == base
     integ = {"horizon": 1.0, "h": 1e-3}
     changed = {
-        "rate": _network_doc({"adaptive": adaptive}, rate={"kind": "power", "exponent": 0.3}),
-        "variant": _network_doc({"adaptive": dict(adaptive, variant="theta1_theta3")}),
-        "d2": _network_doc({"adaptive": dict(adaptive, d2=0.5)}),
-        "zero_band": _network_doc({"adaptive": adaptive},
-                                  integrator=dict(integ, zero_band=0.05)),
+        "rate": _network_doc(full, rate={"kind": "power", "exponent": 0.3}),
+        # pinning adapts theta1 in place of full-node feedback's theta4
+        "kind": _network_doc({"kind": "pinning", "adaptive": adaptive}),
+        "d2": _network_doc(dict(full, adaptive=dict(adaptive, d2=0.5))),
+        "zero_band": _network_doc(full, integrator=dict(integ, zero_band=0.05)),
         # the hook freezes once the windowed squared error is <= zero_tol**2
-        "zero_tol": _network_doc({"adaptive": adaptive},
-                                 integrator=dict(integ, zero_tol=0.5)),
+        "zero_tol": _network_doc(full, integrator=dict(integ, zero_tol=0.5)),
     }
     for field, doc in changed.items():
         assert _network_outputs(doc) != base, field
-    assert _network_outputs(changed["variant"])[1] == ("theta1", "theta3")
+    assert _network_outputs(changed["kind"])[1] == ("theta1", "theta3")
 
 
 def test_static_network_control_settles_on_the_config_path():
@@ -395,8 +405,38 @@ def test_static_network_control_settles_on_the_config_path():
     assert run(load_config(doc)).outer[-1] == 0.0
 
 
+@pytest.mark.parametrize("control, field", [
+    ({"kind": "none", "theta3": 100.0, "theta4": 1000.0}, "theta3"),   # no certificate
+    ({"kind": "full", "theta3": 10.0, "sigma": 2.0}, "sigma"),
+    ({"kind": "pinning", "theta3": 10.0, "theta4": 30.0}, "theta4"),
+    ({"kind": "none", "adaptive": {"enabled": False}}, "adaptive"),
+    ({"kind": "pinning", "adaptive": {"enabled": True, "variant": "theta1_theta3"}},
+     "adaptive.variant"),
+], ids=["none_theta3", "full_sigma", "pinning_theta4", "none_adaptive", "variant"])
+def test_control_takes_only_the_gains_its_kind_applies(tmp_path, capsys, control, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_network_doc(control)))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == f"config error: control.{field}: unknown field\n"
+
+
+def test_control_block_names_its_kind_and_the_adaptive_law_follows_it(tmp_path, capsys):
+    with pytest.raises(ConfigError, match=r"^control\.kind: required field missing"):
+        load_config(_network_doc({"theta3": 10.0}))
+    assert load_config({k: v for k, v in _network_doc({}).items()
+                        if k != "control"}).control == NetworkControlSpec("none")
+    # adaptive pinning is checked against the pinned-coupling condition
+    doc = _network_doc({"kind": "pinning", "sigma": 2.0,
+                        "adaptive": {"enabled": True, "d1": 0.5, "d3": 0.2}})
+    assert adaptive_hook(load_config(doc)).names == ("theta1", "theta3")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 0
+    assert re.search(r"^network_pinning ", capsys.readouterr().out, re.M)
+
+
 def test_network_config_matches_the_preset_runner():
-    doc = _network_doc({"adaptive": {"enabled": True, "d1": 0.05, "d3": 0.02}},
+    doc = _network_doc({"kind": "full", "adaptive": {"enabled": True, "d1": 0.05, "d3": 0.02}},
                        integrator={"horizon": 0.5, "h": 1e-3})
     res = run(load_config(doc))
     ref = run_example2("adaptive", horizon=0.5, h=1e-3)
@@ -432,10 +472,11 @@ _SCALAR_ADAPTIVE = {"enabled": True, "d1": 0.1, "d2": 0.1, "d3": 0.1}
     ("monitor", {"require_feasible": "yes"}, "monitor.require_feasible"),
     ("control", {"kind": "full", "theta3": "1"}, "control.theta3"),
     ("control", {"kind": "sideways"}, "control.kind"),
-    ("control", {"sigma": None}, "control.sigma"),
-    ("control", {"adaptive": None}, "control.adaptive"),
-    ("control", {"adaptive": {"enabled": 1}}, "control.adaptive.enabled"),
-    ("control", {"adaptive": {"enabled": True, "variant": "theta2"}},
+    ("control", {"kind": "pinning", "sigma": None}, "control.sigma"),
+    ("control", {"kind": "full", "adaptive": None}, "control.adaptive"),
+    ("control", {"kind": "full", "adaptive": {"enabled": 1}}, "control.adaptive.enabled"),
+    # the adaptive law follows the control kind: no variant field
+    ("control", {"kind": "full", "adaptive": {"enabled": True, "variant": "theta2"}},
      "control.adaptive.variant"),
     # null is rejected, never read as an absent field
     ("gains", None, "config.gains"),
@@ -468,7 +509,7 @@ def test_config_accepts_well_typed_block_fields():
     # disabled adaptation needs no rates; the network block defaults d1..d3
     load_config(_scalar_doc(adaptive={"enabled": False}))
     load_config(_network_doc({"kind": "pinning", "theta3": 1, "sigma": 2.0,
-                              "adaptive": {"enabled": True, "variant": "theta1_theta3"}}))
+                              "adaptive": {"enabled": True}}))
 
 
 # -- the schema table, one (block, kind) field table at a time ---------------------
@@ -502,6 +543,8 @@ def _valid_doc(kinds):
     """A smallest valid document for the kinds of a table's path."""
     if kinds["config"] == "network":
         doc = {"schema_version": 1, "kind": "network", "system": {"preset": "lorenz3"}}
+        if "control" in kinds:
+            doc["control"] = {"kind": kinds["control"]}
     else:
         doc = {"schema_version": 1, "kind": "scalar",
                "system": {"c1": 1.0, "c2": 2.0, "initial_state": [2.0]},
@@ -582,7 +625,8 @@ def test_schema_table_covers_every_block_and_kind():
     shared = {"rate-power", "rate-exponential", "integrator", "monitor", "output"}
     want = ({"config", "system", "gains", "adaptive", "delay-proportional",
              "delay-constant", "delay-per_component_sin", "delay-custom_grid"} | shared,
-            {"config", "system", "control", "control.adaptive"} | shared)
+            {"config", "system", "control-none", "control-pinning", "control-full",
+             "control.adaptive-pinning", "control.adaptive-full"} | shared)
     got = ({"-".join([p] + [k for k in kinds.values() if k][1:])
             for p, kinds, _, _ in _TABLES if kinds["config"] == doc_kind}
            for doc_kind in ("scalar", "network"))
@@ -710,7 +754,7 @@ def test_monitor_rejects_a_csv_on_another_grid_step(tmp_path, capsys):
 
 def test_monitor_rejects_a_csv_without_state_columns(tmp_path, capsys):
     # a network run writes error indices, not a trajectory: nothing to certify
-    doc = _network_doc({"adaptive": {"enabled": True}},
+    doc = _network_doc({"kind": "full", "adaptive": {"enabled": True}},
                        integrator={"horizon": 0.05, "h": 5e-4})
     code, out, err = _monitor(tmp_path, capsys, doc)
     assert code == 1 and out == ""
@@ -732,11 +776,12 @@ def test_monitor_rejects_a_rate_whose_mu_overflows(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc, block", [
     (dict(EXAMPLE1, adaptive={"enabled": True, "d1": 0.1, "d2": 0.1, "d3": 0.1}), "gains"),
-    (_network_doc({"adaptive": {"enabled": True, "d1": 0.05, "d3": 0.02}}), "control"),
+    (_network_doc({"kind": "full", "adaptive": {"enabled": True, "d1": 0.05, "d3": 0.02}}),
+     "control"),
 ])
 def test_check_on_an_adaptive_config_names_the_unused_static_block(tmp_path, capsys,
                                                                    doc, block):
-    static = dict(doc, adaptive={}) if "adaptive" in doc else dict(doc, control={})
+    static = dict(doc, adaptive={}) if "adaptive" in doc else dict(doc, control={"kind": "full"})
     outs = []
     for d in (static, doc):
         path = tmp_path / "cfg.json"
@@ -760,6 +805,6 @@ def test_eps2_rule_per_config_kind():
     assert adaptive.report is None and adaptive.settle_bound is None
     margin = adaptive.traj.gains[-1, 0] - 2.0
     assert adaptive.eps2 == 0.9 * (margin if margin > 0.0 else 0.01)
-    net = load_config(dict(_network_doc({}), monitor={"kappa": 0.7}))
+    net = load_config(dict(_network_doc({"kind": "none"}), monitor={"kappa": 0.7}))
     traj = HistoryTrajectory.from_arrays(0.0, 1e-3, np.zeros((11, 9)))
     assert certify(net, traj).eps2 == 0.7

@@ -9,7 +9,9 @@ from fintstab.conditions import (InfeasibleError, adaptive_settling_bound,
                                  check_network_theorem, check_scalar_theorem,
                                  lambda_max_sym, left_eigenvector,
                                  optimal_eps1, settling_bound)
-from fintstab.control import NetworkControlSpec, StaticScalarGains
+from fintstab.cli import EXAMPLE2
+from fintstab.config import adaptive_hook, load_config
+from fintstab.control import NetworkAdaptiveHook, NetworkControlSpec, StaticScalarGains
 from fintstab.delays import DelayProfile, RateFunction, asymptotics
 from fintstab.integrate import DelayPlan, HistoryTrajectory
 from fintstab.network import (LORENZ_A, NetworkModel, _error_rhs, lorenz_preset,
@@ -200,15 +202,16 @@ def _zero_field(rows):
     return [[0.0] * len(r) for r in rows]
 
 
-def _implemented_operator(model, control):
-    """The linear closed-loop operator L that `_error_rhs` integrates, probed
-    with f = 0 and theta2 = 0 on the unit error vectors.  Its sign feedback
-    is the same -theta3 sgn(e_j) at e_j and 2 e_j, so the difference of the
-    two rhs values is L's column j."""
+def _implemented_operator(model, control, hook=None):
+    """The linear closed-loop operator L that `_error_rhs` integrates (under
+    the adaptive `hook`'s gains, when given), probed with f = 0 and
+    theta2 = 0 on the unit error vectors.  Its sign feedback is the same
+    -theta3 sgn(e_j) at e_j and 2 e_j, so the difference of the two rhs
+    values is L's column j."""
     probe = replace(model, f=_zero_field, theta2=0.0)
     dim = model.N * model.n
     drive = HistoryTrajectory(0.0, 0.01, np.zeros(dim), 1)
-    rhs = _error_rhs(probe, drive, control, None)
+    rhs = _error_rhs(probe, drive, control, hook)
 
     def at(e):
         etraj = HistoryTrajectory(0.0, 0.01, e, 1)
@@ -218,18 +221,30 @@ def _implemented_operator(model, control):
     return np.column_stack([at(2.0 * e) - at(e) for e in np.eye(dim)])
 
 
-def _implemented_lambda_term(model, control):
+def _implemented_lambda_term(model, control, hook=None):
     """2 lambda_max({(Xi x I_n) L}^s) of the implemented operator L."""
     xi = left_eigenvector(model.A)
-    XL = np.kron(np.diag(xi), np.eye(model.n)) @ _implemented_operator(model, control)
+    XL = np.kron(np.diag(xi), np.eye(model.n)) @ _implemented_operator(model, control, hook)
     return 2.0 * float(np.linalg.eigvalsh(0.5 * (XL + XL.T))[-1])
 
 
-def _assert_lambda_term_is_implemented(model, control):
-    rep = check_network_theorem(model, control, 0.0, ETA_HALF)
-    want = _implemented_lambda_term(model, control)
+def _assert_lambda_term_is_implemented(model, control, hook=None):
+    """The condition's lambda term is the implemented one.  Under an adaptive
+    hook its gains are frozen at [lin, 0] and the condition reads theta1 = lin:
+    the pinning law adapts theta1, whose pinned node takes lin * sigma."""
+    checked = model if hook is None else replace(model, theta1=hook.gains[0])
+    rep = check_network_theorem(checked, control, 0.0, ETA_HALF)
+    want = _implemented_lambda_term(model, control, hook)
     assert rep.details["lambda_term"] == pytest.approx(want, rel=1e-12)
     return want
+
+
+def _pinning_hook(model, lin):
+    """The adaptive pinning law's hook, its gains set to [lin, 0]."""
+    hook = NetworkAdaptiveHook(0.05, 0.05, 0.02, RateFunction.power(0.1), model.delays,
+                               variant="theta1_theta3")
+    hook.gains = [lin, 0.0]
+    return hook
 
 
 def test_lambda_term_is_the_implemented_operator_on_the_lorenz_preset():
@@ -241,6 +256,13 @@ def test_lambda_term_is_the_implemented_operator_on_the_lorenz_preset():
     assert pin == pytest.approx(-0.0186181, abs=1e-7)
     assert full == pytest.approx(-10.16572, abs=1e-5)
     _assert_lambda_term_is_implemented(model, NetworkControlSpec(kind="none"))
+    # the law a `pinning` config's adaptive block builds
+    cfg = load_config(dict(EXAMPLE2, control={"kind": "pinning", "sigma": 2.0,
+                                              "adaptive": {"enabled": True}}))
+    hook = adaptive_hook(cfg)
+    hook.gains = [5.0, 0.0]
+    adaptive = _assert_lambda_term_is_implemented(model, cfg.control, hook)
+    assert adaptive == pytest.approx(5.0 / 0.1 * pin, rel=1e-12)
 
 
 @st.composite
@@ -262,13 +284,14 @@ def irreducible_networks(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(irreducible_networks(), st.floats(0.1, 10.0), st.floats(0.0, 50.0),
-       st.floats(0.0, 5.0))
+       st.floats(0.0, 5.0), st.floats(0.01, 20.0))
 def test_lambda_term_is_the_implemented_operator_on_drawn_networks(model, sigma, theta4,
-                                                                   theta3):
-    _assert_lambda_term_is_implemented(
-        model, NetworkControlSpec(kind="pinning", theta3=theta3, sigma=sigma))
+                                                                   theta3, lin):
+    pinning = NetworkControlSpec(kind="pinning", theta3=theta3, sigma=sigma)
+    _assert_lambda_term_is_implemented(model, pinning)
     _assert_lambda_term_is_implemented(
         model, NetworkControlSpec(kind="full", theta3=theta3, theta4=theta4))
+    _assert_lambda_term_is_implemented(model, pinning, _pinning_hook(model, lin))
 
 
 @pytest.mark.parametrize("eps1", [-1.0, 0.0])

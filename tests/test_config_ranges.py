@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fintstab import config
-from fintstab.cli import EXAMPLE1, EXAMPLE2, main, run
+from fintstab.cli import EXAMPLE1, EXAMPLE2, PRESETS, main, run
 from fintstab.config import ConfigError, load_config
 from fintstab.integrate import DivergenceError
 
@@ -42,7 +42,8 @@ _CASES = [
     (_doc(EXAMPLE1, integrator={"horizon": 1.0005, "h": 1e-3}), "integrator"),
     (_doc(EXAMPLE2, control={"kind": "pinning", "sigma": 0.0}), "control"),
     (_doc(EXAMPLE2, control={"kind": "full", "theta3": -1.0}), "control"),
-    (_doc(EXAMPLE2, control={"adaptive": {"enabled": True, "d3": -1.0}}), "control.adaptive"),
+    (_doc(EXAMPLE2, control={"kind": "full", "adaptive": {"enabled": True, "d3": -1.0}}),
+     "control.adaptive"),
     (_doc(EXAMPLE1, adaptive=_ADAPTIVE, monitor={"kappa": -0.5}), "monitor.kappa"),
     (_doc(EXAMPLE1, monitor={"kappa": 0}), "monitor.kappa"),
     (_doc(EXAMPLE1, monitor={"kappa": 1}), "monitor.kappa"),
@@ -148,7 +149,9 @@ def _finite(value) -> bool:
 _DOCUMENTS = st.one_of(
     _block(config._SCHEMA).map(lambda d: dict(d, schema_version=1)),
     *(_one_block(p) for p in (EXAMPLE1, dict(EXAMPLE1, adaptive=_ADAPTIVE), EXAMPLE2,
-                              dict(EXAMPLE2, control={"adaptive": {"enabled": True}}))))
+                              dict(EXAMPLE2, control={"kind": "pinning",
+                                                      "adaptive": {"enabled": True}}),
+                              PRESETS["example2_adaptive"])))
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])

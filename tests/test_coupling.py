@@ -385,9 +385,7 @@ def test_plan_gather_block(kind, m, ratio, filled, data):
         profile = DelayProfile.per_component_proportional(
             [ratio * (i + 1) / m for i in range(m)], envelope_q=0.95)
     states = np.random.default_rng(filled).normal(size=(filled + 1, m))
-    traj = HistoryTrajectory(t0, h, states[0], filled)
-    for row in states[1:]:
-        traj.append(row)
+    traj = HistoryTrajectory.from_arrays(t0, h, states)
     traj.plan = DelayPlan(profile, t0, h)
     cols = diag_cols(m, m)
     k = data.draw(st.integers(0, filled))

@@ -61,8 +61,8 @@ def test_asymptotics_exponential_constant():
 
 
 def test_asymptotics_incompatible_pair():
-    with pytest.raises(NoClosedFormError):
-        asymptotics(RateFunction.power(0.1), DelayProfile.constant(1.0))
+    # a power rate has t**rho / (t - pi)**rho -> 1 under a constant delay
+    assert asymptotics(RateFunction.power(0.1), DelayProfile.constant(1.0)) == (0.0, 0.0)
     with pytest.raises(NoClosedFormError):
         asymptotics(RateFunction.exponential(0.1), DelayProfile.proportional(0.5))
 

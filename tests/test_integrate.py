@@ -282,11 +282,11 @@ def _reference_integrate(rhs, initial_state, profile, config, gain_hook=None):
         x_new = _reference_zero_band(x, x_new, band)
         if not np.abs(x_new).max() <= config.divergence_limit:
             raise DivergenceError(t + h)
-        gains = None
         if gain_hook is not None:
             gain_hook.step(t, x, traj)
-            gains = gain_hook.gains
-        traj.append(x_new, gains)
+            traj._gains[k + 1] = gain_hook.gains
+        traj._states[k + 1] = x_new
+        traj._filled = k + 1
         x = x_new
     return traj
 

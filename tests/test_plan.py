@@ -330,8 +330,9 @@ def _gathers_agree(profile, t0, h, n, history):
         t = t0 + k * h
         want = growing.query_diag(t - profile.delays_at(t))
         assert got.tobytes() == want.tobytes() == step.tobytes()
-        if k < n:
-            growing.append(states[k + 1])
+        if k < n:   # record row k + 1 as integrate does
+            growing._states[k + 1] = states[k + 1]
+            growing._filled = k + 1
     return ends
 
 
