@@ -186,11 +186,11 @@ def run(cfg: ExperimentConfig):
     NetworkRunResult for a network one.  The presets are configs run here.
 
     Scalar: integrate with static gains, whose zero band defaults to c3*h, or
-    with the adaptive hook, then `certify`.  Network: the Lorenz preset with
-    the config's control, rate and integrator; an enabled adaptive block
-    drives the gains of the control kind, (theta1, theta3) under pinning,
-    whose pinned node still takes theta1 * sigma, and (theta4, theta3)
-    under full.
+    with the adaptive hook, resting once settled (`rests_at_zero`), then
+    `certify`.  Network: the Lorenz preset with the config's control, rate
+    and integrator; an enabled adaptive block drives the gains of the
+    control kind, (theta1, theta3) under pinning, whose pinned node still
+    takes theta1 * sigma, and (theta4, theta3) under full.
     """
     hook = adaptive_hook(cfg)
     if cfg.kind == "network":
@@ -207,8 +207,9 @@ def run(cfg: ExperimentConfig):
     if hook is None and icfg.zero_band is None:
         icfg = replace(icfg, zero_band=g.c3 * icfg.h)
     rhs = delayed_linear_rhs(sysb["c1"], sysb["c2"], cfg.delay, control=control)
+    # the sign law, static or adaptive, returns zeros from zeros: a settled run rests
     traj = integrate(rhs, np.asarray(sysb["initial_state"], dtype=float), cfg.delay, icfg,
-                     gain_hook=hook)
+                     gain_hook=hook, rests_at_zero=True)
     del hook, control, rhs   # the hook's window holds 8 bytes a step: free it for the replay
     return certify(cfg, traj)
 

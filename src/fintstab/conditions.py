@@ -160,8 +160,9 @@ def check_network_theorem(model: "NetworkModel", control: NetworkControlSpec,
                           eps1: Optional[float] = None) -> ConditionReport:
     """Feasibility of the outer-synchronization theorem for the network
     `model` under `control`: pinning control takes the pinned-coupling
-    condition, full-node control (and none, with theta3 = theta4 = 0) the
-    full-node one.
+    condition, full-node control the full-node one, and none the full-node
+    one with theta3 = theta4 = 0, the feedback its run applies, whatever
+    gains its spec holds.
 
     lhs = beta + 2 L_f + th2 bmax N eps1 + 2 lam + th2 bmax N^2 n L_g^2
           / (eps1 min_i xi_i) * (1+eta)
@@ -176,12 +177,14 @@ def check_network_theorem(model: "NetworkModel", control: NetworkControlSpec,
     xi_min = float(xi.min())
     N, n, theta2 = model.N, model.n, model.theta2
     variant = "pinning" if control.kind == "pinning" else "full"
+    theta3, theta4 = ((0.0, 0.0) if control.kind == "none"
+                      else (control.theta3, control.theta4))
     if variant == "pinning":
         lam_term = 2.0 * model.theta1 * lambda_max_sym(model.A, xi, sigma=control.sigma,
                                                        which="tilde")
     else:
         lam_term = 2.0 * lambda_max_sym(model.A, xi, theta1=model.theta1,
-                                        theta4=control.theta4, which="hat")
+                                        theta4=theta4, which="hat")
 
     base = beta + 2.0 * model.L_f + lam_term
     if theta2 == 0.0 or bmax == 0.0:
@@ -193,7 +196,7 @@ def check_network_theorem(model: "NetworkModel", control: NetworkControlSpec,
         eps_opt, min_term = optimal_eps1(a, b)
         lhs = base + (min_term if eps1 is None else a * eps1 + b / eps1)
 
-    sign_margin = control.theta3 - theta2 * bmax * N * model.L_g
+    sign_margin = theta3 - theta2 * bmax * N * model.L_g
     feasible = lhs < 0.0 and sign_margin > 0.0
     return ConditionReport(theorem_id=f"network_{variant}", lhs=lhs,
                            feasible=feasible, eps1_optimal=eps_opt,

@@ -451,10 +451,35 @@ def _floats(v, n: int) -> list:
     return (v if v.shape == (n,) else np.broadcast_to(v, (n,))).tolist()
 
 
+def _first_read(k: int, slope: float, lag_steps: float) -> int:
+    """floor((t_k - pi(t_k))/h) - 1 for the affine envelope pi(t) = q*t + lag
+    (slope = 1 - q, lag_steps = lag/h): no step after k, nor the envelope
+    window of one, reads a history row below it.  The -1 absorbs the
+    rounding that separates this from the plan's own floor."""
+    return math.floor(slope * k - lag_steps) - 1
+
+
+def _next_rest_step(m: int, slope: float, lag_steps: float) -> int:
+    """The first step j with _first_read(j - 1) > m: from there on no step
+    reads row m, so a rest test before j would find it again."""
+    return 1 + math.ceil((m + 2 + lag_steps) / slope)
+
+
+def _rest_blocker(states: np.ndarray, gains: Optional[np.ndarray], k: int, first: int):
+    """The last row of first..k that keeps a run from resting at step k, or
+    None: row k when one of its components is -0.0 or its gains differ from
+    row k-1's, else the last row with a nonzero (or NaN) component."""
+    if np.signbit(states[k]).any() or (gains is not None
+                                       and not (gains[k] == gains[k - 1]).all()):
+        return k
+    moving = np.flatnonzero(states[first:k + 1].any(axis=1))
+    return first + int(moving[-1]) if moving.size else None
+
+
 def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfig,
               gain_hook=None,
-              initial_history: Optional[Callable[[float], np.ndarray]] = None
-              ) -> HistoryTrajectory:
+              initial_history: Optional[Callable[[float], np.ndarray]] = None,
+              rests_at_zero: bool = False) -> HistoryTrajectory:
     """Integrate x' = rhs(t, x, traj) on [0, horizon] in config.n_steps
     explicit Euler steps of h, each followed by the zero-band projection.  A
     step whose new state has a NaN, an infinite or a component above
@@ -486,6 +511,26 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     (one value per name), `sign_gain` and a method `step(t, x, traj)`; it is
     invoked once per accepted step, after the rhs and with the same `x`, and
     its gains are recorded alongside the states.
+
+    `rests_at_zero=True` promises that `rhs` returns exact zeros whenever the
+    state and every history row it reads are exactly zero, that it reads no
+    earlier than t - pi(t) of `profile`'s envelope, and that the hook's gains
+    do not move while its window holds only zeros (the scalar sign law,
+    static or adaptive, keeps it).  For an affine envelope t - pi(t) never
+    decreases, so once the state at step k is +0.0, every row from
+    `_first_read(k - 1)` to k is exactly zero and the gains of step k equal
+    those of step k - 1, every later step would compute +0.0 from zeros: the
+    run is at rest.  The loop then fills rows k+1..n_steps with zeros and
+    the gains of step k, sets `_filled = n_steps` and returns, bitwise equal
+    to stepping on.  The skipped steps call neither `rhs` nor the hook, so
+    the hook's window is not advanced past step k - 1 and the hook keeps the
+    mode of that step (at the origin).  The test costs one integer compare
+    a step, and a truth test of the state's floats from `rest_at` on: rows
+    are scanned with NumPy only at a zero state from `rest_at`, the first
+    step that reads none of the last blocking row found
+    (`_next_rest_step`), so a proportional delay scans O(log n) times and a
+    moving state never.  Custom profiles, whose t - pi(t) may decrease, and
+    the default False step every step.
     """
     x0 = np.atleast_1d(np.asarray(initial_state, dtype=float))
     h, n_steps = config.h, config.n_steps
@@ -506,7 +551,23 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     hook_band = band is None and gain_hook is not None
     if band is None:
         band = 0.0
+    rest_at = n_steps   # the next step that may find the run at rest; n_steps: none
+    if rests_at_zero and profile.envelope_kind != "custom":
+        slope, lag_steps = 1.0 - profile.q, profile.lag / h
+        rest_at = 1
     for k in range(n_steps):
+        if k >= rest_at and not any(xs):
+            first = _first_read(k - 1, slope, lag_steps)
+            m = _rest_blocker(states, all_gains, k, max(first, 0))
+            if m is None and first < 0 and initial_history is not None:
+                m = -1   # a step may still read the initial history, which is no row
+            if m is None:
+                states[k + 1:] = 0.0
+                if all_gains is not None:
+                    all_gains[k + 1:] = all_gains[k]
+                traj._filled = n_steps
+                return traj
+            rest_at = max(_next_rest_step(m, slope, lag_steps), k + 1)
         t = k * h
         x = rows[k]
         dx = rhs(t, x, traj)

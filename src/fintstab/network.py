@@ -207,13 +207,20 @@ def simulate_sync(exp: SyncExperiment) -> SyncResult:
     The error system's zero band, when the integrator config leaves it
     unset, is the sign gain times h: the hook's theta3 under adaptive
     control, the static theta3 under pinning or full control, and 0 without
-    control.
+    control.  A `theta1_theta3` hook pins node 1 with the spec's sigma, so it
+    needs a pinning spec (ValueError otherwise); a `theta3_theta4` hook takes
+    the place of any spec's static feedback.  Neither integration rests at
+    zero: the drive's f is arbitrary.
     """
+    hook = exp.adaptive_hook
+    if (hook is not None and hook.variant == "theta1_theta3"
+            and exp.control.kind != "pinning"):
+        raise ValueError(f"a theta1_theta3 adaptive hook pins node 1 and needs a "
+                         f"pinning control spec, got kind {exp.control.kind!r}")
     model = exp.model
     cfg = exp.integrator
     drive = integrate(_drive_rhs(model), exp.drive_init.ravel(), model.delays,
                       replace(cfg, zero_band=0.0))
-    hook = exp.adaptive_hook
     rhs = _error_rhs(model, drive, exp.control, hook)
     if cfg.zero_band is None and hook is None and exp.control.kind != "none":
         cfg = replace(cfg, zero_band=exp.control.theta3 * cfg.h)

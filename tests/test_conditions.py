@@ -11,10 +11,12 @@ from fintstab.conditions import (InfeasibleError, adaptive_settling_bound,
                                  optimal_eps1, settling_bound)
 from fintstab.cli import EXAMPLE2
 from fintstab.config import adaptive_hook, load_config
-from fintstab.control import NetworkAdaptiveHook, NetworkControlSpec, StaticScalarGains
+from fintstab.control import (NetworkAdaptiveHook, NetworkControlSpec, StaticScalarGains,
+                              static_scalar_control)
 from fintstab.delays import DelayProfile, RateFunction, asymptotics
-from fintstab.integrate import DelayPlan, HistoryTrajectory
-from fintstab.network import (LORENZ_A, NetworkModel, _error_rhs, lorenz_preset,
+from fintstab.integrate import DelayPlan, HistoryTrajectory, delayed_linear_rhs
+from fintstab.network import (LORENZ_A, LORENZ_BOX, NetworkModel, _error_rhs,
+                              lorenz_jacobian_norm, lorenz_lipschitz_bound, lorenz_preset,
                               sin_plus_linear)
 
 ETA_HALF = 2 ** 0.1 - 1.0  # proportional q=0.5 with mu = t^0.1
@@ -196,6 +198,18 @@ def test_network_condition_variant_follows_the_control_kind():
                    "none": "network_full"}
 
 
+def test_kind_none_certifies_no_feedback_whatever_gains_its_spec_holds():
+    """A kind none run adds no feedback, so its condition takes theta3 = theta4
+    = 0: gains set on the spec must not make it feasible."""
+    model = lorenz_preset().model
+    bare = check_network_theorem(model, NetworkControlSpec("none"), 0.0, ETA_HALF)
+    loaded = check_network_theorem(model, NetworkControlSpec("none", theta3=100.0,
+                                                             theta4=1000.0), 0.0, ETA_HALF)
+    assert loaded == bare
+    assert (loaded.theorem_id, loaded.feasible) == ("network_full", False)
+    assert loaded.lhs == pytest.approx(235.97, abs=0.005)
+
+
 # -- the condition's linear term against the integrated error dynamics ---------
 
 def _zero_field(rows):
@@ -292,6 +306,102 @@ def test_lambda_term_is_the_implemented_operator_on_drawn_networks(model, sigma,
     _assert_lambda_term_is_implemented(
         model, NetworkControlSpec(kind="full", theta3=theta3, theta4=theta4))
     _assert_lambda_term_is_implemented(model, pinning, _pinning_hook(model, lin))
+
+
+# -- the scalar condition's terms against the implemented rhs --------------------
+
+def _scalar_rhs_at(c1, c2, gains, p, d):
+    """`delayed_linear_rhs` under the sign law at state p, delayed value d.
+
+    A constant delay of one step h = 1 reads row 0 at step 1: the history is
+    [d, p] and the rhs runs as `integrate` calls it at step 1."""
+    profile = DelayProfile.constant(1.0)
+    traj = HistoryTrajectory.from_arrays(0.0, 1.0, np.stack([d, p]))
+    rhs = delayed_linear_rhs(c1, c2, profile,
+                             control=lambda t, x: static_scalar_control(x, gains))
+    return np.array(rhs(1.0, traj.states[1], traj))
+
+
+def _probed_terms(c1, c2, gains, m):
+    """(linear coefficient, delayed coefficient, sign gain) of the implemented
+    scalar closed loop, probed on an m-dim state in the positive orthant,
+    where sgn p = 1: f(p, d) = a p + b d - c3 componentwise."""
+    ones, zero = np.ones(m), np.zeros(m)
+    f = lambda p, d: _scalar_rhs_at(c1, c2, gains, p, d)
+    a = (f(2.0 * ones, zero) - f(ones, zero)) / 1.0
+    b = (f(ones, 2.0 * ones) - f(ones, ones)) / 1.0
+    c3 = -(f(ones, zero) - a)
+    for v in (a, b, c3):   # decoupled: the same coefficient on every component
+        assert np.ptp(v) == 0.0
+    return float(a[0]), float(b[0]), float(c3[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(c1=st.floats(-3.0, 3.0), c2=st.floats(-3.0, 3.0), c3=st.floats(0.0, 6.0),
+       c4=st.floats(0.0, 6.0), m=st.integers(1, 3), q=st.floats(0.05, 0.9))
+def test_scalar_condition_terms_are_the_implemented_rhs(c1, c2, c3, c4, m, q):
+    """The scalar theorem's c1 - c4 and |c2| terms and its sign margin
+    c3 - |c2| are those of `delayed_linear_rhs` with the sign law, in every
+    norm: the two-norm lhs is beta + 2a + 2|b| sqrt(m (1 + eta)) at the
+    optimal eps1, the one-norm beta + a + |b| m (1 + eta) and the inf-norm
+    beta + a + |b| (1 + eta), with a, b the probed coefficients."""
+    gains = StaticScalarGains(c1, c2, c3, c4)
+    a, b, sign = _probed_terms(c1, c2, gains, m)
+    assert a == pytest.approx(c1 - c4, abs=1e-12)
+    assert b == pytest.approx(c2, abs=1e-12) and sign == pytest.approx(c3, abs=1e-12)
+    beta, eta = asymptotics(RateFunction.power(0.1), DelayProfile.proportional(q))
+    want = {"two": beta + 2.0 * a + 2.0 * abs(b) * math.sqrt(m * (1.0 + eta)),
+            "one": beta + a + abs(b) * m * (1.0 + eta),
+            "inf": beta + a + abs(b) * (1.0 + eta)}
+    for norm, lhs in want.items():
+        rep = check_scalar_theorem(gains, m, beta, eta, norm=norm)
+        assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=1e-12)
+        assert rep.epsilon2_max == pytest.approx((m if norm == "one" else 1)
+                                                 * (sign - abs(b)), abs=1e-12)
+        assert rep.feasible == (rep.lhs < 0.0 and c3 - abs(c2) > 0.0)
+
+
+# -- the network's Lipschitz constants against the implemented f and g -----------
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*(st.floats(float(lo), float(hi)) for lo, hi in LORENZ_BOX)))
+def test_lorenz_lipschitz_bound_holds_over_the_box(x):
+    """L_f, the corner maximum, bounds the Jacobian norm at every drawn point
+    of LORENZ_BOX, and the Jacobian is that of the implemented field f."""
+    model = lorenz_preset().model
+    x = np.array(x)
+    assert lorenz_jacobian_norm(x) <= model.L_f * (1.0 + 1e-12)
+    assert model.L_f == lorenz_lipschitz_bound()
+    step = 1e-6   # f is quadratic: central differences are exact up to rounding
+    J = np.column_stack([(np.array(model.f([list(x + step * e)])[0])
+                          - np.array(model.f([list(x - step * e)])[0])) / (2.0 * step)
+                         for e in np.eye(3)])
+    assert np.linalg.norm(J, 2) == pytest.approx(lorenz_jacobian_norm(x), rel=1e-6)
+
+
+def test_sampled_lorenz_jacobian_norms_stay_under_the_bound():
+    rng = np.random.default_rng(7)
+    xs = rng.uniform(LORENZ_BOX[:, 0], LORENZ_BOX[:, 1], size=(2000, 3))
+    norms = [lorenz_jacobian_norm(x) for x in xs]
+    bound = lorenz_lipschitz_bound()
+    assert max(norms) <= bound
+    assert max(norms) > 0.8 * bound   # the bound is near the sampled peak
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))
+def test_l_g_bounds_the_slope_of_g(x, y):
+    """L_g = 3 bounds |g(x) - g(y)| / |x - y| for the preset's g = sin + 2x."""
+    model = lorenz_preset().model
+    assert model.L_g == 3.0
+    gx, gy = model.g(np.array([x, y]))
+    assert abs(gx - gy) <= model.L_g * abs(x - y) * (1.0 + 1e-12) + 1e-12
+
+
+def test_l_g_is_the_sampled_peak_slope_of_g():
+    x = np.linspace(-1e-3, 1e-3, 101)   # cos x + 2 peaks at 3 at x = 0
+    slopes = np.diff(sin_plus_linear(x)) / np.diff(x)
+    assert slopes.max() <= 3.0 and slopes.max() > 3.0 - 1e-6
 
 
 @pytest.mark.parametrize("eps1", [-1.0, 0.0])

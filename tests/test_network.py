@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fintstab.control import NetworkControlSpec
-from fintstab.delays import DelayProfile
+from fintstab.control import NetworkAdaptiveHook, NetworkControlSpec
+from fintstab.delays import DelayProfile, RateFunction
 from fintstab.integrate import HistoryTrajectory, IntegratorConfig
 from fintstab.network import (LORENZ_A, LORENZ_B, LORENZ_BOX, LORENZ_DRIVE_INIT,
                               LORENZ_RESPONSE_INIT, NetworkModel,
@@ -200,3 +200,27 @@ def test_experiment_validation():
                             (np.zeros((2, 2)), np.zeros(4))):
         with pytest.raises(ValueError, match=r"must be \(2, 2\)"):
             SyncExperiment(model=model, drive_init=drive, response_init=response)
+
+
+def _short_run(kind, variant):
+    exp = lorenz_preset(horizon=0.01, h=5e-4,
+                        control=NetworkControlSpec(kind, sigma=2.0) if kind == "pinning"
+                        else NetworkControlSpec(kind))
+    exp.adaptive_hook = NetworkAdaptiveHook(0.05, 0.05, 0.02, RateFunction.power(0.1),
+                                            exp.model.delays, variant=variant)
+    return simulate_sync(exp)
+
+
+@pytest.mark.parametrize("kind", ["none", "full"])
+def test_a_pinning_hook_needs_a_pinning_spec(kind):
+    """theta1_theta3 pins node 1 with the spec's sigma: a spec without one is refused."""
+    with pytest.raises(ValueError, match="theta1_theta3 .* pinning control spec"):
+        _short_run(kind, "theta1_theta3")
+    assert _short_run("pinning", "theta1_theta3").error.gain_names == ("theta1", "theta3")
+
+
+@pytest.mark.parametrize("kind", ["none", "full", "pinning"])
+def test_a_full_node_hook_runs_under_every_spec(kind):
+    res = _short_run(kind, "theta3_theta4")
+    assert res.error.gain_names == ("theta4", "theta3")
+    assert res.error.states.shape == (21, 9)
