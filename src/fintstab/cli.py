@@ -388,6 +388,16 @@ def _cmd_monitor(args) -> int:
         value = float(np.hstack([b[r] for b in blocks])[c])
         raise ValueError(f"trajectory CSV data row {r + 1} holds {name} = {value!r}, "
                          f"not a finite number")
+    # a trajectory of another config: cheap tells, its gain columns and its start
+    hook = adaptive_hook(cfg)
+    names = hook.names if hook is not None else ()
+    if traj.gain_names != names:
+        raise ValueError(f"trajectory CSV gain columns ({', '.join(traj.gain_names) or 'none'})"
+                         f" are not the ones this config records ({', '.join(names) or 'none'})")
+    x0 = np.asarray(cfg.system.get("initial_state", []), dtype=float)
+    if cfg.kind == "scalar" and traj.states[0].tobytes() != x0.tobytes():
+        raise ValueError(f"trajectory CSV row 0 {traj.states[0].tolist()} is not "
+                         f"system.initial_state {x0.tolist()}")
     h = cfg.integrator.h
     if not math.isclose(traj.h, h, rel_tol=1e-9):
         raise ValueError(f"trajectory grid step {traj.h!r} is not integrator.h = {h!r} "

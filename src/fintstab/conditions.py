@@ -53,7 +53,8 @@ def check_scalar_theorem(gains: StaticScalarGains, m: int, beta: float,
     one:  beta + (c1-c4) + |c2| m (1+eta) < 0      (no eps1 trade-off)
     inf:  beta + (c1-c4) + |c2| (1+eta) < 0
     plus |c2| - c3 < 0 in every norm; the 1-norm settling margin carries the
-    extra factor m.
+    extra factor m.  At c2 = 0 no norm has a delayed term, whatever eta (an
+    infinite eta makes every other lhs inf).
     """
     if eps1 is not None and not eps1 > 0.0:
         raise ValueError(f"eps1 must be > 0, got {eps1}")
@@ -78,13 +79,15 @@ def check_scalar_theorem(gains: StaticScalarGains, m: int, beta: float,
         sign_margin = c3 - ac2
     elif norm == "one":
         eps_opt = math.nan
-        lhs = beta + (c1 - c4) + ac2 * m * (1.0 + eta)
-        c4_threshold = c1 + beta + ac2 * m * (1.0 + eta)
+        delay_term = ac2 * m * (1.0 + eta) if ac2 else 0.0
+        lhs = beta + (c1 - c4) + delay_term
+        c4_threshold = c1 + beta + delay_term
         sign_margin = m * (c3 - ac2)
     elif norm == "inf":
         eps_opt = math.nan
-        lhs = beta + (c1 - c4) + ac2 * (1.0 + eta)
-        c4_threshold = c1 + beta + ac2 * (1.0 + eta)
+        delay_term = ac2 * (1.0 + eta) if ac2 else 0.0
+        lhs = beta + (c1 - c4) + delay_term
+        c4_threshold = c1 + beta + delay_term
         sign_margin = c3 - ac2
     else:
         raise ValueError(f"unknown norm {norm!r}")

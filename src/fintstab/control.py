@@ -19,15 +19,14 @@ from typing import Optional
 import numpy as np
 
 from .delays import DelayProfile, RateFunction
-from .integrate import (HistoryTrajectory, RunningWindowSup, norm1, norm_inf,
-                        sq_norm2)
+from .integrate import HistoryTrajectory, RunningWindowSup, norm1, norm_inf
 
 MODE_ABOVE_ONE = "above_one"
 MODE_IN_UNIT_BALL = "in_unit_ball"
 MODE_AT_ORIGIN = "at_origin"
 
-_NORM_FUNCS = {"two": sq_norm2, "one": norm1, "inf": norm_inf}
-_NORM_SQUARED = {"two": True, "one": False, "inf": False}
+# the unsquared switching functionals; `step` computes the squared two-norm itself
+_NORM_FUNCS = {"one": norm1, "inf": norm_inf}
 
 
 @dataclass
@@ -146,6 +145,8 @@ class AdaptiveHook:
                  profile: DelayProfile, norm: str = "two", zero_tol: float = 1e-9):
         if min(rates) <= 0.0:
             raise ValueError("adaptive rates d1, d2, d3 must be positive")
+        if norm != "two" and norm not in _NORM_FUNCS:
+            raise ValueError(f"unknown norm {norm!r}")
         self.names = tuple(names)
         self._lin, self._sign = lin, 1 - lin
         self.rates = tuple(rates)
@@ -154,8 +155,8 @@ class AdaptiveHook:
         self.zero_tol = zero_tol
         self.gains = [0.0, 0.0]
         self.mode = MODE_ABOVE_ONE
-        self._functional = _NORM_FUNCS[norm]
-        self._squared = _NORM_SQUARED[norm]
+        self._functional = _NORM_FUNCS.get(norm)
+        self._squared = norm == "two"
         self._tracker: Optional[RunningWindowSup] = None
 
     @property

@@ -6,10 +6,11 @@ whose asymptotic constants
 
     beta = limsup mu'(t)/mu(t),   1 + eta = limsup mu(t)/mu(t - pi(t))
 
-enter every stability condition.  Closed-form (beta, eta) are provided for the
-two families with known analytic limits: power-law mu with any affine
-envelope (proportional or constant), and exponential mu with constant
-delays.  Any other pairing must be supplied with (beta, eta) by the caller.
+enter every stability condition.  Closed-form (beta, eta) are provided for
+every affine envelope: power-law mu with any of them (proportional or
+constant), exponential mu with a constant delay, and exponential mu with a
+proportional envelope, where eta is infinite.  A custom profile must be
+supplied with (beta, eta) by the caller.
 """
 from __future__ import annotations
 
@@ -164,20 +165,22 @@ class RateFunction:
 
 
 def asymptotics(rate: RateFunction, profile: DelayProfile) -> tuple:
-    """Analytic (beta, eta) for the two compatible (rate, profile) families.
+    """Analytic (beta, eta) of a rate under an affine envelope q*t + lag.
 
-    Power-law mu with an affine envelope q*t + lag gives beta = 0 and
-    1 + eta = (1-q)**(-rho), so eta = 0 for a constant delay (q = 0);
-    exponential mu with a constant envelope pi gives
-    beta = varpi and 1 + eta = exp(varpi*pi).  Anything else, or a 1 + eta
-    beyond the float range, has no closed form here and must be handled by
-    the caller.
+    Power-law mu gives beta = 0 and 1 + eta = (1-q)**(-rho), so eta = 0 for
+    a constant delay (q = 0); exponential mu gives beta = varpi and
+    1 + eta = exp(varpi*pi) under a constant envelope pi, and eta = inf
+    under a proportional one, where mu(t)/mu(t - pi(t)) = exp(varpi*(q*t +
+    lag)) is unbounded.  A custom profile, or a finite 1 + eta beyond the
+    float range, has no closed form here and must be handled by the caller.
     """
     try:
         if rate.kind == "power" and profile.envelope_kind != "custom":
             return 0.0, (1.0 - profile.q) ** (-rate.param) - 1.0
         if rate.kind == "exponential" and profile.envelope_kind == "constant":
             return rate.param, math.exp(rate.param * profile.lag) - 1.0
+        if rate.kind == "exponential" and profile.envelope_kind == "proportional":
+            return rate.param, math.inf
     except OverflowError:
         raise NoClosedFormError(f"1 + eta overflows a float for the {rate.kind} rate "
                                 f"{rate.param:g}") from None

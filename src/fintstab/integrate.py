@@ -4,11 +4,12 @@ The integrator stores every accepted step (unbounded delays need the whole
 history) and resolves delayed states by linear interpolation.  Every lookup
 goes through one rule, `grid_rows`, and one formula,
 `HistoryTrajectory._lookup`; on the fixed grid the delayed times of step k
-depend only on k, so a `DelayPlan` computes them block by block, and
-`BlockRows` turns each block into per-step rows once.  Discontinuous sign
-feedback is handled by a zero-band projection: a component whose sign
-flipped during a step and whose magnitude stayed inside the one-step sliding
-band is set to exactly 0, emulating the ideal sliding mode.
+depend only on k, so a `DelayPlan`, which each delayed reader builds for
+itself, computes them block by block, and `BlockRows` turns each block into
+per-step rows once.  Discontinuous sign feedback is handled by a zero-band
+projection: a component whose sign flipped during a step and whose
+magnitude stayed inside the one-step sliding band is set to exactly 0,
+emulating the ideal sliding mode.
 """
 from __future__ import annotations
 
@@ -75,8 +76,8 @@ def grid_rows(times, t0: float, h: float, last):
     The single lookup rule of the package: the value at t is
     (1 - w)*x[lo] + w*x[hi] over rows 0..last.  A time within _GRID_SNAP*h of
     a grid point snaps to it (lo = hi, w = 0).  A time before t0 gives
-    lo = hi = 0, w = 0; callers resolve it through the initial history, whose
-    default (constant extension) is row 0.  A time past row `last` raises
+    lo = hi = 0, w = 0: row 0, the constant extension of the initial state,
+    is the pre-history.  A time past row `last` raises
     HistoryWindowError whose `index` is the flat position of the first such
     time.  `last` may be an array broadcast against `times`.
     """
@@ -104,19 +105,18 @@ PLAN_BLOCK = 256  # grid steps per filled block; 512 raised peak RSS with no spe
 
 
 class _PlanBlock:
-    """Rows of steps start..start+len(lo)-1: times, lo, hi, w are (steps,
+    """Rows of steps start..start+len(lo)-1: lo, hi, w are (steps,
     components), and reach[r] is the highest history row row r reads."""
 
-    def __init__(self, start, times, lo, hi, w, reach):
+    def __init__(self, start, lo, hi, w, reach):
         self.start = start
         self.stop = start + lo.shape[0]
-        self.times = times
         self.lo, self.hi, self.w = lo, hi, w
         self.reach = reach
 
     def values(self, traj: "HistoryTrajectory", cols) -> np.ndarray:
         """traj's state columns cols at the block's times: `HistoryTrajectory._lookup`."""
-        return traj._lookup(self.times, self.lo, self.hi, self.w, cols)
+        return traj._lookup(self.lo, self.hi, self.w, cols)
 
 
 class DelayPlan:
@@ -161,7 +161,7 @@ class DelayPlan:
             if bad == start:
                 raise
             return self._fill(start, bad)  # the run ends before the bad row
-        return _PlanBlock(start, times, lo, hi, w, hi.max(axis=1))
+        return _PlanBlock(start, lo, hi, w, hi.max(axis=1))
 
     def row(self, k: int) -> _PlanBlock:
         """The block starting at step k: rows from k up to, not including, the
@@ -178,8 +178,7 @@ class DelayPlan:
             ahead = run.reach[i:] > k
             if ahead.any():
                 j = i + int(ahead.argmax())
-        return _PlanBlock(k, run.times[i:j], run.lo[i:j], run.hi[i:j], run.w[i:j],
-                          run.reach[i:j])
+        return _PlanBlock(k, run.lo[i:j], run.hi[i:j], run.w[i:j], run.reach[i:j])
 
 
 class BlockRows:
@@ -210,16 +209,15 @@ def diag_cols(n_components: int, dim: int) -> np.ndarray:
 
 
 class HistoryTrajectory:
-    """Dense grid record of a state trajectory with linear interpolation.
+    """Dense grid record of a state trajectory and its gains, with linear
+    interpolation.
 
-    Queries at t < t0 fall back to the initial history function (constant
-    extension of the initial state by default), which is how constant-delay
-    problems resolve pre-history lookups.  `integrate` attaches its
-    DelayPlan as `plan`.
+    A query at t < t0 reads row 0, the constant extension of the initial
+    state, which is how constant-delay problems resolve pre-history lookups.
+    A delayed reader builds its own DelayPlan on the trajectory's grid.
     """
 
     def __init__(self, t0: float, h: float, initial_state, capacity: int,
-                 initial_history: Optional[Callable[[float], np.ndarray]] = None,
                  gain_names: Optional[Sequence[str]] = None):
         x0 = np.atleast_1d(np.asarray(initial_state, dtype=float))
         self.t0 = float(t0)
@@ -229,11 +227,9 @@ class HistoryTrajectory:
         self._states[0] = x0
         self._flat = self._states.reshape(-1)
         self._filled = 0
-        self.initial_history = initial_history
         self.gain_names = tuple(gain_names) if gain_names else ()
         self._gains = (np.empty((capacity + 1, len(self.gain_names)))
                        if self.gain_names else None)
-        self.plan: Optional[DelayPlan] = None
 
     @classmethod
     def from_arrays(cls, t0: float, h: float, states: np.ndarray,
@@ -271,24 +267,15 @@ class HistoryTrajectory:
 
     # -- interpolation -----------------------------------------------------
 
-    def _lookup(self, times, lo, hi, w, cols) -> np.ndarray:
-        """State columns at `times` from their grid rows (lo, hi, w), all of
-        one shape whose last axis runs over the rows of cols (or broadcasts
-        against them): (1 - w)*x[lo] + w*x[hi] over cols, shape (..., rows
-        of cols, columns per row).  Every entry whose time precedes t0 then
-        reads the initial history, one call per time (without one, row 0
-        already is constant extension)."""
+    def _lookup(self, lo, hi, w, cols) -> np.ndarray:
+        """State columns from their grid rows (lo, hi, w), all of one shape
+        whose last axis runs over the rows of cols (or broadcasts against
+        them): (1 - w)*x[lo] + w*x[hi] over cols, shape (..., rows of cols,
+        columns per row)."""
         wh = w[..., None]
         flat = self._flat
-        out = ((1.0 - wh) * flat[lo[..., None] * self.dim + cols]
-               + wh * flat[hi[..., None] * self.dim + cols])
-        if self.initial_history is not None:
-            for idx in zip(*np.nonzero(times < self.t0)):
-                value = np.atleast_1d(np.asarray(self.initial_history(times[idx]),
-                                                 dtype=float))
-                r = slice(None) if times.shape[-1] == 1 else idx[-1]  # shared: every row
-                out[idx[:-1] + (r,)] = value[cols[r]]
-        return out
+        return ((1.0 - wh) * flat[lo[..., None] * self.dim + cols]
+                + wh * flat[hi[..., None] * self.dim + cols])
 
     def query(self, t: float) -> np.ndarray:
         """The state at time t <= current_time: `query_diag` of one time."""
@@ -299,7 +286,7 @@ class HistoryTrajectory:
         time reads every component."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         lo, hi, w = grid_rows(times, self.t0, self.h, self._filled)
-        return self._lookup(times, lo, hi, w, diag_cols(times.size, self.dim)).ravel()
+        return self._lookup(lo, hi, w, diag_cols(times.size, self.dim)).ravel()
 
 
 # -- windowed suprema ------------------------------------------------------
@@ -477,9 +464,7 @@ def _rest_blocker(states: np.ndarray, gains: Optional[np.ndarray], k: int, first
 
 
 def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfig,
-              gain_hook=None,
-              initial_history: Optional[Callable[[float], np.ndarray]] = None,
-              rests_at_zero: bool = False) -> HistoryTrajectory:
+              gain_hook=None, rests_at_zero: bool = False) -> HistoryTrajectory:
     """Integrate x' = rhs(t, x, traj) on [0, horizon] in config.n_steps
     explicit Euler steps of h, each followed by the zero-band projection.  A
     step whose new state has a NaN, an infinite or a component above
@@ -504,9 +489,9 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     on arrays.
 
     `rhs` resolves delayed states from `traj`, which covers the history up to
-    the current step start.  The step k call sees traj._filled == k, so it
-    can read row k of `traj.plan`: the DelayPlan of `profile` on this grid,
-    built here once per call.
+    the current step start, and reads row 0 before t = 0.  The step k call
+    sees traj._filled == k, so it can read row k of its own DelayPlan on
+    traj's grid; `integrate` reads `profile` only for the rest rule below.
     `gain_hook`, when given, is an object with attributes `names`, `gains`
     (one value per name), `sign_gain` and a method `step(t, x, traj)`; it is
     invoked once per accepted step, after the rhs and with the same `x`, and
@@ -535,9 +520,7 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     x0 = np.atleast_1d(np.asarray(initial_state, dtype=float))
     h, n_steps = config.h, config.n_steps
     gain_names = gain_hook.names if gain_hook is not None else None
-    traj = HistoryTrajectory(0.0, h, x0, n_steps, initial_history=initial_history,
-                             gain_names=gain_names)
-    traj.plan = DelayPlan(profile, 0.0, h)
+    traj = HistoryTrajectory(0.0, h, x0, n_steps, gain_names=gain_names)
     states, all_gains = traj._states, traj._gains
     if gain_hook is not None:
         all_gains[0] = gain_hook.gains
@@ -559,8 +542,6 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
         if k >= rest_at and not any(xs):
             first = _first_read(k - 1, slope, lag_steps)
             m = _rest_blocker(states, all_gains, k, max(first, 0))
-            if m is None and first < 0 and initial_history is not None:
-                m = -1   # a step may still read the initial history, which is no row
             if m is None:
                 states[k + 1:] = 0.0
                 if all_gains is not None:
@@ -601,18 +582,15 @@ def delayed_linear_rhs(c1: float, c2: float, profile: DelayProfile,
 
     The rhs is evaluated at the trajectory's current step, t = traj.current_time,
     which is where `integrate` calls it.  The delayed state is that step's row
-    of `traj.plan` when the plan is for `profile` itself, and of a DelayPlan
-    of `profile` on the trajectory's grid otherwise (a trajectory without a
-    plan, or one integrated with another profile object).
+    of a DelayPlan of `profile` on the trajectory's grid, built the first time
+    the rhs sees the trajectory, whatever profile it is integrated under.
     """
     seen = scaled = None  # c2 times the delayed values, a row per step
 
     def rhs(t, p, traj):
         nonlocal seen, scaled
         if traj is not seen:
-            seen, plan = traj, traj.plan
-            if plan is None or plan.profile is not profile:
-                plan = DelayPlan(profile, traj.t0, traj.h)
+            seen, plan = traj, DelayPlan(profile, traj.t0, traj.h)
             cols = diag_cols(profile.n_components, traj.dim)
             # bound as defaults: a closure over traj and cols costs rhs two cells a call
             scaled = BlockRows(plan, lambda blk, traj=traj, cols=cols: (

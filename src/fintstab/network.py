@@ -27,8 +27,8 @@ from .conditions import _validate_coupling_matrix
 from .control import (NetworkAdaptiveHook, NetworkControlSpec, _add_full_node,
                       _add_pinning, _sgn)
 from .delays import DelayProfile
-from .integrate import (BlockRows, HistoryTrajectory, IntegratorConfig, integrate,
-                        row_chunks)
+from .integrate import (BlockRows, DelayPlan, HistoryTrajectory, IntegratorConfig,
+                        integrate, row_chunks)
 
 _flat = itertools.chain.from_iterable  # rows -> their floats, row by row
 
@@ -106,10 +106,11 @@ def _coupling(model: NetworkModel, XD: np.ndarray, ED: Optional[np.ndarray] = No
     return model.theta2 * np.einsum("ij,sijk->sik", model.B, G)
 
 
-def _coupling_rows(model: NetworkModel, plan, xtraj: HistoryTrajectory,
+def _coupling_rows(model: NetworkModel, xtraj: HistoryTrajectory,
                    etraj: Optional[HistoryTrajectory] = None) -> BlockRows:
     """Step k's coupling as N*n floats, node by node: `_coupling` of xtraj's
-    delayed values (and etraj's) over each block of plan."""
+    delayed values (and etraj's, on the same grid) over each block of a
+    DelayPlan of the model's delays on that grid."""
     cols = _node_cols(model.N, model.n)
 
     def make(blk):
@@ -117,7 +118,7 @@ def _coupling_rows(model: NetworkModel, plan, xtraj: HistoryTrajectory,
         vals = _coupling(model, blk.values(xtraj, cols), ev)
         return vals.reshape(len(vals), -1).tolist()
 
-    return BlockRows(plan, make)
+    return BlockRows(DelayPlan(model.delays, xtraj.t0, xtraj.h), make)
 
 
 def _rows(v) -> list:
@@ -137,7 +138,7 @@ def _drive_rhs(model: NetworkModel):
     def rhs(t, X, traj):
         nonlocal seen, coupling
         if traj is not seen:
-            seen, coupling = traj, _coupling_rows(model, traj.plan, traj)
+            seen, coupling = traj, _coupling_rows(model, traj)
         Xn = X.reshape(N, n)
         fx = _rows(model.f(Xn.tolist()))
         ax = A.dot(Xn).ravel().tolist()
@@ -160,8 +161,8 @@ def _static_control(out: list, e: list, model: NetworkModel,
 def _error_rhs(model: NetworkModel, drive: HistoryTrajectory,
                control: NetworkControlSpec, hook: Optional[NetworkAdaptiveHook]):
     """Error dynamics at step k on Python floats: the drive's row k is its state
-    at t_k, and both delayed lookups read row k of the error integration's
-    plan (the drive was integrated on the same grid).
+    at t_k, and both delayed lookups read row k of one plan on the error
+    integration's grid (the drive was integrated on the same grid).
 
     f is called once on the 2N node rows [x + e; x] and the two halves
     subtracted; g is called in `_coupling`, for a whole plan block at a time.
@@ -177,7 +178,7 @@ def _error_rhs(model: NetworkModel, drive: HistoryTrajectory,
     def rhs(t, E, etraj):
         nonlocal seen, coupling
         if etraj is not seen:
-            seen, coupling = etraj, _coupling_rows(model, etraj.plan, drive, etraj)
+            seen, coupling = etraj, _coupling_rows(model, drive, etraj)
         k = etraj._filled
         En, Xn = E.reshape(N, n), drive_nodes[k]
         fx = _rows(model.f((Xn + En).tolist() + Xn.tolist()))

@@ -214,6 +214,66 @@ def test_overflowing_asymptotics_have_no_closed_form(tmp_path, monkeypatch, caps
     assert run(load_config(doc)).report is None
 
 
+def test_exponential_rate_with_a_proportional_delay_is_checked(tmp_path, monkeypatch, capsys):
+    # mu(t) / mu(t - q t) = exp(varpi q t) is unbounded: eta = inf, so every
+    # norm's condition is infeasible (lhs inf), an answer and not an error;
+    # simulate prints no settling bound and takes eps2 from the sign margin
+    monkeypatch.chdir(tmp_path)
+    doc = _scalar_doc(rate={"kind": "exponential", "rate": 0.1})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 0
+    out = capsys.readouterr().out
+    rows = re.findall(r"^(scalar_\w+_norm) +(\S+) +(\S+)", out, re.M)
+    assert rows == [(f"scalar_{n}_norm", "False", "inf") for n in ("two", "one", "inf")]
+    assert main(["check", "--require-feasible", str(path)]) == 2
+    capsys.readouterr()
+    assert main(["simulate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "eps2 = 0.09\n" in out and "settling_bound" not in out
+    res = run(load_config(doc))
+    assert res.report.details["eta"] == math.inf and not res.report.feasible
+    # c2 = 0: no delayed term, so the infinite eta does not enter
+    doc["system"] = dict(doc["system"], c2=0.0)
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--require-feasible", str(path)]) == 0
+    assert all(r.feasible for r in condition_reports(load_config(doc)))
+
+
+def _doc_file(tmp_path, name, doc):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(dict(doc, integrator={"horizon": 1.0, "h": 1e-3},
+                                    output={"csv": str(tmp_path / f"{name}.csv")})))
+    return str(path)
+
+
+_ADAPTIVE1 = dict(EXAMPLE1, adaptive={"enabled": True, "d1": 0.1, "d2": 0.1, "d3": 0.1})
+
+
+@pytest.mark.parametrize("written, checked, message", [
+    (_ADAPTIVE1, EXAMPLE1, "gain columns (c3, c4) are not the ones this config records (none)"),
+    (EXAMPLE1, _ADAPTIVE1, "gain columns (none) are not the ones this config records (c3, c4)"),
+    (EXAMPLE1, dict(EXAMPLE1, system=dict(EXAMPLE1["system"], initial_state=[2.5])),
+     "row 0 [2.0] is not system.initial_state [2.5]"),
+    (dict(EXAMPLE1, system=dict(EXAMPLE1["system"], initial_state=[-0.0])),
+     dict(EXAMPLE1, system=dict(EXAMPLE1["system"], initial_state=[0.0])),
+     "row 0 [-0.0] is not system.initial_state [0.0]"),
+], ids=["adaptive_as_static", "static_as_adaptive", "other_start", "signed_zero_start"])
+def test_monitor_refuses_a_trajectory_of_another_config(tmp_path, capsys, written, checked,
+                                                        message):
+    # the cheap tells of a trajectory another config wrote: its gain columns
+    # and, for a scalar config, its row 0 bitwise
+    assert main(["simulate", _doc_file(tmp_path, "written", written)]) == 0
+    assert main(["monitor", _doc_file(tmp_path, "own", written), str(tmp_path / "written.csv"),
+                 "--out", str(tmp_path / "m.csv")]) == 0
+    capsys.readouterr()
+    code = main(["monitor", _doc_file(tmp_path, "checked", checked),
+                 str(tmp_path / "written.csv"), "--out", str(tmp_path / "m.csv")])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err == f"error: trajectory CSV {message}\n"
+
+
 def test_cli_simulate_and_monitor(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfgp = tmp_path / "cfg.json"
@@ -694,7 +754,8 @@ def test_monitor_needs_the_adaptive_gain_column(tmp_path, capsys):
     write_trajectory_csv(tmp_path / "static.csv", run_example1(horizon=1.0).traj)
     assert main(["monitor", str(path), str(tmp_path / "static.csv"),
                  "--out", str(tmp_path / "m.csv")]) == 1
-    assert "no gain series named 'c3'" in capsys.readouterr().err
+    assert ("trajectory CSV gain columns (none) are not the ones this config records "
+            "(c3, c4)") in capsys.readouterr().err
 
 
 def _monitor(tmp_path, capsys, doc):

@@ -14,7 +14,7 @@ from fintstab.config import adaptive_hook, load_config
 from fintstab.control import (NetworkAdaptiveHook, NetworkControlSpec, StaticScalarGains,
                               static_scalar_control)
 from fintstab.delays import DelayProfile, RateFunction, asymptotics
-from fintstab.integrate import DelayPlan, HistoryTrajectory, delayed_linear_rhs
+from fintstab.integrate import HistoryTrajectory, delayed_linear_rhs
 from fintstab.network import (LORENZ_A, LORENZ_BOX, NetworkModel, _error_rhs,
                               lorenz_jacobian_norm, lorenz_lipschitz_bound, lorenz_preset,
                               sin_plus_linear)
@@ -62,6 +62,24 @@ def test_scalar_delay_free_degenerate():
     assert not check_scalar_theorem(g2, 1, 0.0, 0.0, norm="two").feasible
     g3 = StaticScalarGains(1.0, 0.0, 0.0, 2.0)
     assert not check_scalar_theorem(g3, 1, 0.0, 0.0, norm="two").feasible
+
+
+@pytest.mark.parametrize("norm", ["two", "one", "inf"])
+@pytest.mark.parametrize("eps1", [None, 0.7])
+def test_infinite_eta(norm, eps1):
+    # eta = inf (an exponential rate under a proportional delay): a delayed
+    # term makes the lhs inf and the report infeasible, with the sign margin
+    # kept; at c2 = 0 there is no delayed term, so the lhs is the delay-free one
+    beta = 0.3
+    rep = check_scalar_theorem(StaticScalarGains(1.0, 2.0, 2.1, 3.5), 2, beta, math.inf,
+                               norm=norm, eps1=eps1)
+    assert rep.lhs == rep.c4_threshold == math.inf and not rep.feasible
+    assert rep.epsilon2_max == pytest.approx((2 if norm == "one" else 1) * 0.1)
+    free = StaticScalarGains(1.0, 0.0, 2.1, 3.5)
+    rep = check_scalar_theorem(free, 2, beta, math.inf, norm=norm, eps1=eps1)
+    assert rep.lhs == check_scalar_theorem(free, 2, beta, 0.0, norm=norm, eps1=eps1).lhs
+    assert rep.lhs == beta + (2.0 if norm == "two" else 1.0) * (1.0 - 3.5)
+    assert rep.feasible and math.isfinite(rep.c4_threshold)
 
 
 def test_one_norm_settling_margin_carries_m():
@@ -229,7 +247,6 @@ def _implemented_operator(model, control, hook=None):
 
     def at(e):
         etraj = HistoryTrajectory(0.0, 0.01, e, 1)
-        etraj.plan = DelayPlan(model.delays, 0.0, 0.01)
         return np.array(rhs(0.0, etraj.states[0], etraj))
 
     return np.column_stack([at(2.0 * e) - at(e) for e in np.eye(dim)])

@@ -100,6 +100,9 @@ def test_adaptive_state_validation():
         _scalar_rates(d1=0.0)
     with pytest.raises(ValueError):
         _network_rates(d3=-0.02)
+    # a norm the switch has no functional for, as detect_phases rejects it
+    with pytest.raises(ValueError, match="^unknown norm 'foo'$"):
+        _scalar_rates(norm="foo")
 
 
 def test_pinning_control_values():

@@ -31,17 +31,32 @@ def _at(plan, traj, k, cols):
     plan block starting at k (`values` of the whole block costs the
     references a block's lookup per step)."""
     blk = plan.row(k)
-    return traj._lookup(blk.times[:1], blk.lo[:1], blk.hi[:1], blk.w[:1], cols)[0]
+    return traj._lookup(blk.lo[:1], blk.hi[:1], blk.w[:1], cols)[0]
+
+
+def _own_plan(profile):
+    """A reference rhs's plan: a DelayPlan of `profile` on the grid of the
+    trajectory it integrates, built the first time it sees that trajectory,
+    as the package's right-hand sides build theirs."""
+    seen = {"traj": None}
+
+    def plan(traj):
+        if seen["traj"] is not traj:
+            seen.update(traj=traj, plan=DelayPlan(profile, traj.t0, traj.h))
+        return seen["plan"]
+
+    return plan
 
 
 def _ref_drive_rhs(model):
     N, n = model.N, model.n
     nodes = _node_cols(N, n)
+    plan = _own_plan(model.delays)
 
     def rhs(t, X, traj):
         Xn = X.reshape(N, n)
         out = model.f(Xn) + model.theta1 * (model.A @ Xn)
-        xd = _at(traj.plan, traj, traj._filled, nodes).reshape(N, N, n)
+        xd = _at(plan(traj), traj, traj._filled, nodes).reshape(N, N, n)
         out += model.theta2 * np.einsum("ij,ijk->ik", model.B, model.g(xd))
         return out.ravel()
 
@@ -53,6 +68,7 @@ def _ref_error_rhs(model, base_traj, control, hook):
     nodes = _node_cols(N, n)
     fbuf = np.empty((2, N, n))
     gbuf = np.empty((2, N, N, n))
+    plan = _own_plan(model.delays)
 
     def rhs(t, E, etraj):
         k = etraj._filled
@@ -62,8 +78,8 @@ def _ref_error_rhs(model, base_traj, control, hook):
         fbuf[1] = x_now
         fx = model.f(fbuf)
         out = (fx[0] - fx[1]) + model.theta1 * (model.A @ En)
-        xd = _at(etraj.plan, base_traj, k, nodes).reshape(N, N, n)
-        np.add(xd, _at(etraj.plan, etraj, k, nodes).reshape(N, N, n), out=gbuf[0])
+        xd = _at(plan(etraj), base_traj, k, nodes).reshape(N, N, n)
+        np.add(xd, _at(plan(etraj), etraj, k, nodes).reshape(N, N, n), out=gbuf[0])
         gbuf[1] = xd
         gx = model.g(gbuf)
         out += model.theta2 * np.einsum("ij,ijk->ik", model.B, gx[0] - gx[1])
@@ -104,11 +120,12 @@ def simulate_response_directly(exp, drive):
 def _ref_direct_rhs(model, control, drive):
     N, n = model.N, model.n
     nodes = _node_cols(N, n)
+    plan = _own_plan(model.delays)
 
     def rhs(t, Y, ytraj):
         Yn = Y.reshape(N, n)
         out = model.f(Yn) + model.theta1 * (model.A @ Yn)
-        yd = _at(ytraj.plan, ytraj, ytraj._filled, nodes).reshape(N, N, n)
+        yd = _at(plan(ytraj), ytraj, ytraj._filled, nodes).reshape(N, N, n)
         out += model.theta2 * np.einsum("ij,ijk->ik", model.B, model.g(yd))
         e = Yn - drive.query(t).reshape(N, n)
         if control.kind == "pinning":
@@ -295,12 +312,9 @@ def test_block_coupling_follows_each_trajectory():
     # plan block) must recompute the coupling; an error rhs has one drive
     model = lorenz_preset().model
     N, n = model.N, model.n
-    plan = DelayPlan(model.delays, 0.0, H)
     rng = np.random.default_rng(5)
     bases, errors = ([HistoryTrajectory.from_arrays(0.0, H, rng.normal(size=(700, N * n)))
                       for _ in range(2)] for _ in range(2))
-    for traj in bases + errors:
-        traj.plan = plan
     none = NetworkControlSpec(kind="none")
     drive_rhs, ref_drive_rhs = _drive_rhs(model), _ref_drive_rhs(model)
     error_rhs = [_error_rhs(model, base, none, None) for base in bases]
@@ -319,12 +333,13 @@ def test_block_coupling_follows_each_trajectory():
 @pytest.mark.parametrize("adaptive", [False, True])
 def test_lorenz_run_builds_each_block_once(adaptive):
     # the drive's coupling reads one values block per plan block, the
-    # error's two (drive and error), and each BlockRows builds a block once
+    # error's two (drive and error), and each BlockRows builds a block once.
+    # Each rhs builds its own plan, the drive's first
     exp = _experiment("pairwise", "theta1_theta3" if adaptive else "full")
     with count_blocks() as (cuts, counts):
-        res = simulate_sync(exp)
+        simulate_sync(exp)
     n_steps = int(round(HORIZON / H))
-    drive, error = cuts[res.drive.plan], cuts[res.error.plan]
+    drive, error = [steps for plan, steps in cuts.items() if not plan.envelope]
     for steps in (drive, error):
         assert steps[0][0] == 0 and steps[-1][1] >= n_steps
     assert counts["values"] == len(drive) + 2 * len(error)
@@ -336,39 +351,23 @@ def test_lorenz_run_builds_each_block_once(adaptive):
 
 def test_shared_delay_prehistory_reaches_every_node_row():
     # one shared delay component read through N*N node column rows: each row
-    # whose time is before t0 takes the initial history, not row 0, so the
-    # pre-history times must broadcast over the column rows
+    # whose time is before t0 takes row 0 (the constant extension of the
+    # initial state) in every node column row, whole blocks as single steps
     N, n, h, tau = 3, 3, 0.01, 15.5 * 0.01
     cols = _node_cols(N, n)
     rng = np.random.default_rng(11)
     traj = HistoryTrajectory.from_arrays(0.0, h, rng.normal(size=(40, N * n)))
-    traj.initial_history = lambda t: np.sin(3.0 * t + np.arange(N * n))
     plan = DelayPlan(DelayProfile.constant(tau), 0.0, h)
     pre = 0
     for k in range(40):
         t = k * h
         got = _at(plan, traj, k, cols)
         assert got.tobytes() == traj.query_diag(t - tau)[cols].tobytes()
+        assert got.tobytes() == plan.row(k).values(traj, cols)[0].tobytes()
         if t - tau < 0.0:
             pre += 1
-            assert got.tobytes() == traj.initial_history(t - tau)[cols].tobytes()
+            assert got.tobytes() == traj.states[0][cols].tobytes()
     assert pre == 16
-
-
-def test_shared_delay_prehistory_calls_history_once_per_time():
-    # a 15.5-step shared delay: steps 0..15 read the initial history, once
-    # each, whatever the number of node column rows that read it
-    N, n, h, tau = 3, 3, 0.01, 15.5 * 0.01
-    cols = _node_cols(N, n)
-    traj = HistoryTrajectory.from_arrays(0.0, h, np.zeros((41, N * n)))
-    calls = []
-    traj.initial_history = lambda t: calls.append(t) or np.sin(3.0 * t + np.arange(N * n))
-    plan, k = DelayPlan(DelayProfile.constant(tau), 0.0, h), 0
-    while k < 40:
-        blk = plan.row(k)
-        blk.values(traj, cols)
-        k = blk.stop
-    assert len(calls) == len(set(calls)) == 16
 
 
 @settings(max_examples=40, deadline=None)
@@ -386,10 +385,9 @@ def test_plan_gather_block(kind, m, ratio, filled, data):
             [ratio * (i + 1) / m for i in range(m)], envelope_q=0.95)
     states = np.random.default_rng(filled).normal(size=(filled + 1, m))
     traj = HistoryTrajectory.from_arrays(t0, h, states)
-    traj.plan = DelayPlan(profile, t0, h)
     cols = diag_cols(m, m)
     k = data.draw(st.integers(0, filled))
-    blk = traj.plan.row(k)
+    blk = DelayPlan(profile, t0, h).row(k)
     vals = blk.values(traj, cols)
     assert blk.start == k
     assert blk.hi.max() <= blk.start

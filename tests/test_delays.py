@@ -63,8 +63,15 @@ def test_asymptotics_exponential_constant():
 def test_asymptotics_incompatible_pair():
     # a power rate has t**rho / (t - pi)**rho -> 1 under a constant delay
     assert asymptotics(RateFunction.power(0.1), DelayProfile.constant(1.0)) == (0.0, 0.0)
-    with pytest.raises(NoClosedFormError):
-        asymptotics(RateFunction.exponential(0.1), DelayProfile.proportional(0.5))
+    # an exponential rate under a proportional envelope: mu(t)/mu(t - q t) =
+    # exp(varpi q t) is unbounded, so eta is infinite
+    assert asymptotics(RateFunction.exponential(0.1), DelayProfile.proportional(0.5)) == (
+        0.1, math.inf)
+    assert asymptotics(RateFunction.exponential(0.1),
+                       DelayProfile.per_component_proportional([0.2, 0.4])) == (0.1, math.inf)
+    for rate in (RateFunction.exponential(0.1), RateFunction.power(0.1)):
+        with pytest.raises(NoClosedFormError, match="no closed-form"):
+            asymptotics(rate, DelayProfile.custom(lambda t: 0.5 * t))
 
 
 def test_asymptotics_overflow_has_no_closed_form():

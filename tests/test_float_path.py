@@ -19,7 +19,7 @@ from fintstab.control import (ScalarAdaptiveHook, StaticScalarGains,
 from fintstab.delays import DelayProfile, RateFunction
 from fintstab.integrate import (DelayPlan, DivergenceError, IntegratorConfig,
                                 RunningWindowSup, delayed_linear_rhs,
-                                diag_cols, integrate)
+                                diag_cols, integrate, sq_norm2)
 from test_integrate import _reference_integrate
 
 
@@ -31,9 +31,7 @@ def _ref_delayed_linear_rhs(c1, c2, profile, control=None):
     def rhs(t, p, traj):
         nonlocal seen, plan
         if traj is not seen:
-            seen, plan = traj, traj.plan
-            if plan is None or plan.profile is not profile:
-                plan = DelayPlan(profile, traj.t0, traj.h)
+            seen, plan = traj, DelayPlan(profile, traj.t0, traj.h)
         # the plan block starting at this step, its first row
         block = plan.row(traj._filled).values(traj, diag_cols(profile.n_components, traj.dim))
         scaled = c2 * block.reshape(block.shape[0], -1)
@@ -59,7 +57,7 @@ def _ref_hook_step(self, t, x, traj):
     if self._tracker is None:
         self._tracker = RunningWindowSup(traj.t0, traj.h, self.profile)
     k = len(self._tracker.values)
-    value = self._functional(x)
+    value = sq_norm2(x) if self._squared else self._functional(x)
     self._tracker.push(value)
     d_lin, d_sign, self.mode = gain_rates(value, self.rate.mu(t), self._tracker.sup(k),
                                           self.rates, self._squared, self.zero_tol)

@@ -269,7 +269,6 @@ def _reference_integrate(rhs, initial_state, profile, config, gain_hook=None,
     h = config.h
     traj = HistoryTrajectory(0.0, h, x, config.n_steps,
                              gain_names=gain_hook.names if gain_hook is not None else None)
-    traj.plan = DelayPlan(profile, 0.0, h)
     if gain_hook is not None:
         traj._gains[0] = gain_hook.gains
     for k in range(config.n_steps):
@@ -295,11 +294,16 @@ def _reference_integrate(rhs, initial_state, profile, config, gain_hook=None,
 
 def _reference_linear_rhs(c1, c2, profile, control):
     """delayed_linear_rhs with c2 applied to each step's gathered row, the
-    first row of the plan block starting at the step."""
+    first row of the block starting at the step of its own plan on the
+    trajectory's grid."""
+    seen = plan = None
 
     def rhs(t, p, traj):
+        nonlocal seen, plan
+        if traj is not seen:
+            seen, plan = traj, DelayPlan(profile, traj.t0, traj.h)
         cols = diag_cols(profile.n_components, traj.dim)
-        vals = traj.plan.row(traj._filled).values(traj, cols)
+        vals = plan.row(traj._filled).values(traj, cols)
         return c1 * p + c2 * vals[0].ravel() + control(t, p)
 
     return rhs

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from fintstab.cli import EXAMPLE1, run
 from fintstab.config import load_config
-from fintstab.control import ScalarAdaptiveHook
+from fintstab.control import ScalarAdaptiveHook, StaticScalarGains, static_scalar_control
 from fintstab.delays import DelayProfile, RateFunction
 from fintstab.integrate import (BlockRows, DelayPlan, HistoryTrajectory,
                                 HistoryWindowError, IntegratorConfig, RunningWindowSup,
@@ -116,30 +116,29 @@ def test_block_boundaries_match_one_large_block(profile, grid, boundary, offset)
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.05, 2.0), grids, st.integers(1, 3), st.integers(0, 200))
 def test_constant_delay_prehistory_reads_initial_history(tau, grid, dim, k):
+    # the initial history is the constant extension of the initial state: a
+    # delayed time before t0 reads row 0, bitwise
     h, t0 = grid
     profile = DelayProfile.constant(tau, n_components=dim)
-    history = lambda t: np.array([math.sin(3.0 * t + i) for i in range(dim)])
     rng = np.random.default_rng(k)
     traj = HistoryTrajectory.from_arrays(t0, h, rng.normal(size=(k + 1, dim)))
-    traj.initial_history = history
     got = DelayPlan(profile, t0, h).row(k).values(traj, diag_cols(dim, dim))[0].ravel()
     t = t0 + k * h
     if t - tau < t0:
-        assert got.tolist() == history(t - tau).tolist()
-    assert got.tolist() == traj.query_diag(np.full(dim, t - tau)).tolist()
+        assert got.tobytes() == traj.states[0].tobytes()
+    assert got.tobytes() == traj.query_diag(np.full(dim, t - tau)).tobytes()
 
 
 def test_constant_delay_prehistory_drives_integration():
-    # p' = p(t - 1) with history phi(t) = 1 + t: Euler reads phi(t_k - 1) for t_k < 1
+    # p' = p(t - 1) with p = 1 before 0: Euler reads the constant pre-history
+    # 1 for t_k < 1, so every step adds h exactly as the loop below does
     profile = DelayProfile.constant(1.0)
     cfg = IntegratorConfig(horizon=1.0, h=0.05)
-    traj = integrate(delayed_linear_rhs(0.0, 1.0, profile), [1.0], profile, cfg,
-                     initial_history=lambda t: np.array([1.0 + t]))
-    p = 1.0
-    for k in range(20):
-        t = 0.05 * k
-        p = p + 0.05 * (1.0 + (t - 1.0))
-    assert traj.states[-1, 0] == pytest.approx(p, abs=1e-14)
+    traj = integrate(delayed_linear_rhs(0.0, 1.0, profile), [1.0], profile, cfg)
+    p = [1.0]
+    for _ in range(20):
+        p.append(p[-1] + 0.05 * 1.0)
+    assert traj.states[:, 0].tolist() == p
 
 
 def _lookahead_profile(after):
@@ -292,37 +291,32 @@ def test_window_sups_reject_non_finite_values(bad):
         window_sups(values, 0.0, 0.1, DelayProfile.proportional(0.5))
 
 
-def _history(dim):
-    return lambda t: np.array([math.sin(3.0 * t + i) for i in range(dim)])
-
-
-def _gathers_agree(profile, t0, h, n, history):
+def _gathers_agree(profile, t0, h, n, dim=None):
     """Gather every step of an n-step trajectory three ways: by block from a
     fully recorded copy, by block while the rows are appended one step at a
     time (the integrator's view), and per time through query_diag.  Every
     block the growing trajectory's plan hands out must read only rows
     recorded at its first step.  Returns how those blocks ended: "cut" before
     a row that reads past the block's first step, or "run" at the end of the
-    plan's aligned run."""
-    dim = profile.n_components
+    plan's aligned run.  `dim` is the state's (the profile's components by
+    default)."""
+    dim = dim or profile.n_components
     # the recorded copy covers every block the n steps touch
     states = np.random.default_rng(n).normal(size=((n // integ.PLAN_BLOCK + 1)
                                                     * integ.PLAN_BLOCK, dim))
     full = HistoryTrajectory.from_arrays(t0, h, states)
     growing = HistoryTrajectory(t0, h, states[0], n)
-    for traj in (full, growing):
-        traj.initial_history = history
-        traj.plan = DelayPlan(profile, t0, h)
-    cols = diag_cols(dim, dim)
+    plans = {traj: DelayPlan(profile, t0, h) for traj in (full, growing)}
+    cols = diag_cols(profile.n_components, dim)
     ends = set()
 
     def rows(traj):
         def make(blk):
             if traj is growing:
                 assert blk.hi.max() <= growing._filled == blk.start
-                ends.add("run" if blk.stop == growing.plan._run.stop else "cut")
+                ends.add("run" if blk.stop == plans[growing]._run.stop else "cut")
             return list(blk.values(traj, cols))
-        return BlockRows(traj.plan, make)
+        return BlockRows(plans[traj], make)
 
     on_full, on_growing = rows(full), rows(growing)
     for k in range(n + 1):
@@ -337,11 +331,11 @@ def _gathers_agree(profile, t0, h, n, history):
 
 
 @settings(max_examples=40, deadline=None)
-@given(profiles(), grids, st.integers(0, 3 * integ.PLAN_BLOCK), st.booleans())
-def test_plan_gather_matches_interpolate(profile, grid, n, with_history):
+@given(profiles(), grids, st.integers(0, 3 * integ.PLAN_BLOCK))
+def test_plan_gather_matches_interpolate(profile, grid, n):
     # block rows (recorded copy) == per-step rows (growing) == query_diag
     h, t0 = grid
-    _gathers_agree(profile, t0, h, n, _history(profile.n_components) if with_history else None)
+    _gathers_agree(profile, t0, h, n)
 
 
 def test_running_window_sup_boundary_uses_plan_rows():
@@ -394,14 +388,14 @@ def assert_tiled(cuts):
 
 
 def test_static_example1_builds_each_block_once():
-    # delayed_linear_rhs builds a block's rows with one values call; the
-    # monitors' window sups fill whole envelope runs and cut no block
+    # delayed_linear_rhs builds its plan and a block's rows with one values
+    # call; the monitors' window sups fill whole envelope runs and cut no block
     doc = dict(EXAMPLE1, integrator={"horizon": 2.0, "h": 1e-3})
     with count_blocks() as (cuts, counts):
         res = run(load_config(doc))
     n_steps = res.traj.states.shape[0] - 1
-    steps = cuts[res.traj.plan]
-    assert list(cuts) == [res.traj.plan]
+    (plan, steps), = cuts.items()
+    assert not plan.envelope and plan.profile is res.profile
     assert steps[0][0] == 0 and steps[-1][1] >= n_steps
     assert counts["values"] == len(steps) < n_steps // 50
     assert counts["make"] == assert_tiled(cuts) == len(steps)
@@ -442,17 +436,38 @@ def test_adaptive_window_fills_aligned_envelope_runs(delay_steps):
     assert np.array(sups).tobytes() == want.tobytes()
 
 
-def test_delayed_linear_rhs_on_trajectory_without_plan():
-    # a recorded trajectory carries no plan: the rhs reads its current step
-    profile = DelayProfile.per_component_proportional([0.3, 0.6])
+_DIFFERENTIAL_PROFILES = [
+    DelayProfile.proportional(0.5, n_components=2),
+    DelayProfile.per_component_proportional([0.2, 0.7], envelope_q=0.8),
+    DelayProfile.constant(0.013, n_components=2),
+    DelayProfile.constant(0.3),
+    _custom([0.1, 0.4], 0.2),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_DIFFERENTIAL_PROFILES), st.sampled_from(_DIFFERENTIAL_PROFILES),
+       st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2), st.floats(-2.0, 2.0),
+       st.floats(-2.0, 2.0), st.sampled_from([1e-3, 4e-3, 0.01]))
+def test_delayed_linear_rhs_on_trajectory_without_plan(a, b, p0, c1, c2, h):
+    # a trajectory carries no plan: the rhs builds its own, of its own
+    # profile on the trajectory's grid.  On a recorded trajectory it reads
+    # the current step; integrated under integrate(..., profile=b) it equals
+    # the run under its profile a bitwise (with resting off, integrate reads
+    # the run's profile for nothing)
     rng = np.random.default_rng(3)
-    traj = HistoryTrajectory.from_arrays(0.5, 0.01, rng.normal(size=(41, 2)))
-    assert traj.plan is None
+    traj = HistoryTrajectory.from_arrays(0.5, h, rng.normal(size=(41, 2)))
     t = traj.current_time
     p = traj.states[-1]
-    got = delayed_linear_rhs(1.5, -2.0, profile)(t, p, traj)   # a list of floats
-    want = 1.5 * p - 2.0 * traj.query_diag(t - profile.delays_at(t))
+    got = delayed_linear_rhs(c1, c2, a)(t, p, traj)   # a list of floats
+    want = c1 * p + c2 * traj.query_diag(t - np.broadcast_to(a.delays_at(t), 2))
     assert np.asarray(got).tobytes() == want.tobytes()
+
+    cfg = IntegratorConfig(horizon=400 * h, h=h, divergence_limit=1e300)
+    control = lambda t, p: static_scalar_control(p, StaticScalarGains(c1, c2, 0.5, 1.0))
+    under_a = integrate(delayed_linear_rhs(c1, c2, a, control=control), p0, a, cfg)
+    under_b = integrate(delayed_linear_rhs(c1, c2, a, control=control), p0, b, cfg)
+    assert under_b.states.tobytes() == under_a.states.tobytes()
 
 
 def test_delayed_linear_rhs_accepts_an_equal_profile_object():
@@ -470,15 +485,15 @@ def test_delayed_linear_rhs_accepts_an_equal_profile_object():
     (integ.PLAN_BLOCK - 1, {"run"}),          # ... reads exactly the run's first row
     (integ.PLAN_BLOCK + 40, {"run"}),
 ])
-@pytest.mark.parametrize("with_history", [False, True])
-def test_constant_delay_block_paths(steps, paths, with_history):
+@pytest.mark.parametrize("shared", [False, True])
+def test_constant_delay_block_paths(steps, paths, shared):
     # `paths`: how the plan's blocks end.  A delay shorter than a block cuts
     # each block before its first row that reads a row the block itself
-    # records; a longer one lets every block fill its aligned run
+    # records; a longer one lets every block fill its aligned run.  A shared
+    # delay (one component read by every state column) ends its blocks alike
     h, dim = 0.01, 2
-    profile = DelayProfile.constant(steps * h + 0.3 * h, n_components=dim)
-    history = _history(dim) if with_history else None
-    assert _gathers_agree(profile, 0.5, h, 3 * integ.PLAN_BLOCK + 7, history) == paths
+    profile = DelayProfile.constant(steps * h + 0.3 * h, n_components=1 if shared else dim)
+    assert _gathers_agree(profile, 0.5, h, 3 * integ.PLAN_BLOCK + 7, dim) == paths
 
 
 def test_one_gather_alternating_between_trajectories():
@@ -527,26 +542,24 @@ def test_pantograph_oracle_first_order():
 
 
 def method_of_steps(c2, tau, t):
-    """p' = c2 p(t - tau) with p = 1 + t before 0, exact on [0, 2 tau]: the
-    first piece integrates the history, the second the first piece."""
-    def first(s):
-        return 1.0 + c2 * ((1.0 - tau) * s + s * s / 2.0)
+    """p' = c2 p(t - tau) with p = 1 before 0, exact on [0, 2 tau]: the first
+    piece integrates the constant history, the second the first piece."""
     if t <= tau:
-        return first(t)
+        return 1.0 + c2 * t
     u = t - tau
-    return first(tau) + c2 * (u + c2 * ((1.0 - tau) * u * u / 2.0 + u ** 3 / 6.0))
+    return 1.0 + c2 * tau + c2 * (u + c2 * u * u / 2.0)
 
 
 def test_method_of_steps_oracle_first_order():
-    # the delayed term reads the initial history on [0, tau] and the
-    # recorded rows on [tau, 2 tau]
-    c2, tau = -1.5, 0.5
+    # the delayed term reads the constant pre-history (row 0) on [0, tau],
+    # where Euler is exact, and the recorded rows on [tau, 2 tau], where its
+    # error grows to c2**2 * tau * h / 2 = 0.36 h at t = 2 tau
+    c2, tau = -1.2, 0.5
     profile = DelayProfile.constant(tau)
     errs = {}
     for h in (1e-2, 5e-3, 2.5e-3):
         cfg = IntegratorConfig(horizon=2.0 * tau, h=h, zero_band=0.0)
-        traj = integrate(delayed_linear_rhs(0.0, c2, profile), [1.0], profile, cfg,
-                         initial_history=lambda t: np.array([1.0 + t]))
+        traj = integrate(delayed_linear_rhs(0.0, c2, profile), [1.0], profile, cfg)
         exact = np.array([method_of_steps(c2, tau, t) for t in traj.times])
         errs[h] = np.abs(traj.states[:, 0] - exact).max()
     assert all(err <= 0.4 * h for h, err in errs.items()), errs

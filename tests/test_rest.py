@@ -175,18 +175,16 @@ def test_a_constant_delay_run_rests_within_its_delay_of_settling(pi):
 
 
 def test_no_rest_while_the_initial_history_can_still_be_read():
-    """A zero state whose delayed reads still reach an initial history function
-    (no row) before t0 must keep stepping: the history turns nonzero at -0.5."""
+    """A zero state whose delayed reads still reach the initial history before
+    t0, row 0 (the constant extension of p0 = 1), must keep stepping:
+    p' = -11 p + p(t - 1) reaches exactly 0 at step 1 and leaves it at step 2."""
     profile = DelayProfile.constant(1.0)
     cfg = IntegratorConfig(horizon=3.0, h=0.1)
-
-    def history(t):
-        return np.array([0.0 if t < -0.5 else 1.0])
-
-    runs = [integrate(delayed_linear_rhs(0.0, 1.0, profile), [0.0], profile, cfg,
-                      initial_history=history, rests_at_zero=rest) for rest in (True, False)]
+    runs = [integrate(delayed_linear_rhs(-11.0, 1.0, profile), [1.0], profile, cfg,
+                      rests_at_zero=rest) for rest in (True, False)]
     assert runs[0].states.tobytes() == runs[1].states.tobytes()
-    assert runs[0].states[10, 0] == pytest.approx(0.5)   # steps 5..9 read 1.0 before t0
+    assert runs[0].states[1, 0] == 0.0
+    assert runs[0].states[2, 0] == pytest.approx(0.1)   # step 1 reads row 0 = 1.0 before t0
 
 
 @pytest.mark.parametrize("p0", [0.0, -0.0])

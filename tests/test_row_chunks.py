@@ -207,7 +207,7 @@ def test_response_is_drive_plus_error_bitwise(exp):
     assert res.response.states.shape == want.shape
     assert res.response.states.tobytes() == want.tobytes()
     assert res.response.current_time == res.error.current_time
-    assert res.response.gains is None and res.response.plan is None
+    assert res.response.gains is None
     assert not np.shares_memory(res.response.states, res.error.states)
     assert not np.shares_memory(res.response.states, res.drive.states)
 
