@@ -18,7 +18,7 @@ from .delays import (DelayProfile, NoClosedFormError, RateFunction,
 from .integrate import (DivergenceError, HistoryTrajectory,
                         HistoryWindowError, IntegratorConfig,
                         RunningWindowSup, delayed_linear_rhs, norm1,
-                        norm_inf, sq_norm2)
+                        norm_inf)
 from .monitors import (ContactPoint, LyapunovTrace, PhaseReport,
                        contact_point_decrease, detect_phases,
                        functional_series, trace_functional)

@@ -134,7 +134,7 @@ def condition_reports(cfg: ExperimentConfig,
                       norms: Sequence[str] = ("two", "one", "inf")) -> List[ConditionReport]:
     """One condition report per norm for a scalar config's static gains, or
     `check_network_theorem` of the config's network under its control.
-    Raises NoClosedFormError when (beta, eta) have no closed form."""
+    Raises NoClosedFormError when 1 + eta overflows a float."""
     eps1 = cfg.monitor["eps1"]
     beta, eta = asymptotics(cfg.rate, cfg.delay)
     if cfg.kind == "scalar":
@@ -348,10 +348,14 @@ def _cmd_simulate(args) -> int:
     cfg = load_config(_document(args.config))
     require = cfg.monitor["require_feasible"]
     out, stride = cfg.output["csv"], cfg.output["stride"]
+    infeasible = "requested feasibility guarantee, but the condition is infeasible"
+    if require and cfg.kind == "network" and not condition_reports(cfg)[0].feasible:
+        print(infeasible)
+        return 2
     res = run(cfg)
     if cfg.kind == "scalar":
         if require and (res.report is None or not res.report.feasible):
-            print("requested feasibility guarantee, but the condition is infeasible")
+            print(infeasible)
             return 2
         write_trajectory_csv(out, res.traj, stride=stride)
         lines = _summary_lines(res)
@@ -435,13 +439,16 @@ def _set_by_path(doc: dict, dotted: str, value):
 
 def sweep(doc: dict, param: str, values: Sequence[float]):
     """Yield (value, T_settle) as each run of the scalar config document `doc`,
-    with its dotted field `param` set to one of `values`, ends."""
+    with its dotted field `param` set to one of `values`, ends.  A static gain
+    of an adaptive config is a ConfigError: the adaptive run never reads it."""
     for v in values:
         point = json.loads(json.dumps(doc))
         _set_by_path(point, param, float(v))
         cfg = load_config(point)
         if cfg.kind != "scalar":
             raise ConfigError("sweep supports scalar configs only")
+        if cfg.adaptive["enabled"] and param in ("gains.c3", "gains.c4"):
+            raise ConfigError(f"{param}: an adaptive run never reads its static gains")
         yield float(v), run(cfg).T_settle
 
 

@@ -175,7 +175,7 @@ class AdaptiveHook:
         if x.size == 1:  # v*v and |v| on the float equal the NumPy reductions bitwise
             v = x.item()
             value = v * v if self._squared else abs(v)
-        elif self._squared:  # sq_norm2's BLAS dot on the 1-d row, with less dispatch
+        elif self._squared:  # the squared two-norm: one BLAS dot on the 1-d row
             value = float(x.dot(x))
         else:
             value = self._functional(x)

@@ -6,43 +6,40 @@ whose asymptotic constants
 
     beta = limsup mu'(t)/mu(t),   1 + eta = limsup mu(t)/mu(t - pi(t))
 
-enter every stability condition.  Closed-form (beta, eta) are provided for
-every affine envelope: power-law mu with any of them (proportional or
-constant), exponential mu with a constant delay, and exponential mu with a
-proportional envelope, where eta is infinite.  A custom profile must be
-supplied with (beta, eta) by the caller.
+enter every stability condition.  Every profile is affine, and every (rate,
+profile) pairing has closed-form (beta, eta): power-law mu under either
+envelope (proportional or constant), exponential mu under a constant delay,
+and exponential mu under a proportional envelope, where eta is infinite.
+Only a 1 + eta beyond the float range has none.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 
 class NoClosedFormError(ValueError):
-    """Raised when no analytic (beta, eta) exists for a (rate, profile) pair."""
+    """Raised when 1 + eta of a (rate, profile) pair overflows a float."""
 
 
 @dataclass(frozen=True)
 class DelayProfile:
     """Family of component delays pi_i(t) bounded by an envelope pi(t).
 
-    Every closed form is affine: pi_i(t) = slopes[i]*t + lag under the
-    envelope pi(t) = q*t + lag, with lag = 0 for the proportional families
-    and q = slopes = 0 for a constant delay.  A custom profile supplies
-    callables instead (slopes is None) and has no closed-form asymptotics.
-    `kind` names the constructor.
+    Every profile is affine: pi_i(t) = slopes[i]*t + lag under the envelope
+    pi(t) = q*t + lag, with lag = 0 for the proportional families and
+    q = slopes = 0 for a constant delay.  The constructors keep 0 <= slopes
+    <= q < 1 and lag >= 0, so a delayed time t - pi_i(t) never lies after t
+    and never decreases.
     """
 
-    kind: str
-    n_components: int = 1
-    slopes: Optional[np.ndarray] = None
+    n_components: int
+    slopes: np.ndarray
     q: float = 0.0
     lag: float = 0.0
-    _envelope_fn: Optional[Callable[[float], float]] = field(default=None, repr=False)
-    _component_fn: Optional[Callable[[int, float], float]] = field(default=None, repr=False)
 
     # -- constructors ------------------------------------------------------
 
@@ -51,16 +48,14 @@ class DelayProfile:
         """pi_i(t) = q*t for every component, 0 < q < 1."""
         if not 0.0 < q < 1.0:
             raise ValueError(f"proportional ratio must lie in (0,1), got {q}")
-        return cls(kind="proportional", n_components=n_components,
-                   slopes=np.full(n_components, float(q)), q=q)
+        return cls(n_components=n_components, slopes=np.full(n_components, float(q)), q=q)
 
     @classmethod
     def constant(cls, pi_value: float, n_components: int = 1) -> "DelayProfile":
         """pi_i(t) = pi for every component, pi >= 0."""
         if pi_value < 0.0:
             raise ValueError(f"constant delay must be >= 0, got {pi_value}")
-        return cls(kind="constant", n_components=n_components,
-                   slopes=np.zeros(n_components), lag=pi_value)
+        return cls(n_components=n_components, slopes=np.zeros(n_components), lag=pi_value)
 
     @classmethod
     def per_component_proportional(cls, coefficients,
@@ -74,7 +69,7 @@ class DelayProfile:
             raise ValueError(f"envelope ratio must lie in (0,1), got {q}")
         if coeffs.min() < 0.0 or coeffs.max() > q:
             raise ValueError("component coefficients must lie in [0, envelope_q]")
-        return cls(kind="per_component", n_components=coeffs.size, slopes=coeffs, q=q)
+        return cls(n_components=coeffs.size, slopes=coeffs, q=q)
 
     @classmethod
     def pairwise_sin(cls, n_nodes: int, base: float = 0.5,
@@ -90,28 +85,15 @@ class DelayProfile:
                 coeffs[(i - 1) * n_nodes + (j - 1)] = base * (1.0 - depth * abs(math.sin(i + 2 * j)))
         return cls.per_component_proportional(coeffs, envelope_q=envelope_q)
 
-    @classmethod
-    def custom(cls, envelope: Callable[[float], float],
-               component: Optional[Callable[[int, float], float]] = None,
-               n_components: int = 1) -> "DelayProfile":
-        """Arbitrary callables (every component follows the envelope when no
-        `component` is given); simulation only, no closed-form asymptotics."""
-        return cls(kind="custom", n_components=n_components, _envelope_fn=envelope,
-                   _component_fn=component or (lambda i, t: envelope(t)))
-
     @property
     def envelope_kind(self) -> str:
-        """"proportional" (pi(t) = q*t), "constant" (pi(t) = lag) or "custom"."""
-        if self.slopes is None:
-            return "custom"
+        """"proportional" (pi(t) = q*t) or "constant" (pi(t) = lag)."""
         return "proportional" if self.q else "constant"
 
     # -- evaluation --------------------------------------------------------
 
     def envelope(self, t):
         """Common envelope pi(t); accepts scalars or arrays."""
-        if self.slopes is None:
-            return self._envelope_fn(t)
         if np.ndim(t):
             return self.q * np.asarray(t, dtype=float) + self.lag
         return self.q * float(t) + self.lag
@@ -125,10 +107,7 @@ class DelayProfile:
         ts = np.asarray(ts, dtype=float)
         if ts.size and ts.min() < 0.0:
             raise ValueError(f"delay queried at negative time t={ts.min()}")
-        if self.slopes is not None:
-            return ts[:, None] * self.slopes + self.lag
-        return np.array([[self._component_fn(i, t) for i in range(self.n_components)]
-                         for t in ts]).reshape(ts.size, self.n_components)
+        return ts[:, None] * self.slopes + self.lag
 
 
 @dataclass(frozen=True)
@@ -171,19 +150,15 @@ def asymptotics(rate: RateFunction, profile: DelayProfile) -> tuple:
     a constant delay (q = 0); exponential mu gives beta = varpi and
     1 + eta = exp(varpi*pi) under a constant envelope pi, and eta = inf
     under a proportional one, where mu(t)/mu(t - pi(t)) = exp(varpi*(q*t +
-    lag)) is unbounded.  A custom profile, or a finite 1 + eta beyond the
-    float range, has no closed form here and must be handled by the caller.
+    lag)) is unbounded.  A finite 1 + eta beyond the float range raises
+    NoClosedFormError.
     """
     try:
-        if rate.kind == "power" and profile.envelope_kind != "custom":
+        if rate.kind == "power":
             return 0.0, (1.0 - profile.q) ** (-rate.param) - 1.0
-        if rate.kind == "exponential" and profile.envelope_kind == "constant":
+        if profile.envelope_kind == "constant":
             return rate.param, math.exp(rate.param * profile.lag) - 1.0
-        if rate.kind == "exponential" and profile.envelope_kind == "proportional":
-            return rate.param, math.inf
+        return rate.param, math.inf
     except OverflowError:
         raise NoClosedFormError(f"1 + eta overflows a float for the {rate.kind} rate "
                                 f"{rate.param:g}") from None
-    raise NoClosedFormError(
-        f"no closed-form asymptotics for rate kind {rate.kind!r} with "
-        f"envelope kind {profile.envelope_kind!r}; supply (beta, eta) manually")

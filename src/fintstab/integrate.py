@@ -77,9 +77,8 @@ def grid_rows(times, t0: float, h: float, last):
     (1 - w)*x[lo] + w*x[hi] over rows 0..last.  A time within _GRID_SNAP*h of
     a grid point snaps to it (lo = hi, w = 0).  A time before t0 gives
     lo = hi = 0, w = 0: row 0, the constant extension of the initial state,
-    is the pre-history.  A time past row `last` raises
-    HistoryWindowError whose `index` is the flat position of the first such
-    time.  `last` may be an array broadcast against `times`.
+    is the pre-history.  A time past row `last` raises HistoryWindowError.
+    `last` may be an array broadcast against `times`.
     """
     times = np.asarray(times, dtype=float)
     u = (times - t0) / h
@@ -87,10 +86,8 @@ def grid_rows(times, t0: float, h: float, last):
     if ahead.any():
         i = int(np.argmax(ahead))
         row = np.broadcast_to(last, ahead.shape).flat[i]
-        err = HistoryWindowError(f"query at t={times.flat[i]:.6g} beyond recorded "
+        raise HistoryWindowError(f"query at t={times.flat[i]:.6g} beyond recorded "
                                  f"history (current time {t0 + row * h:.6g})")
-        err.index = i
-        raise err
     lo = np.clip(np.floor(u), 0.0, last)
     frac = u - lo
     up = (frac > 1.0 - _GRID_SNAP) & (lo < last)
@@ -126,13 +123,12 @@ class DelayPlan:
     t_k - pi(t_k) for the envelope), looked up with last row k: the history
     an integrator holds at step k.  Rows are computed on demand in aligned
     runs of PLAN_BLOCK steps, so memory stays O(PLAN_BLOCK * components)
-    whatever the horizon; custom profiles evaluate the profile once per time.
-    `row` hands a run out in complete blocks: a block starting at step s
-    ends before its first row that reads past row s, so every row a block
-    reads is recorded once step s is reached.  An envelope plan's block runs
-    to the end of the aligned run instead: its one reader, `RunningWindowSup`,
-    reads row r only at step r, after value r is pushed.  A row that looks
-    past its own step raises HistoryWindowError when it is read.
+    whatever the horizon.  Every delay is >= 0, so no row reads past its own
+    step.  `row` hands a run out in complete blocks: a block starting at
+    step s ends before its first row that reads past row s, so every row a
+    block reads is recorded once step s is reached.  An envelope plan's block
+    runs to the end of the aligned run instead: its one reader,
+    `RunningWindowSup`, reads row r only at step r, after value r is pushed.
     """
 
     def __init__(self, profile: DelayProfile, t0: float, h: float, envelope: bool = False):
@@ -142,25 +138,12 @@ class DelayPlan:
         self.envelope = envelope
         self._run: Optional[_PlanBlock] = None
 
-    def _delays(self, ts: np.ndarray) -> np.ndarray:
-        p = self.profile
-        if not self.envelope:
-            return p.delay_table(ts)
-        if p.envelope_kind == "custom":
-            return np.array([[float(p.envelope(t))] for t in ts])
-        return np.asarray(p.envelope(ts), dtype=float)[:, None]
-
     def _fill(self, start: int, stop: int) -> _PlanBlock:
         ks = np.arange(start, stop)
         ts = self.t0 + ks * self.h
-        times = ts[:, None] - self._delays(ts)
-        try:
-            lo, hi, w = grid_rows(times, self.t0, self.h, ks[:, None])
-        except HistoryWindowError as exc:
-            bad = start + exc.index // times.shape[1]
-            if bad == start:
-                raise
-            return self._fill(start, bad)  # the run ends before the bad row
+        delays = (self.profile.envelope(ts)[:, None] if self.envelope
+                  else self.profile.delay_table(ts))
+        lo, hi, w = grid_rows(ts[:, None] - delays, self.t0, self.h, ks[:, None])
         return _PlanBlock(start, lo, hi, w, hi.max(axis=1))
 
     def row(self, k: int) -> _PlanBlock:
@@ -169,10 +152,7 @@ class DelayPlan:
         run = self._run
         if run is None or not run.start <= k < run.stop:
             start = k - k % PLAN_BLOCK
-            run = self._fill(start, start + PLAN_BLOCK)
-            if k >= run.stop:  # truncated before k: raises on its first bad row
-                run = self._fill(run.stop, start + PLAN_BLOCK)
-            self._run = run
+            run = self._run = self._fill(start, start + PLAN_BLOCK)
         i, j = k - run.start, len(run.reach)
         if not self.envelope:
             ahead = run.reach[i:] > k
@@ -291,11 +271,6 @@ class HistoryTrajectory:
 
 # -- windowed suprema ------------------------------------------------------
 
-def sq_norm2(x) -> float:
-    x = np.asarray(x)
-    return float(np.dot(x.ravel(), x.ravel()))
-
-
 def norm1(x) -> float:
     return float(np.abs(x).sum())
 
@@ -379,13 +354,11 @@ def window_sups(values, t0: float, h: float, profile: DelayProfile) -> np.ndarra
     plan = DelayPlan(profile, t0, h, envelope=True)
     left = np.empty(n, dtype=np.intp)   # hi, then H_k
     bound = np.empty(n)                 # the left boundary's interpolant
-    start = 0
-    while start < n:
-        blk = plan._fill(start, min(start - start % ROW_CHUNK + ROW_CHUNK, n))
+    for rows in row_chunks(n):
+        blk = plan._fill(rows.start, rows.stop)
         lo, hi, w = blk.lo[:, 0], blk.hi[:, 0], blk.w[:, 0]
-        bound[start:blk.stop] = (1.0 - w) * v[lo] + w * v[hi]
-        left[start:blk.stop] = hi
-        start = blk.stop
+        bound[rows] = (1.0 - w) * v[lo] + w * v[hi]
+        left[rows] = hi
     np.maximum.accumulate(left, out=left)
     ks = np.arange(n)
     level = np.frexp(ks + 1 - left)[1] - 1   # floor(log2(window length)), exact
@@ -501,8 +474,8 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     state and every history row it reads are exactly zero, that it reads no
     earlier than t - pi(t) of `profile`'s envelope, and that the hook's gains
     do not move while its window holds only zeros (the scalar sign law,
-    static or adaptive, keeps it).  For an affine envelope t - pi(t) never
-    decreases, so once the state at step k is +0.0, every row from
+    static or adaptive, keeps it).  Every envelope is affine, so t - pi(t)
+    never decreases, and once the state at step k is +0.0, every row from
     `_first_read(k - 1)` to k is exactly zero and the gains of step k equal
     those of step k - 1, every later step would compute +0.0 from zeros: the
     run is at rest.  The loop then fills rows k+1..n_steps with zeros and
@@ -514,8 +487,7 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     are scanned with NumPy only at a zero state from `rest_at`, the first
     step that reads none of the last blocking row found
     (`_next_rest_step`), so a proportional delay scans O(log n) times and a
-    moving state never.  Custom profiles, whose t - pi(t) may decrease, and
-    the default False step every step.
+    moving state never.  The default False steps every step.
     """
     x0 = np.atleast_1d(np.asarray(initial_state, dtype=float))
     h, n_steps = config.h, config.n_steps
@@ -535,7 +507,7 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     if band is None:
         band = 0.0
     rest_at = n_steps   # the next step that may find the run at rest; n_steps: none
-    if rests_at_zero and profile.envelope_kind != "custom":
+    if rests_at_zero:
         slope, lag_steps = 1.0 - profile.q, profile.lag / h
         rest_at = 1
     for k in range(n_steps):

@@ -110,7 +110,8 @@ def test_config_delay_kinds():
     doc["delay"] = {"kind": "constant", "pi": 2.0}
     assert load_config(doc).delay.envelope_kind == "constant"
     doc["delay"] = {"kind": "custom_grid", "coefficients": [0.3], "envelope_q": 0.5}
-    assert load_config(doc).delay.kind == "per_component"
+    delay = load_config(doc).delay
+    assert delay.slopes.tolist() == [0.3] and delay.q == 0.5 and delay.lag == 0.0
     doc["delay"] = {"kind": "nonsense"}
     with pytest.raises(ConfigError, match="delay.kind"):
         load_config(doc)
@@ -293,6 +294,50 @@ def test_cli_simulate_infeasible_guarantee(tmp_path, monkeypatch):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps(doc))
     assert main(["simulate", str(cfgp)]) == 2
+
+
+def test_network_simulate_infeasible_guarantee(tmp_path, monkeypatch, capsys):
+    # the preset's uncontrolled network fails its condition: simulate answers
+    # the request as check does, with the scalar branch's message and no CSV
+    monkeypatch.chdir(tmp_path)
+    doc = {"schema_version": 1, "kind": "network", "system": {"preset": "lorenz3"},
+           "rate": {"kind": "power", "exponent": 0.1},
+           "integrator": {"horizon": 0.5, "h": 5e-4},
+           "monitor": {"require_feasible": True}, "output": {"csv": "net.csv"}}
+    cfgp = tmp_path / "net.json"
+    cfgp.write_text(json.dumps(doc))
+    assert main(["check", str(cfgp)]) == 2
+    capsys.readouterr()
+    assert main(["simulate", str(cfgp)]) == 2
+    assert capsys.readouterr().out == ("requested feasibility guarantee, but the "
+                                       "condition is infeasible\n")
+    assert not (tmp_path / "net.csv").exists()
+    # a feasible full-node control block is run and written
+    doc.update(control={"kind": "full", "theta3": 10.0, "theta4": 720.0},
+               integrator={"horizon": 0.01, "h": 5e-4})
+    cfgp.write_text(json.dumps(doc))
+    assert condition_reports(load_config(doc))[0].feasible
+    assert main(["simulate", str(cfgp)]) == 0
+    assert (tmp_path / "net.csv").exists()
+
+
+@pytest.mark.parametrize("param", ["gains.c3", "gains.c4"])
+def test_sweep_refuses_a_static_gain_of_an_adaptive_config(capsys, param):
+    # the adaptive run never reads the gains block: each point would repeat
+    # one T_settle, so the sweep is an error before any run
+    assert main(["sweep", "example1_adaptive", "--param", param, "--values", "2.1,5,9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {param}: ")
+
+
+def test_sweep_over_an_adaptive_rate(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(_scalar_doc(adaptive={"enabled": True, "d1": 0.1, "d2": 0.1,
+                                                     "d3": 0.1})))
+    assert main(["sweep", str(cfgp), "--param", "adaptive.d1", "--values", "0.1,0.5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_cli_sweep(tmp_path, monkeypatch):

@@ -69,9 +69,6 @@ def test_asymptotics_incompatible_pair():
         0.1, math.inf)
     assert asymptotics(RateFunction.exponential(0.1),
                        DelayProfile.per_component_proportional([0.2, 0.4])) == (0.1, math.inf)
-    for rate in (RateFunction.exponential(0.1), RateFunction.power(0.1)):
-        with pytest.raises(NoClosedFormError, match="no closed-form"):
-            asymptotics(rate, DelayProfile.custom(lambda t: 0.5 * t))
 
 
 def test_asymptotics_overflow_has_no_closed_form():
@@ -118,9 +115,3 @@ def test_per_component_validation():
     assert prof.n_components == 2
     assert prof.delay_table([2.0])[0, 1] == pytest.approx(0.8)
 
-
-def test_custom_profile_simulation_only():
-    prof = DelayProfile.custom(envelope=lambda t: 1.0 + 0.1 * math.sin(t))
-    assert prof.envelope(0.0) == 1.0
-    with pytest.raises(NoClosedFormError):
-        asymptotics(RateFunction.power(0.1), prof)

@@ -19,7 +19,7 @@ from fintstab.control import (ScalarAdaptiveHook, StaticScalarGains,
 from fintstab.delays import DelayProfile, RateFunction
 from fintstab.integrate import (DelayPlan, DivergenceError, IntegratorConfig,
                                 RunningWindowSup, delayed_linear_rhs,
-                                diag_cols, integrate, sq_norm2)
+                                diag_cols, integrate)
 from test_integrate import _reference_integrate
 
 
@@ -57,7 +57,7 @@ def _ref_hook_step(self, t, x, traj):
     if self._tracker is None:
         self._tracker = RunningWindowSup(traj.t0, traj.h, self.profile)
     k = len(self._tracker.values)
-    value = sq_norm2(x) if self._squared else self._functional(x)
+    value = float(np.dot(x, x)) if self._squared else self._functional(x)
     self._tracker.push(value)
     d_lin, d_sign, self.mode = gain_rates(value, self.rate.mu(t), self._tracker.sup(k),
                                           self.rates, self._squared, self.zero_tol)

@@ -11,7 +11,7 @@ from fintstab.delays import DelayProfile
 from fintstab.integrate import (DelayPlan, DivergenceError, HistoryTrajectory,
                                 IntegratorConfig, RunningWindowSup,
                                 delayed_linear_rhs, diag_cols, grid_rows, integrate,
-                                norm1, norm_inf, sq_norm2)
+                                norm1, norm_inf)
 
 # the package re-exports the function integrate, which shadows the submodule
 integ = importlib.import_module("fintstab.integrate")
@@ -120,7 +120,7 @@ def test_window_sup_basic_cases():
     prof = DelayProfile.constant(2.0)
     n = 101
     zeros = HistoryTrajectory.from_arrays(0.0, 0.1, np.zeros((n, 2)))
-    assert window_sup(zeros, 5.0, prof, sq_norm2) == 0.0
+    assert window_sup(zeros, 5.0, prof, lambda x: float(np.dot(x, x))) == 0.0
     # monotone decreasing |p|: sup attained at the left window end
     ts = np.linspace(0.0, 10.0, n)
     dec = HistoryTrajectory.from_arrays(0.0, 0.1, (10.0 - ts)[:, None])
@@ -132,8 +132,8 @@ def test_window_sup_sine_full_period():
     h = 1e-3
     ts = np.arange(0.0, 2 * np.pi + h / 2, h)
     traj = HistoryTrajectory.from_arrays(0.0, h, np.sin(ts)[:, None])
-    prof = DelayProfile.custom(envelope=lambda t: t)  # window is [0, t]
-    val = window_sup(traj, ts[-1], prof, sq_norm2)
+    prof = DelayProfile.constant(2 * np.pi)  # t - 2 pi < 0 reads row 0: window is [0, t]
+    val = window_sup(traj, ts[-1], prof, lambda x: float(np.dot(x, x)))
     assert val == pytest.approx(1.0, abs=1e-4)
 
 
@@ -193,7 +193,6 @@ def test_sign_feedback_settles_at_the_closed_form_time(c1, lift, c3, p0, sign, h
 
 def test_norm_helpers():
     x = np.array([3.0, -4.0])
-    assert sq_norm2(x) == 25.0
     assert norm1(x) == 7.0
     assert norm_inf(x) == 4.0
 

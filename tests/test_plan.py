@@ -61,29 +61,19 @@ def plan_rows(plan, k):
     return as_rows(blk.lo[0], blk.hi[0], blk.w[0])
 
 
-def _custom(coeffs, shift):
-    # a smooth, non-proportional family: pi_i(t) = c_i*t + shift*(1 + sin t)/2
-    return DelayProfile.custom(
-        envelope=lambda t: max(coeffs) * t + shift,
-        component=lambda i, t: coeffs[i] * t + shift * 0.5 * (1.0 + math.sin(t)),
-        n_components=len(coeffs))
-
-
 ratios = st.floats(0.01, 0.95)
 
 
 @st.composite
 def profiles(draw):
-    kind = draw(st.sampled_from(["proportional", "constant", "per_component", "custom"]))
+    kind = draw(st.sampled_from(["proportional", "constant", "per_component"]))
     m = draw(st.integers(1, 4))
     if kind == "proportional":
         return DelayProfile.proportional(draw(ratios), n_components=m)
     if kind == "constant":
         return DelayProfile.constant(draw(st.floats(0.0, 3.0)), n_components=m)
     coeffs = draw(st.lists(st.floats(0.0, 0.9), min_size=m, max_size=m))
-    if kind == "per_component":
-        return DelayProfile.per_component_proportional(coeffs, envelope_q=0.95)
-    return _custom(coeffs, draw(st.floats(0.0, 2.0)))
+    return DelayProfile.per_component_proportional(coeffs, envelope_q=0.95)
 
 
 grids = st.tuples(st.floats(1e-3, 0.5), st.floats(0.0, 5.0))
@@ -141,28 +131,35 @@ def test_constant_delay_prehistory_drives_integration():
     assert traj.states[:, 0].tolist() == p
 
 
-def _lookahead_profile(after):
-    # delays of -0.3 from t = after on: each such query looks past its own step
-    return DelayProfile.custom(envelope=lambda t: 0.0,
-                               component=lambda i, t: 0.0 if t < after else -0.3)
+@st.composite
+def affine_profiles(draw, h):
+    """Every constructor, at the edges of the plan's reach: ratios up to
+    0.999, and constant lags of 0 and under one step h."""
+    m = draw(st.integers(1, 4))
+    return draw(st.one_of(
+        st.floats(1e-3, 0.999).map(lambda q: DelayProfile.proportional(q, n_components=m)),
+        st.sampled_from([0.0, 0.3, 0.999]).map(lambda f: DelayProfile.constant(f * h, m)),
+        st.floats(0.0, 3.0).map(lambda lag: DelayProfile.constant(lag, m)),
+        st.lists(st.floats(0.0, 0.999), min_size=m, max_size=m).map(
+            lambda c: DelayProfile.per_component_proportional(c, envelope_q=0.999)),
+        st.integers(1, 4).map(DelayProfile.pairwise_sin)))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.floats(1e-3, 0.1), st.integers(0, 2 * integ.PLAN_BLOCK))
-def test_lookahead_query_raises(h, bad):
-    profile = _lookahead_profile(bad * h)   # step `bad` is the first to look ahead
-    plan = DelayPlan(profile, 0.0, h)
-    for k in range(max(0, bad - 2), bad):
-        assert plan_rows(plan, k) == ref_rows(profile, 0.0, h, k)
-    with pytest.raises(HistoryWindowError):
-        plan.row(bad)
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([1e-3, 2.0 ** -10, 0.01, 0.37]), st.floats(0.0, 5.0),
+       st.integers(0, 4 * integ.PLAN_BLOCK) | st.integers(0, 10 ** 6),
+       st.integers(1, 2 * integ.PLAN_BLOCK), st.booleans())
+def test_no_plan_row_reads_past_its_own_step(data, h, t0, start, length, envelope):
+    # every delay is >= 0, so t_k - pi(t_k) <= t_k: a fill never raises
+    # HistoryWindowError, and row k's upper row is at most k
+    profile = data.draw(affine_profiles(h))
+    blk = DelayPlan(profile, t0, h, envelope=envelope)._fill(start, start + length)
+    assert blk.stop == start + length
+    assert (blk.hi.max(axis=1) <= np.arange(start, blk.stop)).all()
+    assert (blk.lo <= blk.hi).all()
 
 
-def test_lookahead_raises_in_integrate_and_queries():
-    profile = _lookahead_profile(0.5)
-    cfg = IntegratorConfig(horizon=1.0, h=0.01)
-    with pytest.raises(HistoryWindowError):
-        integrate(delayed_linear_rhs(0.0, 1.0, profile), [1.0], profile, cfg)
+def test_queries_past_the_current_time_raise():
     traj = HistoryTrajectory.from_arrays(0.0, 0.1, np.arange(5.0)[:, None])
     with pytest.raises(HistoryWindowError):
         traj.query(0.45)
@@ -195,29 +192,7 @@ def test_plan_blocks_are_complete(profile, grid, ks, envelope):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.floats(1e-3, 0.1), st.integers(0, 2 * integ.PLAN_BLOCK))
-def test_complete_blocks_stop_before_lookahead(h, bad):
-    plan = DelayPlan(_lookahead_profile(bad * h), 0.0, h)
-    k = 0
-    while k < bad:
-        blk = plan.row(k)
-        assert blk.hi.max() <= blk.start and blk.stop <= bad
-        k = blk.stop
-    with pytest.raises(HistoryWindowError):
-        plan.row(bad)
-
-
-@st.composite
-def sin_envelopes(draw):
-    # pi(t) = c*t + shift*(1 + sin t)/2 with c + shift/2 <= 1: both window
-    # ends stay nondecreasing, as RunningWindowSup needs
-    c, shift = draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 1.0))
-    return DelayProfile.custom(envelope=lambda t: c * t + shift * 0.5 * (1.0 + math.sin(t)))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.one_of(profiles(), sin_envelopes()), grids,
-       st.integers(1, 2 * integ.PLAN_BLOCK + 10))
+@given(profiles(), grids, st.integers(1, 2 * integ.PLAN_BLOCK + 10))
 def test_running_window_sup_matches_window_sup(profile, grid, n):
     # constant delays longer than t - t0 put the window's left end in the
     # pre-history, which both read as the value at t0
@@ -246,12 +221,8 @@ def window_series(draw):
     from a few levels (repeated maxima) with exact zeros of either sign."""
     h, t0 = draw(grids)
     lag = st.sampled_from([0.0, 0.3, 0.5, 1.0, 2.5]).map(lambda f: DelayProfile.constant(f * h))
-    # the window's left end t - a*h*(1 + sin(t/h)) steps back now and then:
-    # the deque's left edge then holds at its furthest point so far
-    wavy = st.floats(0.5, 3.0).map(
-        lambda a: DelayProfile.custom(envelope=lambda t: a * h * (1.0 + math.sin(t / h))))
-    profile = draw(st.one_of(profiles(), sin_envelopes(), lag,   # lags of 0 and under a step
-                             wavy, st.just(DelayProfile.pairwise_sin(3))))
+    profile = draw(st.one_of(profiles(), lag,   # lags of 0 and under a step
+                             st.just(DelayProfile.pairwise_sin(3))))
     n = draw(st.integers(1, 300) | st.integers(1, 2 * integ.ROW_CHUNK + 50))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     levels = rng.normal(size=draw(st.sampled_from([1, 3, 8, n])))
@@ -441,7 +412,7 @@ _DIFFERENTIAL_PROFILES = [
     DelayProfile.per_component_proportional([0.2, 0.7], envelope_q=0.8),
     DelayProfile.constant(0.013, n_components=2),
     DelayProfile.constant(0.3),
-    _custom([0.1, 0.4], 0.2),
+    DelayProfile.per_component_proportional([0.0, 0.4]),
 ]
 
 

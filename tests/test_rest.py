@@ -142,16 +142,6 @@ def _settling_run(profile, rests_at_zero, h=1e-3, horizon=4.0):
     return traj, calls[0]
 
 
-def test_a_custom_profile_steps_every_step():
-    """t - pi(t) of a custom profile may decrease: no rest, whatever it promises."""
-    custom = DelayProfile.custom(lambda t: 0.5 * t)
-    traj, calls = _settling_run(custom, rests_at_zero=True)
-    assert calls == 4000
-    assert not traj.states[-1].any()   # it settled, and stepped on
-    assert traj.states.tobytes() == _settling_run(DelayProfile.proportional(0.5), True)[0] \
-        .states.tobytes()
-
-
 def test_rests_at_zero_false_steps_every_step():
     profile = DelayProfile.proportional(0.5)
     traj, calls = _settling_run(profile, rests_at_zero=False)
