@@ -32,12 +32,13 @@ class DelayProfile:
     Every profile is affine: pi_i(t) = slopes[i]*t + lag under the envelope
     pi(t) = q*t + lag, with lag = 0 for the proportional families and
     q = slopes = 0 for a constant delay.  The constructors keep 0 <= slopes
-    <= q < 1 and lag >= 0, so a delayed time t - pi_i(t) never lies after t
-    and never decreases.
+    <= q < 1 and a finite lag >= 0, so a delayed time t - pi_i(t) never lies
+    after t and never decreases.  `slopes` is a tuple of floats, so profiles
+    compare and hash by value.
     """
 
     n_components: int
-    slopes: np.ndarray
+    slopes: tuple
     q: float = 0.0
     lag: float = 0.0
 
@@ -48,14 +49,14 @@ class DelayProfile:
         """pi_i(t) = q*t for every component, 0 < q < 1."""
         if not 0.0 < q < 1.0:
             raise ValueError(f"proportional ratio must lie in (0,1), got {q}")
-        return cls(n_components=n_components, slopes=np.full(n_components, float(q)), q=q)
+        return cls(n_components=n_components, slopes=(float(q),) * n_components, q=q)
 
     @classmethod
     def constant(cls, pi_value: float, n_components: int = 1) -> "DelayProfile":
-        """pi_i(t) = pi for every component, pi >= 0."""
-        if pi_value < 0.0:
-            raise ValueError(f"constant delay must be >= 0, got {pi_value}")
-        return cls(n_components=n_components, slopes=np.zeros(n_components), lag=pi_value)
+        """pi_i(t) = pi for every component, pi finite and >= 0."""
+        if not 0.0 <= pi_value < math.inf:
+            raise ValueError(f"constant delay must be finite and >= 0, got {pi_value}")
+        return cls(n_components=n_components, slopes=(0.0,) * n_components, lag=pi_value)
 
     @classmethod
     def per_component_proportional(cls, coefficients,
@@ -67,9 +68,9 @@ class DelayProfile:
         q = float(coeffs.max()) if envelope_q is None else float(envelope_q)
         if not 0.0 < q < 1.0:
             raise ValueError(f"envelope ratio must lie in (0,1), got {q}")
-        if coeffs.min() < 0.0 or coeffs.max() > q:
+        if not ((coeffs >= 0.0) & (coeffs <= q)).all():   # NaN fails both
             raise ValueError("component coefficients must lie in [0, envelope_q]")
-        return cls(n_components=coeffs.size, slopes=coeffs, q=q)
+        return cls(n_components=coeffs.size, slopes=tuple(coeffs.tolist()), q=q)
 
     @classmethod
     def pairwise_sin(cls, n_nodes: int, base: float = 0.5,
@@ -107,7 +108,7 @@ class DelayProfile:
         ts = np.asarray(ts, dtype=float)
         if ts.size and ts.min() < 0.0:
             raise ValueError(f"delay queried at negative time t={ts.min()}")
-        return ts[:, None] * self.slopes + self.lag
+        return ts[:, None] * np.array(self.slopes) + self.lag
 
 
 @dataclass(frozen=True)
@@ -119,14 +120,14 @@ class RateFunction:
 
     @classmethod
     def power(cls, rho: float) -> "RateFunction":
-        if rho <= 0.0:
-            raise ValueError(f"power exponent must be > 0, got {rho}")
+        if not 0.0 < rho < math.inf:
+            raise ValueError(f"power exponent must be finite and > 0, got {rho}")
         return cls(kind="power", param=rho)
 
     @classmethod
     def exponential(cls, varpi: float) -> "RateFunction":
-        if varpi <= 0.0:
-            raise ValueError(f"exponential rate must be > 0, got {varpi}")
+        if not 0.0 < varpi < math.inf:
+            raise ValueError(f"exponential rate must be finite and > 0, got {varpi}")
         return cls(kind="exponential", param=varpi)
 
     def mu(self, t):

@@ -4,12 +4,13 @@ The integrator stores every accepted step (unbounded delays need the whole
 history) and resolves delayed states by linear interpolation.  Every lookup
 goes through one rule, `grid_rows`, and one formula,
 `HistoryTrajectory._lookup`; on the fixed grid the delayed times of step k
-depend only on k, so a `DelayPlan`, which each delayed reader builds for
-itself, computes them block by block, and `BlockRows` turns each block into
-per-step rows once.  Discontinuous sign feedback is handled by a zero-band
-projection: a component whose sign flipped during a step and whose
-magnitude stayed inside the one-step sliding band is set to exactly 0,
-emulating the ideal sliding mode.
+depend only on k, so `DelayedRows`, which each delayed reader builds for
+itself, computes them block by block and turns each block into per-step rows
+once, and both window sups read the envelope's rows from `envelope_rows`.
+Discontinuous sign feedback is handled by a zero-band projection: a
+component whose sign flipped during a step and whose magnitude stayed inside
+the one-step sliding band is set to exactly 0, emulating the ideal sliding
+mode.
 """
 from __future__ import annotations
 
@@ -101,82 +102,56 @@ def grid_rows(times, t0: float, h: float, last):
 PLAN_BLOCK = 256  # grid steps per filled block; 512 raised peak RSS with no speed gain
 
 
-class _PlanBlock:
-    """Rows of steps start..start+len(lo)-1: lo, hi, w are (steps,
-    components), and reach[r] is the highest history row row r reads."""
+class DelayedRows:
+    """Step k's row of a per-step quantity read at the delayed times t_k -
+    pi_p(t_k) of `profile`'s components on the grid t0 + k*h.
 
-    def __init__(self, start, lo, hi, w, reach):
-        self.start = start
-        self.stop = start + lo.shape[0]
-        self.lo, self.hi, self.w = lo, hi, w
-        self.reach = reach
-
-    def values(self, traj: "HistoryTrajectory", cols) -> np.ndarray:
-        """traj's state columns cols at the block's times: `HistoryTrajectory._lookup`."""
-        return traj._lookup(self.lo, self.hi, self.w, cols)
-
-
-class DelayPlan:
-    """Lookup rows of every grid step's delayed times on the grid t0 + k*h.
-
-    Row k holds grid_rows of t_k - pi_p(t_k) for each delay component p (or of
-    t_k - pi(t_k) for the envelope), looked up with last row k: the history
-    an integrator holds at step k.  Rows are computed on demand in aligned
-    runs of PLAN_BLOCK steps, so memory stays O(PLAN_BLOCK * components)
-    whatever the horizon.  Every delay is >= 0, so no row reads past its own
-    step.  `row` hands a run out in complete blocks: a block starting at
-    step s ends before its first row that reads past row s, so every row a
-    block reads is recorded once step s is reached.  An envelope plan's block
-    runs to the end of the aligned run instead: its one reader,
-    `RunningWindowSup`, reads row r only at step r, after value r is pushed.
+    `row(k)` off the cached block cuts the block starting at k and calls
+    `make(lo, hi, w)` once on its grid rows, each (steps, components) and
+    looked up with last row k, for that block's list of rows.  Rows are
+    filled in aligned runs of PLAN_BLOCK steps, so memory stays
+    O(PLAN_BLOCK * components).  A block ends at its run's end or before its
+    first row that reads past row k (any/argmax: in floats nothing proves
+    the reach monotone), so it reads only rows recorded at its first step,
+    bitwise as if each row were built at its own step.  A method, not
+    `__call__`, which costs twice as much.
     """
 
-    def __init__(self, profile: DelayProfile, t0: float, h: float, envelope: bool = False):
-        self.profile = profile
-        self.t0 = float(t0)
-        self.h = float(h)
-        self.envelope = envelope
-        self._run: Optional[_PlanBlock] = None
-
-    def _fill(self, start: int, stop: int) -> _PlanBlock:
-        ks = np.arange(start, stop)
-        ts = self.t0 + ks * self.h
-        delays = (self.profile.envelope(ts)[:, None] if self.envelope
-                  else self.profile.delay_table(ts))
-        lo, hi, w = grid_rows(ts[:, None] - delays, self.t0, self.h, ks[:, None])
-        return _PlanBlock(start, lo, hi, w, hi.max(axis=1))
-
-    def row(self, k: int) -> _PlanBlock:
-        """The block starting at step k: rows from k up to, not including, the
-        first that reads past row k (an envelope plan's: to the run's end)."""
-        run = self._run
-        if run is None or not run.start <= k < run.stop:
-            start = k - k % PLAN_BLOCK
-            run = self._run = self._fill(start, start + PLAN_BLOCK)
-        i, j = k - run.start, len(run.reach)
-        if not self.envelope:
-            ahead = run.reach[i:] > k
-            if ahead.any():
-                j = i + int(ahead.argmax())
-        return _PlanBlock(k, run.lo[i:j], run.hi[i:j], run.w[i:j], run.reach[i:j])
-
-
-class BlockRows:
-    """Step k's row of a per-step quantity, built one plan block at a time:
-    `row(k)` off the cached block cuts the block starting at k, `plan.row(k)`,
-    and calls `make(blk)` once for that block's list of rows.  A block reads
-    only rows recorded at its first step, so this equals building each row at
-    its own step bitwise.  A method, not `__call__`, which costs twice as much."""
-
-    def __init__(self, plan: DelayPlan, make: Callable[[_PlanBlock], list]):
-        self.plan, self.make = plan, make
+    def __init__(self, profile: DelayProfile, t0: float, h: float,
+                 make: Callable[[np.ndarray, np.ndarray, np.ndarray], list]):
+        self.profile, self.t0, self.h, self.make = profile, float(t0), float(h), make
         self.start, self.rows = 0, []
+        self._run = None  # (start, lo, hi, w, reach): reach[r] is row r's highest read
 
     def row(self, k: int):
         r = k - self.start
         if not 0 <= r < len(self.rows):
-            self.start, self.rows, r = k, self.make(self.plan.row(k)), 0
+            self.start, self.rows, r = k, self.make(*self._cut(k)), 0
         return self.rows[r]
+
+    def _cut(self, k: int) -> tuple:
+        """(lo, hi, w) of the block starting at step k."""
+        run = self._run
+        if run is None or not run[0] <= k < run[0] + PLAN_BLOCK:
+            start = k - k % PLAN_BLOCK
+            ks = np.arange(start, start + PLAN_BLOCK)
+            ts = self.t0 + ks * self.h
+            lo, hi, w = grid_rows(ts[:, None] - self.profile.delay_table(ts), self.t0,
+                                  self.h, ks[:, None])
+            run = self._run = (start, lo, hi, w, hi.max(axis=1))
+        start, lo, hi, w, reach = run
+        i = k - start
+        ahead = reach[i:] > k
+        j = i + int(ahead.argmax()) if ahead.any() else PLAN_BLOCK
+        return lo[i:j], hi[i:j], w[i:j]
+
+
+def envelope_rows(profile: DelayProfile, t0: float, h: float, start: int, stop: int):
+    """1-d grid_rows of the envelope's delayed times t_k - pi(t_k) for steps
+    start..stop-1, each looked up with last row k: no row reads past its step."""
+    ks = np.arange(start, stop)
+    ts = t0 + ks * h
+    return grid_rows(ts - profile.envelope(ts), t0, h, ks)
 
 
 def diag_cols(n_components: int, dim: int) -> np.ndarray:
@@ -194,7 +169,7 @@ class HistoryTrajectory:
 
     A query at t < t0 reads row 0, the constant extension of the initial
     state, which is how constant-delay problems resolve pre-history lookups.
-    A delayed reader builds its own DelayPlan on the trajectory's grid.
+    A delayed reader builds its own DelayedRows on the trajectory's grid.
     """
 
     def __init__(self, t0: float, h: float, initial_state, capacity: int,
@@ -286,8 +261,8 @@ class RunningWindowSup:
 
     Both window ends are nondecreasing in t, so a monotone deque gives O(1)
     amortised updates.  The left boundary contributes the series' linear
-    interpolant at t - pi(t), read from an envelope DelayPlan one aligned
-    run of PLAN_BLOCK rows at a time, whatever the delay; values before
+    interpolant at t - pi(t), read from `envelope_rows` one aligned run of
+    PLAN_BLOCK rows at a time, whatever the delay; values before
     t0 take the series value at t0 (constant pre-history).  The pushed values
     are kept as C doubles, 8 bytes a step: an unbounded delay's window may
     reach back to any of them.
@@ -296,7 +271,8 @@ class RunningWindowSup:
     def __init__(self, t0: float, h: float, profile: DelayProfile):
         self.values = array("d")
         self._dq: deque = deque()  # indices, values strictly decreasing
-        self._left = BlockRows(DelayPlan(profile, t0, h, envelope=True), _window_rows)
+        self._grid = (profile, float(t0), float(h))
+        self._start, self._rows = 0, []   # the cached run's (lo, hi, 1 - w, w) rows
 
     def push(self, value: float):
         k = len(self.values)
@@ -307,19 +283,18 @@ class RunningWindowSup:
 
     def sup(self, k: int) -> float:
         """Window sup at grid time t0 + k*h; values[0..k] must be pushed."""
-        lo, hi, wl, wh = self._left.row(k)
+        r = k - self._start
+        if not 0 <= r < len(self._rows):
+            self._start = start = k - k % PLAN_BLOCK
+            lo, hi, w = envelope_rows(*self._grid, start, start + PLAN_BLOCK)
+            self._rows = list(zip(lo.tolist(), hi.tolist(), (1.0 - w).tolist(), w.tolist()))
+            r = k - start
+        lo, hi, wl, wh = self._rows[r]
         # hi is the first grid point at or after the window's left end
         while self._dq and self._dq[0] < hi:
             self._dq.popleft()
         best = self.values[self._dq[0]] if self._dq else -math.inf
         return max(best, wl * self.values[lo] + wh * self.values[hi])
-
-
-def _window_rows(blk: _PlanBlock) -> list:
-    """(lo, hi, 1 - w, w) of each step of an envelope block, as Python numbers."""
-    w = blk.w[:, 0]
-    return list(zip(blk.lo[:, 0].tolist(), blk.hi[:, 0].tolist(), (1.0 - w).tolist(),
-                    w.tolist()))
 
 
 ROW_CHUNK = 4096  # rows a whole-series pass takes at a time: its temporaries stay this size
@@ -334,12 +309,12 @@ def window_sups(values, t0: float, h: float, profile: DelayProfile) -> np.ndarra
     """`RunningWindowSup.sup(k)` for every k of a recorded series, bitwise, in
     O(n log n) NumPy work and O(n) memory.
 
-    The envelope rows come from aligned `DelayPlan._fill` runs of
-    ROW_CHUNK steps: offline every value is known, so no complete blocks
-    are cut.  The deque's window is [H_k, k] with H_k the running max of the
-    rows' hi; its max is the larger of two power-of-two ranges of a sparse
-    table (Bender & Farach-Colton, LATIN 2000), built one level at a time
-    and queried by the windows of that level.  The deque keeps the last of
+    The envelope rows come from `envelope_rows` in runs of ROW_CHUNK steps:
+    offline every value is known, so no complete blocks are cut.  The
+    deque's window is [H_k, k] with H_k the running max of the rows' hi; its
+    max is the larger of two power-of-two ranges of a sparse table (Bender &
+    Farach-Colton, LATIN 2000), built one level at a time and queried by the
+    windows of that level.  The deque keeps the last of
     equal values, and which of +0.0 and -0.0 `np.maximum` returns varies by
     build, so a zero max takes the sign of the window's last zero.  A NaN
     or infinite value raises ValueError: there NumPy's max and the deque's
@@ -351,12 +326,10 @@ def window_sups(values, t0: float, h: float, profile: DelayProfile) -> np.ndarra
         i = int(np.argmax(bad))
         raise ValueError(f"window sup of the non-finite value {float(v[i])!r} at row {i}")
     n = v.shape[0]
-    plan = DelayPlan(profile, t0, h, envelope=True)
     left = np.empty(n, dtype=np.intp)   # hi, then H_k
     bound = np.empty(n)                 # the left boundary's interpolant
     for rows in row_chunks(n):
-        blk = plan._fill(rows.start, rows.stop)
-        lo, hi, w = blk.lo[:, 0], blk.hi[:, 0], blk.w[:, 0]
+        lo, hi, w = envelope_rows(profile, t0, h, rows.start, rows.stop)
         bound[rows] = (1.0 - w) * v[lo] + w * v[hi]
         left[rows] = hi
     np.maximum.accumulate(left, out=left)
@@ -415,7 +388,7 @@ def _first_read(k: int, slope: float, lag_steps: float) -> int:
     """floor((t_k - pi(t_k))/h) - 1 for the affine envelope pi(t) = q*t + lag
     (slope = 1 - q, lag_steps = lag/h): no step after k, nor the envelope
     window of one, reads a history row below it.  The -1 absorbs the
-    rounding that separates this from the plan's own floor."""
+    rounding that separates this from the grid rows' own floor."""
     return math.floor(slope * k - lag_steps) - 1
 
 
@@ -463,7 +436,7 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
 
     `rhs` resolves delayed states from `traj`, which covers the history up to
     the current step start, and reads row 0 before t = 0.  The step k call
-    sees traj._filled == k, so it can read row k of its own DelayPlan on
+    sees traj._filled == k, so it can read row k of its own DelayedRows on
     traj's grid; `integrate` reads `profile` only for the rest rule below.
     `gain_hook`, when given, is an object with attributes `names`, `gains`
     (one value per name), `sign_gain` and a method `step(t, x, traj)`; it is
@@ -554,19 +527,21 @@ def delayed_linear_rhs(c1: float, c2: float, profile: DelayProfile,
 
     The rhs is evaluated at the trajectory's current step, t = traj.current_time,
     which is where `integrate` calls it.  The delayed state is that step's row
-    of a DelayPlan of `profile` on the trajectory's grid, built the first time
-    the rhs sees the trajectory, whatever profile it is integrated under.
+    of `DelayedRows` of `profile` on the trajectory's grid, built the first
+    time the rhs sees the trajectory, whatever profile it is integrated under.
     """
     seen = scaled = None  # c2 times the delayed values, a row per step
 
     def rhs(t, p, traj):
         nonlocal seen, scaled
         if traj is not seen:
-            seen, plan = traj, DelayPlan(profile, traj.t0, traj.h)
-            cols = diag_cols(profile.n_components, traj.dim)
+            seen, cols = traj, diag_cols(profile.n_components, traj.dim)
+
             # bound as defaults: a closure over traj and cols costs rhs two cells a call
-            scaled = BlockRows(plan, lambda blk, traj=traj, cols=cols: (
-                c2 * blk.values(traj, cols).reshape(blk.stop - blk.start, -1)).tolist())
+            def make(lo, hi, w, traj=traj, cols=cols):
+                return (c2 * traj._lookup(lo, hi, w, cols).reshape(len(lo), -1)).tolist()
+
+            scaled = DelayedRows(profile, traj.t0, traj.h, make)
         d = scaled.row(traj._filled)
         ps = p.tolist()
         if control is None:

@@ -10,7 +10,7 @@ reproduces the reference configuration exactly.
 
 The delayed coupling theta2 * sum_j b_ij g(x_j(t - pi_ij(t))) has one
 formula over a step axis, `_coupling`, which the right-hand sides evaluate
-for a whole plan block at once and turn into float rows once (`BlockRows`).
+for a whole `DelayedRows` block of steps at once and turn into float rows once.
 The rest of a step runs on Python floats, bitwise equal to the NumPy forms:
 f takes and gives node rows, the controls keep their array forms' operation
 order, and only the sum A @ X stays in NumPy (BLAS may fuse its multiply-adds).
@@ -27,8 +27,8 @@ from .conditions import _validate_coupling_matrix
 from .control import (NetworkAdaptiveHook, NetworkControlSpec, _add_full_node,
                       _add_pinning, _sgn)
 from .delays import DelayProfile
-from .integrate import (BlockRows, DelayPlan, HistoryTrajectory, IntegratorConfig,
-                        integrate, row_chunks)
+from .integrate import (DelayedRows, HistoryTrajectory, IntegratorConfig, integrate,
+                        row_chunks)
 
 _flat = itertools.chain.from_iterable  # rows -> their floats, row by row
 
@@ -107,18 +107,18 @@ def _coupling(model: NetworkModel, XD: np.ndarray, ED: Optional[np.ndarray] = No
 
 
 def _coupling_rows(model: NetworkModel, xtraj: HistoryTrajectory,
-                   etraj: Optional[HistoryTrajectory] = None) -> BlockRows:
+                   etraj: Optional[HistoryTrajectory] = None) -> DelayedRows:
     """Step k's coupling as N*n floats, node by node: `_coupling` of xtraj's
-    delayed values (and etraj's, on the same grid) over each block of a
-    DelayPlan of the model's delays on that grid."""
+    delayed values (and etraj's, on the same grid) over each block of
+    DelayedRows of the model's delays on that grid."""
     cols = _node_cols(model.N, model.n)
 
-    def make(blk):
-        ev = None if etraj is None else blk.values(etraj, cols)
-        vals = _coupling(model, blk.values(xtraj, cols), ev)
+    def make(lo, hi, w):
+        ev = None if etraj is None else etraj._lookup(lo, hi, w, cols)
+        vals = _coupling(model, xtraj._lookup(lo, hi, w, cols), ev)
         return vals.reshape(len(vals), -1).tolist()
 
-    return BlockRows(DelayPlan(model.delays, xtraj.t0, xtraj.h), make)
+    return DelayedRows(model.delays, xtraj.t0, xtraj.h, make)
 
 
 def _rows(v) -> list:
@@ -161,11 +161,11 @@ def _static_control(out: list, e: list, model: NetworkModel,
 def _error_rhs(model: NetworkModel, drive: HistoryTrajectory,
                control: NetworkControlSpec, hook: Optional[NetworkAdaptiveHook]):
     """Error dynamics at step k on Python floats: the drive's row k is its state
-    at t_k, and both delayed lookups read row k of one plan on the error
+    at t_k, and both delayed lookups read row k of one DelayedRows on the error
     integration's grid (the drive was integrated on the same grid).
 
     f is called once on the 2N node rows [x + e; x] and the two halves
-    subtracted; g is called in `_coupling`, for a whole plan block at a time.
+    subtracted; g is called in `_coupling`, for a whole block at a time.
     A @ E is one NumPy call, as in `_drive_rhs`.  The controls read the hook's
     float gains.
     """

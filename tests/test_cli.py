@@ -16,7 +16,6 @@ from fintstab.cli import (EXAMPLE1, PRESETS, certify, condition_reports, main,
                           write_trajectory_csv)
 from fintstab.config import ConfigError, adaptive_hook, load_config
 from fintstab.control import NetworkControlSpec
-from fintstab.delays import DelayProfile
 from fintstab.integrate import HistoryTrajectory
 
 
@@ -111,7 +110,7 @@ def test_config_delay_kinds():
     assert load_config(doc).delay.envelope_kind == "constant"
     doc["delay"] = {"kind": "custom_grid", "coefficients": [0.3], "envelope_q": 0.5}
     delay = load_config(doc).delay
-    assert delay.slopes.tolist() == [0.3] and delay.q == 0.5 and delay.lag == 0.0
+    assert delay.slopes == (0.3,) and delay.q == 0.5 and delay.lag == 0.0
     doc["delay"] = {"kind": "nonsense"}
     with pytest.raises(ConfigError, match="delay.kind"):
         load_config(doc)

@@ -1,5 +1,5 @@
 """The network's delayed coupling: one formula over a step axis, evaluated a
-plan block at a time.
+`DelayedRows` block at a time.
 
 The drive, error and direct-response right-hand sides are compared with
 reference copies that compute the coupling one step at a time, as the
@@ -14,49 +14,27 @@ from hypothesis import given, settings, strategies as st
 from fintstab.control import (NetworkAdaptiveHook, NetworkControlSpec,
                               full_node_control, pinning_control)
 from fintstab.delays import DelayProfile, RateFunction
-from fintstab.integrate import (PLAN_BLOCK, DelayPlan, DivergenceError, HistoryTrajectory,
-                                IntegratorConfig, diag_cols, integrate)
+from fintstab.integrate import (PLAN_BLOCK, DelayedRows, DivergenceError,
+                                HistoryTrajectory, IntegratorConfig, diag_cols, integrate)
 from fintstab.network import (_drive_rhs, _error_rhs, _node_cols, _static_control,
                               lorenz_preset, simulate_sync, sin_plus_linear)
 
+from test_integrate import delayed_values
 from test_plan import assert_tiled, count_blocks
 
-H, HORIZON = 5e-4, 0.4   # 800 steps: three full plan blocks and part of a fourth
+H, HORIZON = 5e-4, 0.4   # 800 steps: three full blocks and part of a fourth
 
 
 # -- reference copies of the per-step coupling ----------------------------------
 
-def _at(plan, traj, k, cols):
-    """The gathered values of step k, looked up alone: the first row of the
-    plan block starting at k (`values` of the whole block costs the
-    references a block's lookup per step)."""
-    blk = plan.row(k)
-    return traj._lookup(blk.lo[:1], blk.hi[:1], blk.w[:1], cols)[0]
-
-
-def _own_plan(profile):
-    """A reference rhs's plan: a DelayPlan of `profile` on the grid of the
-    trajectory it integrates, built the first time it sees that trajectory,
-    as the package's right-hand sides build theirs."""
-    seen = {"traj": None}
-
-    def plan(traj):
-        if seen["traj"] is not traj:
-            seen.update(traj=traj, plan=DelayPlan(profile, traj.t0, traj.h))
-        return seen["plan"]
-
-    return plan
-
-
 def _ref_drive_rhs(model):
     N, n = model.N, model.n
     nodes = _node_cols(N, n)
-    plan = _own_plan(model.delays)
 
     def rhs(t, X, traj):
         Xn = X.reshape(N, n)
         out = model.f(Xn) + model.theta1 * (model.A @ Xn)
-        xd = _at(plan(traj), traj, traj._filled, nodes).reshape(N, N, n)
+        xd = delayed_values(model.delays, traj, traj._filled, nodes).reshape(N, N, n)
         out += model.theta2 * np.einsum("ij,ijk->ik", model.B, model.g(xd))
         return out.ravel()
 
@@ -68,7 +46,6 @@ def _ref_error_rhs(model, base_traj, control, hook):
     nodes = _node_cols(N, n)
     fbuf = np.empty((2, N, n))
     gbuf = np.empty((2, N, N, n))
-    plan = _own_plan(model.delays)
 
     def rhs(t, E, etraj):
         k = etraj._filled
@@ -78,8 +55,10 @@ def _ref_error_rhs(model, base_traj, control, hook):
         fbuf[1] = x_now
         fx = model.f(fbuf)
         out = (fx[0] - fx[1]) + model.theta1 * (model.A @ En)
-        xd = _at(plan(etraj), base_traj, k, nodes).reshape(N, N, n)
-        np.add(xd, _at(plan(etraj), etraj, k, nodes).reshape(N, N, n), out=gbuf[0])
+        # the drive shares the error integration's grid
+        xd = delayed_values(model.delays, base_traj, k, nodes).reshape(N, N, n)
+        np.add(xd, delayed_values(model.delays, etraj, k, nodes).reshape(N, N, n),
+               out=gbuf[0])
         gbuf[1] = xd
         gx = model.g(gbuf)
         out += model.theta2 * np.einsum("ij,ijk->ik", model.B, gx[0] - gx[1])
@@ -120,12 +99,11 @@ def simulate_response_directly(exp, drive):
 def _ref_direct_rhs(model, control, drive):
     N, n = model.N, model.n
     nodes = _node_cols(N, n)
-    plan = _own_plan(model.delays)
 
     def rhs(t, Y, ytraj):
         Yn = Y.reshape(N, n)
         out = model.f(Yn) + model.theta1 * (model.A @ Yn)
-        yd = _at(plan(ytraj), ytraj, ytraj._filled, nodes).reshape(N, N, n)
+        yd = delayed_values(model.delays, ytraj, ytraj._filled, nodes).reshape(N, N, n)
         out += model.theta2 * np.einsum("ij,ijk->ik", model.B, model.g(yd))
         e = Yn - drive.query(t).reshape(N, n)
         if control.kind == "pinning":
@@ -273,12 +251,13 @@ def test_drawn_sync_matches_per_step_coupling(offsets, at_zero, control, theta3,
 # -- complete blocks ----------------------------------------------------------------------
 
 def _plan_blocks(profile, n_steps):
-    """The blocks one integration's plan hands out over n_steps steps."""
-    plan, blocks, k = DelayPlan(profile, 0.0, H), [], 0
+    """(start, hi) of the blocks one integration's DelayedRows hands out over
+    n_steps steps."""
+    rows, blocks, k = DelayedRows(profile, 0.0, H, lambda lo, hi, w: [hi] * len(hi)), [], 0
     while k < n_steps:
-        blk = plan.row(k)
-        blocks.append(blk)
-        k = blk.stop
+        hi = rows.row(k)
+        blocks.append((k, hi))
+        k += len(hi)
     return blocks
 
 
@@ -297,9 +276,8 @@ def test_g_runs_once_per_recorded_block(delay):
     blocks = _plan_blocks(exp.model.delays, n_steps)
     # every block reads only rows recorded at its first step, and the drive
     # and the error system each call g once per block, on the whole block
-    assert all(blk.hi.max() <= blk.start for blk in blocks)
-    assert sorted(shape[-4] for shape in calls) == sorted(
-        2 * [blk.stop - blk.start for blk in blocks])
+    assert all(hi.max() <= start for start, hi in blocks)
+    assert sorted(shape[-4] for shape in calls) == sorted(2 * [len(hi) for _, hi in blocks])
     assert len(calls) < 2 * n_steps
     # a 2.3-step delay lets a block hold 3 steps before it reads its own rows
     assert max(shape[-4] for shape in calls) == (3 if delay == "constant_short"
@@ -309,7 +287,7 @@ def test_g_runs_once_per_recorded_block(delay):
 def test_block_coupling_follows_each_trajectory():
     # each rhs keeps the coupling rows of the trajectory it saw last:
     # switching the drive's or the error's trajectory at the same step (same
-    # plan block) must recompute the coupling; an error rhs has one drive
+    # block) must recompute the coupling; an error rhs has one drive
     model = lorenz_preset().model
     N, n = model.N, model.n
     rng = np.random.default_rng(5)
@@ -332,22 +310,23 @@ def test_block_coupling_follows_each_trajectory():
 
 @pytest.mark.parametrize("adaptive", [False, True])
 def test_lorenz_run_builds_each_block_once(adaptive):
-    # the drive's coupling reads one values block per plan block, the
-    # error's two (drive and error), and each BlockRows builds a block once.
-    # Each rhs builds its own plan, the drive's first
+    # the drive's coupling makes one lookup per block, the error's two
+    # (drive and error), and each DelayedRows builds a block once.  Each rhs
+    # builds its own reader, the drive's first; only the hook's window sup
+    # fills envelope runs
     exp = _experiment("pairwise", "theta1_theta3" if adaptive else "full")
-    with count_blocks() as (cuts, counts):
+    with count_blocks() as (cuts, fills, counts):
         simulate_sync(exp)
     n_steps = int(round(HORIZON / H))
-    drive, error = [steps for plan, steps in cuts.items() if not plan.envelope]
+    drive, error = cuts.values()
     for steps in (drive, error):
         assert steps[0][0] == 0 and steps[-1][1] >= n_steps
-    assert counts["values"] == len(drive) + 2 * len(error)
+    assert counts["lookup"] == len(drive) + 2 * len(error)
     assert counts["make"] == assert_tiled(cuts) < n_steps // 10
-    assert len(cuts) == (3 if adaptive else 2)   # the hook's window sup plan
+    assert bool(fills) == adaptive
 
 
-# -- plan block values ----------------------------------------------------------------
+# -- block values ---------------------------------------------------------------------
 
 def test_shared_delay_prehistory_reaches_every_node_row():
     # one shared delay component read through N*N node column rows: each row
@@ -357,13 +336,14 @@ def test_shared_delay_prehistory_reaches_every_node_row():
     cols = _node_cols(N, n)
     rng = np.random.default_rng(11)
     traj = HistoryTrajectory.from_arrays(0.0, h, rng.normal(size=(40, N * n)))
-    plan = DelayPlan(DelayProfile.constant(tau), 0.0, h)
+    profile = DelayProfile.constant(tau)
+    rows = DelayedRows(profile, 0.0, h, lambda lo, hi, w: list(traj._lookup(lo, hi, w, cols)))
     pre = 0
     for k in range(40):
         t = k * h
-        got = _at(plan, traj, k, cols)
+        got = delayed_values(profile, traj, k, cols)
         assert got.tobytes() == traj.query_diag(t - tau)[cols].tobytes()
-        assert got.tobytes() == plan.row(k).values(traj, cols)[0].tobytes()
+        assert got.tobytes() == rows.row(k).tobytes()
         if t - tau < 0.0:
             pre += 1
             assert got.tobytes() == traj.states[0][cols].tobytes()
@@ -387,11 +367,19 @@ def test_plan_gather_block(kind, m, ratio, filled, data):
     traj = HistoryTrajectory.from_arrays(t0, h, states)
     cols = diag_cols(m, m)
     k = data.draw(st.integers(0, filled))
-    blk = DelayPlan(profile, t0, h).row(k)
-    vals = blk.values(traj, cols)
-    assert blk.start == k
-    assert blk.hi.max() <= blk.start
-    assert vals.shape == (blk.stop - blk.start, m, 1)
+    blocks = []
+
+    def make(lo, hi, w):
+        blocks.append(hi)
+        return list(traj._lookup(lo, hi, w, cols))
+
+    rows = DelayedRows(profile, t0, h, make)
+    rows.row(k)
+    (hi,) = blocks   # the block starting at k
+    assert hi.max() <= k
+    vals = [rows.row(k + r) for r in range(len(hi))]
+    assert len(blocks) == 1
     for r, row in enumerate(vals):   # every row, read with the history up to k
+        assert row.shape == (m, 1)
         t = t0 + (k + r) * h
         assert row.tobytes() == traj.query_diag(t - profile.delays_at(t)).tobytes()

@@ -115,3 +115,39 @@ def test_per_component_validation():
     assert prof.n_components == 2
     assert prof.delay_table([2.0])[0, 1] == pytest.approx(0.8)
 
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DelayProfile.constant(math.nan),
+    lambda: DelayProfile.constant(math.inf),
+    lambda: DelayProfile.proportional(math.nan),
+    lambda: DelayProfile.per_component_proportional([math.nan], envelope_q=0.5),
+    lambda: DelayProfile.per_component_proportional([0.2, math.nan]),
+    lambda: DelayProfile.pairwise_sin(2, base=math.nan),
+    lambda: RateFunction.power(math.nan),
+    lambda: RateFunction.power(math.inf),
+    lambda: RateFunction.exponential(math.nan),
+    lambda: RateFunction.exponential(math.inf),
+], ids=["constant-nan", "constant-inf", "proportional-nan", "per-component-nan",
+        "per-component-nan-max", "pairwise-sin-nan", "power-nan", "power-inf",
+        "exponential-nan", "exponential-inf"])
+def test_non_finite_parameters_are_rejected(make):
+    # a NaN fails every comparison, so each bound is written to fail on it
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_profiles_compare_and_hash_by_value():
+    pairs = [(DelayProfile.proportional(0.5, 2), DelayProfile.proportional(0.5, 2)),
+             (DelayProfile.constant(0.3, 3), DelayProfile.constant(0.3, 3)),
+             (DelayProfile.per_component_proportional([0.2, 0.4], envelope_q=0.5),
+              DelayProfile.per_component_proportional(np.array([0.2, 0.4]), envelope_q=0.5)),
+             (DelayProfile.pairwise_sin(3), DelayProfile.pairwise_sin(3))]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+    assert DelayProfile.proportional(0.5, 2) != DelayProfile.proportional(0.5, 3)
+    assert DelayProfile.per_component_proportional([0.2, 0.4], envelope_q=0.5) != \
+        DelayProfile.per_component_proportional([0.2, 0.3], envelope_q=0.5)
+    assert DelayProfile.constant(0.3, 2) != DelayProfile.proportional(0.3, 2)
+    assert all(type(s) is float for s in DelayProfile.pairwise_sin(2).slopes)

@@ -17,25 +17,19 @@ from fintstab.config import load_config
 from fintstab.control import (ScalarAdaptiveHook, StaticScalarGains,
                               _sign_law, gain_rates, static_scalar_control)
 from fintstab.delays import DelayProfile, RateFunction
-from fintstab.integrate import (DelayPlan, DivergenceError, IntegratorConfig,
+from fintstab.integrate import (DivergenceError, IntegratorConfig,
                                 RunningWindowSup, delayed_linear_rhs,
                                 diag_cols, integrate)
-from test_integrate import _reference_integrate
+from test_integrate import _reference_integrate, delayed_values
 
 
 # -- reference copies of the NumPy forms ---------------------------------------
 
 def _ref_delayed_linear_rhs(c1, c2, profile, control=None):
-    seen = plan = None
-
     def rhs(t, p, traj):
-        nonlocal seen, plan
-        if traj is not seen:
-            seen, plan = traj, DelayPlan(profile, traj.t0, traj.h)
-        # the plan block starting at this step, its first row
-        block = plan.row(traj._filled).values(traj, diag_cols(profile.n_components, traj.dim))
-        scaled = c2 * block.reshape(block.shape[0], -1)
-        dp = c1 * p + scaled[0]
+        # the step's delayed values, looked up alone
+        cols = diag_cols(profile.n_components, traj.dim)
+        dp = c1 * p + c2 * delayed_values(profile, traj, traj._filled, cols).ravel()
         if control is not None:
             dp = dp + control(t, p)
         return dp

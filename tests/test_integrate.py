@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fintstab.cli import run
 from fintstab.config import load_config
 from fintstab.delays import DelayProfile
-from fintstab.integrate import (DelayPlan, DivergenceError, HistoryTrajectory,
+from fintstab.integrate import (DivergenceError, HistoryTrajectory,
                                 IntegratorConfig, RunningWindowSup,
                                 delayed_linear_rhs, diag_cols, grid_rows, integrate,
                                 norm1, norm_inf)
@@ -291,19 +291,23 @@ def _reference_integrate(rhs, initial_state, profile, config, gain_hook=None,
     return traj
 
 
+def delayed_values(profile, traj, k, cols):
+    """traj's state columns cols at step k's delayed times t_k - pi_p(t_k),
+    looked up alone with the history up to row k: the per-step reference for
+    the block readers, shape (components, columns per row)."""
+    t = traj.t0 + k * traj.h
+    lo, hi, w = grid_rows(t - profile.delays_at(t), traj.t0, traj.h, k)
+    return traj._lookup(lo, hi, w, cols)
+
+
 def _reference_linear_rhs(c1, c2, profile, control):
-    """delayed_linear_rhs with c2 applied to each step's gathered row, the
-    first row of the block starting at the step of its own plan on the
-    trajectory's grid."""
-    seen = plan = None
+    """delayed_linear_rhs with c2 applied to each step's gathered row, looked
+    up alone at the step."""
 
     def rhs(t, p, traj):
-        nonlocal seen, plan
-        if traj is not seen:
-            seen, plan = traj, DelayPlan(profile, traj.t0, traj.h)
         cols = diag_cols(profile.n_components, traj.dim)
-        vals = plan.row(traj._filled).values(traj, cols)
-        return c1 * p + c2 * vals[0].ravel() + control(t, p)
+        vals = delayed_values(profile, traj, traj._filled, cols)
+        return c1 * p + c2 * vals.ravel() + control(t, p)
 
     return rhs
 

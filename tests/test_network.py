@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from fintstab.control import NetworkAdaptiveHook, NetworkControlSpec
 from fintstab.delays import DelayProfile, RateFunction
 from fintstab.integrate import HistoryTrajectory, IntegratorConfig
-from fintstab.network import (LORENZ_A, LORENZ_B, LORENZ_BOX, LORENZ_DRIVE_INIT,
-                              LORENZ_RESPONSE_INIT, NetworkModel,
+from fintstab.network import (LORENZ_A, LORENZ_B, LORENZ_BOX, NetworkModel,
                               SyncExperiment, error_index_series,
                               lorenz_jacobian_norm, lorenz_lipschitz_bound,
                               lorenz_preset, lorenz_rhs, simulate_sync,

@@ -1,6 +1,6 @@
-"""The delay-lookup primitive: grid_rows, DelayPlan, its blocks' values and BlockRows.
+"""The delay-lookup primitive: grid_rows, the block reader DelayedRows and envelope_rows.
 
-Plan rows are checked against a plain scalar floor/weight reference written
+Their rows are checked against a plain scalar floor/weight reference written
 out below, one query time at a time.  The pantograph and method-of-steps
 oracles measure the integrator's global order on delayed problems with exact
 solutions.
@@ -17,10 +17,10 @@ from fintstab.cli import EXAMPLE1, run
 from fintstab.config import load_config
 from fintstab.control import ScalarAdaptiveHook, StaticScalarGains, static_scalar_control
 from fintstab.delays import DelayProfile, RateFunction
-from fintstab.integrate import (BlockRows, DelayPlan, HistoryTrajectory,
-                                HistoryWindowError, IntegratorConfig, RunningWindowSup,
-                                delayed_linear_rhs, diag_cols, grid_rows,
-                                integrate, window_sups)
+from fintstab.integrate import (DelayedRows, HistoryTrajectory, HistoryWindowError,
+                                IntegratorConfig, RunningWindowSup, delayed_linear_rhs,
+                                diag_cols, envelope_rows, grid_rows, integrate,
+                                window_sups)
 
 from test_integrate import window_sup   # the O(window) brute-force reference
 
@@ -56,9 +56,30 @@ def as_rows(lo, hi, w):
     return [(int(a), int(b), float(c)) for a, b, c in zip(lo, hi, w)]
 
 
-def plan_rows(plan, k):
-    blk = plan.row(k)   # the block starting at k: k's row is its first
-    return as_rows(blk.lo[0], blk.hi[0], blk.w[0])
+def grid_reader(profile, t0, h):
+    """DelayedRows whose row k is step k's grid rows (lo, hi, w), one per component."""
+    return DelayedRows(profile, t0, h, lambda lo, hi, w: list(zip(lo, hi, w)))
+
+
+def run_rows(profile, t0, h, k):
+    """Step k's envelope row, from the aligned run that RunningWindowSup reads."""
+    start = k - k % integ.PLAN_BLOCK
+    lo, hi, w = envelope_rows(profile, t0, h, start, start + integ.PLAN_BLOCK)
+    r = slice(k - start, k - start + 1)
+    return as_rows(lo[r], hi[r], w[r])
+
+
+def handed_blocks(profile, t0, h, ks):
+    """(start, lo, hi, w) of each block one DelayedRows hands out as its rows
+    ks are read in turn."""
+    made, blocks = [], []
+    reader = DelayedRows(profile, t0, h, lambda *blk: made.append(blk) or [None] * len(blk[0]))
+    for k in ks:
+        n = len(made)
+        reader.row(k)
+        if len(made) > n:
+            blocks.append((k, *made[-1]))
+    return blocks
 
 
 ratios = st.floats(0.01, 0.95)
@@ -84,9 +105,10 @@ grids = st.tuples(st.floats(1e-3, 0.5), st.floats(0.0, 5.0))
                                    max_size=8), st.booleans())
 def test_plan_rows_match_scalar_reference(profile, grid, ks, envelope):
     h, t0 = grid
-    plan = DelayPlan(profile, t0, h, envelope=envelope)
+    reader = grid_reader(profile, t0, h)
     for k in ks:
-        assert plan_rows(plan, k) == ref_rows(profile, t0, h, k, envelope)
+        got = run_rows(profile, t0, h, k) if envelope else as_rows(*reader.row(k))
+        assert got == ref_rows(profile, t0, h, k, envelope)
 
 
 @settings(max_examples=40, deadline=None)
@@ -97,10 +119,10 @@ def test_block_boundaries_match_one_large_block(profile, grid, boundary, offset)
     ks = np.arange(start, start + 2 * integ.PLAN_BLOCK + 9)   # crosses two boundaries
     ts = t0 + ks * h
     whole = grid_rows(ts[:, None] - profile.delay_table(ts), t0, h, ks[:, None])
-    plan = DelayPlan(profile, t0, h)
+    reader = grid_reader(profile, t0, h)
     for k in list(ks) + list(ks[::-1]):   # forwards, then backwards across blocks
         r = k - start
-        assert plan_rows(plan, int(k)) == as_rows(whole[0][r], whole[1][r], whole[2][r])
+        assert as_rows(*reader.row(int(k))) == as_rows(whole[0][r], whole[1][r], whole[2][r])
 
 
 @settings(max_examples=40, deadline=None)
@@ -112,7 +134,9 @@ def test_constant_delay_prehistory_reads_initial_history(tau, grid, dim, k):
     profile = DelayProfile.constant(tau, n_components=dim)
     rng = np.random.default_rng(k)
     traj = HistoryTrajectory.from_arrays(t0, h, rng.normal(size=(k + 1, dim)))
-    got = DelayPlan(profile, t0, h).row(k).values(traj, diag_cols(dim, dim))[0].ravel()
+    rows = DelayedRows(profile, t0, h, lambda lo, hi, w: list(
+        traj._lookup(lo, hi, w, diag_cols(dim, dim))))
+    got = rows.row(k).ravel()
     t = t0 + k * h
     if t - tau < t0:
         assert got.tobytes() == traj.states[0].tobytes()
@@ -133,7 +157,7 @@ def test_constant_delay_prehistory_drives_integration():
 
 @st.composite
 def affine_profiles(draw, h):
-    """Every constructor, at the edges of the plan's reach: ratios up to
+    """Every constructor, at the edges of the readers' reach: ratios up to
     0.999, and constant lags of 0 and under one step h."""
     m = draw(st.integers(1, 4))
     return draw(st.one_of(
@@ -153,10 +177,36 @@ def test_no_plan_row_reads_past_its_own_step(data, h, t0, start, length, envelop
     # every delay is >= 0, so t_k - pi(t_k) <= t_k: a fill never raises
     # HistoryWindowError, and row k's upper row is at most k
     profile = data.draw(affine_profiles(h))
-    blk = DelayPlan(profile, t0, h, envelope=envelope)._fill(start, start + length)
-    assert blk.stop == start + length
-    assert (blk.hi.max(axis=1) <= np.arange(start, blk.stop)).all()
-    assert (blk.lo <= blk.hi).all()
+    if envelope:
+        lo, hi, _ = envelope_rows(profile, t0, h, start, start + length)
+        lo, hi = lo[:, None], hi[:, None]
+    else:   # the blocks tile the steps from start and may run past the last
+        blocks = handed_blocks(profile, t0, h, range(start, start + length))
+        lo, hi = (np.concatenate([blk[i] for blk in blocks])[:length] for i in (1, 2))
+    assert len(hi) == length
+    assert (hi.max(axis=1) <= np.arange(start, start + length)).all()
+    assert (lo <= hi).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-3, 0.999999), st.data(), st.sampled_from([1e-3, 2.0 ** -10, 0.01, 0.37]),
+       st.floats(0.01, 5.0), st.integers(0, 4 * integ.PLAN_BLOCK) | st.integers(0, 10 ** 6),
+       st.integers(1, 2 * integ.PLAN_BLOCK))
+def test_no_block_reads_past_its_first_step(q, data, h, t0, start, length):
+    # ratios near 1 put a delayed time within a step of its own step, off a
+    # grid that starts at t0 != 0: every block still reads no row past its
+    # first step, and ends at its run's end or before the first row that would
+    m = data.draw(st.integers(1, 4))
+    profile = data.draw(st.just(DelayProfile.proportional(q, m)) | st.lists(
+        st.floats(0.0, q), min_size=m, max_size=m).map(
+            lambda c: DelayProfile.per_component_proportional(c, envelope_q=q)))
+    blocks = handed_blocks(profile, t0, h, range(start, start + length))
+    assert blocks[0][0] == start
+    for k, lo, hi, _ in blocks:
+        assert hi.max() <= k and (lo <= hi).all()
+        stop = k + len(lo)
+        if stop % integ.PLAN_BLOCK:
+            assert max(hi for _, hi, _ in ref_rows(profile, t0, h, stop)) > k
 
 
 def test_queries_past_the_current_time_raise():
@@ -173,22 +223,22 @@ def test_queries_past_the_current_time_raise():
                                    max_size=8), st.booleans())
 def test_plan_blocks_are_complete(profile, grid, ks, envelope):
     # a block never reads past its first step, and ends only at its aligned
-    # run's end or before the first row that would.  An envelope block is
-    # read a row at a time, each at its own step: no row reads past its own
-    # step, and the block always runs to its aligned run's end
+    # run's end or before the first row that would.  The envelope's aligned
+    # runs are read a row at a time, each at its own step: no row reads past
+    # its own step
     h, t0 = grid
-    plan = DelayPlan(profile, t0, h, envelope=envelope)
-    for k in ks:
-        blk = plan.row(k)
-        assert blk.start == k < blk.stop
-        if envelope:
-            assert (blk.hi.max(axis=1) <= np.arange(blk.start, blk.stop)).all()
-            assert blk.stop % integ.PLAN_BLOCK == 0
-            continue
-        assert blk.hi.max() <= blk.start
-        if blk.stop % integ.PLAN_BLOCK:
-            nxt = ref_rows(profile, t0, h, blk.stop, envelope)
-            assert max(hi for _, hi, _ in nxt) > blk.start
+    if envelope:
+        for k in ks:
+            start = k - k % integ.PLAN_BLOCK
+            _, hi, _ = envelope_rows(profile, t0, h, start, start + integ.PLAN_BLOCK)
+            assert (hi <= np.arange(start, start + integ.PLAN_BLOCK)).all()
+        return
+    for k, lo, hi, _ in handed_blocks(profile, t0, h, ks):
+        stop = k + len(lo)
+        assert k < stop and hi.max() <= k
+        if stop % integ.PLAN_BLOCK:
+            nxt = ref_rows(profile, t0, h, stop)
+            assert max(hi for _, hi, _ in nxt) > k
 
 
 @settings(max_examples=30, deadline=None)
@@ -266,10 +316,10 @@ def _gathers_agree(profile, t0, h, n, dim=None):
     """Gather every step of an n-step trajectory three ways: by block from a
     fully recorded copy, by block while the rows are appended one step at a
     time (the integrator's view), and per time through query_diag.  Every
-    block the growing trajectory's plan hands out must read only rows
+    block the growing trajectory's reader hands out must read only rows
     recorded at its first step.  Returns how those blocks ended: "cut" before
     a row that reads past the block's first step, or "run" at the end of the
-    plan's aligned run.  `dim` is the state's (the profile's components by
+    reader's aligned run.  `dim` is the state's (the profile's components by
     default)."""
     dim = dim or profile.n_components
     # the recorded copy covers every block the n steps touch
@@ -277,17 +327,17 @@ def _gathers_agree(profile, t0, h, n, dim=None):
                                                     * integ.PLAN_BLOCK, dim))
     full = HistoryTrajectory.from_arrays(t0, h, states)
     growing = HistoryTrajectory(t0, h, states[0], n)
-    plans = {traj: DelayPlan(profile, t0, h) for traj in (full, growing)}
     cols = diag_cols(profile.n_components, dim)
     ends = set()
 
     def rows(traj):
-        def make(blk):
-            if traj is growing:
-                assert blk.hi.max() <= growing._filled == blk.start
-                ends.add("run" if blk.stop == plans[growing]._run.stop else "cut")
-            return list(blk.values(traj, cols))
-        return BlockRows(plans[traj], make)
+        def make(lo, hi, w):
+            if traj is growing:   # the block starts at the step being taken
+                assert hi.max() <= growing._filled
+                stop = growing._filled + len(lo)
+                ends.add("cut" if stop % integ.PLAN_BLOCK else "run")
+            return list(traj._lookup(lo, hi, w, cols))
+        return DelayedRows(profile, t0, h, make)
 
     on_full, on_growing = rows(full), rows(growing)
     for k in range(n + 1):
@@ -323,35 +373,42 @@ def test_running_window_sup_boundary_uses_plan_rows():
 
 @contextlib.contextmanager
 def count_blocks():
-    """Record every block DelayPlan.row cuts, per plan, and count the
-    BlockRows builds and _PlanBlock.values calls made meanwhile."""
-    cuts, counts = {}, {"make": 0, "values": 0}
-    row, init, values = DelayPlan.row, BlockRows.__init__, integ._PlanBlock.values
+    """Record every block a DelayedRows cuts, per reader, and every run
+    envelope_rows fills, and count the makes and HistoryTrajectory._lookup
+    calls made meanwhile."""
+    cuts, fills, counts = {}, [], {"make": 0, "lookup": 0}
+    init, cut = DelayedRows.__init__, DelayedRows._cut
+    lookup, fill = HistoryTrajectory._lookup, integ.envelope_rows
 
-    def counted_row(plan, k):
-        blk = row(plan, k)
-        cuts.setdefault(plan, []).append((blk.start, blk.stop))
-        return blk
+    def counted_cut(rows, k):
+        block = cut(rows, k)
+        cuts.setdefault(rows, []).append((k, k + len(block[0])))
+        return block
 
-    def counted_init(rows, plan, make):
-        def counted_make(blk):
+    def counted_init(rows, profile, t0, h, make):
+        def counted_make(*block):
             counts["make"] += 1
-            return make(blk)
-        init(rows, plan, counted_make)
+            return make(*block)
+        init(rows, profile, t0, h, counted_make)
 
-    def counted_values(blk, traj, cols):
-        counts["values"] += 1
-        return values(blk, traj, cols)
+    def counted_lookup(traj, *args):
+        counts["lookup"] += 1
+        return lookup(traj, *args)
+
+    def counted_fill(profile, t0, h, start, stop):
+        fills.append((start, stop))
+        return fill(profile, t0, h, start, stop)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(DelayPlan, "row", counted_row)
-        mp.setattr(BlockRows, "__init__", counted_init)
-        mp.setattr(integ._PlanBlock, "values", counted_values)
-        yield cuts, counts
+        mp.setattr(DelayedRows, "_cut", counted_cut)
+        mp.setattr(DelayedRows, "__init__", counted_init)
+        mp.setattr(HistoryTrajectory, "_lookup", counted_lookup)
+        mp.setattr(integ, "envelope_rows", counted_fill)
+        yield cuts, fills, counts
 
 
 def assert_tiled(cuts):
-    """Each plan's blocks follow one another: a block is cut once, at the
+    """Each reader's blocks follow one another: a block is cut once, at the
     step after the previous block's end.  Returns the number of blocks."""
     for blocks in cuts.values():
         assert all(stop == nxt for (_, stop), (nxt, _) in zip(blocks, blocks[1:]))
@@ -359,49 +416,51 @@ def assert_tiled(cuts):
 
 
 def test_static_example1_builds_each_block_once():
-    # delayed_linear_rhs builds its plan and a block's rows with one values
-    # call; the monitors' window sups fill whole envelope runs and cut no block
+    # delayed_linear_rhs builds its reader and a block's rows with one
+    # lookup; the monitors' window sups fill whole envelope runs and cut no
+    # block
     doc = dict(EXAMPLE1, integrator={"horizon": 2.0, "h": 1e-3})
-    with count_blocks() as (cuts, counts):
+    with count_blocks() as (cuts, fills, counts):
         res = run(load_config(doc))
     n_steps = res.traj.states.shape[0] - 1
-    (plan, steps), = cuts.items()
-    assert not plan.envelope and plan.profile is res.profile
+    (reader, steps), = cuts.items()
+    assert reader.profile is res.profile
     assert steps[0][0] == 0 and steps[-1][1] >= n_steps
-    assert counts["values"] == len(steps) < n_steps // 50
+    assert counts["lookup"] == len(steps) < n_steps // 50
     assert counts["make"] == assert_tiled(cuts) == len(steps)
+    assert fills and all(stop - start <= integ.ROW_CHUNK for start, stop in fills)
 
 
 def test_running_window_sup_builds_each_block_once():
     profile = DelayProfile.proportional(0.35)
     n = 3 * integ.PLAN_BLOCK + 17
-    with count_blocks() as (cuts, counts):
+    with count_blocks() as (cuts, fills, counts):
         tracker = RunningWindowSup(0.0, 0.01, profile)
         for k, v in enumerate(np.cos(0.07 * np.arange(n)).tolist()):
             tracker.push(v)
             tracker.sup(k)
-    (steps,) = cuts.values()
-    assert steps[0][0] == 0 and steps[-1][1] >= n
-    assert counts["make"] == assert_tiled(cuts) < n // 20
-    assert counts["values"] == 0
+    # one fill per aligned run, in order, and no block reader
+    assert fills == [(s, s + integ.PLAN_BLOCK) for s in range(0, n, integ.PLAN_BLOCK)]
+    assert not cuts and counts == {"make": 0, "lookup": 0}
 
 
 @pytest.mark.parametrize("delay_steps", [0.0, 2.5])
 def test_adaptive_window_fills_aligned_envelope_runs(delay_steps):
     # the hook's window reads row k only at step k, so a short constant delay
-    # costs its envelope plan one block per aligned run, not one every
+    # costs it one envelope fill per aligned run, not one every
     # delay_steps + 1 steps; its sups stay window_sups' bitwise
     h = 2.0 ** -10
     n = 3 * integ.PLAN_BLOCK + 17
     profile = DelayProfile.constant(delay_steps * h)
     hook = ScalarAdaptiveHook(0.1, 0.1, 0.1, RateFunction.power(0.1), profile)
     sups, sup = [], RunningWindowSup.sup
-    with count_blocks() as (cuts, _), pytest.MonkeyPatch.context() as mp:
+    with count_blocks() as (_, fills, _), pytest.MonkeyPatch.context() as mp:
         mp.setattr(RunningWindowSup, "sup", lambda w, k: sups.append(sup(w, k)) or sups[-1])
         integrate(delayed_linear_rhs(1.0, 2.0, profile, control=hook.control), [2.0],
                   profile, IntegratorConfig(horizon=n * h, h=h), gain_hook=hook)
-    (fills,) = [blocks for plan, blocks in cuts.items() if plan.envelope]
     assert len(fills) <= math.ceil(n / integ.PLAN_BLOCK) + 1
+    assert all(start % integ.PLAN_BLOCK == 0 and stop == start + integ.PLAN_BLOCK
+               for start, stop in fills)
     assert len(sups) == n
     want = window_sups(hook._tracker.values, 0.0, h, profile)
     assert np.array(sups).tobytes() == want.tobytes()
@@ -421,7 +480,7 @@ _DIFFERENTIAL_PROFILES = [
        st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2), st.floats(-2.0, 2.0),
        st.floats(-2.0, 2.0), st.sampled_from([1e-3, 4e-3, 0.01]))
 def test_delayed_linear_rhs_on_trajectory_without_plan(a, b, p0, c1, c2, h):
-    # a trajectory carries no plan: the rhs builds its own, of its own
+    # a trajectory carries no reader: the rhs builds its own, of its own
     # profile on the trajectory's grid.  On a recorded trajectory it reads
     # the current step; integrated under integrate(..., profile=b) it equals
     # the run under its profile a bitwise (with resting off, integrate reads
@@ -458,7 +517,7 @@ def test_delayed_linear_rhs_accepts_an_equal_profile_object():
 ])
 @pytest.mark.parametrize("shared", [False, True])
 def test_constant_delay_block_paths(steps, paths, shared):
-    # `paths`: how the plan's blocks end.  A delay shorter than a block cuts
+    # `paths`: how the reader's blocks end.  A delay shorter than a block cuts
     # each block before its first row that reads a row the block itself
     # records; a longer one lets every block fill its aligned run.  A shared
     # delay (one component read by every state column) ends its blocks alike
@@ -468,15 +527,14 @@ def test_constant_delay_block_paths(steps, paths, shared):
 
 
 def test_one_gather_alternating_between_trajectories():
-    # a plan keeps no block of its own: block rows of two trajectories, as
-    # of a network's drive and error, may share one plan step by step
+    # block rows of two trajectories, as of a network's drive and error,
+    # read in turn step by step: each reader keeps its own block and run
     profile = DelayProfile.proportional(0.5)
-    plan = DelayPlan(profile, 0.0, 0.01)
     rng = np.random.default_rng(7)
     trajs = [HistoryTrajectory.from_arrays(0.0, 0.01, rng.normal(size=(600, 1)))
              for _ in range(2)]
-    rows = [BlockRows(plan, lambda blk, traj=traj: list(blk.values(traj, diag_cols(1, 1))))
-            for traj in trajs]
+    rows = [DelayedRows(profile, 0.0, 0.01, lambda lo, hi, w, traj=traj: list(
+        traj._lookup(lo, hi, w, diag_cols(1, 1)))) for traj in trajs]
     for k in (300, 301, 302):
         t = k * 0.01
         for i in (0, 1, 0):
