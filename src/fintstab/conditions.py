@@ -104,6 +104,8 @@ def _validate_coupling_matrix(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"coupling matrix must be square, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("coupling matrix entries must be finite")
     off = A - np.diag(np.diag(A))
     if off.min() < -METZLER_TOL:
         raise ValueError("coupling matrix is not Metzler (negative off-diagonal entry)")

@@ -29,6 +29,13 @@ MODE_AT_ORIGIN = "at_origin"
 _NORM_FUNCS = {"one": norm1, "inf": norm_inf}
 
 
+def _require_finite(**params: float):
+    """ValueError naming the first parameter that is NaN or infinite."""
+    for name, v in params.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
 @dataclass
 class StaticScalarGains:
     """Gains of p' = c1 p + c2 p(t-Pi) - diag(sgn p)(c3 1 + c4 |p|)."""
@@ -39,6 +46,7 @@ class StaticScalarGains:
     c4: float
 
     def __post_init__(self):
+        _require_finite(c1=self.c1, c2=self.c2, c3=self.c3, c4=self.c4)
         if self.c3 < 0.0 or self.c4 < 0.0:
             raise ValueError("control gains c3, c4 must be >= 0")
 
@@ -93,6 +101,7 @@ class NetworkControlSpec:
     def __post_init__(self):
         if self.kind not in ("pinning", "full", "none"):
             raise ValueError(f"unknown control kind {self.kind!r}")
+        _require_finite(theta3=self.theta3, theta4=self.theta4, sigma=self.sigma)
         if self.kind == "pinning" and self.sigma <= 0.0:
             raise ValueError("pinning strength sigma must be > 0")
         if self.theta3 < 0.0 or self.theta4 < 0.0:
@@ -143,8 +152,8 @@ class AdaptiveHook:
 
     def __init__(self, names, lin: int, rates, rate: RateFunction,
                  profile: DelayProfile, norm: str = "two", zero_tol: float = 1e-9):
-        if min(rates) <= 0.0:
-            raise ValueError("adaptive rates d1, d2, d3 must be positive")
+        if not all(0.0 < r < math.inf for r in rates):
+            raise ValueError("adaptive rates d1, d2, d3 must be finite and positive")
         if norm != "two" and norm not in _NORM_FUNCS:
             raise ValueError(f"unknown norm {norm!r}")
         self.names = tuple(names)

@@ -14,10 +14,25 @@ for a whole `DelayedRows` block of steps at once and turn into float rows once.
 The rest of a step runs on Python floats, bitwise equal to the NumPy forms:
 f takes and gives node rows, the controls keep their array forms' operation
 order, and only the sum A @ X stays in NumPy (BLAS may fuse its multiply-adds).
+
+A settled error costs one coupling row a step.  After the settling time the
+error is exactly zero while the delayed coupling still reads the moving
+past.  At an error row whose floats are all +-0.0, x + e is x, so
+f(x + e) - f(x) is +0.0; theta1 (A e) is +-0.0; and every feedback term,
+static or adaptive, is -theta3 sgn(0) or a finite gain times +-0.0.  The
+full sum is then the coupling row plus 0.0 (-0.0 becomes +0.0), and the
+error rhs returns that without calling f, A @ E or the control law.  This is
+bitwise the full rhs under every control kind, given that f acts on each
+node row alone (so f(x_k) is what the drive's step k computed, finite since
+the drive did not diverge) and that the parameters are finite (the
+constructors reject NaN and inf).  Two cases stay on the full path: a drive
+row with a -0.0 component, where -0.0 + 0.0 is +0.0 and x + e is not x, and
+a gain multiplying the error that is not finite, where inf * 0 is NaN.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -25,7 +40,7 @@ import numpy as np
 
 from .conditions import _validate_coupling_matrix
 from .control import (NetworkAdaptiveHook, NetworkControlSpec, _add_full_node,
-                      _add_pinning, _sgn)
+                      _add_pinning, _require_finite, _sgn)
 from .delays import DelayProfile
 from .integrate import (DelayedRows, HistoryTrajectory, IntegratorConfig, integrate,
                         row_chunks)
@@ -41,7 +56,9 @@ class NetworkModel:
     B: np.ndarray               # delayed-coupling matrix, arbitrary
     theta1: float
     theta2: float
-    f: Callable[[list], list]   # node rows in (lists of n floats), rows out (list or array)
+    # node rows in (lists of n floats), rows out (list or array); acts on each
+    # row alone, which the settled-error rule relies on
+    f: Callable[[list], list]
     g: Callable[[np.ndarray], np.ndarray]   # componentwise, vectorised
     L_f: float
     L_g: float
@@ -52,6 +69,9 @@ class NetworkModel:
         self.B = np.asarray(self.B, dtype=float)
         if self.B.shape != (self.N, self.N):
             raise ValueError(f"B must be {self.N}x{self.N}, got {self.B.shape}")
+        if not np.isfinite(self.B).all():
+            raise ValueError("B's entries must be finite")
+        _require_finite(theta1=self.theta1, theta2=self.theta2)
         if self.delays.n_components not in (1, self.N * self.N):
             raise ValueError("delay profile must be shared or indexed per pair (i,j)")
 
@@ -168,18 +188,39 @@ def _error_rhs(model: NetworkModel, drive: HistoryTrajectory,
     subtracted; g is called in `_coupling`, for a whole block at a time.
     A @ E is one NumPy call, as in `_drive_rhs`.  The controls read the hook's
     float gains.
+
+    A settled error (every float of row k +-0.0) returns the coupling row
+    plus 0.0 and skips f, A @ E and the control, except at a drive row with
+    a -0.0 component or a gain times the error that is not finite; the
+    module docstring says why that is the full rhs bitwise.  A moving step
+    pays one truth test of the error's floats for it.
     """
     N, n = model.N, model.n
-    A, theta1 = model.A, model.theta1
+    A, theta1, sigma = model.A, model.theta1, control.sigma
     seen = coupling = None
     adapt_coupling = hook is not None and hook.variant == "theta1_theta3"
-    drive_nodes = drive._states.reshape(-1, N, n)
+    states = drive._states
+    drive_nodes = states.reshape(-1, N, n)
+    neg_zero = np.signbit(states) & (states == 0.0)
+    neg_zero_rows = set(np.flatnonzero(neg_zero.any(axis=1)).tolist())
+
+    def gains_finite() -> bool:
+        """Every gain that multiplies an error float or its sign is finite."""
+        if hook is None:
+            gains = (theta1 * sigma, control.theta3, control.theta4)
+        else:
+            lin, theta3 = hook.gains
+            gains = (theta3, lin - theta1, lin * sigma)
+        return all(map(math.isfinite, gains))
 
     def rhs(t, E, etraj):
         nonlocal seen, coupling
         if etraj is not seen:
             seen, coupling = etraj, _coupling_rows(model, drive, etraj)
         k = etraj._filled
+        es = E.tolist()
+        if not any(es) and k not in neg_zero_rows and gains_finite():
+            return [d + 0.0 for d in coupling.row(k)]
         En, Xn = E.reshape(N, n), drive_nodes[k]
         fx = _rows(model.f((Xn + En).tolist() + Xn.tolist()))
         ae = A.dot(En).ravel().tolist()
@@ -187,13 +228,12 @@ def _error_rhs(model: NetworkModel, drive: HistoryTrajectory,
         out = [p - q + theta1 * a + d
                for p, q, a, d in zip(_flat(fx[:N]), _flat(fx[N:]), ae, c)]
 
-        es = E.tolist()
         if hook is None:
             return _static_control(out, es, model, control)
         lin, theta3 = hook.gains
         if adapt_coupling:
             # coupling adaptation acts through the pinned matrix Atilde
-            dl, ls = lin - theta1, lin * control.sigma
+            dl, ls = lin - theta1, lin * sigma
             return [(o + dl * a - ls * v if i < n else o + dl * a) - theta3 * _sgn(v)
                     for i, (o, v, a) in enumerate(zip(out, es, ae))]
         return _add_full_node(out, es, theta3, lin)
@@ -211,7 +251,9 @@ def simulate_sync(exp: SyncExperiment) -> SyncResult:
     control.  A `theta1_theta3` hook pins node 1 with the spec's sigma, so it
     needs a pinning spec (ValueError otherwise); a `theta3_theta4` hook takes
     the place of any spec's static feedback.  Neither integration rests at
-    zero: the drive's f is arbitrary.
+    zero: the drive's f is arbitrary.  Once the error is exactly zero, an
+    error step costs its delayed coupling row alone (see `_error_rhs`),
+    under every control.
     """
     hook = exp.adaptive_hook
     if (hook is not None and hook.variant == "theta1_theta3"

@@ -19,7 +19,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from fintstab import config
 from fintstab.cli import EXAMPLE1, EXAMPLE2, PRESETS, main, run
 from fintstab.config import ConfigError, load_config
+from fintstab.control import (NetworkAdaptiveHook, NetworkControlSpec, ScalarAdaptiveHook,
+                              StaticScalarGains)
+from fintstab.delays import RateFunction
 from fintstab.integrate import DivergenceError
+from fintstab.network import LORENZ_A, LORENZ_B, LORENZ_DELAYS, NetworkModel, lorenz_preset
 
 
 def _doc(base, **blocks):
@@ -86,6 +90,49 @@ def test_range_errors_are_config_errors_at_load(tmp_path, capsys, doc, name):
         assert main(argv[:1] + [str(path)] + argv[1:]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {name}") and "Traceback" not in err
+
+
+# -- the Python API ----------------------------------------------------------------
+
+def _lorenz_model(**fields):
+    """The Lorenz preset's model with the given fields replaced, built anew so
+    that its checks run on them."""
+    model = lorenz_preset().model
+    kw = {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
+    return NetworkModel(**dict(kw, **fields))
+
+
+def _with_nan(M, i, j):
+    M = np.array(M, dtype=float)
+    M[i, j] = math.nan
+    return M
+
+
+_RATE, _DELAYS = RateFunction.power(0.1), LORENZ_DELAYS
+
+_NONFINITE_API = {
+    "spec_theta4_nan": lambda: NetworkControlSpec(kind="full", theta4=math.nan),
+    "spec_sigma_nan": lambda: NetworkControlSpec(kind="full", sigma=math.nan),
+    "spec_sigma_inf": lambda: NetworkControlSpec(kind="pinning", sigma=math.inf),
+    "spec_theta3_inf": lambda: NetworkControlSpec(kind="pinning", theta3=math.inf),
+    "model_theta1_inf": lambda: _lorenz_model(theta1=math.inf),
+    "model_theta2_nan": lambda: _lorenz_model(theta2=math.nan),
+    "model_A_nan": lambda: _lorenz_model(A=_with_nan(LORENZ_A, 0, 1)),
+    "model_B_nan": lambda: _lorenz_model(B=_with_nan(LORENZ_B, 2, 2)),
+    "network_hook_d1_nan": lambda: NetworkAdaptiveHook(math.nan, 1.0, 1.0, _RATE, _DELAYS),
+    "network_hook_d3_inf": lambda: NetworkAdaptiveHook(1.0, 1.0, math.inf, _RATE, _DELAYS),
+    "scalar_hook_d2_inf": lambda: ScalarAdaptiveHook(1.0, math.inf, 1.0, _RATE, _DELAYS),
+    "gains_c3_nan": lambda: StaticScalarGains(1.0, 1.0, math.nan, 1.0),
+    "gains_c4_inf": lambda: StaticScalarGains(1.0, 1.0, 1.0, math.inf),
+    "gains_c2_nan": lambda: StaticScalarGains(1.0, math.nan, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("build", _NONFINITE_API.values(), ids=list(_NONFINITE_API))
+def test_the_api_rejects_nonfinite_parameters(build):
+    # the constructors hold the loader's rule that numbers are finite
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 # -- the hypothesis gate ------------------------------------------------------------

@@ -3,8 +3,11 @@
 
 The drive, error and direct-response right-hand sides are compared with
 reference copies that compute the coupling one step at a time, as the
-package did before the block path.  Every comparison is byte for byte.
+package did before the block path; the reference error rhs has no
+settled-error rule, so it is also the full path that rule must equal.
+Every comparison is byte for byte.
 """
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -218,22 +221,26 @@ def _outcome(run):
         return exc.blow_up_time
 
 
-_OFFSET = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+_OFFSET = _SIGNED_ZERO | st.floats(-2.0, 2.0)
 _NINE = dict(min_size=9, max_size=9)
 
 
 @settings(max_examples=30, deadline=None)
 @given(offsets=st.lists(_OFFSET, **_NINE), at_zero=st.lists(st.booleans(), **_NINE),
+       zeros=st.lists(_SIGNED_ZERO, **_NINE),
        control=st.sampled_from(CONTROLS), theta3=st.floats(0.0, 20.0),
        theta4=st.floats(0.0, 20.0), sigma=st.floats(0.1, 5.0),
        band=st.sampled_from([0.0, 1.0]), pairwise=st.booleans(), cubic=st.booleans())
-def test_drawn_sync_matches_per_step_coupling(offsets, at_zero, control, theta3, theta4,
-                                              sigma, band, pairwise, cubic):
-    # a node component drawn at_zero starts the drive at exactly 0.0 and the
-    # error at its offset, so error components of exactly +-0.0 occur
+def test_drawn_sync_matches_per_step_coupling(offsets, at_zero, zeros, control, theta3,
+                                              theta4, sigma, band, pairwise, cubic):
+    # a node component drawn at_zero starts the drive at exactly +0.0 or -0.0
+    # (from zeros) and the error at its offset, so error components of
+    # exactly +-0.0 occur, and +0.0 errors over -0.0 drive components, where
+    # x + e is not x bitwise
     at_zero = np.reshape(at_zero, (3, 3))
     offsets = np.reshape(offsets, (3, 3))
-    drive = np.where(at_zero, 0.0, lorenz_preset().drive_init)
+    drive = np.where(at_zero, np.reshape(zeros, (3, 3)), lorenz_preset().drive_init)
     response = np.where(at_zero, offsets, drive + offsets)
     args = (drive, response, control, theta3, theta4, sigma, band, pairwise, cubic)
     got = _outcome(lambda: simulate_sync(_drawn_experiment(*args)))
@@ -246,6 +253,110 @@ def test_drawn_sync_matches_per_step_coupling(offsets, at_zero, control, theta3,
     assert got.error.states.tobytes() == error.states.tobytes()
     if error.gains is not None:
         assert got.error.gains.tobytes() == error.gains.tobytes()
+
+
+# -- the settled error -------------------------------------------------------------------
+
+def _signed_field(x):
+    """A node field that tells -0.0 from +0.0: x + copysign(1, x)."""
+    x = np.asarray(x, dtype=float)
+    return x + np.copysign(1.0, x)
+
+
+FIELDS = {"lorenz": None, "cubic": _cubic_field, "signed": _signed_field}
+
+
+# drive components: +0.0 or finite, never -0.0 (v + 0.0 maps -0.0 to +0.0)
+_DRIVE = st.just(0.0) | st.floats(-20.0, 20.0).map(lambda v: v + 0.0)
+
+
+@settings(deadline=None)
+@given(drive_row=st.lists(_DRIVE, **_NINE), neg_zero=st.none() | st.integers(0, 8),
+       error_row=st.lists(_SIGNED_ZERO, **_NINE), k=st.integers(0, 2 * PLAN_BLOCK),
+       moving_past=st.booleans(), control=st.sampled_from(CONTROLS),
+       field=st.sampled_from(sorted(FIELDS)), theta3=st.floats(0.0, 20.0),
+       theta4=st.floats(0.0, 20.0), sigma=st.floats(0.1, 5.0),
+       gains=st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e3)),
+       theta2=st.sampled_from([1.0, -1.0]))
+def test_settled_error_rhs_matches_the_full_rhs(drive_row, neg_zero, error_row, k,
+                                                moving_past, control, field, theta3,
+                                                theta4, sigma, gains, theta2):
+    # an error row of +-0.0 floats at step k, over a drive row with +0.0
+    # components and, at neg_zero, one -0.0: the error rhs equals the per-step
+    # full rhs byte for byte, whether it takes the settled rule or (x + e not
+    # x) the full path.  A negative theta2 turns a zero coupling into -0.0,
+    # which the full sum returns as +0.0
+    if neg_zero is not None:
+        drive_row[neg_zero] = -0.0
+    model = lorenz_preset().model
+    model.theta2 = theta2
+    if FIELDS[field] is not None:
+        model.f = FIELDS[field]
+    rng = np.random.default_rng(k)
+    xs = rng.normal(size=(k + 1, 9))
+    es = rng.normal(size=(k + 1, 9)) if moving_past else np.zeros((k + 1, 9))
+    xs[k], es[k] = drive_row, error_row
+    drive = HistoryTrajectory.from_arrays(0.0, H, xs)
+    etraj = HistoryTrajectory.from_arrays(0.0, H, es)
+    hook = None
+    if control.startswith("theta"):
+        hook = NetworkAdaptiveHook(0.05, 0.05, 0.02, RateFunction.power(0.1),
+                                   model.delays, variant=control)
+        hook.gains[:] = gains
+        spec = NetworkControlSpec(kind="pinning", sigma=sigma)
+    else:
+        spec = NetworkControlSpec(kind=control, theta3=theta3, theta4=theta4, sigma=sigma)
+    E, t = etraj._states[k], k * H
+    got = _error_rhs(model, drive, spec, hook)(t, E, etraj)
+    want = _ref_error_rhs(model, drive, spec, hook)(t, E, etraj)
+    assert np.array(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("control", ("pinning", "theta1_theta3", "theta3_theta4"))
+def test_a_gain_without_a_finite_value_keeps_the_full_rhs(control):
+    # a gain that is infinite, or overflows times sigma, makes the full rhs
+    # NaN at a zero error (inf * 0): the settled rule must not hide that
+    model = lorenz_preset().model
+    hook, spec = None, NetworkControlSpec(kind="pinning", theta3=1.0, sigma=1e300)
+    if control == "pinning":
+        model.theta1 = 1e300
+    else:
+        hook = NetworkAdaptiveHook(0.05, 0.05, 0.02, RateFunction.power(0.1),
+                                   model.delays, variant=control)
+        hook.gains[:] = [math.inf, 1.0]
+    rng = np.random.default_rng(3)
+    drive = HistoryTrajectory.from_arrays(0.0, H, rng.normal(size=(10, 9)))
+    etraj = HistoryTrajectory.from_arrays(0.0, H, np.zeros((10, 9)))
+    E, t = etraj._states[9], 9 * H
+    got = np.array(_error_rhs(model, drive, spec, hook)(t, E, etraj))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _ref_error_rhs(model, drive, spec, hook)(t, E, etraj)
+    assert np.isnan(got).any() and (np.isnan(got) == np.isnan(want)).all()
+
+
+def test_a_settled_error_step_calls_no_field():
+    # static full-node feedback settles the preset's error within the horizon:
+    # the error side calls f once per step whose start row has a nonzero
+    # component, the drive once per step, and every state stays bitwise equal
+    preset = lorenz_preset()
+    args = (preset.drive_init, preset.response_init, "full", 10.0, 30.0, 1.0, 1.0,
+            True, False)
+    exp = _drawn_experiment(*args)
+    f, calls = exp.model.f, []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return f(rows)
+
+    exp.model.f = counted
+    res = simulate_sync(exp)
+    base, error = _ref_outer_sync(_drawn_experiment(*args))
+    assert res.drive.states.tobytes() == base.states.tobytes()
+    assert res.error.states.tobytes() == error.states.tobytes()
+    n_steps = int(round(HORIZON / H))
+    moving = int(res.error.states[:n_steps].any(axis=1).sum())
+    assert calls.count(3) == n_steps and calls.count(6) == moving
+    assert moving < n_steps // 2   # the error settles early in the run
 
 
 # -- complete blocks ----------------------------------------------------------------------
