@@ -344,19 +344,26 @@ def _final_gains(names, gains) -> List[str]:
     return ["final gains: " + ", ".join(f"{n} = {v:.6g}" for n, v in zip(names, gains[-1]))]
 
 
+def _static_feasible(cfg: ExperimentConfig) -> bool:
+    """Whether the config's static condition holds: the report of its norm
+    (a scalar config) or of its network.  An enabled adaptive block has no
+    static certificate, and a condition without a closed form does not hold."""
+    if cfg.adaptive["enabled"]:
+        return False
+    try:
+        return condition_reports(cfg, (cfg.adaptive.get("norm", "two"),))[0].feasible
+    except NoClosedFormError:
+        return False
+
+
 def _cmd_simulate(args) -> int:
     cfg = load_config(_document(args.config))
-    require = cfg.monitor["require_feasible"]
     out, stride = cfg.output["csv"], cfg.output["stride"]
-    infeasible = "requested feasibility guarantee, but the condition is infeasible"
-    if require and cfg.kind == "network" and not condition_reports(cfg)[0].feasible:
-        print(infeasible)
+    if cfg.monitor["require_feasible"] and not _static_feasible(cfg):
+        print("requested feasibility guarantee, but the condition is infeasible")
         return 2
     res = run(cfg)
     if cfg.kind == "scalar":
-        if require and (res.report is None or not res.report.feasible):
-            print(infeasible)
-            return 2
         write_trajectory_csv(out, res.traj, stride=stride)
         lines = _summary_lines(res)
     else:

@@ -65,10 +65,13 @@ class IntegratorConfig:
         if self.n_steps >= np.iinfo(np.intp).max:  # n_steps + 1 history rows
             raise ValueError(f"horizon {self.horizon:g} is {self.n_steps:.3g} steps of "
                              f"h = {self.h:g}: too many to record")
-        if self.zero_band is not None and self.zero_band < 0.0:
-            raise ValueError(f"zero_band must be >= 0, got {self.zero_band}")
-        if self.zero_tol <= 0.0:
-            raise ValueError(f"zero_tol must be > 0, got {self.zero_tol}")
+        if self.zero_band is not None and not 0.0 <= self.zero_band < math.inf:
+            raise ValueError(f"zero_band must be finite and >= 0, got {self.zero_band}")
+        if not 0.0 < self.zero_tol < math.inf:
+            raise ValueError(f"zero_tol must be finite and > 0, got {self.zero_tol}")
+        if not self.divergence_limit > 0.0:   # +inf: no limit
+            raise ValueError(f"divergence_limit must be > 0, finite or inf, "
+                             f"got {self.divergence_limit}")
 
 
 def grid_rows(times, t0: float, h: float, last):

@@ -17,17 +17,19 @@ order, and only the sum A @ X stays in NumPy (BLAS may fuse its multiply-adds).
 
 A settled error costs one coupling row a step.  After the settling time the
 error is exactly zero while the delayed coupling still reads the moving
-past.  At an error row whose floats are all +-0.0, x + e is x, so
-f(x + e) - f(x) is +0.0; theta1 (A e) is +-0.0; and every feedback term,
-static or adaptive, is -theta3 sgn(0) or a finite gain times +-0.0.  The
-full sum is then the coupling row plus 0.0 (-0.0 becomes +0.0), and the
-error rhs returns that without calling f, A @ E or the control law.  This is
-bitwise the full rhs under every control kind, given that f acts on each
+past.  An adaptive run is the static law at the hook's gains, so one law
+acts on a step, pinning or full, at the gains acting on it.  At an error
+row whose floats are all +-0.0, x + e is x, so f(x + e) - f(x) is +0.0;
+theta1 (A e) is +-0.0; and the law adds -theta3 sgn(0) and a finite gain
+times +-0.0.  The full sum is then the coupling row plus 0.0 (-0.0 becomes
++0.0), and the error rhs returns that without calling f, A @ E or the law.
+This is bitwise the full rhs under every control, given that f acts on each
 node row alone (so f(x_k) is what the drive's step k computed, finite since
 the drive did not diverge) and that the parameters are finite (the
 constructors reject NaN and inf).  Two cases stay on the full path: a drive
 row with a -0.0 component, where -0.0 + 0.0 is +0.0 and x + e is not x, and
-a gain multiplying the error that is not finite, where inf * 0 is NaN.
+an acting gain theta1, theta1 * sigma, theta3 or theta4 that is not finite,
+where inf * 0 is NaN.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ import numpy as np
 
 from .conditions import _validate_coupling_matrix
 from .control import (NetworkAdaptiveHook, NetworkControlSpec, _add_full_node,
-                      _add_pinning, _require_finite, _sgn)
+                      _add_pinning, _require_finite)
 from .delays import DelayProfile
 from .integrate import (DelayedRows, HistoryTrajectory, IntegratorConfig, integrate,
                         row_chunks)
@@ -71,7 +73,9 @@ class NetworkModel:
             raise ValueError(f"B must be {self.N}x{self.N}, got {self.B.shape}")
         if not np.isfinite(self.B).all():
             raise ValueError("B's entries must be finite")
-        _require_finite(theta1=self.theta1, theta2=self.theta2)
+        _require_finite(theta1=self.theta1, theta2=self.theta2, L_f=self.L_f, L_g=self.L_g)
+        if self.L_f < 0.0 or self.L_g < 0.0:
+            raise ValueError(f"L_f and L_g must be finite and >= 0, got {self.L_f}, {self.L_g}")
         if self.delays.n_components not in (1, self.N * self.N):
             raise ValueError("delay profile must be shared or indexed per pair (i,j)")
 
@@ -168,58 +172,53 @@ def _drive_rhs(model: NetworkModel):
     return rhs
 
 
-def _static_control(out: list, e: list, model: NetworkModel,
-                    control: NetworkControlSpec) -> list:
-    """out plus the static pinning or full-node feedback on the error e, on floats."""
-    if control.kind == "pinning":
-        return _add_pinning(out, e, model.n, control.sigma, model.theta1, control.theta3)
-    if control.kind == "full":
-        return _add_full_node(out, e, control.theta3, control.theta4)
-    return out
-
-
 def _error_rhs(model: NetworkModel, drive: HistoryTrajectory,
                control: NetworkControlSpec, hook: Optional[NetworkAdaptiveHook]):
     """Error dynamics at step k on Python floats: the drive's row k is its state
     at t_k, and both delayed lookups read row k of one DelayedRows on the error
     integration's grid (the drive was integrated on the same grid).
 
+    The law is picked once, by a hook's variant (theta1_theta3 pins,
+    theta3_theta4 feeds every node back) or else `control.kind`, and each
+    step reads the gains acting on it: the spec's (model.theta1, theta3,
+    theta4), with the hook's two gains in place of the ones it adapts.  So an
+    adaptive step is the static step at the hook's gains.
+
     f is called once on the 2N node rows [x + e; x] and the two halves
     subtracted; g is called in `_coupling`, for a whole block at a time.
-    A @ E is one NumPy call, as in `_drive_rhs`.  The controls read the hook's
-    float gains.
+    A @ E is one NumPy call, as in `_drive_rhs`.
 
     A settled error (every float of row k +-0.0) returns the coupling row
-    plus 0.0 and skips f, A @ E and the control, except at a drive row with
-    a -0.0 component or a gain times the error that is not finite; the
-    module docstring says why that is the full rhs bitwise.  A moving step
-    pays one truth test of the error's floats for it.
+    plus 0.0 and skips f, A @ E and the law, except at a drive row with a
+    -0.0 component or when theta1, theta1 * sigma, theta3 or theta4 is not
+    finite; the module docstring says why that is the full rhs bitwise.  A
+    moving step pays one truth test of the error's floats for it.
     """
     N, n = model.N, model.n
-    A, theta1, sigma = model.A, model.theta1, control.sigma
+    A, sigma = model.A, control.sigma
+    spec_gains = (model.theta1, control.theta3, control.theta4)
+    law = control.kind if hook is None else (
+        "pinning" if hook.variant == "theta1_theta3" else "full")
     seen = coupling = None
-    adapt_coupling = hook is not None and hook.variant == "theta1_theta3"
     states = drive._states
     drive_nodes = states.reshape(-1, N, n)
     neg_zero = np.signbit(states) & (states == 0.0)
     neg_zero_rows = set(np.flatnonzero(neg_zero.any(axis=1)).tolist())
-
-    def gains_finite() -> bool:
-        """Every gain that multiplies an error float or its sign is finite."""
-        if hook is None:
-            gains = (theta1 * sigma, control.theta3, control.theta4)
-        else:
-            lin, theta3 = hook.gains
-            gains = (theta3, lin - theta1, lin * sigma)
-        return all(map(math.isfinite, gains))
 
     def rhs(t, E, etraj):
         nonlocal seen, coupling
         if etraj is not seen:
             seen, coupling = etraj, _coupling_rows(model, drive, etraj)
         k = etraj._filled
+        theta1, theta3, theta4 = spec_gains
+        if hook is not None:
+            if law == "pinning":
+                theta1, theta3 = hook.gains
+            else:
+                theta4, theta3 = hook.gains
         es = E.tolist()
-        if not any(es) and k not in neg_zero_rows and gains_finite():
+        if (not any(es) and k not in neg_zero_rows
+                and all(map(math.isfinite, (theta1, theta1 * sigma, theta3, theta4)))):
             return [d + 0.0 for d in coupling.row(k)]
         En, Xn = E.reshape(N, n), drive_nodes[k]
         fx = _rows(model.f((Xn + En).tolist() + Xn.tolist()))
@@ -227,16 +226,11 @@ def _error_rhs(model: NetworkModel, drive: HistoryTrajectory,
         c = coupling.row(k)
         out = [p - q + theta1 * a + d
                for p, q, a, d in zip(_flat(fx[:N]), _flat(fx[N:]), ae, c)]
-
-        if hook is None:
-            return _static_control(out, es, model, control)
-        lin, theta3 = hook.gains
-        if adapt_coupling:
-            # coupling adaptation acts through the pinned matrix Atilde
-            dl, ls = lin - theta1, lin * sigma
-            return [(o + dl * a - ls * v if i < n else o + dl * a) - theta3 * _sgn(v)
-                    for i, (o, v, a) in enumerate(zip(out, es, ae))]
-        return _add_full_node(out, es, theta3, lin)
+        if law == "pinning":
+            return _add_pinning(out, es, n, sigma, theta1, theta3)
+        if law == "full":
+            return _add_full_node(out, es, theta3, theta4)
+        return out
 
     return rhs
 

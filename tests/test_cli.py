@@ -285,16 +285,6 @@ def test_cli_simulate_and_monitor(tmp_path, monkeypatch):
     assert head == "t,V,W,contact"
 
 
-def test_cli_simulate_infeasible_guarantee(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    doc = _scalar_doc()
-    doc["gains"] = {"c3": 2.0, "c4": 1.0}
-    doc["monitor"] = {"require_feasible": True}
-    cfgp = tmp_path / "cfg.json"
-    cfgp.write_text(json.dumps(doc))
-    assert main(["simulate", str(cfgp)]) == 2
-
-
 def test_network_simulate_infeasible_guarantee(tmp_path, monkeypatch, capsys):
     # the preset's uncontrolled network fails its condition: simulate answers
     # the request as check does, with the scalar branch's message and no CSV
@@ -318,6 +308,39 @@ def test_network_simulate_infeasible_guarantee(tmp_path, monkeypatch, capsys):
     assert condition_reports(load_config(doc))[0].feasible
     assert main(["simulate", str(cfgp)]) == 0
     assert (tmp_path / "net.csv").exists()
+
+
+_NETWORK = {"schema_version": 1, "kind": "network", "system": {"preset": "lorenz3"},
+            "rate": {"kind": "power", "exponent": 0.1},
+            "integrator": {"horizon": 0.01, "h": 5e-4}, "output": {"csv": "traj.csv"}}
+_UNCERTIFIED = {
+    "adaptive_scalar": _scalar_doc(adaptive={"enabled": True, "d1": 0.1, "d2": 0.1,
+                                             "d3": 0.1}),
+    # its static block is feasible, but the run applies the hook's gains
+    "adaptive_network": dict(_NETWORK, control={"kind": "full", "theta3": 10.0,
+                                                "theta4": 720.0,
+                                                "adaptive": {"enabled": True}}),
+    "static_infeasible_scalar": _scalar_doc(gains={"c3": 2.0, "c4": 1.0}),
+}
+
+
+@pytest.mark.parametrize("doc", _UNCERTIFIED.values(), ids=list(_UNCERTIFIED))
+def test_simulate_refuses_a_run_without_a_certificate_before_it(tmp_path, monkeypatch,
+                                                                 capsys, doc):
+    # require_feasible is answered once, before the run: an adaptive run has
+    # no static certificate under either kind, and an infeasible one is refused
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("simulate ran the config"))
+    doc = dict(doc, monitor={"require_feasible": True})
+    if doc["kind"] == "network":
+        static = dict(doc, control=dict(doc["control"], adaptive={"enabled": False}))
+        assert condition_reports(load_config(static))[0].feasible
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(doc))
+    assert main(["simulate", str(cfgp)]) == 2
+    assert capsys.readouterr().out == ("requested feasibility guarantee, but the "
+                                       "condition is infeasible\n")
+    assert not (tmp_path / "traj.csv").exists()
 
 
 @pytest.mark.parametrize("param", ["gains.c3", "gains.c4"])

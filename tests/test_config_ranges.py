@@ -22,7 +22,7 @@ from fintstab.config import ConfigError, load_config
 from fintstab.control import (NetworkAdaptiveHook, NetworkControlSpec, ScalarAdaptiveHook,
                               StaticScalarGains)
 from fintstab.delays import RateFunction
-from fintstab.integrate import DivergenceError
+from fintstab.integrate import DivergenceError, IntegratorConfig, integrate
 from fintstab.network import LORENZ_A, LORENZ_B, LORENZ_DELAYS, NetworkModel, lorenz_preset
 
 
@@ -108,6 +108,10 @@ def _with_nan(M, i, j):
     return M
 
 
+def _integrator(**fields):
+    return IntegratorConfig(horizon=1.0, h=0.5, **fields)
+
+
 _RATE, _DELAYS = RateFunction.power(0.1), LORENZ_DELAYS
 
 _NONFINITE_API = {
@@ -125,6 +129,16 @@ _NONFINITE_API = {
     "gains_c3_nan": lambda: StaticScalarGains(1.0, 1.0, math.nan, 1.0),
     "gains_c4_inf": lambda: StaticScalarGains(1.0, 1.0, 1.0, math.inf),
     "gains_c2_nan": lambda: StaticScalarGains(1.0, math.nan, 1.0, 1.0),
+    "model_L_f_nan": lambda: _lorenz_model(L_f=math.nan),
+    "model_L_g_inf": lambda: _lorenz_model(L_g=math.inf),
+    "model_L_f_negative": lambda: _lorenz_model(L_f=-1.0),
+    "model_L_g_negative": lambda: _lorenz_model(L_g=-3.0),
+    "integrator_divergence_limit_nan": lambda: _integrator(divergence_limit=math.nan),
+    "integrator_divergence_limit_zero": lambda: _integrator(divergence_limit=0.0),
+    "integrator_zero_band_nan": lambda: _integrator(zero_band=math.nan),
+    "integrator_zero_band_inf": lambda: _integrator(zero_band=math.inf),
+    "integrator_zero_tol_nan": lambda: _integrator(zero_tol=math.nan),
+    "integrator_zero_tol_inf": lambda: _integrator(zero_tol=math.inf),
 }
 
 
@@ -133,6 +147,17 @@ def test_the_api_rejects_nonfinite_parameters(build):
     # the constructors hold the loader's rule that numbers are finite
     with pytest.raises(ValueError, match="finite"):
         build()
+
+
+def test_an_infinite_divergence_limit_is_no_limit():
+    # +inf is the one non-finite number the API keeps: no finite state exceeds it
+    def rhs(t, x, traj):
+        return [1e300]
+
+    with pytest.raises(DivergenceError):
+        integrate(rhs, np.zeros(1), None, _integrator())
+    traj = integrate(rhs, np.zeros(1), None, _integrator(divergence_limit=math.inf))
+    assert traj.states[:, 0].tolist() == [0.0, 5e299, 1e300]
 
 
 # -- the hypothesis gate ------------------------------------------------------------

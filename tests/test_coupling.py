@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fintstab.control import (NetworkAdaptiveHook, NetworkControlSpec,
-                              full_node_control, pinning_control)
+from fintstab.control import (NetworkAdaptiveHook, NetworkControlSpec, _add_full_node,
+                              _add_pinning, full_node_control, pinning_control)
 from fintstab.delays import DelayProfile, RateFunction
 from fintstab.integrate import (PLAN_BLOCK, DelayedRows, DivergenceError,
                                 HistoryTrajectory, IntegratorConfig, diag_cols, integrate)
-from fintstab.network import (_drive_rhs, _error_rhs, _node_cols, _static_control,
-                              lorenz_preset, simulate_sync, sin_plus_linear)
+from fintstab.network import (_drive_rhs, _error_rhs, _node_cols, lorenz_preset,
+                              simulate_sync, sin_plus_linear)
 
 from test_integrate import delayed_values
 from test_plan import assert_tiled, count_blocks
@@ -57,7 +57,9 @@ def _ref_error_rhs(model, base_traj, control, hook):
         np.add(x_now, En, out=fbuf[0])
         fbuf[1] = x_now
         fx = model.f(fbuf)
-        out = (fx[0] - fx[1]) + model.theta1 * (model.A @ En)
+        # an adaptive step is the static one at the hook's gains
+        g = {} if hook is None else dict(zip(hook.names, hook.gains))
+        out = (fx[0] - fx[1]) + g.get("theta1", model.theta1) * (model.A @ En)
         # the drive shares the error integration's grid
         xd = delayed_values(model.delays, base_traj, k, nodes).reshape(N, N, n)
         np.add(xd, delayed_values(model.delays, etraj, k, nodes).reshape(N, N, n),
@@ -66,11 +68,8 @@ def _ref_error_rhs(model, base_traj, control, hook):
         gx = model.g(gbuf)
         out += model.theta2 * np.einsum("ij,ijk->ik", model.B, gx[0] - gx[1])
         if hook is not None:
-            g = dict(zip(hook.names, hook.gains))
             if hook.variant == "theta1_theta3":
-                out += (g["theta1"] - model.theta1) * (model.A @ En)
-                out[0] -= g["theta1"] * control.sigma * En[0]
-                out -= g["theta3"] * np.sign(En)
+                out += pinning_control(En, control.sigma, g["theta1"], g["theta3"])
             else:
                 out += full_node_control(En, g["theta3"], g["theta4"])
         elif control.kind == "pinning":
@@ -80,6 +79,15 @@ def _ref_error_rhs(model, base_traj, control, hook):
         return out.ravel()
 
     return rhs
+
+
+def _static_control(out: list, e: list, model, control) -> list:
+    """out plus the static pinning or full-node feedback on the error e, on floats."""
+    if control.kind == "pinning":
+        return _add_pinning(out, e, model.n, control.sigma, model.theta1, control.theta3)
+    if control.kind == "full":
+        return _add_full_node(out, e, control.theta3, control.theta4)
+    return out
 
 
 def simulate_response_directly(exp, drive):
@@ -310,6 +318,51 @@ def test_settled_error_rhs_matches_the_full_rhs(drive_row, neg_zero, error_row, 
     got = _error_rhs(model, drive, spec, hook)(t, E, etraj)
     want = _ref_error_rhs(model, drive, spec, hook)(t, E, etraj)
     assert np.array(got).tobytes() == want.tobytes()
+
+
+@settings(deadline=None)
+@given(drive_row=st.lists(_DRIVE, **_NINE),
+       error_row=st.lists(_SIGNED_ZERO, **_NINE) | st.lists(_OFFSET, **_NINE),
+       k=st.integers(0, 2 * PLAN_BLOCK), moving_past=st.booleans(),
+       variant=st.sampled_from(("theta1_theta3", "theta3_theta4")),
+       kind=st.sampled_from(("none", "full", "pinning")),
+       spec_gains=st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 20.0)),
+       gains=st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e3)),
+       sigma=st.floats(0.1, 5.0), field=st.sampled_from(sorted(FIELDS)))
+def test_an_adaptive_error_rhs_is_the_static_one_at_the_hook_gains(
+        drive_row, error_row, k, moving_past, variant, kind, spec_gains, gains, sigma,
+        field):
+    # the hook's two gains replace the ones it adapts, and the law is the
+    # variant's (a theta3_theta4 hook feeds back every node under any spec
+    # kind): at a moving or a settled error row, the adaptive rhs is byte for
+    # byte the static rhs of that law at the hook's gains
+    model = lorenz_preset().model
+    if FIELDS[field] is not None:
+        model.f = FIELDS[field]
+    rng = np.random.default_rng(k)
+    xs = rng.normal(size=(k + 1, 9))
+    es = rng.normal(size=(k + 1, 9)) if moving_past else np.zeros((k + 1, 9))
+    xs[k], es[k] = drive_row, error_row
+    drive = HistoryTrajectory.from_arrays(0.0, H, xs)
+    etraj = HistoryTrajectory.from_arrays(0.0, H, es)
+    hook = NetworkAdaptiveHook(0.05, 0.05, 0.02, RateFunction.power(0.1), model.delays,
+                               variant=variant)
+    hook.gains[:] = gains
+    lin, theta3 = gains
+    theta3_spec, theta4_spec = spec_gains
+    if variant == "theta1_theta3":
+        spec = NetworkControlSpec(kind="pinning", theta3=theta3_spec, sigma=sigma)
+        static_model = replace(model, theta1=lin)
+        static = NetworkControlSpec(kind="pinning", theta3=theta3, sigma=sigma)
+    else:
+        spec = NetworkControlSpec(kind=kind, theta3=theta3_spec, theta4=theta4_spec,
+                                  sigma=sigma)
+        static_model = model
+        static = NetworkControlSpec(kind="full", theta3=theta3, theta4=lin, sigma=sigma)
+    E, t = etraj._states[k], k * H
+    got = _error_rhs(model, drive, spec, hook)(t, E, etraj)
+    want = _error_rhs(static_model, drive, static, None)(t, E, etraj)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("control", ("pinning", "theta1_theta3", "theta3_theta4"))
