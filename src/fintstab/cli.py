@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -186,7 +187,7 @@ def run(cfg: ExperimentConfig):
     NetworkRunResult for a network one.  The presets are configs run here.
 
     Scalar: integrate with static gains, whose zero band defaults to c3*h, or
-    with the adaptive hook, resting once settled (`rests_at_zero`), then
+    with the adaptive hook, resting once settled (`at_rest`), then
     `certify`.  Network: the Lorenz preset with the config's control, rate
     and integrator; an enabled adaptive block drives the gains of the
     control kind, (theta1, theta3) under pinning, whose pinned node still
@@ -207,9 +208,10 @@ def run(cfg: ExperimentConfig):
     if hook is None and icfg.zero_band is None:
         icfg = replace(icfg, zero_band=g.c3 * icfg.h)
     rhs = delayed_linear_rhs(sysb["c1"], sysb["c2"], cfg.delay, control=control)
-    # the sign law, static or adaptive, returns zeros from zeros: a settled run rests
+    # the sign law, static or adaptive, returns +-0.0 at +0.0: a settled run rests,
+    # and a static one crosses its sliding tail in array passes
     traj = integrate(rhs, np.asarray(sysb["initial_state"], dtype=float), cfg.delay, icfg,
-                     gain_hook=hook, rests_at_zero=True)
+                     gain_hook=hook, at_rest=rhs.at_rest)
     del hook, control, rhs   # the hook's window holds 8 bytes a step: free it for the replay
     return certify(cfg, traj)
 
@@ -505,9 +507,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reads: built on its first call, not at import, which
+    every process would pay, and kept for the process's later calls."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

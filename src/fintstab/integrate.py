@@ -5,8 +5,9 @@ history) and resolves delayed states by linear interpolation.  Every lookup
 goes through one rule, `grid_rows`, and one formula,
 `HistoryTrajectory._lookup`; on the fixed grid the delayed times of step k
 depend only on k, so `DelayedRows`, which each delayed reader builds for
-itself, computes them block by block and turns each block into per-step rows
-once, and both window sups read the envelope's rows from `envelope_rows`.
+itself, computes them block by block (`delay_rows`) and turns each block into
+per-step rows once, and both window sups read the envelope's rows from
+`envelope_rows`.
 Discontinuous sign feedback is handled by a zero-band projection: a
 component whose sign flipped during a step and whose magnitude stayed inside
 the one-step sliding band is set to exactly 0, emulating the ideal sliding
@@ -110,10 +111,9 @@ class DelayedRows:
     pi_p(t_k) of `profile`'s components on the grid t0 + k*h.
 
     `row(k)` off the cached block cuts the block starting at k and calls
-    `make(lo, hi, w)` once on its grid rows, each (steps, components) and
-    looked up with last row k, for that block's list of rows.  Rows are
-    filled in aligned runs of PLAN_BLOCK steps, so memory stays
-    O(PLAN_BLOCK * components).  A block ends at its run's end or before its
+    `make(lo, hi, w)` once on its grid rows (`delay_rows`), for that block's
+    list of rows.  Rows are filled in aligned runs of PLAN_BLOCK steps, so
+    memory stays O(PLAN_BLOCK * components).  A block ends at its run's end or before its
     first row that reads past row k (any/argmax: in floats nothing proves
     the reach monotone), so it reads only rows recorded at its first step,
     bitwise as if each row were built at its own step.  A method, not
@@ -137,16 +137,22 @@ class DelayedRows:
         run = self._run
         if run is None or not run[0] <= k < run[0] + PLAN_BLOCK:
             start = k - k % PLAN_BLOCK
-            ks = np.arange(start, start + PLAN_BLOCK)
-            ts = self.t0 + ks * self.h
-            lo, hi, w = grid_rows(ts[:, None] - self.profile.delay_table(ts), self.t0,
-                                  self.h, ks[:, None])
+            lo, hi, w = delay_rows(self.profile, self.t0, self.h, start, start + PLAN_BLOCK)
             run = self._run = (start, lo, hi, w, hi.max(axis=1))
         start, lo, hi, w, reach = run
         i = k - start
         ahead = reach[i:] > k
         j = i + int(ahead.argmax()) if ahead.any() else PLAN_BLOCK
         return lo[i:j], hi[i:j], w[i:j]
+
+
+def delay_rows(profile: DelayProfile, t0: float, h: float, start: int, stop: int):
+    """grid_rows of the delayed times t_k - pi_p(t_k) of `profile`'s components
+    for steps start..stop-1, each (steps, components) and looked up with last
+    row k: no row reads past its step."""
+    ks = np.arange(start, stop)
+    ts = t0 + ks * h
+    return grid_rows(ts[:, None] - profile.delay_table(ts), t0, h, ks[:, None])
 
 
 def envelope_rows(profile: DelayProfile, t0: float, h: float, start: int, stop: int):
@@ -412,8 +418,38 @@ def _rest_blocker(states: np.ndarray, gains: Optional[np.ndarray], k: int, first
     return first + int(moving[-1]) if moving.size else None
 
 
+def _cross_sliding(at_rest, traj: HistoryTrajectory, k: int, j: int, band: float) -> int:
+    """Take steps k..j-1 of a static run whose state at step k is +0.0 as
+    array passes of ROW_CHUNK steps, and return the first step not taken:
+    the first one the zero band does not catch, or j.  traj._filled is set
+    to it.
+
+    A caught step records +0.0, so a pass writes zeros into its rows after
+    its first before `at_rest` reads them; rows after the first uncaught step
+    are past traj._filled and rewritten by the steps that follow.  Step i's
+    new state is 0.0 + h*v_i from its zero-state values v_i.  It is caught
+    when every component satisfies |x| <= band (a NaN or inf is not), and
+    the caught steps of a pass are zeroed by one `_project_zero_band` call
+    from zeros, so its hits are counted as stepping counts them.
+    """
+    states, n, h = traj._states, traj.dim, traj.h
+    for start in range(k, j, ROW_CHUNK):
+        stop = min(start + ROW_CHUNK, j)
+        states[start + 1:stop + 1] = 0.0
+        x_new = 0.0 + h * at_rest(start, stop, traj)
+        caught = (np.abs(x_new) <= band).all(axis=1)
+        u = stop - start if caught.all() else int(caught.argmin())
+        if u:
+            states[start + 1:start + u + 1] = _project_zero_band(
+                np.zeros(u * n), x_new[:u].ravel(), band).reshape(u, n)
+        traj._filled = start + u
+        if start + u < stop:
+            return start + u
+    return j
+
+
 def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfig,
-              gain_hook=None, rests_at_zero: bool = False) -> HistoryTrajectory:
+              gain_hook=None, at_rest=None) -> HistoryTrajectory:
     """Integrate x' = rhs(t, x, traj) on [0, horizon] in config.n_steps
     explicit Euler steps of h, each followed by the zero-band projection.  A
     step whose new state has a NaN, an infinite or a component above
@@ -446,12 +482,20 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     invoked once per accepted step, after the rhs and with the same `x`, and
     its gains are recorded alongside the states.
 
-    `rests_at_zero=True` promises that `rhs` returns exact zeros whenever the
-    state and every history row it reads are exactly zero, that it reads no
-    earlier than t - pi(t) of `profile`'s envelope, and that the hook's gains
-    do not move while its window holds only zeros (the scalar sign law,
-    static or adaptive, keeps it).  Every envelope is affine, so t - pi(t)
-    never decreases, and once the state at step k is +0.0, every row from
+    `at_rest`, when given, is the rhs's zero-state values:
+    `at_rest(start, stop, traj)` returns a (stop - start, dim) array v such
+    that at a +0.0 state, with the rows up to each step as `traj` holds them,
+    the rhs of step i returns v[i - start] plus a +-0.0 per component
+    (`delayed_linear_rhs` under the sign law supplies it).  Passing it also
+    promises that `rhs` returns exact zeros whenever the state and every
+    history row it reads are exactly zero, that it reads no earlier than
+    t - pi(t) of `profile`'s envelope, and that the hook's gains do not move
+    while its window holds only zeros (the scalar sign law, static or
+    adaptive, keeps it).  It is an argument, not read off `rhs`, so a
+    wrapped rhs keeps it.  The default None steps every step.
+
+    The rest rule.  Every envelope is affine, so t - pi(t) never decreases,
+    and once the state at step k is +0.0, every row from
     `_first_read(k - 1)` to k is exactly zero and the gains of step k equal
     those of step k - 1, every later step would compute +0.0 from zeros: the
     run is at rest.  The loop then fills rows k+1..n_steps with zeros and
@@ -463,7 +507,20 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     are scanned with NumPy only at a zero state from `rest_at`, the first
     step that reads none of the last blocking row found
     (`_next_rest_step`), so a proportional delay scans O(log n) times and a
-    moving state never.  The default False steps every step.
+    moving state never.
+
+    The sliding tail.  A static run (no hook, a fixed band > 0) whose state
+    is +0.0 at a scan that finds a blocking row is in sliding mode: the
+    delayed term still reads the moving past, and the band zeroes each step.
+    It takes the steps up to the next scan, `rest_at` (or n_steps), as array
+    passes (`_cross_sliding`) and steps on one step at a time from the
+    first step the band does not catch, which the loop recomputes.  This is
+    bitwise equal to stepping: at +0.0 the rhs's c1*0.0 and sign-law terms
+    are +-0.0, which leave a nonzero delayed value d unchanged, so the step
+    computes 0.0 + h*d as the pass does, and a zero d of either sign gives
+    +0.0 both ways.  A caught step's band hits are its nonzero components
+    either way.  A -0.0 component never takes the pass: -0.0 + h*(-0.0) is
+    -0.0.
     """
     x0 = np.atleast_1d(np.asarray(initial_state, dtype=float))
     h, n_steps = config.h, config.n_steps
@@ -483,10 +540,12 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     if band is None:
         band = 0.0
     rest_at = n_steps   # the next step that may find the run at rest; n_steps: none
-    if rests_at_zero:
+    if at_rest is not None:
         slope, lag_steps = 1.0 - profile.q, profile.lag / h
         rest_at = 1
-    for k in range(n_steps):
+    slides = at_rest is not None and gain_hook is None and band > 0.0
+    k = 0
+    while k < n_steps:
         if k >= rest_at and not any(xs):
             first = _first_read(k - 1, slope, lag_steps)
             m = _rest_blocker(states, all_gains, k, max(first, 0))
@@ -497,6 +556,9 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
                 traj._filled = n_steps
                 return traj
             rest_at = max(_next_rest_step(m, slope, lag_steps), k + 1)
+            if slides and not np.signbit(states[k]).any():
+                k = _cross_sliding(at_rest, traj, k, min(rest_at, n_steps), band)
+                continue   # xs stays all +0.0: every step taken recorded zeros
         t = k * h
         x = rows[k]
         dx = rhs(t, x, traj)
@@ -519,6 +581,7 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
         states[k + 1] = x_new
         traj._filled = k + 1
         xs = x_new
+        k += 1
     return traj
 
 
@@ -532,8 +595,18 @@ def delayed_linear_rhs(c1: float, c2: float, profile: DelayProfile,
     which is where `integrate` calls it.  The delayed state is that step's row
     of `DelayedRows` of `profile` on the trajectory's grid, built the first
     time the rhs sees the trajectory, whatever profile it is integrated under.
+
+    `rhs.at_rest(start, stop, traj)` is c2 times the delayed values of steps
+    start..stop-1, one row per step, looked up by `delay_rows` with each
+    step's rows up to its own, as `DelayedRows` cuts them: the rhs at a +0.0
+    state, up to the +-0.0 of c1*0.0 and of a control that returns +-0.0
+    there, as the sign law does.  It is `integrate`'s `at_rest` for such a
+    control.
     """
     seen = scaled = None  # c2 times the delayed values, a row per step
+
+    def delayed(lo, hi, w, traj, cols):
+        return c2 * traj._lookup(lo, hi, w, cols).reshape(len(lo), -1)
 
     def rhs(t, p, traj):
         nonlocal seen, scaled
@@ -542,7 +615,7 @@ def delayed_linear_rhs(c1: float, c2: float, profile: DelayProfile,
 
             # bound as defaults: a closure over traj and cols costs rhs two cells a call
             def make(lo, hi, w, traj=traj, cols=cols):
-                return (c2 * traj._lookup(lo, hi, w, cols).reshape(len(lo), -1)).tolist()
+                return delayed(lo, hi, w, traj, cols).tolist()
 
             scaled = DelayedRows(profile, traj.t0, traj.h, make)
         d = scaled.row(traj._filled)
@@ -554,4 +627,9 @@ def delayed_linear_rhs(c1: float, c2: float, profile: DelayProfile,
             u = _floats(u, len(ps))
         return [c1 * a + b + c for a, b, c in zip(ps, d, u)]
 
+    def at_rest(start, stop, traj):
+        return delayed(*delay_rows(profile, traj.t0, traj.h, start, stop), traj,
+                       diag_cols(profile.n_components, traj.dim))
+
+    rhs.at_rest = at_rest
     return rhs

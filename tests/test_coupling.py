@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from fintstab.control import (NetworkAdaptiveHook, NetworkControlSpec, _add_full_node,
                               _add_pinning, full_node_control, pinning_control)
@@ -234,7 +234,9 @@ _OFFSET = _SIGNED_ZERO | st.floats(-2.0, 2.0)
 _NINE = dict(min_size=9, max_size=9)
 
 
-@settings(max_examples=30, deadline=None)
+# no shrink phase: each example integrates two 800-step syncs, and shrinking a
+# failure through them takes minutes; the examples drawn are the same
+@settings(max_examples=30, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 @given(offsets=st.lists(_OFFSET, **_NINE), at_zero=st.lists(st.booleans(), **_NINE),
        zeros=st.lists(_SIGNED_ZERO, **_NINE),
        control=st.sampled_from(CONTROLS), theta3=st.floats(0.0, 20.0),

@@ -34,6 +34,7 @@ def _ref_delayed_linear_rhs(c1, c2, profile, control=None):
             dp = dp + control(t, p)
         return dp
 
+    rhs.at_rest = None   # run passes it on; the reference loop steps every step
     return rhs
 
 

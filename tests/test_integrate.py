@@ -260,10 +260,10 @@ def test_project_zero_band_matches_reference_bitwise(pair, band):
 # -- the step loop against a reference copy of its NumPy form -----------------------
 
 def _reference_integrate(rhs, initial_state, profile, config, gain_hook=None,
-                         rests_at_zero=False):
+                         at_rest=None):
     """`integrate`'s loop with NumPy tests: the band looked up every step,
     the projection as first written, one abs-max reduction for divergence.
-    It steps every step: `rests_at_zero` is accepted and ignored."""
+    It steps every step: `at_rest` is accepted and ignored."""
     x = np.atleast_1d(np.asarray(initial_state, dtype=float)).copy()
     h = config.h
     traj = HistoryTrajectory(0.0, h, x, config.n_steps,

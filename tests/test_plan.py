@@ -417,16 +417,24 @@ def assert_tiled(cuts):
 
 def test_static_example1_builds_each_block_once():
     # delayed_linear_rhs builds its reader and a block's rows with one
-    # lookup; the monitors' window sups fill whole envelope runs and cut no
-    # block
+    # lookup, up to the settled step k; the sliding tail from k on is one
+    # at_rest pass of one lookup; the monitors' window sups fill whole
+    # envelope runs and cut no block
     doc = dict(EXAMPLE1, integrator={"horizon": 2.0, "h": 1e-3})
-    with count_blocks() as (cuts, fills, counts):
+    crossed = []
+    with count_blocks() as (cuts, fills, counts), pytest.MonkeyPatch.context() as mp:
+        cross = integ._cross_sliding
+        mp.setattr(integ, "_cross_sliding",
+                   lambda at_rest, traj, k, j, band: crossed.append((k, j))
+                   or cross(at_rest, traj, k, j, band))
         res = run(load_config(doc))
     n_steps = res.traj.states.shape[0] - 1
+    (k, j), = crossed
+    assert j == n_steps and n_steps - k <= integ.ROW_CHUNK
     (reader, steps), = cuts.items()
     assert reader.profile is res.profile
-    assert steps[0][0] == 0 and steps[-1][1] >= n_steps
-    assert counts["lookup"] == len(steps) < n_steps // 50
+    assert steps[0][0] == 0 and steps[-1][1] >= k
+    assert counts["lookup"] == len(steps) + 1 < n_steps // 50
     assert counts["make"] == assert_tiled(cuts) == len(steps)
     assert fills and all(stop - start <= integ.ROW_CHUNK for start, stop in fills)
 
