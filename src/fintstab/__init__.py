@@ -6,9 +6,9 @@ functional monitors, and a three-node Lorenz network preset.
 """
 
 from .conditions import (ConditionReport, InfeasibleError,
-                         adaptive_settling_bound, check_network_theorem,
-                         check_scalar_theorem, lambda_max_sym,
-                         left_eigenvector, optimal_eps1, settling_bound)
+                         check_network_theorem, check_scalar_theorem,
+                         lambda_max_sym, left_eigenvector, optimal_eps1,
+                         settling_bound)
 from .config import ConfigError, ExperimentConfig, load_config
 from .control import (NetworkAdaptiveHook, NetworkControlSpec,
                       ScalarAdaptiveHook, StaticScalarGains, full_node_control,

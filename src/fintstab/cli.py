@@ -4,8 +4,9 @@ Subcommands: simulate / check / monitor / sweep.  Each takes a CONFIG that
 is a JSON file or the name of a built-in document in `PRESETS` (example1,
 example1_adaptive, example2, example2_adaptive); both run through the one
 pipeline `run(load_config(doc))`.
-Exit codes: 0 success, 1 error, 2 a feasibility guarantee was requested from
-an infeasible condition.
+Exit codes: 0 success, 1 error, 2 a feasibility guarantee was requested
+from an infeasible condition or from an enabled adaptive block, which has
+no static certificate.
 """
 from __future__ import annotations
 
@@ -27,26 +28,25 @@ from .config import ConfigError, ExperimentConfig, adaptive_hook, load_config
 from .control import static_scalar_control
 from .delays import DelayProfile, NoClosedFormError, RateFunction, asymptotics
 from .integrate import (DivergenceError, HistoryTrajectory, delayed_linear_rhs,
-                        integrate)
+                        integrate, row_chunks)
 from .monitors import _gain_series, contact_point_decrease, detect_phases, trace_functional
 from .network import error_index_series, lorenz_preset, simulate_sync
 
 _FMT = "%.17g"
-_CHUNK = 4096  # CSV rows formatted per % operation
 
 
 # -- CSV ---------------------------------------------------------------------
 
 def _write_rows(path, header, columns, fmts):
     """Header via csv.writer (it quotes names); then the columns (1-d or 2-d
-    arrays, one row per line), _CHUNK rows per % operation, since numbers
-    never need quoting."""
+    arrays, one row per line), `row_chunks` rows per % operation, since
+    numbers never need quoting."""
     row_fmt = ",".join(fmts) + "\r\n"
     n = len(columns[0])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        for lo in range(0, n, _CHUNK):
-            block = np.column_stack([c[lo:lo + _CHUNK] for c in columns])
+        for rows in row_chunks(n):
+            block = np.column_stack([c[rows] for c in columns])
             fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
@@ -145,6 +145,18 @@ def condition_reports(cfg: ExperimentConfig,
     return [check_network_theorem(_lorenz(cfg).model, cfg.control, beta, eta, eps1=eps1)]
 
 
+def _static_report(cfg: ExperimentConfig) -> Optional[ConditionReport]:
+    """The report of the config's static block in its configured norm (a
+    scalar config) or of its network; None when an adaptive block is enabled,
+    which has no static certificate, or when 1 + eta has no closed form."""
+    if cfg.adaptive["enabled"]:
+        return None
+    try:
+        return condition_reports(cfg, (cfg.adaptive.get("norm", "two"),))[0]
+    except NoClosedFormError:
+        return None
+
+
 def _monitor_start(cfg: ExperimentConfig) -> float:
     """monitor.start_time, or the rate's default monitor start."""
     start = cfg.monitor["start_time"]
@@ -162,17 +174,13 @@ def certify(cfg: ExperimentConfig, traj: HistoryTrajectory) -> ScalarRunResult:
     a feasible report and a finite T1.
     """
     kappa = cfg.monitor["kappa"]
-    report, norm, eps2 = None, cfg.adaptive.get("norm", "two"), kappa
+    norm, eps2 = cfg.adaptive.get("norm", "two"), kappa
+    report = _static_report(cfg) if cfg.kind == "scalar" else None
     if cfg.kind == "scalar" and cfg.adaptive["enabled"]:
         margin = float(_gain_series(traj, "c3")[-1]) - abs(cfg.system["c2"])
         eps2 = kappa * margin if margin > 0.0 else kappa * 0.01
-    elif cfg.kind == "scalar":
-        try:
-            report = condition_reports(cfg, (norm,))[0]
-        except NoClosedFormError:
-            pass
-        if report is not None and report.epsilon2_max > 0.0:
-            eps2 = kappa * report.epsilon2_max
+    elif report is not None and report.epsilon2_max > 0.0:
+        eps2 = kappa * report.epsilon2_max
     phases = detect_phases(traj, cfg.delay, norm, eps2, zero_tol=cfg.integrator.zero_tol,
                            start_time=_monitor_start(cfg))
     bound = None
@@ -346,24 +354,14 @@ def _final_gains(names, gains) -> List[str]:
     return ["final gains: " + ", ".join(f"{n} = {v:.6g}" for n, v in zip(names, gains[-1]))]
 
 
-def _static_feasible(cfg: ExperimentConfig) -> bool:
-    """Whether the config's static condition holds: the report of its norm
-    (a scalar config) or of its network.  An enabled adaptive block has no
-    static certificate, and a condition without a closed form does not hold."""
-    if cfg.adaptive["enabled"]:
-        return False
-    try:
-        return condition_reports(cfg, (cfg.adaptive.get("norm", "two"),))[0].feasible
-    except NoClosedFormError:
-        return False
-
-
 def _cmd_simulate(args) -> int:
     cfg = load_config(_document(args.config))
     out, stride = cfg.output["csv"], cfg.output["stride"]
-    if cfg.monitor["require_feasible"] and not _static_feasible(cfg):
-        print("requested feasibility guarantee, but the condition is infeasible")
-        return 2
+    if cfg.monitor["require_feasible"]:
+        report = _static_report(cfg)
+        if report is None or not report.feasible:
+            print("requested feasibility guarantee, but the condition is infeasible")
+            return 2
     res = run(cfg)
     if cfg.kind == "scalar":
         write_trajectory_csv(out, res.traj, stride=stride)
@@ -383,8 +381,9 @@ def _cmd_check(args) -> int:
     if cfg.adaptive["enabled"]:
         print(f"note: adaptive gains drive this run; the table checks the static "
               f"{'gains' if cfg.kind == 'scalar' else 'control'} block, which it does not use")
+    # any one norm's theorem proves FnTSta; an adaptive run has no static certificate
     require = cfg.monitor["require_feasible"] or args.require_feasible
-    if require and not any(r.feasible for r in reports):
+    if require and (cfg.adaptive["enabled"] or not any(r.feasible for r in reports)):
         return 2
     return 0
 

@@ -49,12 +49,12 @@ def check_scalar_theorem(gains: StaticScalarGains, m: int, beta: float,
                          eps1: Optional[float] = None) -> ConditionReport:
     """Feasibility of the scalar theorem in the requested norm.
 
-    two:  beta + 2(c1-c4) + |c2| eps1 + |c2| m (1+eta)/eps1 < 0
-    one:  beta + (c1-c4) + |c2| m (1+eta) < 0      (no eps1 trade-off)
-    inf:  beta + (c1-c4) + |c2| (1+eta) < 0
-    plus |c2| - c3 < 0 in every norm; the 1-norm settling margin carries the
-    extra factor m.  At c2 = 0 no norm has a delayed term, whatever eta (an
-    infinite eta makes every other lhs inf).
+    two:       beta + 2(c1-c4) + |c2| eps1 + |c2| m (1+eta)/eps1 < 0
+    one, inf:  beta + (c1-c4) + |c2| w (1+eta) < 0    (no eps1 trade-off)
+    plus |c2| - c3 < 0 in every norm, with settling margin w (c3 - |c2|) in
+    the one and inf norms: w = m in the 1-norm, which sums m components, and
+    w = 1 in the inf-norm.  At c2 = 0 no norm has a delayed term, whatever
+    eta (an infinite eta makes every other lhs inf).
     """
     if eps1 is not None and not eps1 > 0.0:
         raise ValueError(f"eps1 must be > 0, got {eps1}")
@@ -77,18 +77,13 @@ def check_scalar_theorem(gains: StaticScalarGains, m: int, beta: float,
         lhs = beta + 2.0 * (c1 - c4) + delay_term
         c4_threshold = c1 + 0.5 * (beta + delay_term)
         sign_margin = c3 - ac2
-    elif norm == "one":
+    elif norm in ("one", "inf"):
+        w = m if norm == "one" else 1
         eps_opt = math.nan
-        delay_term = ac2 * m * (1.0 + eta) if ac2 else 0.0
+        delay_term = ac2 * w * (1.0 + eta) if ac2 else 0.0
         lhs = beta + (c1 - c4) + delay_term
         c4_threshold = c1 + beta + delay_term
-        sign_margin = m * (c3 - ac2)
-    elif norm == "inf":
-        eps_opt = math.nan
-        delay_term = ac2 * (1.0 + eta) if ac2 else 0.0
-        lhs = beta + (c1 - c4) + delay_term
-        c4_threshold = c1 + beta + delay_term
-        sign_margin = c3 - ac2
+        sign_margin = w * (c3 - ac2)
     else:
         raise ValueError(f"unknown norm {norm!r}")
 
@@ -226,13 +221,3 @@ def settling_bound(report: ConditionReport, T1: float, kappa: float = 0.9) -> fl
         raise ValueError("T1 must be finite")
     eps2 = kappa * report.epsilon2_max
     return T1 + 1.0 / eps2
-
-
-def adaptive_settling_bound(report: ConditionReport, T3: float, c3_star: float,
-                            c4_star: float, d1: float, d3: float,
-                            kappa: float = 0.9) -> float:
-    """Adaptive-case diagnostic bound using user-supplied limiting gains."""
-    if not report.feasible:
-        raise InfeasibleError(f"condition {report.theorem_id} is infeasible")
-    eps2 = kappa * report.epsilon2_max
-    return T3 + (1.0 + c3_star ** 2 / (2.0 * d1) + c4_star ** 2 / (2.0 * d3)) / eps2

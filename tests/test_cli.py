@@ -343,6 +343,37 @@ def test_simulate_refuses_a_run_without_a_certificate_before_it(tmp_path, monkey
     assert not (tmp_path / "traj.csv").exists()
 
 
+_REQUIRE = {
+    "adaptive_scalar": (_UNCERTIFIED["adaptive_scalar"], 2),
+    "adaptive_network": (_UNCERTIFIED["adaptive_network"], 2),
+    "static_feasible_scalar": (_scalar_doc(), 0),
+    "static_feasible_network": (dict(_NETWORK, control={"kind": "full", "theta3": 10.0,
+                                                        "theta4": 720.0}), 0),
+}
+
+
+@pytest.mark.parametrize("doc, code", _REQUIRE.values(), ids=list(_REQUIRE))
+def test_check_and_simulate_answer_require_feasible_alike(tmp_path, monkeypatch, capsys,
+                                                          doc, code):
+    # an enabled adaptive block has no static certificate, even where its unused
+    # static block is feasible in every norm: check refuses it as simulate does,
+    # after its table and note; a feasible static config passes both
+    monkeypatch.chdir(tmp_path)
+    plain, required = tmp_path / "plain.json", tmp_path / "required.json"
+    plain.write_text(json.dumps(doc))
+    required.write_text(json.dumps(dict(doc, monitor={"require_feasible": True})))
+    assert all(r.feasible for r in condition_reports(load_config(doc)))
+    assert main(["check", str(plain)]) == 0
+    table = capsys.readouterr().out
+    assert main(["check", str(plain), "--require-feasible"]) == code
+    assert capsys.readouterr().out == table
+    assert main(["check", str(required)]) == code
+    assert capsys.readouterr().out == table
+    assert table.startswith("condition ") and ("\nnote: adaptive gains" in table) == (code == 2)
+    assert main(["simulate", str(required)]) == code
+    assert (tmp_path / "traj.csv").exists() == (code == 0)
+
+
 @pytest.mark.parametrize("param", ["gains.c3", "gains.c4"])
 def test_sweep_refuses_a_static_gain_of_an_adaptive_config(capsys, param):
     # the adaptive run never reads the gains block: each point would repeat

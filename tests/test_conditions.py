@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fintstab.conditions import (InfeasibleError, adaptive_settling_bound,
-                                 check_network_theorem, check_scalar_theorem,
-                                 lambda_max_sym, left_eigenvector,
-                                 optimal_eps1, settling_bound)
+from fintstab.conditions import (InfeasibleError, check_network_theorem,
+                                 check_scalar_theorem, lambda_max_sym,
+                                 left_eigenvector, optimal_eps1, settling_bound)
 from fintstab.cli import EXAMPLE2
 from fintstab.config import adaptive_hook, load_config
 from fintstab.control import (NetworkAdaptiveHook, NetworkControlSpec, StaticScalarGains,
@@ -94,6 +93,42 @@ def test_inf_norm_lhs():
     rep = check_scalar_theorem(g, 3, 0.0, 0.0, norm="inf")
     assert rep.lhs == pytest.approx(-5.0 + 1.0)
     assert rep.epsilon2_max == pytest.approx(1.0)
+
+
+def _separate_one_inf_terms(c1, c2, c3, c4, m, beta, eta, norm):
+    """(lhs, c4_threshold, epsilon2_max) of the 1- and inf-norm theorems as
+    two separate formulas, each in its own operation order."""
+    ac2 = abs(c2)
+    if norm == "one":
+        delay_term = ac2 * m * (1.0 + eta) if ac2 else 0.0
+        margin = m * (c3 - ac2)
+    else:
+        delay_term = ac2 * (1.0 + eta) if ac2 else 0.0
+        margin = c3 - ac2
+    return beta + (c1 - c4) + delay_term, c1 + beta + delay_term, margin
+
+
+_gain = st.floats(0.0, 1e3) | st.sampled_from([0.0, 2.1, 3.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(c1=st.floats(-1e3, 1e3), c2=st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3),
+       c3=_gain, c4=_gain, m=st.integers(1, 64), beta=st.floats(-10.0, 10.0),
+       eta=st.floats(0.0, 1e3) | st.sampled_from([0.0, ETA_HALF, math.inf]))
+def test_one_and_inf_norm_reports_are_their_separate_formulas_bitwise(c1, c2, c3, c4, m,
+                                                                      beta, eta):
+    """The one branch that serves both norms, with weight w = m or 1, gives
+    the lhs, c4 threshold and sign margin of the two separate formulas bit
+    for bit, at c2 = +-0.0 and at an infinite eta too."""
+    gains = StaticScalarGains(c1, c2, c3, c4)
+    for norm in ("one", "inf"):
+        rep = check_scalar_theorem(gains, m, beta, eta, norm=norm)
+        want = _separate_one_inf_terms(c1, c2, c3, c4, m, beta, eta, norm)
+        got = (rep.lhs, rep.c4_threshold, rep.epsilon2_max)
+        assert got == want
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert math.isnan(rep.eps1_optimal)
+        assert rep.feasible == (want[0] < 0.0 and c3 - abs(c2) > 0.0)
 
 
 def _corollary(g, delay, rate, eps1=None):
@@ -456,13 +491,3 @@ def test_settling_bound_infeasible():
     assert not rep.feasible
     with pytest.raises(InfeasibleError):
         settling_bound(rep, 5.0)
-
-
-def test_adaptive_settling_bound():
-    g = StaticScalarGains(1.0, 2.0, 2.1, 3.5)
-    rep = check_scalar_theorem(g, 1, 0.0, ETA_HALF, norm="two")
-    t4 = adaptive_settling_bound(rep, T3=3.0, c3_star=2.1, c4_star=3.5,
-                                 d1=0.1, d3=0.1, kappa=0.9)
-    eps2 = 0.9 * rep.epsilon2_max
-    expected = 3.0 + (1.0 + 2.1 ** 2 / 0.2 + 3.5 ** 2 / 0.2) / eps2
-    assert t4 == pytest.approx(expected, rel=1e-12)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import fintstab.cli as cli
+import fintstab.integrate as integ
 from fintstab.cli import (NetworkRunResult, main, read_trajectory_csv,
                           write_error_index_csv, write_trajectory_csv)
 from fintstab.delays import RateFunction
@@ -85,7 +86,7 @@ def _ref_read_rows(path):
 @contextlib.contextmanager
 def _chunk(rows):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_CHUNK", rows)
+        mp.setattr(integ, "ROW_CHUNK", rows)
         yield
 
 
@@ -158,7 +159,7 @@ def test_monitor_and_sweep_rows_match_csv_writer(tmp_path_factory, n, chunk, dat
 @pytest.mark.parametrize("stride", [1, 3])
 @pytest.mark.parametrize("with_gains", [False, True])
 def test_writer_crosses_the_real_chunk_size(tmp_path, stride, with_gains):
-    n = 2 * cli._CHUNK * stride + 5
+    n = 2 * integ.ROW_CHUNK * stride + 5
     rng = np.random.default_rng(7)
     states = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2))
     gains = rng.standard_normal((n, 2)) if with_gains else None

@@ -228,6 +228,19 @@ def test_a_negative_zero_never_crosses(p0):
     assert np.signbit(np.frombuffer(got[0])[-1])
 
 
+def test_a_zero_state_that_still_reads_a_nonzero_row_steps_on():
+    """The rest scan's row margin: p0 = 1 is caught at +0.0 in one step
+    (h = 0.5), and step 1 reads t/2 = 0.25, halfway between row 0 = 1.0 and
+    row 1, so its delayed term c2 * 0.5 leaves the band.  A scan at step 1
+    that starts a row too late misses row 0 and rests there."""
+    doc = _doc([1.0], {"kind": "proportional", "q": 0.5}, horizon=2.0, h=0.5,
+               gains={"c3": 0.5, "c4": 5.0})
+    got, _, _ = _run(doc, integrate)
+    assert got == _run(doc, _reference_integrate)[0]
+    states = np.frombuffer(got[0])
+    assert states[1] == 0.0 and states[2] == 0.5
+
+
 def test_example1_rests_after_settling():
     """The example1 preset settles at t = 1.294 and reads t/2: it steps only
     to step 1,300 of 30,000 and crosses its sliding tail in array passes (it
