@@ -24,6 +24,7 @@ from .integrate import HistoryTrajectory, RunningWindowSup, norm1, norm_inf
 MODE_ABOVE_ONE = "above_one"
 MODE_IN_UNIT_BALL = "in_unit_ball"
 MODE_AT_ORIGIN = "at_origin"
+_MODES = (MODE_ABOVE_ONE, MODE_IN_UNIT_BALL, MODE_AT_ORIGIN)
 
 # the unsquared switching functionals; `step` computes the squared two-norm itself
 _NORM_FUNCS = {"one": norm1, "inf": norm_inf}
@@ -194,6 +195,72 @@ class AdaptiveHook:
         g = self.gains
         g[self._lin] += traj.h * d_lin
         g[self._sign] += traj.h * d_sign
+
+    def zero_steps(self, start: int, stop: int, traj: HistoryTrajectory):
+        """The hook over steps start..stop-1 of a +0.0 state, bitwise as `step`
+        takes them, up to the first step that changes the mode, acts with a
+        non-finite gain or whose mu(t) raises: (gains, bands, take).
+
+        gains[i] are the gains acting on step start + i, one row per step
+        kept and one after them; bands[i] = gains[i][sign] * h is that
+        step's zero band; take(u) leaves the hook as stepping the first u of
+        those steps does: window values and deque, and gains (the mode does
+        not change on them).
+
+        At +0.0 the switching functional is 0.0, so `gain_rates` takes the
+        mode from the window sup over the pushed zeros alone
+        (`RunningWindowSup.zero_steps`).  In the unit ball the sign gain
+        grows by h*rate a step, in order (`np.add.accumulate`), and the
+        linear gain adds h*(rate*0.0) = h*0.0; at the origin both add h*0.0.
+        Above one the sign gain adds h*0.0 and the linear gain
+        h*(rate*mu(t)*0.0), which is NaN where rate*mu(t) overflows, so mu is
+        evaluated a step at a time there as `step` does.  `step` evaluates
+        mu(t) in every mode, and mu never decreases, so the steps end before
+        the first whose mu(t) raises OverflowError.
+        """
+        if self._tracker is None:
+            self._tracker = RunningWindowSup(traj.t0, traj.h, self.profile)
+        h = traj.h
+        sups, take_window = self._tracker.zero_steps(stop)
+        mode = np.where(sups <= (self.zero_tol ** 2 if self._squared else self.zero_tol), 2,
+                        np.where(sups > 1.0, 0, 1))
+        changed = mode != _MODES.index(self.mode)
+        m = int(changed.argmax()) if changed.any() else stop - start
+        d_lin = d_sign = 0.0
+        if self.mode == MODE_ABOVE_ONE:
+            mus = _mus(self.rate, start, start + m, h)
+            d_lin, m = [self.rates[0] * mu * 0.0 for mu in mus], len(mus)
+        elif m and not _mus(self.rate, start + m - 1, start + m, h):
+            m = len(_mus(self.rate, start, start + m, h))
+        if self.mode == MODE_IN_UNIT_BALL:
+            d_sign = self.rates[2]
+        gains = np.empty((m + 1, 2))
+        gains[0] = self.gains
+        gains[1:, self._lin] = np.multiply(h, d_lin)
+        gains[1:, self._sign] = h * d_sign
+        np.add.accumulate(gains, axis=0, out=gains)
+        bad = ~np.isfinite(gains).all(axis=1)
+        if bad.any():
+            m = int(bad.argmax())
+        gains = gains[:m + 1]
+
+        def take(u: int):
+            take_window(u)
+            self.gains[:] = gains[u].tolist()
+
+        return gains, gains[:m, self._sign] * h, take
+
+
+def _mus(rate: RateFunction, start: int, stop: int, h: float) -> list:
+    """rate.mu(k*h) for k = start..stop-1, as `step` evaluates it, up to the
+    first that raises OverflowError."""
+    out = []
+    try:
+        for k in range(start, stop):
+            out.append(rate.mu(k * h))
+    except OverflowError:
+        pass
+    return out
 
 
 # The subclasses bind `step` in their own bodies: the bench's tracer looks the

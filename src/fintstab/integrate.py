@@ -305,6 +305,37 @@ class RunningWindowSup:
         best = self.values[self._dq[0]] if self._dq else -math.inf
         return max(best, wl * self.values[lo] + wh * self.values[hi])
 
+    def zero_steps(self, stop: int):
+        """The window over steps len(values)..stop-1 were each to push 0.0,
+        in array passes: (sups, take), sups[i] being sup(k) of step k =
+        len(values) + i, and take(u) pushing the first u zeros, leaving the
+        values and the deque as push and sup leave them.
+
+        The pushed values are never below 0.0 (they are norms), so a zero
+        pops at most a 0.0 from the deque's back.  The fronts pop every index
+        below the running max of the steps' hi, so a step's deque max is the
+        value at the first remaining index at or after it, or the step's own
+        0.0 when none is left.
+        """
+        start = len(self.values)
+        v = np.zeros(stop)
+        v[:start] = self.values
+        dq = np.array(self._dq, dtype=np.intp)
+        if dq.size and v[dq[-1]] <= 0.0:
+            dq = dq[:-1]
+        lo, hi, w = envelope_rows(*self._grid, start, stop)
+        pos = np.searchsorted(dq, np.maximum.accumulate(hi))
+        best = np.append(v[dq], 0.0)[pos]
+        bound = (1.0 - w) * v[lo] + w * v[hi]
+
+        def take(u: int):
+            if u:
+                self.values.frombytes(bytes(8 * u))   # +0.0 is all zero bits
+                self._dq = deque(dq[pos[u - 1]:].tolist())
+                self._dq.append(start + u - 1)
+
+        return np.where(bound > best, bound, best), take   # max(best, bound), as sup takes it
+
 
 ROW_CHUNK = 4096  # rows a whole-series pass takes at a time: its temporaries stay this size
 
@@ -372,10 +403,22 @@ def _project_zero_band(x_old: np.ndarray, x_new: np.ndarray, band: float) -> np.
     step and stays within `band` of 0 set to exactly 0 (see `_band_hits`).
 
     Returns x_new itself when nothing is hit, and a zeroed copy otherwise.
-    The rule runs on the states' Python floats: the states hold 1 to 9
-    components, where one NumPy reduction costs more than the whole loop
-    (the loop costs about 0.1 us a component, so NumPy wins from about 30).
+    A step's state holds 1 to 9 components, where one NumPy reduction costs
+    more than the whole loop, so the rule runs on their Python floats (the
+    loop costs about 0.1 us a component, so NumPy wins from about 30).  The
+    rows of an array pass take the same comparisons in NumPy, whose a*b
+    overflows, underflows and turns NaN as the float product does.
     """
+    if x_new.size > 32:
+        b = np.abs(x_new)
+        with np.errstate(over="ignore", invalid="ignore"):
+            flip = (x_old * x_new < 0.0) | (x_old == 0.0)
+        hit = (0.0 < b) & (b <= band) & flip
+        if not hit.any():
+            return x_new
+        x_new = x_new.copy()
+        x_new[hit] = 0.0
+        return x_new
     hits = _band_hits(x_old.tolist(), x_new.tolist(), band)
     if not hits:
         return x_new
@@ -418,34 +461,50 @@ def _rest_blocker(states: np.ndarray, gains: Optional[np.ndarray], k: int, first
     return first + int(moving[-1]) if moving.size else None
 
 
-def _cross_sliding(at_rest, traj: HistoryTrajectory, k: int, j: int, band: float) -> int:
-    """Take steps k..j-1 of a static run whose state at step k is +0.0 as
-    array passes of ROW_CHUNK steps, and return the first step not taken:
-    the first one the zero band does not catch, or j.  traj._filled is set
-    to it.
+def _cross_sliding(at_rest, traj: HistoryTrajectory, k: int, j: int, band: float,
+                   hook=None) -> int:
+    """Take steps k..j-1 of a run whose state at step k is +0.0 as array
+    passes of ROW_CHUNK steps, and return the first step not taken: the
+    first one the zero band does not catch, or j.  traj._filled is set to
+    it.
 
     A caught step records +0.0, so a pass writes zeros into its rows after
     its first before `at_rest` reads them; rows after the first uncaught step
     are past traj._filled and rewritten by the steps that follow.  Step i's
     new state is 0.0 + h*v_i from its zero-state values v_i.  It is caught
-    when every component satisfies |x| <= band (a NaN or inf is not), and
-    the caught steps of a pass are zeroed by one `_project_zero_band` call
-    from zeros, so its hits are counted as stepping counts them.
+    when every component satisfies |x| <= its band (a NaN or inf is not),
+    and the caught steps of a pass are zeroed by one `_project_zero_band`
+    call from zeros at the largest of their bands, so its hits are counted
+    as stepping counts them.
+
+    A hook run passes its `hook`, whose `zero_steps` gives each step's gains
+    and band in place of `band`, and which the pass leaves as stepping the
+    steps taken leaves it.  Its steps end before the first one that changes
+    the hook's mode or acts with a non-finite gain, which the loop steps.
     """
     states, n, h = traj._states, traj.dim, traj.h
+    if hook is not None:
+        gains, bands, take = hook.zero_steps(k, j, traj)
+        j = k + len(bands)
     for start in range(k, j, ROW_CHUNK):
         stop = min(start + ROW_CHUNK, j)
         states[start + 1:stop + 1] = 0.0
         x_new = 0.0 + h * at_rest(start, stop, traj)
-        caught = (np.abs(x_new) <= band).all(axis=1)
+        b = band if hook is None else bands[start - k:stop - k, None]
+        caught = (np.abs(x_new) <= b).all(axis=1)
         u = stop - start if caught.all() else int(caught.argmin())
         if u:
             states[start + 1:start + u + 1] = _project_zero_band(
-                np.zeros(u * n), x_new[:u].ravel(), band).reshape(u, n)
+                np.zeros(u * n), x_new[:u].ravel(), band if hook is None else b[:u].max()
+            ).reshape(u, n)
         traj._filled = start + u
         if start + u < stop:
-            return start + u
-    return j
+            break
+    if hook is not None:
+        s = traj._filled
+        traj._gains[k + 1:s + 1] = gains[1:s - k + 1]
+        take(s - k)
+    return traj._filled
 
 
 def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfig,
@@ -485,14 +544,17 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     `at_rest`, when given, is the rhs's zero-state values:
     `at_rest(start, stop, traj)` returns a (stop - start, dim) array v such
     that at a +0.0 state, with the rows up to each step as `traj` holds them,
-    the rhs of step i returns v[i - start] plus a +-0.0 per component
-    (`delayed_linear_rhs` under the sign law supplies it).  Passing it also
-    promises that `rhs` returns exact zeros whenever the state and every
-    history row it reads are exactly zero, that it reads no earlier than
-    t - pi(t) of `profile`'s envelope, and that the hook's gains do not move
-    while its window holds only zeros (the scalar sign law, static or
-    adaptive, keeps it).  It is an argument, not read off `rhs`, so a
-    wrapped rhs keeps it.  The default None steps every step.
+    the rhs of step i returns v[i - start] plus a +-0.0 per component, or
+    v[i - start] holds a NaN, which no pass takes (`delayed_linear_rhs`
+    under the sign law and the network's error rhs supply it).  A pass
+    calls it before it moves the hook, so it sees the gains acting on the
+    pass's first step.  Passing it also promises that `rhs` returns exact
+    zeros whenever the state and every history row it reads are exactly
+    zero, that it reads no earlier than t - pi(t) of `profile`'s envelope,
+    and that the hook's gains do not move while its window holds only zeros
+    (the sign law, static or adaptive, keeps it).  It is an argument, not
+    read off `rhs`, so a wrapped rhs keeps it.  The default None steps every
+    step.
 
     The rest rule.  Every envelope is affine, so t - pi(t) never decreases,
     and once the state at step k is +0.0, every row from
@@ -509,18 +571,25 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     (`_next_rest_step`), so a proportional delay scans O(log n) times and a
     moving state never.
 
-    The sliding tail.  A static run (no hook, a fixed band > 0) whose state
-    is +0.0 at a scan that finds a blocking row is in sliding mode: the
-    delayed term still reads the moving past, and the band zeroes each step.
-    It takes the steps up to the next scan, `rest_at` (or n_steps), as array
-    passes (`_cross_sliding`) and steps on one step at a time from the
-    first step the band does not catch, which the loop recomputes.  This is
-    bitwise equal to stepping: at +0.0 the rhs's c1*0.0 and sign-law terms
-    are +-0.0, which leave a nonzero delayed value d unchanged, so the step
-    computes 0.0 + h*d as the pass does, and a zero d of either sign gives
-    +0.0 both ways.  A caught step's band hits are its nonzero components
-    either way.  A -0.0 component never takes the pass: -0.0 + h*(-0.0) is
-    -0.0.
+    The sliding tail.  A run whose state is +0.0 at a scan that finds a
+    blocking row is in sliding mode: the delayed term still reads the moving
+    past, and the band zeroes each step.  A static run (no hook, a fixed
+    band > 0) and a hook run whose band is the hook's and whose hook has
+    `zero_steps` (the adaptive hooks) take the steps up to the next scan,
+    `rest_at` (or n_steps), as array passes (`_cross_sliding`).  The loop
+    steps the first step a pass does not take and recomputes it: one the
+    band does not catch, or, in a hook run, one that changes the hook's
+    mode or acts with a non-finite gain, so each mode switch still happens
+    in `step`.  When a pass took steps, the first +0.0 state after its stop
+    takes the next pass; when it took none, the next scan does.  A hook
+    without `zero_steps` steps its tail.  This is bitwise equal to
+    stepping: at +0.0 the rhs's c1*0.0 and sign-law terms are +-0.0 at
+    finite gains, which leave a nonzero delayed value d unchanged, so the
+    step computes 0.0 + h*d as the pass does, and a zero d of either sign
+    gives +0.0 both ways.  A caught step's band hits are its nonzero
+    components either way, and the hook moves over the steps taken as
+    `AdaptiveHook.zero_steps` computes them.  A -0.0 component never takes
+    the pass: -0.0 + h*(-0.0) is -0.0.
     """
     x0 = np.atleast_1d(np.asarray(initial_state, dtype=float))
     h, n_steps = config.h, config.n_steps
@@ -543,7 +612,10 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     if at_rest is not None:
         slope, lag_steps = 1.0 - profile.q, profile.lag / h
         rest_at = 1
-    slides = at_rest is not None and gain_hook is None and band > 0.0
+    crossing_hook = gain_hook if hook_band and hasattr(gain_hook, "zero_steps") else None
+    slides = at_rest is not None and (band > 0.0 if gain_hook is None
+                                      else crossing_hook is not None)
+    cross_at = n_steps   # from here on, the first +0.0 state takes a pass
     k = 0
     while k < n_steps:
         if k >= rest_at and not any(xs):
@@ -556,9 +628,13 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
                 traj._filled = n_steps
                 return traj
             rest_at = max(_next_rest_step(m, slope, lag_steps), k + 1)
-            if slides and not np.signbit(states[k]).any():
-                k = _cross_sliding(at_rest, traj, k, min(rest_at, n_steps), band)
-                continue   # xs stays all +0.0: every step taken recorded zeros
+            cross_at = k
+        if k >= cross_at and slides and not any(xs) and not np.signbit(states[k]).any():
+            start, k = k, _cross_sliding(at_rest, traj, k, min(rest_at, n_steps), band,
+                                         crossing_hook)
+            # the loop steps step k; a pass that took none waits for the next scan
+            cross_at = k + 1 if k > start else n_steps
+            continue   # xs stays all +0.0: every step taken recorded zeros
         t = k * h
         x = rows[k]
         dx = rhs(t, x, traj)

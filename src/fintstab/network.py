@@ -30,6 +30,20 @@ constructors reject NaN and inf).  Two cases stay on the full path: a drive
 row with a -0.0 component, where -0.0 + 0.0 is +0.0 and x + e is not x, and
 an acting gain theta1, theta1 * sigma, theta3 or theta4 that is not finite,
 where inf * 0 is NaN.
+
+The same rule in array form, the coupling rows of a block of steps plus 0.0
+with NaN on those two cases, is the error rhs's `at_rest`, so the settled
+tail is crossed in `integrate`'s array passes, static or adaptive.
+
+The error run may also rest (`integrate`'s rest rule): once the error rows
+a step can read are zero and the gains stand still, every later step is
+bitwise +0.0.  At a drive row without -0.0, the rule above gives the
+coupling of a zero error, g(X + 0) - g(X) = +0.0 for a finite g(X) (the
+drive's own step computed it), times B, plus 0.0.  A drive component is
+-0.0 only on rows 0..m for some m (x + h*v is -0.0 only for x = h*v = -0.0),
+and where a step reads one, resting also needs f and g to take equal values
+at +0.0 and -0.0 up to a zero's sign, as fields continuous at 0 (Lorenz,
+sin + 2x) do.
 """
 from __future__ import annotations
 
@@ -44,8 +58,8 @@ from .conditions import _validate_coupling_matrix
 from .control import (NetworkAdaptiveHook, NetworkControlSpec, _add_full_node,
                       _add_pinning, _require_finite)
 from .delays import DelayProfile
-from .integrate import (DelayedRows, HistoryTrajectory, IntegratorConfig, integrate,
-                        row_chunks)
+from .integrate import (PLAN_BLOCK, DelayedRows, HistoryTrajectory, IntegratorConfig,
+                        delay_rows, integrate, row_chunks)
 
 _flat = itertools.chain.from_iterable  # rows -> their floats, row by row
 
@@ -193,6 +207,8 @@ def _error_rhs(model: NetworkModel, drive: HistoryTrajectory,
     -0.0 component or when theta1, theta1 * sigma, theta3 or theta4 is not
     finite; the module docstring says why that is the full rhs bitwise.  A
     moving step pays one truth test of the error's floats for it.
+    `rhs.at_rest` is the same rule over a block of steps, `integrate`'s
+    `at_rest`.
     """
     N, n = model.N, model.n
     A, sigma = model.A, control.sigma
@@ -202,23 +218,32 @@ def _error_rhs(model: NetworkModel, drive: HistoryTrajectory,
     seen = coupling = None
     states = drive._states
     drive_nodes = states.reshape(-1, N, n)
-    neg_zero = np.signbit(states) & (states == 0.0)
-    neg_zero_rows = set(np.flatnonzero(neg_zero.any(axis=1)).tolist())
+    neg_zero_row = (np.signbit(states) & (states == 0.0)).any(axis=1)
+    neg_zero_rows = set(np.flatnonzero(neg_zero_row).tolist())
+    cols = _node_cols(N, n)
 
-    def rhs(t, E, etraj):
-        nonlocal seen, coupling
-        if etraj is not seen:
-            seen, coupling = etraj, _coupling_rows(model, drive, etraj)
-        k = etraj._filled
+    def acting():
+        """(theta1, theta3, theta4) acting on the step: the spec's, with the
+        hook's two gains in place of the ones it adapts."""
         theta1, theta3, theta4 = spec_gains
         if hook is not None:
             if law == "pinning":
                 theta1, theta3 = hook.gains
             else:
                 theta4, theta3 = hook.gains
+        return theta1, theta3, theta4
+
+    def finite(theta1, theta3, theta4):
+        return all(map(math.isfinite, (theta1, theta1 * sigma, theta3, theta4)))
+
+    def rhs(t, E, etraj):
+        nonlocal seen, coupling
+        if etraj is not seen:
+            seen, coupling = etraj, _coupling_rows(model, drive, etraj)
+        k = etraj._filled
+        theta1, theta3, theta4 = acting()
         es = E.tolist()
-        if (not any(es) and k not in neg_zero_rows
-                and all(map(math.isfinite, (theta1, theta1 * sigma, theta3, theta4)))):
+        if not any(es) and k not in neg_zero_rows and finite(theta1, theta3, theta4):
             return [d + 0.0 for d in coupling.row(k)]
         En, Xn = E.reshape(N, n), drive_nodes[k]
         fx = _rows(model.f((Xn + En).tolist() + Xn.tolist()))
@@ -232,6 +257,29 @@ def _error_rhs(model: NetworkModel, drive: HistoryTrajectory,
             return _add_full_node(out, es, theta3, theta4)
         return out
 
+    def at_rest(start, stop, etraj):
+        """The settled rule of steps start..stop-1 in array form: their
+        coupling rows from `delay_rows` plus 0.0, one row per step, NaN at a
+        drive row in neg_zero_rows and on every row when an acting gain is
+        not finite, where the rhs takes its full path.  `integrate` calls it
+        for a pass whose first step is `start` or earlier, before the hook
+        takes the pass's steps: the gains acting then stand for every step
+        of the pass, since a +0.0 error adds h*0.0 to the linear gain and a
+        pass ends before a non-finite gain."""
+        if not finite(*acting()):
+            return np.full((stop - start, N * n), math.nan)
+        vals = np.empty((stop - start, N * n))
+        for i in range(start, stop, PLAN_BLOCK):   # temporaries of a DelayedRows block
+            j = min(i + PLAN_BLOCK, stop)
+            lo, hi, w = delay_rows(model.delays, etraj.t0, etraj.h, i, j)
+            vals[i - start:j - start] = _coupling(
+                model, drive._lookup(lo, hi, w, cols), etraj._lookup(lo, hi, w, cols)
+            ).reshape(j - i, -1)
+        vals += 0.0
+        vals[neg_zero_row[start:stop]] = math.nan
+        return vals
+
+    rhs.at_rest = at_rest
     return rhs
 
 
@@ -244,10 +292,11 @@ def simulate_sync(exp: SyncExperiment) -> SyncResult:
     control, the static theta3 under pinning or full control, and 0 without
     control.  A `theta1_theta3` hook pins node 1 with the spec's sigma, so it
     needs a pinning spec (ValueError otherwise); a `theta3_theta4` hook takes
-    the place of any spec's static feedback.  Neither integration rests at
-    zero: the drive's f is arbitrary.  Once the error is exactly zero, an
-    error step costs its delayed coupling row alone (see `_error_rhs`),
-    under every control.
+    the place of any spec's static feedback.  The drive never rests: its f
+    is arbitrary.  The error run gets the error rhs's `at_rest`, so once the
+    error is exactly zero its steps are crossed in array passes of delayed
+    coupling rows and, when its gains stand still, it rests; the module
+    docstring says why both are bitwise stepping.
     """
     hook = exp.adaptive_hook
     if (hook is not None and hook.variant == "theta1_theta3"
@@ -262,7 +311,7 @@ def simulate_sync(exp: SyncExperiment) -> SyncResult:
     if cfg.zero_band is None and hook is None and exp.control.kind != "none":
         cfg = replace(cfg, zero_band=exp.control.theta3 * cfg.h)
     e0 = exp.response_init.ravel() - drive.states[0]
-    error = integrate(rhs, e0, model.delays, cfg, gain_hook=hook)
+    error = integrate(rhs, e0, model.delays, cfg, gain_hook=hook, at_rest=rhs.at_rest)
     response = HistoryTrajectory(drive.t0, drive.h, exp.response_init.ravel(), error._filled)
     np.add(drive.states, error.states, out=response._states)   # written once, in place
     response._filled = error._filled

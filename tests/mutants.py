@@ -43,7 +43,8 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # the sliding pass of a settled static run (integrate._cross_sliding)
     Mutant("a -0.0 state takes the sliding pass", "integrate.py",
-           "if slides and not np.signbit(states[k]).any():", "if slides:",
+           "slides and not any(xs) and not np.signbit(states[k]).any():",
+           "slides and not any(xs):",
            ("tests/test_rest.py::test_a_negative_zero_never_crosses",)),
     Mutant("the pass drops 0.0 + from 0.0 + h*v", "integrate.py",
            "x_new = 0.0 + h * at_rest(start, stop, traj)",
@@ -52,7 +53,32 @@ MUTANTS = (
     Mutant("the pass does not pre-zero its rows", "integrate.py",
            "        states[start + 1:stop + 1] = 0.0\n", "",
            ("tests/test_rest.py",)),
+    Mutant("the pass projects its whole chunk", "integrate.py",
+           "np.zeros(u * n), x_new[:u].ravel(), band if hook is None else b[:u].max()\n"
+           "            ).reshape(u, n)",
+           "np.zeros(x_new.size), x_new.ravel(), band if hook is None else b[:u].max()\n"
+           "            )[:u * n].reshape(u, n)",
+           ("tests/test_rest.py::test_a_tail_the_band_misses_steps_on_bitwise",)),
+    # the pass of a hook run (integrate._cross_sliding, AdaptiveHook.zero_steps)
+    Mutant("the pass uses its first step's band for every step", "integrate.py",
+           "b = band if hook is None else bands[start - k:stop - k, None]",
+           "b = band if hook is None else bands[:1, None]",
+           ("tests/test_hook_pass.py::"
+            "test_a_pass_takes_each_step_at_its_own_band_and_stops_at_a_mode_change",)),
+    Mutant("the pass runs through a mode change", "control.py",
+           "m = int(changed.argmax()) if changed.any() else stop - start",
+           "m = stop - start",
+           ("tests/test_hook_pass.py::"
+            "test_a_pass_takes_each_step_at_its_own_band_and_stops_at_a_mode_change",)),
+    Mutant("the pass drops the finite-gains stop", "control.py",
+           "        if bad.any():\n            m = int(bad.argmax())\n", "",
+           ("tests/test_hook_pass.py::"
+            "test_an_overflowing_rate_above_one_diverges_at_the_stepped_time",)),
     # the rest rule
+    Mutant("rests scheduled a step late", "integrate.py",
+           "return 1 + math.ceil((m + 2 + lag_steps) / slope)",
+           "return 2 + math.ceil((m + 2 + lag_steps) / slope)",
+           ("tests/test_rest.py::test_a_tail_that_diverges_raises_at_the_step_stepping_does",)),
     Mutant("the rest rule ignores moving gains", "integrate.py",
            "if np.signbit(states[k]).any() or (gains is not None\n"
            "                                       and not (gains[k] == gains[k - 1]).all()):",
@@ -64,19 +90,27 @@ MUTANTS = (
            ("tests/test_rest.py::test_a_zero_state_that_still_reads_a_nonzero_row_steps_on",)),
     # the settled network error rule (network._error_rhs)
     Mutant("a -0.0 drive row takes the settled rule", "network.py",
-           "if (not any(es) and k not in neg_zero_rows\n", "if (not any(es)\n",
+           "if not any(es) and k not in neg_zero_rows and", "if not any(es) and",
            ("tests/test_coupling.py::test_settled_error_rhs_matches_the_full_rhs",)),
     Mutant("a non-finite gain takes the settled rule", "network.py",
-           "\n                and all(map(math.isfinite, (theta1, theta1 * sigma, theta3, theta4)))):",
-           "):",
+           "k not in neg_zero_rows and finite(theta1, theta3, theta4):",
+           "k not in neg_zero_rows:",
            ("tests/test_coupling.py::test_a_gain_without_a_finite_value_keeps_the_full_rhs",)),
     Mutant("the settled rule drops + 0.0", "network.py",
            "return [d + 0.0 for d in coupling.row(k)]", "return list(coupling.row(k))",
            ("tests/test_coupling.py::test_settled_error_rhs_matches_the_full_rhs",)),
+    Mutant("the network at_rest drops the -0.0 drive-row guard", "network.py",
+           "        vals[neg_zero_row[start:stop]] = math.nan\n", "",
+           ("tests/test_hook_pass.py::test_error_at_rest_is_the_settled_rhs_row_by_row",)),
     Mutant("adaptive pinning at model.theta1", "network.py",
            "return _add_pinning(out, es, n, sigma, theta1, theta3)",
            "return _add_pinning(out, es, n, sigma, model.theta1, theta3)",
            ("tests/test_coupling.py::test_an_adaptive_error_rhs_is_the_static_one_at_the_hook_gains",)),
+    # the float control laws keep their array forms' association
+    Mutant("the full-node float law reassociated", "control.py",
+           "[o + (-theta3 * _sgn(v) - theta4 * v) for o, v in zip(out, e)]",
+           "[o - theta3 * _sgn(v) - theta4 * v for o, v in zip(out, e)]",
+           ("tests/test_coupling.py::test_sync_matches_per_step_coupling",)),
     # the scalar certificate (conditions.check_scalar_theorem, cli)
     Mutant("the 1-/inf-norm delayed term at c2 = 0", "conditions.py",
            "delay_term = ac2 * w * (1.0 + eta) if ac2 else 0.0",

@@ -216,7 +216,7 @@ def _ref_outer_sync(exp):
     through the per-step reference right-hand sides."""
     model, cfg = exp.model, exp.integrator
     base = integrate(_ref_drive_rhs(model), exp.drive_init.ravel(), model.delays,
-                     IntegratorConfig(horizon=HORIZON, h=H, zero_band=0.0))
+                     replace(cfg, zero_band=0.0))
     rhs = _ref_error_rhs(model, base, exp.control, exp.adaptive_hook)
     e0 = (exp.response_init - exp.drive_init).ravel()
     return base, integrate(rhs, e0, model.delays, cfg, gain_hook=exp.adaptive_hook)

@@ -244,7 +244,7 @@ _entries = st.one_of(_special, st.floats(-1.0, 1.0))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 4).flatmap(
+@given((st.integers(1, 4) | st.integers(33, 48)).flatmap(
            lambda m: st.tuples(st.lists(_entries, min_size=m, max_size=m),
                                st.lists(_entries, min_size=m, max_size=m))),
        st.sampled_from([0.0, BAND, 1e-300]))

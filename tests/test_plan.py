@@ -425,8 +425,8 @@ def test_static_example1_builds_each_block_once():
     with count_blocks() as (cuts, fills, counts), pytest.MonkeyPatch.context() as mp:
         cross = integ._cross_sliding
         mp.setattr(integ, "_cross_sliding",
-                   lambda at_rest, traj, k, j, band: crossed.append((k, j))
-                   or cross(at_rest, traj, k, j, band))
+                   lambda at_rest, traj, k, j, band, hook: crossed.append((k, j))
+                   or cross(at_rest, traj, k, j, band, hook))
         res = run(load_config(doc))
     n_steps = res.traj.states.shape[0] - 1
     (k, j), = crossed
