@@ -195,11 +195,11 @@ def run(cfg: ExperimentConfig):
     NetworkRunResult for a network one.  The presets are configs run here.
 
     Scalar: integrate with static gains, whose zero band defaults to c3*h, or
-    with the adaptive hook, resting once settled (`at_rest`), then
-    `certify`.  Network: the Lorenz preset with the config's control, rate
-    and integrator; an enabled adaptive block drives the gains of the
-    control kind, (theta1, theta3) under pinning, whose pinned node still
-    takes theta1 * sigma, and (theta4, theta3) under full.
+    with the adaptive hook, crossing the settled tail in array passes
+    (`at_rest`), then `certify`.  Network: the Lorenz preset with the
+    config's control, rate and integrator; an enabled adaptive block drives
+    the gains of the control kind, (theta1, theta3) under pinning, whose
+    pinned node still takes theta1 * sigma, and (theta4, theta3) under full.
     """
     hook = adaptive_hook(cfg)
     if cfg.kind == "network":
@@ -216,8 +216,8 @@ def run(cfg: ExperimentConfig):
     if hook is None and icfg.zero_band is None:
         icfg = replace(icfg, zero_band=g.c3 * icfg.h)
     rhs = delayed_linear_rhs(sysb["c1"], sysb["c2"], cfg.delay, control=control)
-    # the sign law, static or adaptive, returns +-0.0 at +0.0: a settled run rests,
-    # and a static one crosses its sliding tail in array passes
+    # the sign law, static or adaptive, returns +-0.0 at +0.0: a settled run
+    # crosses its zero-state tail in array passes
     traj = integrate(rhs, np.asarray(sysb["initial_state"], dtype=float), cfg.delay, icfg,
                      gain_hook=hook, at_rest=rhs.at_rest)
     del hook, control, rhs   # the hook's window holds 8 bytes a step: free it for the replay

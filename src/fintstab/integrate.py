@@ -436,31 +436,6 @@ def _floats(v, n: int) -> list:
     return (v if v.shape == (n,) else np.broadcast_to(v, (n,))).tolist()
 
 
-def _first_read(k: int, slope: float, lag_steps: float) -> int:
-    """floor((t_k - pi(t_k))/h) - 1 for the affine envelope pi(t) = q*t + lag
-    (slope = 1 - q, lag_steps = lag/h): no step after k, nor the envelope
-    window of one, reads a history row below it.  The -1 absorbs the
-    rounding that separates this from the grid rows' own floor."""
-    return math.floor(slope * k - lag_steps) - 1
-
-
-def _next_rest_step(m: int, slope: float, lag_steps: float) -> int:
-    """The first step j with _first_read(j - 1) > m: from there on no step
-    reads row m, so a rest test before j would find it again."""
-    return 1 + math.ceil((m + 2 + lag_steps) / slope)
-
-
-def _rest_blocker(states: np.ndarray, gains: Optional[np.ndarray], k: int, first: int):
-    """The last row of first..k that keeps a run from resting at step k, or
-    None: row k when one of its components is -0.0 or its gains differ from
-    row k-1's, else the last row with a nonzero (or NaN) component."""
-    if np.signbit(states[k]).any() or (gains is not None
-                                       and not (gains[k] == gains[k - 1]).all()):
-        return k
-    moving = np.flatnonzero(states[first:k + 1].any(axis=1))
-    return first + int(moving[-1]) if moving.size else None
-
-
 def _cross_sliding(at_rest, traj: HistoryTrajectory, k: int, j: int, band: float,
                    hook=None) -> int:
     """Take steps k..j-1 of a run whose state at step k is +0.0 as array
@@ -535,61 +510,43 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     `rhs` resolves delayed states from `traj`, which covers the history up to
     the current step start, and reads row 0 before t = 0.  The step k call
     sees traj._filled == k, so it can read row k of its own DelayedRows on
-    traj's grid; `integrate` reads `profile` only for the rest rule below.
-    `gain_hook`, when given, is an object with attributes `names`, `gains`
-    (one value per name), `sign_gain` and a method `step(t, x, traj)`; it is
-    invoked once per accepted step, after the rhs and with the same `x`, and
-    its gains are recorded alongside the states.
+    traj's grid.  `integrate` does not read `profile`: the parameter stays
+    for the callers that pass it positionally (`tests/test_acceptance.py`
+    among them).  `gain_hook`, when given, is an object with attributes
+    `names`, `gains` (one value per name), `sign_gain` and a method
+    `step(t, x, traj)`; it is invoked once per accepted step, after the rhs
+    and with the same `x`, and its gains are recorded alongside the states.
 
     `at_rest`, when given, is the rhs's zero-state values:
-    `at_rest(start, stop, traj)` returns a (stop - start, dim) array v such
-    that at a +0.0 state, with the rows up to each step as `traj` holds them,
-    the rhs of step i returns v[i - start] plus a +-0.0 per component, or
-    v[i - start] holds a NaN, which no pass takes (`delayed_linear_rhs`
-    under the sign law and the network's error rhs supply it).  A pass
-    calls it before it moves the hook, so it sees the gains acting on the
-    pass's first step.  Passing it also promises that `rhs` returns exact
-    zeros whenever the state and every history row it reads are exactly
-    zero, that it reads no earlier than t - pi(t) of `profile`'s envelope,
-    and that the hook's gains do not move while its window holds only zeros
-    (the sign law, static or adaptive, keeps it).  It is an argument, not
-    read off `rhs`, so a wrapped rhs keeps it.  The default None steps every
-    step.
+    `at_rest(start, stop, traj)` returns a (stop - start, dim) array v,
+    where v[i - start] is the rhs of step i at a +0.0 state, with the rows
+    up to step i as `traj` holds them, up to a +-0.0 per component, or holds
+    a NaN, which no pass takes (`delayed_linear_rhs` under the sign law and
+    the network's error rhs supply it).  A pass calls it before it moves the
+    hook, so it sees the gains acting on the pass's first step.  It is an
+    argument, not read off `rhs`, so a wrapped rhs keeps it.  The default
+    None steps every step.
 
-    The rest rule.  Every envelope is affine, so t - pi(t) never decreases,
-    and once the state at step k is +0.0, every row from
-    `_first_read(k - 1)` to k is exactly zero and the gains of step k equal
-    those of step k - 1, every later step would compute +0.0 from zeros: the
-    run is at rest.  The loop then fills rows k+1..n_steps with zeros and
-    the gains of step k, sets `_filled = n_steps` and returns, bitwise equal
-    to stepping on.  The skipped steps call neither `rhs` nor the hook, so
-    the hook's window is not advanced past step k - 1 and the hook keeps the
-    mode of that step (at the origin).  The test costs one integer compare
-    a step, and a truth test of the state's floats from `rest_at` on: rows
-    are scanned with NumPy only at a zero state from `rest_at`, the first
-    step that reads none of the last blocking row found
-    (`_next_rest_step`), so a proportional delay scans O(log n) times and a
-    moving state never.
-
-    The sliding tail.  A run whose state is +0.0 at a scan that finds a
-    blocking row is in sliding mode: the delayed term still reads the moving
-    past, and the band zeroes each step.  A static run (no hook, a fixed
-    band > 0) and a hook run whose band is the hook's and whose hook has
-    `zero_steps` (the adaptive hooks) take the steps up to the next scan,
-    `rest_at` (or n_steps), as array passes (`_cross_sliding`).  The loop
-    steps the first step a pass does not take and recomputes it: one the
-    band does not catch, or, in a hook run, one that changes the hook's
-    mode or acts with a non-finite gain, so each mode switch still happens
-    in `step`.  When a pass took steps, the first +0.0 state after its stop
-    takes the next pass; when it took none, the next scan does.  A hook
-    without `zero_steps` steps its tail.  This is bitwise equal to
-    stepping: at +0.0 the rhs's c1*0.0 and sign-law terms are +-0.0 at
-    finite gains, which leave a nonzero delayed value d unchanged, so the
-    step computes 0.0 + h*d as the pass does, and a zero d of either sign
-    gives +0.0 both ways.  A caught step's band hits are its nonzero
-    components either way, and the hook moves over the steps taken as
-    `AdaptiveHook.zero_steps` computes them.  A -0.0 component never takes
-    the pass: -0.0 + h*(-0.0) is -0.0.
+    The zero-state tail.  At a +0.0 state the delayed term still reads the
+    moving past, and the band zeroes each step: the sliding mode.  A static
+    run (no hook, any fixed band) and a hook run whose band is the hook's
+    and whose hook has `zero_steps` (the adaptive hooks) take these steps as
+    array passes (`_cross_sliding`), each to n_steps or to the first step it
+    does not take, which the loop steps and recomputes: one the band does
+    not catch, or, in a hook run, one that changes the hook's mode or acts
+    with a non-finite gain, so each mode switch still happens in `step`.
+    After a pass that took steps, the next +0.0 state takes a pass; after
+    one that took none at step k, the next pass starts no earlier than step
+    2k + 1, so a state that touches +0.0 and leaves at once costs
+    O(log n_steps) passes.  Other hook runs (a hook without `zero_steps`, or
+    a fixed band) step their tails.  This is bitwise equal to stepping: a
+    step from +0.0 computes 0.0 + h*(v +- 0.0), and a +-0.0 term leaves a
+    nonzero v unchanged, so it is 0.0 + h*v as the pass computes it, while
+    a zero v of either sign gives +0.0 both ways; at band 0 a step is
+    caught exactly when it computes that +0.0.  A caught step's band hits
+    are its nonzero components either way, and the hook moves over the
+    steps taken as `AdaptiveHook.zero_steps` computes them.  A -0.0
+    component never takes the pass: -0.0 + h*(-0.0) is -0.0.
     """
     x0 = np.atleast_1d(np.asarray(initial_state, dtype=float))
     h, n_steps = config.h, config.n_steps
@@ -608,32 +565,15 @@ def integrate(rhs, initial_state, profile: DelayProfile, config: IntegratorConfi
     hook_band = band is None and gain_hook is not None
     if band is None:
         band = 0.0
-    rest_at = n_steps   # the next step that may find the run at rest; n_steps: none
-    if at_rest is not None:
-        slope, lag_steps = 1.0 - profile.q, profile.lag / h
-        rest_at = 1
     crossing_hook = gain_hook if hook_band and hasattr(gain_hook, "zero_steps") else None
-    slides = at_rest is not None and (band > 0.0 if gain_hook is None
-                                      else crossing_hook is not None)
-    cross_at = n_steps   # from here on, the first +0.0 state takes a pass
+    slides = at_rest is not None and (gain_hook is None or crossing_hook is not None)
+    cross_at = 0 if slides else n_steps   # from here on, the first +0.0 state takes a pass
     k = 0
     while k < n_steps:
-        if k >= rest_at and not any(xs):
-            first = _first_read(k - 1, slope, lag_steps)
-            m = _rest_blocker(states, all_gains, k, max(first, 0))
-            if m is None:
-                states[k + 1:] = 0.0
-                if all_gains is not None:
-                    all_gains[k + 1:] = all_gains[k]
-                traj._filled = n_steps
-                return traj
-            rest_at = max(_next_rest_step(m, slope, lag_steps), k + 1)
-            cross_at = k
-        if k >= cross_at and slides and not any(xs) and not np.signbit(states[k]).any():
-            start, k = k, _cross_sliding(at_rest, traj, k, min(rest_at, n_steps), band,
-                                         crossing_hook)
-            # the loop steps step k; a pass that took none waits for the next scan
-            cross_at = k + 1 if k > start else n_steps
+        if k >= cross_at and not any(xs) and not np.signbit(states[k]).any():
+            start, k = k, _cross_sliding(at_rest, traj, k, n_steps, band, crossing_hook)
+            # the loop steps step k; a pass that took none backs off to step 2k + 1
+            cross_at = k + 1 if k > start else 2 * k + 1
             continue   # xs stays all +0.0: every step taken recorded zeros
         t = k * h
         x = rows[k]

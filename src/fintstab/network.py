@@ -34,16 +34,6 @@ where inf * 0 is NaN.
 The same rule in array form, the coupling rows of a block of steps plus 0.0
 with NaN on those two cases, is the error rhs's `at_rest`, so the settled
 tail is crossed in `integrate`'s array passes, static or adaptive.
-
-The error run may also rest (`integrate`'s rest rule): once the error rows
-a step can read are zero and the gains stand still, every later step is
-bitwise +0.0.  At a drive row without -0.0, the rule above gives the
-coupling of a zero error, g(X + 0) - g(X) = +0.0 for a finite g(X) (the
-drive's own step computed it), times B, plus 0.0.  A drive component is
--0.0 only on rows 0..m for some m (x + h*v is -0.0 only for x = h*v = -0.0),
-and where a step reads one, resting also needs f and g to take equal values
-at +0.0 and -0.0 up to a zero's sign, as fields continuous at 0 (Lorenz,
-sin + 2x) do.
 """
 from __future__ import annotations
 
@@ -292,11 +282,11 @@ def simulate_sync(exp: SyncExperiment) -> SyncResult:
     control, the static theta3 under pinning or full control, and 0 without
     control.  A `theta1_theta3` hook pins node 1 with the spec's sigma, so it
     needs a pinning spec (ValueError otherwise); a `theta3_theta4` hook takes
-    the place of any spec's static feedback.  The drive never rests: its f
-    is arbitrary.  The error run gets the error rhs's `at_rest`, so once the
-    error is exactly zero its steps are crossed in array passes of delayed
-    coupling rows and, when its gains stand still, it rests; the module
-    docstring says why both are bitwise stepping.
+    the place of any spec's static feedback.  The drive steps every step:
+    its f is arbitrary.  The error run gets the error rhs's `at_rest`, so
+    once the error is exactly zero its steps are crossed in array passes of
+    delayed coupling rows; the module docstring says why that is bitwise
+    stepping.
     """
     hook = exp.adaptive_hook
     if (hook is not None and hook.variant == "theta1_theta3"

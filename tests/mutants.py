@@ -43,9 +43,16 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # the sliding pass of a settled static run (integrate._cross_sliding)
     Mutant("a -0.0 state takes the sliding pass", "integrate.py",
-           "slides and not any(xs) and not np.signbit(states[k]).any():",
-           "slides and not any(xs):",
+           "k >= cross_at and not any(xs) and not np.signbit(states[k]).any():",
+           "k >= cross_at and not any(xs):",
            ("tests/test_rest.py::test_a_negative_zero_never_crosses",)),
+    Mutant("an empty pass does not back off", "integrate.py",
+           "cross_at = k + 1 if k > start else 2 * k + 1", "cross_at = k + 1",
+           ("tests/test_rest.py::test_an_empty_pass_backs_off",)),
+    Mutant("a band-0 static run does not cross", "integrate.py",
+           "(gain_hook is None or crossing_hook is not None)",
+           "(band > 0.0 if gain_hook is None else crossing_hook is not None)",
+           ("tests/test_rest.py::test_a_run_that_starts_at_zero_rests_bitwise",)),
     Mutant("the pass drops 0.0 + from 0.0 + h*v", "integrate.py",
            "x_new = 0.0 + h * at_rest(start, stop, traj)",
            "x_new = h * at_rest(start, stop, traj)",
@@ -74,20 +81,6 @@ MUTANTS = (
            "        if bad.any():\n            m = int(bad.argmax())\n", "",
            ("tests/test_hook_pass.py::"
             "test_an_overflowing_rate_above_one_diverges_at_the_stepped_time",)),
-    # the rest rule
-    Mutant("rests scheduled a step late", "integrate.py",
-           "return 1 + math.ceil((m + 2 + lag_steps) / slope)",
-           "return 2 + math.ceil((m + 2 + lag_steps) / slope)",
-           ("tests/test_rest.py::test_a_tail_that_diverges_raises_at_the_step_stepping_does",)),
-    Mutant("the rest rule ignores moving gains", "integrate.py",
-           "if np.signbit(states[k]).any() or (gains is not None\n"
-           "                                       and not (gains[k] == gains[k - 1]).all()):",
-           "if np.signbit(states[k]).any():",
-           ("tests/test_rest.py::test_moving_gains_keep_a_zero_run_stepping",)),
-    Mutant("the rest rule's row margin is +1, not -1", "integrate.py",
-           "return math.floor(slope * k - lag_steps) - 1",
-           "return math.floor(slope * k - lag_steps) + 1",
-           ("tests/test_rest.py::test_a_zero_state_that_still_reads_a_nonzero_row_steps_on",)),
     # the settled network error rule (network._error_rhs)
     Mutant("a -0.0 drive row takes the settled rule", "network.py",
            "if not any(es) and k not in neg_zero_rows and", "if not any(es) and",

@@ -1,7 +1,7 @@
-"""A settled run rests: `integrate(..., at_rest=rhs.at_rest)` stops stepping
-once the state and every row a later step can read are exactly zero, and fills
-the rest of the horizon; a static run crosses its sliding tail before that in
-array passes.  Every output must equal full stepping bitwise."""
+"""A settled run crosses its zero-state tail: `integrate(..., at_rest=rhs.at_rest)`
+takes the steps from a +0.0 state in array passes, each to the horizon or to
+the first step the band does not catch, and backs off after a pass that took
+no step.  Every output must equal full stepping bitwise."""
 import math
 
 import numpy as np
@@ -182,7 +182,7 @@ def test_a_tail_that_diverges_raises_at_the_step_stepping_does():
     def at_rest(start, stop, traj):
         return np.array(g[start:stop])[:, None]
 
-    profile = DelayProfile.constant(5.0)   # row 0 stays readable until step 13
+    profile = DelayProfile.constant(5.0)   # not read: the rhs reads g alone
     cfg = IntegratorConfig(horizon=10.0, h=h, zero_band=0.1, divergence_limit=10.0)
     outcomes = []
     for loop, kwargs in ((integrate, {"at_rest": at_rest}), (integrate, {}),
@@ -196,8 +196,40 @@ def test_a_tail_that_diverges_raises_at_the_step_stepping_does():
             with pytest.raises(fi.DivergenceError) as exc:
                 loop(rhs, [1.0], profile, cfg, **kwargs)
         outcomes.append((exc.value.blow_up_time, hits[0]))
-        assert log == ([(1, 13, 5)] if kwargs else [])
+        assert log == ([(1, 20, 5)] if kwargs else [])
     assert outcomes == [(3.0, 4)] * 3
+
+
+def test_an_empty_pass_backs_off():
+    """g alternating 0, 1, which at_rest mirrors, takes every +0.0 state
+    but the first out of the band at the next step: a pass that takes no
+    step at step k starts the next one no earlier than step 2k + 1, so the
+    run takes at most log2(n_steps) + 1 passes, and equals full stepping
+    bitwise, hits included."""
+    h, g = 0.5, [0.0, 1.0] * 500
+
+    def rhs(t, x, traj):
+        return [-2.0 * x[0] + g[traj._filled]]
+
+    def at_rest(start, stop, traj):
+        return np.array(g[start:stop])[:, None]
+
+    profile = DelayProfile.constant(0.0)
+    cfg = IntegratorConfig(horizon=len(g) * h, h=h, zero_band=0.1)
+    outcomes, log = [], []
+    for loop, kwargs in ((integrate, {"at_rest": at_rest}), (_reference_integrate, {})):
+        hits = [0]
+        with pytest.MonkeyPatch.context() as mp:
+            _crossing(mp, log)
+            mp.setattr(fi, "_project_zero_band", _counting(fi._project_zero_band, hits))
+            mp.setattr(test_integrate, "_reference_zero_band",
+                       _counting(test_integrate._reference_zero_band, hits))
+            traj = loop(rhs, [0.0], profile, cfg, **kwargs)
+        outcomes.append((traj.states.tobytes(), hits[0]))
+    assert outcomes[0] == outcomes[1]
+    assert (np.frombuffer(outcomes[0][0])[1::2] == 0.0).all()   # +0.0 at every odd step
+    assert log[0] == (0, 1000, 1) and all(k == stop for k, _, stop in log[1:])
+    assert 2 < len(log) <= math.ceil(math.log2(cfg.n_steps)) + 1
 
 
 @pytest.mark.parametrize("run", [_EXAMPLE1, _MISSED,
@@ -218,7 +250,7 @@ def test_short_passes_cross_bitwise(run):
 @pytest.mark.parametrize("p0", [[-0.0], [0.0, -0.0]])
 def test_a_negative_zero_never_crosses(p0):
     """-0.0 + h*(-0.0) is -0.0, which the pass's 0.0 + h*v is not: a state
-    with a -0.0 component steps every step until it rests, with the band on."""
+    with a -0.0 component steps every step, with the band on."""
     doc, log = _doc(**dict(_EXAMPLE1, p0=p0, horizon=1.0)), []
     with pytest.MonkeyPatch.context() as mp:
         _crossing(mp, log)
@@ -230,10 +262,9 @@ def test_a_negative_zero_never_crosses(p0):
 
 
 def test_a_zero_state_that_still_reads_a_nonzero_row_steps_on():
-    """The rest scan's row margin: p0 = 1 is caught at +0.0 in one step
-    (h = 0.5), and step 1 reads t/2 = 0.25, halfway between row 0 = 1.0 and
-    row 1, so its delayed term c2 * 0.5 leaves the band.  A scan at step 1
-    that starts a row too late misses row 0 and rests there."""
+    """p0 = 1 is caught at +0.0 in one step (h = 0.5), and step 1 reads
+    t/2 = 0.25, halfway between row 0 = 1.0 and row 1, so its delayed term
+    c2 * 0.5 leaves the band: the pass at step 1 takes no step."""
     doc = _doc([1.0], {"kind": "proportional", "q": 0.5}, horizon=2.0, h=0.5,
                gains={"c3": 0.5, "c4": 5.0})
     got, _, _ = _run(doc, integrate)
@@ -243,10 +274,8 @@ def test_a_zero_state_that_still_reads_a_nonzero_row_steps_on():
 
 
 def test_example1_rests_after_settling():
-    """The example1 preset settles at t = 1.294 and reads t/2: it steps only
-    to step 1,300 of 30,000 and crosses its sliding tail in array passes (it
-    stepped all 30,000 before resting existed, and to step 2,600 before the
-    passes)."""
+    """The example1 preset settles at t = 1.294: it steps only to step 1,300
+    of 30,000 and crosses the rest in array passes."""
     got, calls, steps = _run(cli._document("example1"), integrate)
     assert steps == 30000
     assert calls <= 1300
@@ -304,21 +333,25 @@ def test_no_rest_while_the_initial_history_can_still_be_read():
 
 @pytest.mark.parametrize("p0", [0.0, -0.0])
 def test_a_run_that_starts_at_zero_rests_bitwise(p0):
-    """-0.0 stays -0.0 under the sign law, so a -0.0 run cannot take +0.0 fills."""
+    """At band 0, +0.0 is caught at every step: one pass takes the whole
+    run, without an rhs call.  -0.0 stays -0.0 under the sign law, which the
+    pass's +0.0 is not, so a -0.0 run steps every step."""
     profile = DelayProfile.proportional(0.5)
     gains = StaticScalarGains(1.0, 2.0, 2.1, 3.5)
     rhs = lambda: delayed_linear_rhs(1.0, 2.0, profile,
                                      control=lambda t, p: static_scalar_control(p, gains))
     cfg = IntegratorConfig(horizon=1.0, h=0.01)
-    rested, full = (integrate(r, [p0], profile, cfg, at_rest=r.at_rest if rest else None)
-                    for rest, r in ((True, rhs()), (False, rhs())))
+    calls, r = [0], rhs()
+    rested = _counted(integrate, calls)(r, [p0], profile, cfg, at_rest=r.at_rest)
+    full = integrate(rhs(), [p0], profile, cfg)
     assert rested.states.tobytes() == full.states.tobytes()
     assert math.copysign(1.0, rested.states[-1, 0]) == math.copysign(1.0, p0)
+    assert calls[0] == (100 if math.copysign(1.0, p0) < 0 else 0)
 
 
 def test_moving_gains_keep_a_zero_run_stepping():
-    """A hook whose gains move at a zero state breaks the promise: its run
-    must step on, recording every gain."""
+    """A hook without `zero_steps`, whose gains move at a zero state, steps
+    its tail, recording every gain."""
     profile = DelayProfile.constant(0.0)
     cfg = IntegratorConfig(horizon=1.0, h=0.01)
     runs = [integrate(lambda t, x, traj: [0.0], [0.0], profile, cfg,
